@@ -33,8 +33,8 @@ use ekbd_bench::{banner, conclude, verdict, Table};
 use ekbd_graph::topology;
 use ekbd_metrics::{ExclusionReport, Summary};
 use ekbd_net::{
-    run_load, AdmitPath, BackendSpec, ClientConfig, DaemonServer, LoadPlan, LoadReport,
-    ServerAddr, ServerConfig,
+    run_load, AdmitPath, BackendSpec, ClientConfig, DaemonServer, LoadPlan, LoadReport, ServerAddr,
+    ServerConfig,
 };
 use ekbd_runtime::RuntimeConfig;
 use ekbd_sim::Time;
@@ -96,8 +96,7 @@ fn main() {
     let capacity_run = server.shutdown();
     let scale = capacity_run.scale.expect("scale backend report");
 
-    let g_concurrent =
-        capacity_run.stats.fresh == cap_n as u64 && cap_n >= cap_sessions_floor;
+    let g_concurrent = capacity_run.stats.fresh == cap_n as u64 && cap_n >= cap_sessions_floor;
     let g_cap_waitfree = capacity_report.errors.is_empty()
         && capacity_report.completed_sessions == capacity_report.planned_sessions;
     let g_cap_exclusion = scale.mistakes == 0;
@@ -148,9 +147,18 @@ fn main() {
     let _ = std::fs::remove_dir_all(&journal_dir);
 
     let horizon = churn_run.events.last().map_or(Time(0), |e| e.time);
-    let exclusion =
-        ExclusionReport::analyze(&topology::ring(churn_n), &churn_run.events, &|_| None, horizon);
-    let last_disturbance_ms = churn_run.restarts.iter().map(|r| r.at_ms).max().unwrap_or(0);
+    let exclusion = ExclusionReport::analyze(
+        &topology::ring(churn_n),
+        &churn_run.events,
+        &|_| None,
+        horizon,
+    );
+    let last_disturbance_ms = churn_run
+        .restarts
+        .iter()
+        .map(|r| r.at_ms)
+        .max()
+        .unwrap_or(0);
     let mistakes_after = exclusion.after(Time(last_disturbance_ms));
 
     let min_kills = churn_conns.div_ceil(4);
@@ -217,8 +225,7 @@ fn main() {
     let g_over_cap = admitted == over_cap as u64;
     let g_shed = overload_run.stats.shed_busy > 0
         && overload_report.errors.len() == over_clients - admitted as usize;
-    let g_accepted_complete =
-        overload_report.completed_sessions == admitted as usize * over_cycles;
+    let g_accepted_complete = overload_report.completed_sessions == admitted as usize * over_cycles;
     let g_bounded = overload_latency.p99 <= P99_BOUND_MS;
     let overload_pass = g_over_cap && g_shed && g_accepted_complete && g_bounded;
     let overload = Phase {

@@ -1203,6 +1203,10 @@ pub fn cmd_serve(parsed: &Parsed) -> Result<(), ArgError> {
         run.stats.protocol_errors, run.stats.handshake_timeouts
     );
     println!("sessions reaped ............. {}", run.stats.reaped);
+    println!(
+        "transport ................... frames={} socket-writes={} reactor-wakes={}",
+        run.stats.frames_out, run.stats.socket_writes, run.stats.reactor_wakes
+    );
     println!("grants served ............... {eats}");
     println!("runtime restarts ............ {}", run.restarts.len());
     if let Some(scale) = &run.scale {

@@ -81,6 +81,10 @@ pub fn sparse_gnp(n: usize, p: f64, seed: u64) -> ConflictGraph {
     let total = n as u64 * (n as u64 - 1) / 2;
     let ln_q = (1.0 - p).ln();
     let mut cursor: u64 = 0;
+    // Row `i` holds the n-1-i pairs (i, i+1..n) and starts at flat index
+    // `row_start`. The cursor only moves forward, so the row is carried
+    // from edge to edge, not found again from row 0.
+    let (mut i, mut row_start) = (0u64, 0u64);
     loop {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         let skip = (u.ln() / ln_q).floor() as u64;
@@ -91,16 +95,11 @@ pub fn sparse_gnp(n: usize, p: f64, seed: u64) -> ConflictGraph {
         if cursor >= total {
             break;
         }
-        // Unrank `cursor` to (i, j): row i holds n-1-i pairs.
-        let mut i = 0u64;
-        let mut idx = cursor;
-        let mut row = n as u64 - 1;
-        while idx >= row {
-            idx -= row;
+        while cursor - row_start >= n as u64 - 1 - i {
+            row_start += n as u64 - 1 - i;
             i += 1;
-            row -= 1;
         }
-        let j = i + 1 + idx;
+        let j = i + 1 + (cursor - row_start);
         edges.push((ProcessId::from(i as usize), ProcessId::from(j as usize)));
         cursor += 1;
     }
@@ -283,6 +282,49 @@ mod tests {
         assert_eq!(sparse_gnp(10, 1.0, 1).edge_count(), 45);
         assert!(sparse_gnp(0, 0.5, 1).is_empty());
         assert_eq!(sparse_gnp(1, 0.5, 1).len(), 1);
+    }
+
+    /// `sparse_gnp` as it was before the row was carried across edges:
+    /// every edge unranked from row 0. Quadratic, and the reference for
+    /// the edge sequence.
+    fn sparse_gnp_from_row_zero(n: usize, p: f64, seed: u64) -> ConflictGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        let total = n as u64 * (n as u64 - 1) / 2;
+        let ln_q = (1.0 - p).ln();
+        let mut cursor: u64 = 0;
+        loop {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            cursor += (u.ln() / ln_q).floor() as u64;
+            if cursor >= total {
+                break;
+            }
+            let (mut i, mut idx, mut row) = (0u64, cursor, n as u64 - 1);
+            while idx >= row {
+                idx -= row;
+                i += 1;
+                row -= 1;
+            }
+            let j = i + 1 + idx;
+            edges.push((ProcessId::from(i as usize), ProcessId::from(j as usize)));
+            cursor += 1;
+        }
+        ConflictGraph::new(n, edges).unwrap()
+    }
+
+    #[test]
+    fn sparse_gnp_emits_the_edges_of_the_row_zero_unranking() {
+        for (n, p, seed) in [
+            (2, 0.5, 1),
+            (3, 0.9, 2),
+            (50, 0.3, 3),
+            (257, 0.02, 4),
+            (1000, 0.004, 5),
+            (3000, 0.0005, 6),
+        ] {
+            let (fast, slow) = (sparse_gnp(n, p, seed), sparse_gnp_from_row_zero(n, p, seed));
+            assert_eq!(fast.edges(), slow.edges(), "n {n} p {p} seed {seed}");
+        }
     }
 
     #[test]

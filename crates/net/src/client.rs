@@ -21,12 +21,10 @@
 //! caller's own scheduling.
 
 use crate::conn::{splitmix64, Conn, ServerAddr};
-use crate::wire::{
-    decode_frame, encode_frame, AdmitPath, Frame, WireError, REJECT_ALREADY_BOUND,
-};
+use crate::wire::{encode_frame, AdmitPath, Frame, FrameReader, WireError, REJECT_ALREADY_BOUND};
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
 /// Client-side policy knobs.
@@ -127,19 +125,19 @@ fn dial_and_bind(
     addr: &ServerAddr,
     cfg: &ClientConfig,
     handshake: Frame,
-) -> Result<(Conn, Vec<u8>, u64, u64, AdmitPath), ClientError> {
+) -> Result<(Conn, FrameReader, u64, u64, AdmitPath), ClientError> {
     let mut conn = Conn::dial(addr)?;
     conn.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))?;
     conn.write_all(&encode_frame(&handshake))?;
-    let mut acc = Vec::with_capacity(256);
+    let mut reader = FrameReader::new();
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        match read_frame(&mut conn, &mut acc, deadline)? {
+        match read_frame(&mut conn, &mut reader, deadline)? {
             Frame::Welcome {
                 session,
                 token,
                 path,
-            } => return Ok((conn, acc, session, token, path)),
+            } => return Ok((conn, reader, session, token, path)),
             Frame::Busy { retry_after_ms } => {
                 return Err(ClientError::Busy {
                     hint_ms: retry_after_ms,
@@ -160,7 +158,7 @@ pub struct DaemonClient {
     cfg: ClientConfig,
     process: u32,
     conn: Conn,
-    acc: Vec<u8>,
+    reader: FrameReader,
     session: u64,
     token: u64,
     path: AdmitPath,
@@ -194,13 +192,13 @@ impl DaemonClient {
         let attempts = cfg.max_attempts.max(1);
         for attempt in 0..attempts {
             match dial_and_bind(addr, &cfg, Frame::Hello { process }) {
-                Ok((conn, acc, session, token, path)) => {
+                Ok((conn, reader, session, token, path)) => {
                     return Ok(DaemonClient {
                         addr: addr.clone(),
                         cfg,
                         process,
                         conn,
-                        acc,
+                        reader,
                         session,
                         token,
                         path,
@@ -235,9 +233,9 @@ impl DaemonClient {
                 token: self.token,
             };
             match dial_and_bind(&self.addr, &self.cfg, resume) {
-                Ok((conn, acc, session, token, path)) => {
+                Ok((conn, reader, session, token, path)) => {
                     self.conn = conn;
-                    self.acc = acc;
+                    self.reader = reader;
                     self.session = session;
                     self.token = token;
                     self.path = path;
@@ -257,9 +255,9 @@ impl DaemonClient {
                             process: self.process,
                         },
                     ) {
-                        Ok((conn, acc, session, token, path)) => {
+                        Ok((conn, reader, session, token, path)) => {
                             self.conn = conn;
-                            self.acc = acc;
+                            self.reader = reader;
                             self.session = session;
                             self.token = token;
                             self.path = path;
@@ -314,7 +312,7 @@ impl DaemonClient {
     pub fn wait_granted(&mut self, timeout: Duration) -> Result<u64, ClientError> {
         let deadline = Instant::now() + timeout;
         loop {
-            match self.next_frame(deadline)? {
+            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
                 Frame::Granted { process, at_ms } if process == self.process => return Ok(at_ms),
                 // A release from a previous cycle may still be in
                 // flight; another process's event is never ours to act
@@ -330,7 +328,7 @@ impl DaemonClient {
     pub fn wait_released(&mut self, timeout: Duration) -> Result<u64, ClientError> {
         let deadline = Instant::now() + timeout;
         loop {
-            match self.next_frame(deadline)? {
+            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
                 Frame::Released { process, at_ms } if process == self.process => return Ok(at_ms),
                 // A duplicate grant (re-sent hungry) is not an error.
                 Frame::Granted { .. } | Frame::Released { .. } => {}
@@ -351,39 +349,6 @@ impl DaemonClient {
     pub fn bye(mut self) {
         let _ = self.conn.write_all(&encode_frame(&Frame::Bye));
         self.conn.kill();
-    }
-
-    /// Reads the next non-heartbeat frame, replying to server `Ping`s
-    /// inline so heartbeat liveness is maintained by any blocked wait.
-    fn next_frame(&mut self, deadline: Instant) -> Result<Frame, ClientError> {
-        let mut chunk = [0u8; 1024];
-        loop {
-            match decode_frame(&self.acc) {
-                Ok(Some((frame, n))) => {
-                    self.acc.drain(..n);
-                    match frame {
-                        Frame::Ping { nonce } => {
-                            self.conn.write_all(&encode_frame(&Frame::Pong { nonce }))?;
-                        }
-                        Frame::Pong { .. } => {}
-                        other => return Ok(other),
-                    }
-                    continue;
-                }
-                Ok(None) => {}
-                Err(e) => return Err(ClientError::Protocol(e)),
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout);
-            }
-            match self.conn.read(&mut chunk) {
-                Ok(0) => return Err(ClientError::Closed),
-                Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => return Err(ClientError::Io(e)),
-            }
-        }
     }
 }
 
@@ -418,7 +383,7 @@ pub struct MuxClient {
     cfg: ClientConfig,
     primary: u32,
     conn: Conn,
-    acc: Vec<u8>,
+    reader: FrameReader,
     session: u64,
     token: u64,
     path: AdmitPath,
@@ -455,13 +420,13 @@ impl MuxClient {
         let attempts = cfg.max_attempts.max(1);
         for attempt in 0..attempts {
             match dial_and_bind(addr, &cfg, Frame::Hello { process: primary }) {
-                Ok((conn, acc, session, token, path)) => {
+                Ok((conn, reader, session, token, path)) => {
                     return Ok(MuxClient {
                         addr: addr.clone(),
                         cfg,
                         primary,
                         conn,
-                        acc,
+                        reader,
                         session,
                         token,
                         path,
@@ -508,7 +473,7 @@ impl MuxClient {
             .write_all(&encode_frame(&Frame::Bind { process }))?;
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            match self.read_any(deadline)? {
+            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
                 Frame::Bound { process: p, path } if p == process => {
                     self.bound.push(process);
                     return Ok(path);
@@ -539,7 +504,7 @@ impl MuxClient {
             .write_all(&encode_frame(&Frame::Unbind { process }))?;
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            match self.read_any(deadline)? {
+            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
                 Frame::Unbound { process: p } if p == process => {
                     self.bound.retain(|&b| b != process);
                     return Ok(());
@@ -568,7 +533,7 @@ impl MuxClient {
         }
         let deadline = Instant::now() + timeout;
         loop {
-            match self.read_any(deadline)? {
+            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
                 Frame::Granted { process, at_ms } => {
                     return Ok(MuxEvent::Granted { process, at_ms })
                 }
@@ -636,9 +601,9 @@ impl MuxClient {
                     None
                 }
             };
-            if let Some((conn, acc, session, token, path)) = dialed {
+            if let Some((conn, reader, session, token, path)) = dialed {
                 self.conn = conn;
-                self.acc = acc;
+                self.reader = reader;
                 self.session = session;
                 self.token = token;
                 self.path = path;
@@ -646,12 +611,11 @@ impl MuxClient {
                 let secondaries = std::mem::take(&mut self.bound);
                 let mut paths = vec![(self.primary, path)];
                 for p in secondaries {
-                    match self.bind(p) {
-                        Ok(bp) => paths.push((p, bp)),
-                        // A secondary that cannot rebind (e.g. claimed by
-                        // someone else meanwhile) is dropped from the
-                        // fleet, not fatal to the connection.
-                        Err(_) => {}
+                    // A secondary that cannot rebind (e.g. claimed by
+                    // someone else meanwhile) is dropped from the fleet,
+                    // not fatal to the connection.
+                    if let Ok(bp) = self.bind(p) {
+                        paths.push((p, bp));
                     }
                 }
                 return Ok(paths);
@@ -672,40 +636,6 @@ impl MuxClient {
     pub fn bye(mut self) {
         let _ = self.conn.write_all(&encode_frame(&Frame::Bye));
         self.conn.kill();
-    }
-
-    /// Reads the next frame, replying to `Ping`s inline and stashing
-    /// event frames encountered while a control call waits (the caller
-    /// decides which frames it is looking for; events never get lost).
-    fn read_any(&mut self, deadline: Instant) -> Result<Frame, ClientError> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match decode_frame(&self.acc) {
-                Ok(Some((frame, n))) => {
-                    self.acc.drain(..n);
-                    match frame {
-                        Frame::Ping { nonce } => {
-                            self.conn.write_all(&encode_frame(&Frame::Pong { nonce }))?;
-                        }
-                        Frame::Pong { .. } => {}
-                        other => return Ok(other),
-                    }
-                    continue;
-                }
-                Ok(None) => {}
-                Err(e) => return Err(ClientError::Protocol(e)),
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout);
-            }
-            match self.conn.read(&mut chunk) {
-                Ok(0) => return Err(ClientError::Closed),
-                Ok(n) => self.acc.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
-                Err(e) => return Err(ClientError::Io(e)),
-            }
-        }
     }
 }
 
@@ -731,26 +661,38 @@ fn backoff(cfg: &ClientConfig, rng: &mut u64, attempt: u32) -> Duration {
     Duration::from_millis(half + jitter)
 }
 
-/// Handshake-side frame read with a hard deadline.
-fn read_frame(conn: &mut Conn, acc: &mut Vec<u8>, deadline: Instant) -> Result<Frame, ClientError> {
-    let mut chunk = [0u8; 1024];
+/// The next frame that is not a heartbeat, answering the server's
+/// `Ping`s inline so that any blocked wait keeps the session alive.
+/// Buffered frames come first; then the socket is read — at least once
+/// even when `deadline` has already passed, so a caller that polls with a
+/// zero timeout still drains what the server pushed (one read blocks for
+/// [`ClientConfig::read_timeout_ms`] at most).
+fn read_frame(
+    conn: &mut Conn,
+    reader: &mut FrameReader,
+    deadline: Instant,
+) -> Result<Frame, ClientError> {
+    let mut read_once = false;
     loop {
-        match decode_frame(acc) {
-            Ok(Some((frame, n))) => {
-                acc.drain(..n);
-                return Ok(frame);
+        while let Some(frame) = reader.next_frame().map_err(ClientError::Protocol)? {
+            match frame {
+                Frame::Ping { nonce } => conn.write_all(&encode_frame(&Frame::Pong { nonce }))?,
+                Frame::Pong { .. } => {}
+                other => return Ok(other),
             }
-            Ok(None) => {}
-            Err(e) => return Err(ClientError::Protocol(e)),
         }
-        if Instant::now() >= deadline {
+        if read_once && Instant::now() >= deadline {
             return Err(ClientError::Timeout);
         }
-        match conn.read(&mut chunk) {
+        read_once = true;
+        match reader.fill(conn) {
             Ok(0) => return Err(ClientError::Closed),
-            Ok(n) => acc.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) => {}
             Err(e) => return Err(ClientError::Io(e)),
         }
     }

@@ -25,8 +25,10 @@
 //! Everything is plain `std::net` + a small readiness reactor over the
 //! vendored epoll shim; there is no async runtime and no
 //! thread-per-connection. A handful of reactor threads own slabs of
-//! nonblocking connections, one event-pump thread bridges the dining
-//! runtime's tap into the sessions, and blocking recovery waits run on
+//! nonblocking connections and work in passes — read, decode, serve,
+//! then one write per connection; the packed scale kernel is stepped on
+//! those threads directly, the threaded runtime's events reach them
+//! through one pump thread, and blocking recovery waits run on
 //! short-lived admission workers. One connection can multiplex many
 //! dining processes (`Bind`/`Unbind` — the gateway shape, see
 //! [`MuxClient`]), and the server can front either the full threaded

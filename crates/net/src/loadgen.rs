@@ -259,7 +259,10 @@ fn run_mux_client(
     };
     for j in 1..k {
         if let Err(e) = client.bind(base + j as u32) {
-            outcome.error = Some(format!("mux{client_index}: bind p{} failed: {e}", base + j as u32));
+            outcome.error = Some(format!(
+                "mux{client_index}: bind p{} failed: {e}",
+                base + j as u32
+            ));
             outcome.busy_retries += client.busy_retries;
             return outcome;
         }
@@ -320,8 +323,10 @@ fn run_mux_client(
         for (j, s) in slots.iter_mut().enumerate() {
             if s.state == MuxState::Thinking && s.remaining > 0 && now >= s.ready_at {
                 if let Err(e) = client.hungry(base + j as u32) {
-                    outcome.error =
-                        Some(format!("mux{client_index}: hungry p{} failed: {e}", base + j as u32));
+                    outcome.error = Some(format!(
+                        "mux{client_index}: hungry p{} failed: {e}",
+                        base + j as u32
+                    ));
                     outcome.busy_retries += client.busy_retries;
                     return outcome;
                 }
@@ -349,7 +354,9 @@ fn run_mux_client(
                         s.remaining -= 1;
                         s.resends = 0;
                         s.ready_at = Instant::now() + Duration::from_millis(plan.think_ms);
-                        outcome.latencies_ms.push(s.sent_at.elapsed().as_millis() as u64);
+                        outcome
+                            .latencies_ms
+                            .push(s.sent_at.elapsed().as_millis() as u64);
                         outcome.completed += 1;
                     }
                 }
@@ -360,7 +367,8 @@ fn run_mux_client(
                 // legitimately lost and re-requesting is idempotent.
                 let now = Instant::now();
                 for (j, s) in slots.iter_mut().enumerate() {
-                    if s.state == MuxState::Hungry && now.duration_since(s.sent_at) > grant_timeout {
+                    if s.state == MuxState::Hungry && now.duration_since(s.sent_at) > grant_timeout
+                    {
                         if s.resends >= 3 {
                             outcome.error = Some(format!(
                                 "mux{client_index}: p{} starved past {} resends",

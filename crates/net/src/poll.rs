@@ -78,9 +78,10 @@ impl Waker {
     }
 
     /// Resets the counter so the next [`wake`](Self::wake) re-triggers
-    /// readiness. Called by the owning reactor when its token fires.
+    /// readiness. Called by the owning thread when its token fires. One
+    /// read: an eventfd hands over its whole count and zeroes it, so a
+    /// second could only return `EAGAIN`.
     pub(crate) fn drain(&self) {
-        let mut buf = [0u8; 8];
-        while (&self.file).read(&mut buf).is_ok() {}
+        let _ = (&self.file).read(&mut [0u8; 8]);
     }
 }

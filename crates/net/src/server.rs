@@ -6,27 +6,64 @@
 //! No async runtime — a small readiness-based reactor over the vendored
 //! epoll shim ([`crate::poll`]):
 //!
-//! * an **acceptor** thread polls the (nonblocking) listener for
-//!   readiness and hands accepted sockets to the reactors round-robin;
+//! * an **acceptor** thread blocks on the (nonblocking) listener and a
+//!   shutdown eventfd, and hands accepted sockets to the reactors
+//!   round-robin;
 //! * **N reactor threads** ([`ServerConfig::reactor_threads`]) each own a
-//!   slab of nonblocking connections. A reactor runs the handshake state
-//!   machine, decodes inbound frames off per-connection read
-//!   accumulators, and drains per-connection write buffers — there are
-//!   no per-connection threads, no writer threads, and no bounded
-//!   queues; a connection whose write buffer exceeds
-//!   [`ServerConfig::send_queue`] frames is a slow reader and is
-//!   disconnected. Heartbeat strikes and handshake deadlines are swept
-//!   by the owning reactor between polls. Cross-thread work (event
-//!   frames from the pump, admission completions) arrives on a command
-//!   queue flushed by an eventfd wakeup;
-//! * one **event pump** thread drains the backend's live event tap,
-//!   translating `StartedEating` / `StoppedEating` into process-tagged
-//!   `Granted` / `Released` frames, and runs the detach-TTL reaper
-//!   ([`ServerConfig::detach_ttl_ms`]).
+//!   slab of nonblocking connections and work in *passes*. One pass is
+//!   one `epoll_wait` batch: read every ready socket once, decode its
+//!   frames at a cursor, collect the `Hungry` requests, take the commands
+//!   other threads posted, run the timers (heartbeat strikes, handshake
+//!   deadlines, the detach-TTL reaper on reactor 0), hand the collected
+//!   requests to the backend under one lock, and only then write — each
+//!   connection that has anything to say gets one `write` for all of it.
+//!   There are no per-connection threads and no writer threads; a
+//!   connection still holding more than [`ServerConfig::send_queue`]
+//!   frames' worth of bytes after its write is a slow reader and is
+//!   disconnected;
+//! * on the **scale backend** that is all: the packed kernel lives behind
+//!   the backend mutex and is stepped by whichever reactor holds it (see
+//!   *Who owns the kernel* below);
+//! * on the **threaded backend** one **event pump** thread blocks on the
+//!   runtime's live event tap, translates each batch of `StartedEating` /
+//!   `StoppedEating` into process-tagged `Granted` / `Released` frames
+//!   grouped by connection, and posts one batch per owning reactor. It
+//!   ends when the runtime is torn down and the tap disconnects.
+//!
+//! Cross-thread work reaches a reactor through two queues — commands
+//! (adopted sockets, admission verdicts, shutdown) and encoded frames —
+//! and an eventfd that is written only when a queue goes from empty to
+//! non-empty, so a burst costs one wake-up, not one per item.
 //!
 //! Blocking work never runs on a reactor: a readmission that must wait
 //! for the runtime's recovery notice is parked on a short-lived admission
-//! worker thread that posts its verdict back to the reactor's queue.
+//! worker thread, which sleeps on the runtime's own publish signal
+//! ([`RestartWatch::wait_past`]) and posts its verdict back to the
+//! reactor's queue.
+//!
+//! # Who owns the kernel
+//!
+//! Nobody permanently. The scale backend's [`InteractiveScale`], its
+//! event log and its scratch sit behind the backend mutex, and a reactor
+//! that ends a pass with `Hungry` requests takes the lock once, injects
+//! them all, steps the kernel to quiescence, logs and stamps the eat
+//! transitions, and encodes each as a frame straight into the write
+//! buffer of the connection that owns the process. The owner is read
+//! from a dense per-process table of packed `(reactor, slot,
+//! generation)` words that admission and detach keep — the same word a
+//! `Hungry` is validated against, so neither path takes a lock or scans.
+//!
+//! **The lock-order rule.** A frame for a connection another reactor owns
+//! cannot be written here; it goes to that reactor's frame queue, one
+//! batch per reactor, *before the kernel lock is released*. And a reactor
+//! drains its own frame queue *after taking the kernel lock* and before
+//! it encodes anything of its own. Together: if reactor A produced frames
+//! for process `p` under an earlier hold of the lock than reactor B, B
+//! has A's frames in `p`'s write buffer before its own — per-process
+//! frame order on the wire equals kernel lock order. Nothing else is ever
+//! done under the kernel lock: no socket call, no session-table lock, no
+//! teardown (a connection found over its cap is shed at the write, after
+//! the lock is gone).
 //!
 //! # Multiplexed sessions
 //!
@@ -55,10 +92,10 @@
 //! [`BackendSpec::Threaded`] runs the full [`ThreadedDining`] runtime —
 //! one OS thread per philosopher, journal recovery, the works.
 //! [`BackendSpec::Scale`] fronts the bit-packed scale-tier kernel
-//! ([`ekbd_sim::InteractiveScale`]) instead: a single driver thread
-//! serves hunger injections for up to hundreds of thousands of
-//! processes. The scale kernel is fault-free, so disconnects there
-//! detach without crashing and every resume is trivial.
+//! ([`ekbd_sim::InteractiveScale`]) instead, stepped on the reactor
+//! threads themselves for up to hundreds of thousands of processes. The
+//! scale kernel is fault-free, so disconnects there detach without
+//! crashing and every resume is trivial.
 //!
 //! # Overload shedding
 //!
@@ -72,30 +109,36 @@
 use crate::conn::{splitmix64, Conn, Listener, ServerAddr};
 use crate::poll::{Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::wire::{
-    decode_frame, encode_frame, AdmitPath, Frame, REJECT_ALREADY_BOUND, REJECT_BAD_PROCESS,
-    REJECT_BUSY, REJECT_UNKNOWN_SESSION,
+    encode_frame_into, AdmitPath, Frame, FrameReader, OVERHEAD, REJECT_ALREADY_BOUND,
+    REJECT_BAD_PROCESS, REJECT_BUSY, REJECT_UNKNOWN_SESSION,
 };
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::Receiver;
 use ekbd_dining::{DiningObs, RecoveryMsg, RestartPath};
 use ekbd_graph::{coloring, ConflictGraph, ProcessId};
 use ekbd_metrics::{LinkSummary, SchedEvent};
-use ekbd_runtime::{RestartNotice, RuntimeConfig, ThreadedDining};
-use ekbd_sim::{InteractiveScale, ScaleConfig, ScaleRunReport, Time};
+use ekbd_runtime::{RestartNotice, RestartWatch, RuntimeConfig, ThreadedDining};
+use ekbd_sim::{EatObs, InteractiveScale, ScaleConfig, ScaleRunReport, Time};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Reserved poll token for a reactor's wakeup eventfd; connection tokens
-/// are slab indices and can never reach it.
+/// Reserved poll token for a wakeup eventfd (a reactor's, or the
+/// acceptor's shutdown signal); connection tokens are slab indices and
+/// can never reach it.
 const WAKER_TOKEN: u64 = u64::MAX;
 
-/// Read-accumulator ceiling while an admission is parked on a worker: a
+/// Read-buffer ceiling while an admission is parked on a worker: a
 /// client pipelining more than this before its `Welcome` is broken.
 const ADMIT_ACC_CAP: usize = 64 * 1024;
+
+/// Bytes of one `Granted` / `Released` on the wire — what a frame of
+/// [`ServerConfig::send_queue`] is worth when the cap is applied to a
+/// byte buffer.
+const EVENT_FRAME_BYTES: usize = OVERHEAD + 13;
 
 /// Which dining backend a server fronts.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,8 +146,9 @@ pub enum BackendSpec {
     /// The full crash-recovery runtime: one OS thread per philosopher,
     /// journal resume, restart notices.
     Threaded,
-    /// The bit-packed scale-tier kernel in interactive mode, driven by a
-    /// single thread. Fault-free: disconnects detach without crashing.
+    /// The bit-packed scale-tier kernel in interactive mode, stepped by
+    /// the reactor threads. Fault-free: disconnects detach without
+    /// crashing.
     Scale {
         /// Kernel seed; virtual-time dynamics are a pure function of it.
         seed: u64,
@@ -119,14 +163,16 @@ pub struct ServerConfig {
     pub runtime: RuntimeConfig,
     /// Which backend to front.
     pub backend: BackendSpec,
-    /// Reactor threads sharing the connection load.
+    /// Reactor threads sharing the connection load (at most 256).
     pub reactor_threads: usize,
     /// Admission cap: a `Hello` that would create session number
     /// `max_sessions + 1` is shed with a `Busy` frame instead.
     pub max_sessions: usize,
     /// Capacity, in frames, of each connection's write buffer. A session
-    /// whose buffer fills (a reader too slow for its own event stream)
-    /// is disconnected rather than allowed to hold memory hostage.
+    /// whose buffer still holds more than this many event frames' worth
+    /// of bytes after the socket took what it would (a reader too slow
+    /// for its own event stream) is disconnected rather than allowed to
+    /// hold memory hostage.
     pub send_queue: usize,
     /// Heartbeat sweep period in milliseconds.
     pub heartbeat_ms: u64,
@@ -191,6 +237,15 @@ pub struct ServerStats {
     pub handshake_timeouts: u64,
     /// Detached sessions deleted by the TTL reaper.
     pub reaped: u64,
+    /// Frames queued to connections (answers, pings and events alike).
+    pub frames_out: u64,
+    /// Socket `write` calls the reactors issued. Under load one write
+    /// carries every frame a pass produced for its connection, so this
+    /// falls well below [`frames_out`](Self::frames_out).
+    pub socket_writes: u64,
+    /// Eventfd wake-ups posted to reactors by other threads: one per
+    /// burst of commands or frames, not one per item.
+    pub reactor_wakes: u64,
 }
 
 #[derive(Default)]
@@ -205,6 +260,9 @@ struct AtomicStats {
     protocol_errors: AtomicU64,
     handshake_timeouts: AtomicU64,
     reaped: AtomicU64,
+    frames_out: AtomicU64,
+    socket_writes: AtomicU64,
+    reactor_wakes: AtomicU64,
 }
 
 impl AtomicStats {
@@ -220,6 +278,9 @@ impl AtomicStats {
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             handshake_timeouts: self.handshake_timeouts.load(Ordering::Relaxed),
             reaped: self.reaped.load(Ordering::Relaxed),
+            frames_out: self.frames_out.load(Ordering::Relaxed),
+            socket_writes: self.socket_writes.load(Ordering::Relaxed),
+            reactor_wakes: self.reactor_wakes.load(Ordering::Relaxed),
         }
     }
 }
@@ -245,94 +306,29 @@ pub struct ServerRun {
 // Backends
 // ---------------------------------------------------------------------
 
-enum ScaleCmd {
-    Hungry(u32),
-}
-
-/// The scale backend: one driver thread owning an [`InteractiveScale`]
-/// kernel, fed hunger injections over a channel, emitting wall-clock-
-/// stamped [`SchedEvent`]s to the pump's tap.
+/// The scale backend: an [`InteractiveScale`] kernel with what a reactor
+/// needs to turn one step of it into frames. It has no thread of its
+/// own — whichever reactor holds the backend mutex drives it.
 struct ScaleService {
-    tx: Sender<ScaleCmd>,
-    handle: JoinHandle<(Vec<SchedEvent>, ScaleRunReport)>,
+    kernel: InteractiveScale,
+    /// Every eat transition so far, wall-clock stamped: what
+    /// [`ServerRun::events`] returns.
+    log: Vec<SchedEvent>,
+    /// Scratch for the observations of one hold of the lock.
+    obs: Vec<EatObs>,
+    /// Epoch of the `at_ms` stamps.
+    start: Instant,
 }
 
 impl ScaleService {
-    fn start(graph: &ConflictGraph, seed: u64) -> (ScaleService, Receiver<SchedEvent>) {
+    fn new(graph: &ConflictGraph, seed: u64) -> ScaleService {
         let colors = coloring::greedy(graph);
-        let mut kernel = InteractiveScale::new(graph, &colors, ScaleConfig::default().seed(seed));
-        let (tx, rx) = unbounded::<ScaleCmd>();
-        let (tap_tx, tap_rx) = unbounded::<SchedEvent>();
-        let handle = std::thread::Builder::new()
-            .name("ekbd-net-scale".into())
-            .spawn(move || {
-                let start = Instant::now();
-                let mut log: Vec<SchedEvent> = Vec::new();
-                let mut obs = Vec::new();
-                loop {
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok(ScaleCmd::Hungry(p)) => {
-                            kernel.inject_hungry(p);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                    for cmd in rx.try_iter() {
-                        match cmd {
-                            ScaleCmd::Hungry(p) => {
-                                kernel.inject_hungry(p);
-                            }
-                        }
-                    }
-                    obs.clear();
-                    kernel.step(1u64 << 16, &mut obs);
-                    if obs.is_empty() {
-                        continue;
-                    }
-                    let at = start.elapsed().as_millis() as u64;
-                    for o in &obs {
-                        let e = SchedEvent::new(
-                            Time(at),
-                            ProcessId::from(o.process as usize),
-                            if o.started {
-                                DiningObs::StartedEating
-                            } else {
-                                DiningObs::StoppedEating
-                            },
-                        );
-                        log.push(e);
-                        let _ = tap_tx.send(e);
-                    }
-                }
-                (log, kernel.finish())
-            })
-            .expect("spawn scale driver thread");
-        (ScaleService { tx, handle }, tap_rx)
-    }
-
-    fn stop(self) -> (Vec<SchedEvent>, ScaleRunReport) {
-        drop(self.tx);
-        self.handle
-            .join()
-            .unwrap_or_else(|_| (Vec::new(), panic_report()))
-    }
-}
-
-/// Placeholder report for the (never observed in practice) case of a
-/// panicked scale driver.
-fn panic_report() -> ScaleRunReport {
-    ScaleRunReport {
-        n: 0,
-        shards: 0,
-        events: 0,
-        messages: 0,
-        final_tick: 0,
-        eats: Vec::new(),
-        mistakes: u64::MAX,
-        starving: 0,
-        latency: ekbd_sim::LatencyHistogram::new(),
-        excerpts: Vec::new(),
-        wall_nanos: 0,
+        ScaleService {
+            kernel: InteractiveScale::new(graph, &colors, ScaleConfig::default().seed(seed)),
+            log: Vec::new(),
+            obs: Vec::new(),
+            start: Instant::now(),
+        }
     }
 }
 
@@ -342,65 +338,50 @@ enum Backend {
     Scale(ScaleService),
 }
 
-impl Backend {
-    fn make_hungry(&self, p: u32) {
-        match self {
-            Backend::Threaded(sys) => sys.make_hungry(ProcessId::from(p as usize)),
-            Backend::Scale(svc) => {
-                let _ = svc.tx.send(ScaleCmd::Hungry(p));
-            }
-        }
-    }
-
-    fn crash(&self, p: u32) {
-        match self {
-            Backend::Threaded(sys) => sys.crash(ProcessId::from(p as usize)),
-            // The scale kernel is fault-free: a vanished client just
-            // stops injecting hunger.
-            Backend::Scale(_) => {}
-        }
-    }
-
-    fn recover(&self, p: u32) {
-        match self {
-            Backend::Threaded(sys) => sys.recover(ProcessId::from(p as usize)),
-            Backend::Scale(_) => {}
-        }
-    }
-
-    fn restart_paths(&self) -> Vec<RestartNotice> {
-        match self {
-            Backend::Threaded(sys) => sys.restart_paths(),
-            Backend::Scale(_) => Vec::new(),
-        }
-    }
-
-    fn supports_recovery(&self) -> bool {
-        matches!(self, Backend::Threaded(_))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Session table
 // ---------------------------------------------------------------------
 
-/// Where a session's live connection lives: which reactor, which slab
-/// slot, and the attachment generation (slots are reused; generations
-/// are not).
-#[derive(Clone, Copy)]
+/// Where a bound process's live connection lives: which reactor, which
+/// slab slot, and the attachment generation (slots are reused;
+/// generations are not, and are never 0). Packs into one word so the
+/// per-process owner table can be read without a lock.
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct ConnRef {
     reactor: usize,
     slot: usize,
-    gen: u64,
+    gen: u32,
+}
+
+impl ConnRef {
+    /// Most reactors a server runs: the owner word keeps 8 bits for one.
+    const MAX_REACTORS: usize = 1 << 8;
+    /// Slab slots a reactor may use: the owner word keeps 24 bits for one.
+    const MAX_SLOTS: usize = 1 << 24;
+    /// The owner word of a process nobody is bound to.
+    const UNBOUND: u64 = 0;
+
+    fn pack(self) -> u64 {
+        debug_assert!(self.reactor < Self::MAX_REACTORS && self.slot < Self::MAX_SLOTS);
+        debug_assert_ne!(self.gen, 0);
+        (self.reactor as u64) << 56 | (self.slot as u64) << 32 | u64::from(self.gen)
+    }
+
+    fn unpack(word: u64) -> Option<ConnRef> {
+        (word != Self::UNBOUND).then_some(ConnRef {
+            reactor: (word >> 56) as usize,
+            slot: (word >> 32) as usize & (Self::MAX_SLOTS - 1),
+            gen: word as u32,
+        })
+    }
 }
 
 /// Server-side session state for one dining process. Survives connection
-/// deaths: `conn` detaches but the slot (and its credentials) remain —
-/// until the detach-TTL reaper deletes it.
+/// deaths: the owner word clears but the slot (and its credentials)
+/// remain — until the detach-TTL reaper deletes it.
 struct Session {
     session: u64,
     token: u64,
-    conn: Option<ConnRef>,
     /// An admission for this slot is in flight (its recovery wait runs
     /// on a worker thread, outside the sessions lock).
     binding: bool,
@@ -411,11 +392,18 @@ struct Session {
 
 struct ServerInner {
     cfg: ServerConfig,
-    graph_len: usize,
     /// `Option` so [`DaemonServer::shutdown`] can take the backend out
-    /// for consuming teardown while reactors still hold the `Arc`.
+    /// for consuming teardown while other threads still hold the `Arc`.
     backend: Mutex<Option<Backend>>,
+    /// The threaded runtime's restart notices; `None` on the scale
+    /// backend, which can neither crash nor recover a process.
+    restarts: Option<RestartWatch>,
     sessions: Mutex<HashMap<u32, Session>>,
+    /// Per-process owner words ([`ConnRef::pack`], or
+    /// [`ConnRef::UNBOUND`]): which connection a process's event frames
+    /// go to and whose `Hungry` it accepts. Written under the sessions
+    /// lock by admission and detach; read lock-free on every frame.
+    owners: Vec<AtomicU64>,
     /// Per-process crashed-awaiting-recovery flags. Lives *outside* the
     /// session table so reaping a crashed session does not forget that
     /// the underlying process still needs `recover` on readmission.
@@ -424,13 +412,13 @@ struct ServerInner {
     /// readmission waits for *its* notice, not a historical one. Also
     /// outside the session table, for the same reason.
     restarts_seen: Mutex<Vec<usize>>,
-    /// Reactor command queues, for the pump and the acceptor. Set once
-    /// at startup (reactors need the inner first).
+    /// The reactors' inboxes, for the acceptor, the pump, the admission
+    /// workers and one another. Set once at startup (reactors need the
+    /// inner first).
     reactors: OnceLock<Vec<Arc<ReactorShared>>>,
     next_session: AtomicU64,
-    next_generation: AtomicU64,
+    next_generation: AtomicU32,
     token_rng: Mutex<u64>,
-    running: AtomicBool,
     stats: AtomicStats,
 }
 
@@ -467,8 +455,38 @@ impl ClaimError {
 }
 
 impl ServerInner {
-    fn with_backend<R>(&self, f: impl FnOnce(&Backend) -> R) -> Option<R> {
-        self.backend.lock().as_ref().map(f)
+    /// Runs `f` on the threaded runtime. A no-op on the scale backend,
+    /// without touching the kernel lock: its kernel is fault-free, so a
+    /// vanished client just stops injecting hunger.
+    fn with_runtime(&self, f: impl FnOnce(&ThreadedDining<RecoveryMsg>)) {
+        if self.restarts.is_none() {
+            return;
+        }
+        if let Some(Backend::Threaded(sys)) = self.backend.lock().as_ref() {
+            f(sys);
+        }
+    }
+
+    fn reactors(&self) -> &[Arc<ReactorShared>] {
+        self.reactors.get().expect("reactors are set at startup")
+    }
+
+    /// The connection `process` is bound to, if any. `Acquire` pairs with
+    /// the `Release` stores of admission and detach.
+    fn owner(&self, process: u32) -> Option<ConnRef> {
+        let word = self.owners.get(process as usize)?.load(Ordering::Acquire);
+        ConnRef::unpack(word)
+    }
+
+    /// A fresh attachment generation; never 0, which is how an owner
+    /// word says "unbound".
+    fn next_generation(&self) -> u32 {
+        loop {
+            let gen = self.next_generation.fetch_add(1, Ordering::Relaxed);
+            if gen != 0 {
+                return gen;
+            }
+        }
     }
 
     /// Claims the binding slot for `process` under the lock: validates,
@@ -481,12 +499,12 @@ impl ServerInner {
         process: u32,
         check: impl FnOnce(Option<&Session>) -> Result<(), ClaimError>,
     ) -> Result<(bool, usize), ClaimError> {
-        if process as usize >= self.graph_len {
+        if process as usize >= self.owners.len() {
             return Err(ClaimError::BadProcess);
         }
         let mut sessions = self.sessions.lock();
         let slot = sessions.get(&process);
-        if slot.is_some_and(|s| s.conn.is_some() || s.binding) {
+        if self.owner(process).is_some() || slot.is_some_and(|s| s.binding) {
             return Err(ClaimError::AlreadyBound);
         }
         check(slot)?;
@@ -501,7 +519,6 @@ impl ServerInner {
                 Session {
                     session: 0,
                     token: 0,
-                    conn: None,
                     binding: true,
                     detached_at: None,
                 },
@@ -512,8 +529,8 @@ impl ServerInner {
         Ok((crashed, seen))
     }
 
-    /// Completes a claimed binding: stamps credentials and attaches the
-    /// connection reference.
+    /// Completes a claimed binding: stamps credentials and publishes the
+    /// connection as the process's owner.
     #[allow(clippy::too_many_arguments)] // admission state is this wide
     fn complete_admission(
         &self,
@@ -531,7 +548,7 @@ impl ServerInner {
             slot.token = token;
             slot.binding = false;
             slot.detached_at = None;
-            slot.conn = Some(conn);
+            self.owners[process as usize].store(conn.pack(), Ordering::Release);
         }
         self.crashed.lock()[process as usize] = false;
         self.restarts_seen.lock()[process as usize] = seen;
@@ -558,26 +575,26 @@ impl ServerInner {
     /// whether this call performed the detach (the process may have been
     /// rebound since). An ungraceful detach marks the process crashed
     /// when the backend can recover it.
-    fn detach_process(&self, process: u32, gen: u64, graceful: bool) -> bool {
+    fn detach_process(&self, process: u32, gen: u32, graceful: bool) -> bool {
         {
             let mut sessions = self.sessions.lock();
             let Some(slot) = sessions.get_mut(&process) else {
                 return false;
             };
-            if !slot.conn.as_ref().is_some_and(|c| c.gen == gen) {
+            if self.owner(process).is_none_or(|c| c.gen != gen) {
                 return false;
             }
-            slot.conn = None;
+            self.owners[process as usize].store(ConnRef::UNBOUND, Ordering::Release);
             slot.detached_at = Some(Instant::now());
         }
-        if !graceful && self.with_backend(|b| b.supports_recovery()).unwrap_or(false) {
+        if !graceful && self.restarts.is_some() {
             self.crashed.lock()[process as usize] = true;
         }
         true
     }
 
-    /// The detach-TTL reaper (pump thread): deletes sessions that have
-    /// been detached longer than the TTL. Their credentials die with
+    /// The detach-TTL reaper (reactor 0's timer): deletes sessions that
+    /// have been detached longer than the TTL. Their credentials die with
     /// them and their admission capacity returns to the pool; a crashed
     /// process stays crashed in the backend until some future `Hello`
     /// revives it.
@@ -585,8 +602,8 @@ impl ServerInner {
         let ttl = Duration::from_millis(self.cfg.detach_ttl_ms.max(1));
         let mut sessions = self.sessions.lock();
         let before = sessions.len();
-        sessions.retain(|_, s| {
-            s.conn.is_some() || s.binding || s.detached_at.is_none_or(|t| t.elapsed() < ttl)
+        sessions.retain(|&p, s| {
+            self.owner(p).is_some() || s.binding || s.detached_at.is_none_or(|t| t.elapsed() < ttl)
         });
         let reaped = (before - sessions.len()) as u64;
         if reaped > 0 {
@@ -594,72 +611,28 @@ impl ServerInner {
         }
     }
 
-    /// Queues `frame` to the session bound to `p`, if any, by posting to
-    /// the owning reactor.
-    fn push_to(&self, p: u32, frame: &Frame) {
-        let conn = {
-            let sessions = self.sessions.lock();
-            match sessions.get(&p).and_then(|s| s.conn.as_ref()) {
-                Some(c) => *c,
-                None => return,
-            }
-        };
-        if let Some(reactors) = self.reactors.get() {
-            reactors[conn.reactor].post(Cmd::Send {
-                slot: conn.slot,
-                gen: conn.gen,
-                bytes: encode_frame(frame),
-            });
-        }
-    }
-
-    /// Translates a backend event into a process-tagged session frame.
-    fn route(&self, e: SchedEvent) {
-        let process = e.process.index() as u32;
-        let frame = match e.obs {
-            DiningObs::StartedEating => Frame::Granted {
-                process,
-                at_ms: e.time.0,
-            },
-            DiningObs::StoppedEating => Frame::Released {
-                process,
-                at_ms: e.time.0,
-            },
-            _ => return,
-        };
-        self.push_to(process, &frame);
-    }
-
     /// Revives a crashed process and reports which recovery path its new
-    /// incarnation took, by watching the runtime's restart notices.
-    /// Blocking — runs on admission worker threads only, never on a
-    /// reactor. Returns the updated consumed-notice count with the path.
+    /// incarnation took, woken by the runtime's publish of the restart
+    /// notice. Blocking — runs on admission worker threads only, never on
+    /// a reactor. Returns the updated consumed-notice count with the path.
     fn recover_and_classify(&self, p: u32, seen: usize) -> (usize, AdmitPath) {
-        let pid = ProcessId::from(p as usize);
-        self.with_backend(|b| b.recover(p));
-        let deadline = Instant::now() + Duration::from_secs(3);
-        loop {
-            let mine = self
-                .with_backend(|b| {
-                    b.restart_paths()
-                        .into_iter()
-                        .filter(|n| n.process == pid)
-                        .collect::<Vec<RestartNotice>>()
-                })
-                .unwrap_or_default();
-            if mine.len() > seen {
-                let path = match mine.last().expect("nonempty").event.path {
+        let pid = ProcessId(p);
+        self.with_runtime(|sys| sys.recover(pid));
+        let noticed = self
+            .restarts
+            .as_ref()
+            .and_then(|watch| watch.wait_past(pid, seen, Duration::from_secs(3)));
+        match noticed {
+            Some((count, notice)) => {
+                let path = match notice.event.path {
                     RestartPath::Journal { .. } => AdmitPath::Resumed,
                     RestartPath::Blank { .. } => AdmitPath::Rejoined,
                 };
-                return (mine.len(), path);
+                (count, path)
             }
-            if Instant::now() >= deadline {
-                // The notice never surfaced (system shutting down, or the
-                // process was not actually crashed): claim the weak path.
-                return (seen, AdmitPath::Rejoined);
-            }
-            std::thread::sleep(Duration::from_millis(2));
+            // The notice never surfaced (system shutting down, or the
+            // process was not actually crashed): claim the weak path.
+            None => (seen, AdmitPath::Rejoined),
         }
     }
 
@@ -672,20 +645,27 @@ impl ServerInner {
     }
 }
 
+/// The session frame a backend event becomes, if it is one a client sees.
+fn event_frame(process: u32, started: bool, at_ms: u64) -> Frame {
+    if started {
+        Frame::Granted { process, at_ms }
+    } else {
+        Frame::Released { process, at_ms }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Reactor
 // ---------------------------------------------------------------------
 
-/// Cross-thread commands into a reactor, drained on eventfd wakeup.
+/// Cross-thread commands into a reactor.
 enum Cmd {
     /// Adopt a freshly accepted connection into the slab.
     Adopt(Conn),
-    /// Queue bytes to slot `slot` if generation `gen` still lives there.
-    Send { slot: usize, gen: u64, bytes: Vec<u8> },
     /// An admission worker finished its recovery wait.
     AdmissionDone {
         slot: usize,
-        gen: u64,
+        gen: u32,
         process: u32,
         session: u64,
         token: u64,
@@ -697,15 +677,95 @@ enum Cmd {
     Shutdown,
 }
 
+/// Frames encoded on another thread for one connection of a reactor.
+struct Outbound {
+    slot: usize,
+    gen: u32,
+    bytes: Vec<u8>,
+    frames: u64,
+}
+
+/// A reactor's inbox. The eventfd is written only when a queue goes from
+/// empty to non-empty: whoever finds it non-empty knows a wake-up is
+/// already on its way (or the reactor is mid-pass and will look).
 struct ReactorShared {
-    queue: Mutex<VecDeque<Cmd>>,
+    cmds: Mutex<Vec<Cmd>>,
+    frames: Mutex<Vec<Outbound>>,
     waker: Waker,
 }
 
 impl ReactorShared {
-    fn post(&self, cmd: Cmd) {
-        self.queue.lock().push_back(cmd);
+    fn post(&self, cmd: Cmd, stats: &AtomicStats) {
+        let was_empty = {
+            let mut cmds = self.cmds.lock();
+            cmds.push(cmd);
+            cmds.len() == 1
+        };
+        if was_empty {
+            self.wake(stats);
+        }
+    }
+
+    /// Moves `batch` into the frame queue, leaving it empty.
+    fn post_frames(&self, batch: &mut Vec<Outbound>, stats: &AtomicStats) {
+        let was_empty = {
+            let mut frames = self.frames.lock();
+            let was_empty = frames.is_empty();
+            frames.append(batch);
+            was_empty
+        };
+        if was_empty {
+            self.wake(stats);
+        }
+    }
+
+    fn wake(&self, stats: &AtomicStats) {
+        stats.reactor_wakes.fetch_add(1, Ordering::Relaxed);
         self.waker.wake();
+    }
+}
+
+/// Event frames on their way to connections the encoding thread does not
+/// own, grouped by connection and batched by owning reactor.
+struct Outbox {
+    by_reactor: Vec<Vec<Outbound>>,
+}
+
+impl Outbox {
+    fn new(reactors: usize) -> Outbox {
+        Outbox {
+            by_reactor: (0..reactors).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    fn push(&mut self, to: ConnRef, frame: &Frame) {
+        let batch = &mut self.by_reactor[to.reactor];
+        // A batch mostly alternates between a few connections: look at
+        // the latest first.
+        let at = batch
+            .iter()
+            .rposition(|o| o.slot == to.slot && o.gen == to.gen)
+            .unwrap_or_else(|| {
+                batch.push(Outbound {
+                    slot: to.slot,
+                    gen: to.gen,
+                    bytes: Vec::new(),
+                    frames: 0,
+                });
+                batch.len() - 1
+            });
+        encode_frame_into(frame, &mut batch[at].bytes);
+        batch[at].frames += 1;
+    }
+
+    /// Posts every non-empty batch: one queue lock, and at most one
+    /// wake-up, per reactor.
+    fn post(&mut self, reactors: &[Arc<ReactorShared>], stats: &AtomicStats) {
+        for (batch, shared) in self.by_reactor.iter_mut().zip(reactors) {
+            if !batch.is_empty() {
+                shared.post_frames(batch, stats);
+            }
+        }
     }
 }
 
@@ -722,17 +782,19 @@ enum Phase {
     Draining,
 }
 
-/// One slab entry: a nonblocking connection with its read accumulator
-/// and write buffer.
+/// One slab entry: a nonblocking connection with its read and write
+/// buffers.
 struct ConnEntry {
     conn: Conn,
     /// Attachment generation shared by every process bound on this
     /// connection; stale cross-thread commands are discarded by it.
-    gen: u64,
-    acc: Vec<u8>,
-    wq: VecDeque<Vec<u8>>,
-    /// Bytes of `wq.front()` already written.
-    wpos: usize,
+    gen: u32,
+    reader: FrameReader,
+    /// Encoded frames the socket has not taken yet, back to back.
+    wbuf: Vec<u8>,
+    /// In the reactor's dirty list: `wbuf` changed (or the socket became
+    /// writable) this pass and gets its one write at the end of it.
+    dirty: bool,
     /// Readiness mask currently registered with the poller.
     interest: u32,
     phase: Phase,
@@ -748,28 +810,6 @@ struct ConnEntry {
     deadline: Option<Instant>,
 }
 
-/// Flushes the write buffer as far as the socket allows. `Ok(true)` when
-/// fully drained, `Ok(false)` when the socket would block, `Err` on a
-/// fatal socket error.
-fn flush_entry(entry: &mut ConnEntry) -> io::Result<bool> {
-    while let Some(front) = entry.wq.front() {
-        match entry.conn.write(&front[entry.wpos..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => {
-                entry.wpos += n;
-                if entry.wpos == front.len() {
-                    entry.wq.pop_front();
-                    entry.wpos = 0;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
 struct Reactor {
     inner: Arc<ServerInner>,
     shared: Arc<ReactorShared>,
@@ -779,6 +819,20 @@ struct Reactor {
     free: Vec<usize>,
     nonce: u32,
     shutting_down: bool,
+    /// `Hungry` requests decoded this pass, handed to the backend
+    /// together at its end.
+    hungry: Vec<u32>,
+    /// Slots whose entry is `dirty`, written at the end of the pass.
+    dirty: Vec<usize>,
+    /// Frames the kernel produced under this reactor's hold of the lock
+    /// for connections of other reactors.
+    outbox: Outbox,
+    /// This pass's share of [`ServerStats::frames_out`] and
+    /// [`ServerStats::socket_writes`], published at its end.
+    frames_out: u64,
+    socket_writes: u64,
+    /// When the detach-TTL reaper runs next: reactor 0 only.
+    next_reap: Option<Instant>,
 }
 
 impl Reactor {
@@ -786,6 +840,7 @@ impl Reactor {
         inner: Arc<ServerInner>,
         shared: Arc<ReactorShared>,
         index: usize,
+        reactors: usize,
     ) -> io::Result<Reactor> {
         let poller = Poller::new()?;
         poller.add(shared.waker.raw_fd(), EPOLLIN, WAKER_TOKEN)?;
@@ -798,38 +853,38 @@ impl Reactor {
             free: Vec::new(),
             nonce: 0,
             shutting_down: false,
+            hungry: Vec::new(),
+            dirty: Vec::new(),
+            outbox: Outbox::new(reactors),
+            frames_out: 0,
+            socket_writes: 0,
+            next_reap: (index == 0).then(Instant::now),
         })
     }
 
     fn run(mut self) {
         let beat = Duration::from_millis(self.inner.cfg.heartbeat_ms.max(1));
+        let reap_every = Duration::from_millis((self.inner.cfg.detach_ttl_ms / 4).clamp(5, 250));
         let mut next_beat = Instant::now() + beat;
         let mut events: Vec<(u64, u32)> = Vec::new();
-        loop {
-            self.drain_cmds();
-            if self.shutting_down && self.slab.iter().all(Option::is_none) {
-                break;
-            }
+        while !(self.shutting_down && self.slab.iter().all(Option::is_none)) {
             let now = Instant::now();
             let mut wake_at = next_beat;
-            for e in self.slab.iter().flatten() {
-                if let Some(d) = e.deadline {
-                    if d < wake_at {
-                        wake_at = d;
-                    }
-                }
+            let deadlines = self.slab.iter().flatten().filter_map(|e| e.deadline);
+            for at in deadlines.chain(self.next_reap) {
+                wake_at = wake_at.min(at);
             }
             let timeout = wake_at.saturating_duration_since(now).as_millis().min(100) as i32;
             events.clear();
             let _ = self.poller.wait(&mut events, 128, timeout);
-            for i in 0..events.len() {
-                let (token, ready) = events[i];
+            for &(token, ready) in &events {
                 if token == WAKER_TOKEN {
                     self.shared.waker.drain();
                 } else {
                     self.handle_event(token as usize, ready);
                 }
             }
+            self.take_frames();
             self.drain_cmds();
             let now = Instant::now();
             if now >= next_beat {
@@ -837,21 +892,35 @@ impl Reactor {
                 next_beat = now + beat;
             }
             self.sweep_deadlines(now);
+            if self.next_reap.is_some_and(|at| now >= at) {
+                self.inner.reap_detached();
+                self.next_reap = Some(now + reap_every);
+            }
+            self.serve_hungry();
+            while let Some(slot) = self.dirty.pop() {
+                self.flush(slot);
+            }
+            self.publish_counts();
+        }
+    }
+
+    fn publish_counts(&mut self) {
+        let stats = &self.inner.stats;
+        if self.frames_out > 0 {
+            let n = std::mem::take(&mut self.frames_out);
+            stats.frames_out.fetch_add(n, Ordering::Relaxed);
+        }
+        if self.socket_writes > 0 {
+            let n = std::mem::take(&mut self.socket_writes);
+            stats.socket_writes.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     fn drain_cmds(&mut self) {
-        loop {
-            let cmd = self.shared.queue.lock().pop_front();
-            let Some(cmd) = cmd else { break };
+        let cmds = std::mem::take(&mut *self.shared.cmds.lock());
+        for cmd in cmds {
             match cmd {
                 Cmd::Adopt(conn) => self.adopt(conn),
-                Cmd::Send { slot, gen, bytes } => {
-                    let live = self.slab.get(slot).and_then(Option::as_ref);
-                    if live.is_some_and(|e| e.gen == gen && !e.dead) {
-                        self.queue_bytes(slot, bytes);
-                    }
-                }
                 Cmd::AdmissionDone {
                     slot,
                     gen,
@@ -872,6 +941,101 @@ impl Reactor {
         }
     }
 
+    /// Moves the frames other threads encoded for this reactor's
+    /// connections into their write buffers. Only buffers are touched, so
+    /// this is safe under the kernel lock — where the lock-order rule of
+    /// the module docs needs it.
+    fn take_frames(&mut self) {
+        let batch = std::mem::take(&mut *self.shared.frames.lock());
+        for out in batch {
+            if let Some(wbuf) = self.writable(out.slot, out.gen) {
+                wbuf.extend_from_slice(&out.bytes);
+                self.frames_out += out.frames;
+            }
+        }
+    }
+
+    /// The write buffer of `slot`, if a live connection of generation
+    /// `gen` sits there — marked for this pass's write.
+    fn writable(&mut self, slot: usize, gen: u32) -> Option<&mut Vec<u8>> {
+        let entry = self.slab.get_mut(slot)?.as_mut()?;
+        if entry.dead || entry.gen != gen {
+            return None;
+        }
+        if !entry.dirty {
+            entry.dirty = true;
+            self.dirty.push(slot);
+        }
+        Some(&mut entry.wbuf)
+    }
+
+    fn queue_frame(&mut self, slot: usize, frame: &Frame) {
+        let Some(gen) = self.slab[slot].as_ref().map(|e| e.gen) else {
+            return;
+        };
+        if let Some(wbuf) = self.writable(slot, gen) {
+            encode_frame_into(frame, wbuf);
+            self.frames_out += 1;
+        }
+    }
+
+    /// Hands the pass's `Hungry` requests to the backend under one hold
+    /// of its lock. On the scale backend this reactor then *is* the
+    /// kernel's driver: it steps to quiescence and turns every eat
+    /// transition into a frame in its owner's write buffer.
+    fn serve_hungry(&mut self) {
+        if self.hungry.is_empty() {
+            return;
+        }
+        let inner = Arc::clone(&self.inner);
+        let mut backend = inner.backend.lock();
+        let scale = match backend.as_mut() {
+            Some(Backend::Scale(scale)) => scale,
+            Some(Backend::Threaded(sys)) => {
+                for p in self.hungry.drain(..) {
+                    sys.make_hungry(ProcessId(p));
+                }
+                return;
+            }
+            // Taken out by shutdown.
+            None => return self.hungry.clear(),
+        };
+        // Lock-order rule, first half: frames other reactors produced
+        // for our connections under earlier holds go in before ours.
+        self.take_frames();
+        for p in self.hungry.drain(..) {
+            scale.kernel.inject_hungry(p);
+        }
+        scale.obs.clear();
+        while scale.kernel.has_pending() {
+            scale.kernel.step(1 << 16, &mut scale.obs);
+        }
+        let at_ms = scale.start.elapsed().as_millis() as u64;
+        for o in &scale.obs {
+            let obs = if o.started {
+                DiningObs::StartedEating
+            } else {
+                DiningObs::StoppedEating
+            };
+            scale
+                .log
+                .push(SchedEvent::new(Time(at_ms), ProcessId(o.process), obs));
+            let Some(owner) = inner.owner(o.process) else {
+                continue;
+            };
+            let frame = event_frame(o.process, o.started, at_ms);
+            if owner.reactor != self.index {
+                self.outbox.push(owner, &frame);
+            } else if let Some(wbuf) = self.writable(owner.slot, owner.gen) {
+                encode_frame_into(&frame, wbuf);
+                self.frames_out += 1;
+            }
+        }
+        // Second half: what is theirs is in their queue before the lock
+        // is released.
+        self.outbox.post(inner.reactors(), &inner.stats);
+    }
+
     fn adopt(&mut self, conn: Conn) {
         if self.shutting_down {
             conn.kill();
@@ -883,14 +1047,22 @@ impl Reactor {
         }
         let slot = match self.free.pop() {
             Some(s) => s,
-            None => {
+            None if self.slab.len() < ConnRef::MAX_SLOTS => {
                 self.slab.push(None);
                 self.slab.len() - 1
             }
+            None => {
+                conn.kill();
+                return;
+            }
         };
-        let gen = self.inner.next_generation.fetch_add(1, Ordering::Relaxed);
+        let gen = self.inner.next_generation();
         let interest = EPOLLIN | EPOLLRDHUP;
-        if self.poller.add(conn.raw_fd(), interest, slot as u64).is_err() {
+        if self
+            .poller
+            .add(conn.raw_fd(), interest, slot as u64)
+            .is_err()
+        {
             conn.kill();
             self.free.push(slot);
             return;
@@ -899,9 +1071,9 @@ impl Reactor {
         self.slab[slot] = Some(ConnEntry {
             conn,
             gen,
-            acc: Vec::with_capacity(256),
-            wq: VecDeque::new(),
-            wpos: 0,
+            reader: FrameReader::new(),
+            wbuf: Vec::new(),
+            dirty: false,
             interest,
             phase: Phase::Handshaking,
             bound: Vec::new(),
@@ -919,69 +1091,49 @@ impl Reactor {
         if entry.dead {
             return;
         }
+        let gen = entry.gen;
         if ready & EPOLLERR != 0 {
-            if entry.phase == Phase::Handshaking {
-                self.fail_handshake(slot, false);
-            } else {
-                self.conn_end(slot, false);
-            }
+            self.conn_failed(slot);
             return;
         }
         if ready & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
             self.do_read(slot);
         }
-        let still = self.slab.get(slot).and_then(Option::as_ref);
-        if ready & EPOLLOUT != 0 && still.is_some_and(|e| !e.dead) {
-            self.flush(slot);
+        if ready & EPOLLOUT != 0 {
+            // Room again: the write happens with the rest, at the end of
+            // the pass.
+            self.writable(slot, gen);
         }
     }
 
-    /// Reads everything available into the accumulator, then decodes.
+    /// Reads the socket once, then decodes. One read is enough: a short
+    /// one means the socket is empty, and after a full one the poller —
+    /// level-triggered — reports the connection again on the next pass.
     fn do_read(&mut self, slot: usize) {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            let Some(entry) = self.slab[slot].as_mut() else {
-                return;
-            };
-            if entry.dead {
-                return;
-            }
-            match entry.conn.read(&mut chunk) {
-                Ok(0) => {
-                    // EOF without Bye: a handshake that never completed
-                    // is the dialer's protocol failure; an established
-                    // session crashes its processes.
-                    if entry.phase == Phase::Handshaking {
-                        self.fail_handshake(slot, false);
-                    } else {
-                        self.conn_end(slot, false);
+        let Some(entry) = self.slab[slot].as_mut() else {
+            return;
+        };
+        match entry.reader.fill(&mut entry.conn) {
+            // EOF without Bye.
+            Ok(0) => return self.conn_failed(slot),
+            Ok(_) => {
+                entry.strikes = 0;
+                match entry.phase {
+                    // Read-and-discard so the peer never sees a reset
+                    // before our terminal answer flushes.
+                    Phase::Draining => entry.reader.clear(),
+                    Phase::Admitting if entry.reader.buffered() > ADMIT_ACC_CAP => {
+                        return self.close_protocol_error(slot);
                     }
-                    return;
-                }
-                Ok(n) => {
-                    entry.strikes = 0;
-                    if entry.phase == Phase::Draining {
-                        // Read-and-discard so the peer never sees a reset
-                        // before our terminal answer flushes.
-                        continue;
-                    }
-                    entry.acc.extend_from_slice(&chunk[..n]);
-                    if entry.phase == Phase::Admitting && entry.acc.len() > ADMIT_ACC_CAP {
-                        self.close_protocol_error(slot);
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    if entry.phase == Phase::Handshaking {
-                        self.fail_handshake(slot, false);
-                    } else {
-                        self.conn_end(slot, false);
-                    }
-                    return;
+                    _ => {}
                 }
             }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => return self.conn_failed(slot),
         }
         self.process_frames(slot);
     }
@@ -995,11 +1147,8 @@ impl Reactor {
             if entry.dead || !matches!(entry.phase, Phase::Handshaking | Phase::Open) {
                 return;
             }
-            let frame = match decode_frame(&entry.acc) {
-                Ok(Some((frame, n))) => {
-                    entry.acc.drain(..n);
-                    frame
-                }
+            let frame = match entry.reader.next_frame() {
+                Ok(Some(frame)) => frame,
                 Ok(None) => return,
                 Err(_) => {
                     self.close_protocol_error(slot);
@@ -1130,16 +1279,19 @@ impl Reactor {
             .name("ekbd-net-admit".into())
             .spawn(move || {
                 let (seen, path) = inner.recover_and_classify(process, seen);
-                shared.post(Cmd::AdmissionDone {
-                    slot,
-                    gen,
-                    process,
-                    session,
-                    token,
-                    seen,
-                    path,
-                    primary,
-                });
+                shared.post(
+                    Cmd::AdmissionDone {
+                        slot,
+                        gen,
+                        process,
+                        session,
+                        token,
+                        seen,
+                        path,
+                        primary,
+                    },
+                    &inner.stats,
+                );
             });
         if spawned.is_err() {
             // Could not spawn: unwind the claim and drop the dialer.
@@ -1154,7 +1306,7 @@ impl Reactor {
     fn admission_done(
         &mut self,
         slot: usize,
-        gen: u64,
+        gen: u32,
         process: u32,
         session: u64,
         token: u64,
@@ -1230,11 +1382,14 @@ impl Reactor {
     fn dispatch_open(&mut self, slot: usize, frame: Frame) {
         match frame {
             Frame::Hungry { process } => {
-                let bound = self.slab[slot]
-                    .as_ref()
-                    .is_some_and(|e| e.bound.contains(&process));
-                if bound {
-                    self.inner.with_backend(|b| b.make_hungry(process));
+                let entry = self.slab[slot].as_ref().expect("dispatch on live slot");
+                let me = ConnRef {
+                    reactor: self.index,
+                    slot,
+                    gen: entry.gen,
+                };
+                if self.inner.owner(process) == Some(me) {
+                    self.hungry.push(process);
                 } else {
                     self.close_protocol_error(slot);
                 }
@@ -1268,65 +1423,54 @@ impl Reactor {
         };
         entry.phase = Phase::Draining;
         entry.deadline = None;
-        entry.acc.clear();
-        entry.wq.push_back(encode_frame(frame));
-        self.flush(slot);
+        entry.reader.clear();
+        self.queue_frame(slot, frame);
     }
 
-    fn queue_frame(&mut self, slot: usize, frame: &Frame) {
-        self.queue_bytes(slot, encode_frame(frame));
-    }
-
-    fn queue_bytes(&mut self, slot: usize, bytes: Vec<u8>) {
+    /// The connection's one write of the pass: hands the socket all of
+    /// the buffer, keeps what it would not take and re-arms `EPOLLOUT`
+    /// for it, sheds a reader that is too far behind, and finishes a
+    /// draining close once nothing is left.
+    fn flush(&mut self, slot: usize) {
         let Some(entry) = self.slab[slot].as_mut() else {
             return;
         };
+        entry.dirty = false;
         if entry.dead {
             return;
         }
-        if entry.wq.len() >= self.inner.cfg.send_queue.max(1) {
+        // One write: a short one means the socket is full, and the
+        // poller reports it writable again when it is not.
+        while !entry.wbuf.is_empty() {
+            self.socket_writes += 1;
+            match entry.conn.write(&entry.wbuf) {
+                Ok(0) => return self.conn_failed(slot),
+                Ok(n) => {
+                    entry.wbuf.drain(..n);
+                    break;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return self.conn_failed(slot),
+            }
+        }
+        let cap = self.inner.cfg.send_queue.max(1) * EVENT_FRAME_BYTES;
+        if entry.wbuf.len() > cap {
             // The reader is slower than its own event stream.
             self.inner.stats.shed_slow.fetch_add(1, Ordering::Relaxed);
-            self.conn_end(slot, false);
-            return;
+            return self.conn_end(slot, false);
         }
-        entry.wq.push_back(bytes);
-        self.flush(slot);
-    }
-
-    /// Writes as much as the socket takes, re-arms `EPOLLOUT` while any
-    /// buffer remains, and finishes a draining close once empty.
-    fn flush(&mut self, slot: usize) {
-        let (fatal, drained, phase) = {
-            let Some(entry) = self.slab[slot].as_mut() else {
-                return;
-            };
-            if entry.dead {
-                return;
-            }
-            match flush_entry(entry) {
-                Ok(drained) => {
-                    let want = EPOLLIN | EPOLLRDHUP | if drained { 0 } else { EPOLLOUT };
-                    if want != entry.interest
-                        && self
-                            .poller
-                            .modify(entry.conn.raw_fd(), want, slot as u64)
-                            .is_ok()
-                    {
-                        entry.interest = want;
-                    }
-                    (false, drained, entry.phase)
-                }
-                Err(_) => (true, false, entry.phase),
-            }
-        };
-        if fatal {
-            if phase == Phase::Handshaking {
-                self.fail_handshake(slot, false);
-            } else {
-                self.conn_end(slot, false);
-            }
-        } else if drained && phase == Phase::Draining {
+        let drained = entry.wbuf.is_empty();
+        let want = EPOLLIN | EPOLLRDHUP | if drained { 0 } else { EPOLLOUT };
+        if want != entry.interest
+            && self
+                .poller
+                .modify(entry.conn.raw_fd(), want, slot as u64)
+                .is_ok()
+        {
+            entry.interest = want;
+        }
+        if drained && entry.phase == Phase::Draining {
             self.conn_end(slot, true);
         }
     }
@@ -1399,6 +1543,20 @@ impl Reactor {
         self.conn_end(slot, false);
     }
 
+    /// The socket failed or hung up without a `Bye`: a handshake that
+    /// never completed is the dialer's protocol failure; an established
+    /// session crashes its processes.
+    fn conn_failed(&mut self, slot: usize) {
+        let handshaking = self.slab[slot]
+            .as_ref()
+            .is_some_and(|e| e.phase == Phase::Handshaking);
+        if handshaking {
+            self.fail_handshake(slot, false);
+        } else {
+            self.conn_end(slot, false);
+        }
+    }
+
     /// The single teardown path: detaches every bound process (crashing
     /// them if ungraceful), deregisters, and hard-closes. The slot is
     /// recycled once outstanding admission workers report back.
@@ -1413,19 +1571,21 @@ impl Reactor {
             entry.dead = true;
             self.poller.delete(entry.conn.raw_fd());
             entry.conn.kill();
-            entry.wq.clear();
-            entry.acc.clear();
+            entry.wbuf = Vec::new();
+            entry.reader = FrameReader::new();
             (std::mem::take(&mut entry.bound), entry.gen)
         };
         for p in bound {
             if self.inner.detach_process(p, gen, graceful) && !graceful {
-                self.inner.with_backend(|b| b.crash(p));
+                self.inner.with_runtime(|sys| sys.crash(ProcessId(p)));
             }
         }
         self.gc(slot);
     }
 
     /// Frees a dead slot once no admission worker can still address it.
+    /// (The dirty list may still name it: a write to a freed or reused
+    /// slot finds nothing to send.)
     fn gc(&mut self, slot: usize) {
         let freeable = self.slab[slot]
             .as_ref()
@@ -1434,6 +1594,29 @@ impl Reactor {
             self.slab[slot] = None;
             self.free.push(slot);
         }
+    }
+}
+
+/// The threaded backend's event pump: turns each batch of the runtime's
+/// live events into frames grouped by owning connection and posts one
+/// batch per reactor. Blocks on the tap; ends when the runtime is torn
+/// down and the tap disconnects.
+fn pump_events(inner: &ServerInner, tap: &Receiver<SchedEvent>) {
+    let reactors = inner.reactors();
+    let mut outbox = Outbox::new(reactors.len());
+    while let Ok(first) = tap.recv() {
+        for e in std::iter::once(first).chain(tap.try_iter()) {
+            let started = match e.obs {
+                DiningObs::StartedEating => true,
+                DiningObs::StoppedEating => false,
+                _ => continue,
+            };
+            let process = e.process.0;
+            if let Some(owner) = inner.owner(process) {
+                outbox.push(owner, &event_frame(process, started, e.time.0));
+            }
+        }
+        outbox.post(reactors, &inner.stats);
     }
 }
 
@@ -1446,8 +1629,11 @@ impl Reactor {
 pub struct DaemonServer {
     inner: Arc<ServerInner>,
     acceptor: JoinHandle<()>,
+    /// Wakes the acceptor out of its poll to exit.
+    stop_accepting: Arc<Waker>,
     reactors: Vec<JoinHandle<()>>,
-    pump: JoinHandle<()>,
+    /// The threaded backend's event pump; the scale backend has none.
+    pump: Option<JoinHandle<()>>,
     local_addr: ServerAddr,
 }
 
@@ -1457,30 +1643,31 @@ impl DaemonServer {
     pub fn start(graph: ConflictGraph, addr: &ServerAddr, cfg: ServerConfig) -> io::Result<Self> {
         let (listener, local_addr) = Listener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let (backend, tap) = match cfg.backend {
+        let (backend, restarts, tap) = match cfg.backend {
             BackendSpec::Threaded => {
                 let sys = ThreadedDining::spawn_recoverable(graph.clone(), cfg.runtime.clone());
-                let tap = sys.tap_events();
-                (Backend::Threaded(sys), tap)
+                let (restarts, tap) = (sys.restart_watch(), sys.tap_events());
+                (Backend::Threaded(sys), Some(restarts), Some(tap))
             }
             BackendSpec::Scale { seed } => {
-                let (svc, tap) = ScaleService::start(&graph, seed);
-                (Backend::Scale(svc), tap)
+                (Backend::Scale(ScaleService::new(&graph, seed)), None, None)
             }
         };
-        let n_reactors = cfg.reactor_threads.max(1);
+        let n_reactors = cfg.reactor_threads.clamp(1, ConnRef::MAX_REACTORS);
         let inner = Arc::new(ServerInner {
             cfg,
-            graph_len: graph.len(),
             backend: Mutex::new(Some(backend)),
+            restarts,
             sessions: Mutex::new(HashMap::new()),
+            owners: (0..graph.len())
+                .map(|_| AtomicU64::new(ConnRef::UNBOUND))
+                .collect(),
             crashed: Mutex::new(vec![false; graph.len()]),
             restarts_seen: Mutex::new(vec![0; graph.len()]),
             reactors: OnceLock::new(),
             next_session: AtomicU64::new(0),
-            next_generation: AtomicU64::new(0),
+            next_generation: AtomicU32::new(1),
             token_rng: Mutex::new(0x00EB_D0DA_E500_0001),
-            running: AtomicBool::new(true),
             stats: AtomicStats::default(),
         });
 
@@ -1488,10 +1675,11 @@ impl DaemonServer {
         let mut reactors = Vec::with_capacity(n_reactors);
         for i in 0..n_reactors {
             let shared = Arc::new(ReactorShared {
-                queue: Mutex::new(VecDeque::new()),
+                cmds: Mutex::new(Vec::new()),
+                frames: Mutex::new(Vec::new()),
                 waker: Waker::new()?,
             });
-            let reactor = Reactor::new(Arc::clone(&inner), Arc::clone(&shared), i)?;
+            let reactor = Reactor::new(Arc::clone(&inner), Arc::clone(&shared), i, n_reactors)?;
             shareds.push(shared);
             reactors.push(
                 std::thread::Builder::new()
@@ -1505,11 +1693,14 @@ impl DaemonServer {
             .set(shareds)
             .unwrap_or_else(|_| unreachable!("reactors set once"));
 
+        let stop_accepting = Arc::new(Waker::new()?);
         let acceptor = {
             let inner = Arc::clone(&inner);
+            let stop = Arc::clone(&stop_accepting);
             let poller = {
                 let mut p = Poller::new()?;
                 p.add(listener.raw_fd(), EPOLLIN, 0)?;
+                p.add(stop.raw_fd(), EPOLLIN, WAKER_TOKEN)?;
                 // Probe once so a broken poller fails startup, not the
                 // accept loop.
                 let mut scratch = Vec::new();
@@ -1522,60 +1713,37 @@ impl DaemonServer {
                     let mut poller = poller;
                     let mut events: Vec<(u64, u32)> = Vec::new();
                     let mut next = 0usize;
-                    while inner.running.load(Ordering::Relaxed) {
+                    loop {
                         events.clear();
-                        let _ = poller.wait(&mut events, 8, 50);
-                        if events.is_empty() {
-                            continue;
+                        poller
+                            .wait(&mut events, 8, -1)
+                            .expect("wait on the acceptor's own poller");
+                        if events.iter().any(|&(token, _)| token == WAKER_TOKEN) {
+                            break;
                         }
-                        loop {
-                            match listener.accept() {
-                                Ok(conn) => {
-                                    inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                                    let reactors =
-                                        inner.reactors.get().expect("reactors initialized");
-                                    reactors[next % reactors.len()].post(Cmd::Adopt(conn));
-                                    next = next.wrapping_add(1);
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                                Err(_) => break,
-                            }
+                        while let Ok(conn) = listener.accept() {
+                            inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                            let reactors = inner.reactors();
+                            reactors[next % reactors.len()].post(Cmd::Adopt(conn), &inner.stats);
+                            next = next.wrapping_add(1);
                         }
                     }
                 })
                 .expect("spawn acceptor thread")
         };
 
-        let pump = {
+        let pump = tap.map(|tap| {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("ekbd-net-pump".into())
-                .spawn(move || {
-                    let sweep_every = Duration::from_millis(
-                        (inner.cfg.detach_ttl_ms / 4).clamp(5, 250),
-                    );
-                    let mut last_sweep = Instant::now();
-                    while inner.running.load(Ordering::Relaxed) {
-                        match tap.recv_timeout(Duration::from_millis(10)) {
-                            Ok(e) => inner.route(e),
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                        for e in tap.try_iter() {
-                            inner.route(e);
-                        }
-                        if last_sweep.elapsed() >= sweep_every {
-                            last_sweep = Instant::now();
-                            inner.reap_detached();
-                        }
-                    }
-                })
+                .spawn(move || pump_events(&inner, &tap))
                 .expect("spawn pump thread")
-        };
+        });
 
         Ok(DaemonServer {
             inner,
             acceptor,
+            stop_accepting,
             reactors,
             pump,
             local_addr,
@@ -1598,30 +1766,41 @@ impl DaemonServer {
     /// down, and returns the full run record. Restart notices are
     /// snapshotted *after* the runtime joins, so a recovery racing the
     /// shutdown still lands in [`ServerRun::restarts`].
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of an acceptor, reactor or pump thread, after
+    /// the teardown: a server whose inside broke does not hand back a
+    /// run record as if it had not.
     pub fn shutdown(self) -> ServerRun {
-        self.inner.running.store(false, Ordering::Relaxed);
-        let _ = self.acceptor.join();
-        if let Some(reactors) = self.inner.reactors.get() {
-            for shared in reactors {
-                shared.post(Cmd::Shutdown);
-            }
+        self.stop_accepting.wake();
+        let mut panicked = self.acceptor.join().err();
+        for shared in self.inner.reactors() {
+            shared.post(Cmd::Shutdown, &self.inner.stats);
         }
         for handle in self.reactors {
-            let _ = handle.join();
+            panicked = panicked.or(handle.join().err());
         }
-        let _ = self.pump.join();
         let backend = self.inner.backend.lock().take();
         let (events, link, restarts, scale) = match backend {
             Some(Backend::Threaded(sys)) => {
                 let run = sys.shutdown_complete(Duration::ZERO);
                 (run.events, run.link, run.restarts, None)
             }
-            Some(Backend::Scale(svc)) => {
-                let (events, report) = svc.stop();
-                (events, LinkSummary::default(), Vec::new(), Some(report))
+            Some(Backend::Scale(scale)) => {
+                let report = scale.kernel.finish();
+                (scale.log, LinkSummary::default(), Vec::new(), Some(report))
             }
-            None => (Vec::new(), LinkSummary::default(), Vec::new(), None),
+            None => unreachable!("only shutdown takes the backend, and it runs once"),
         };
+        // The runtime is gone and with it the tap's senders: the pump has
+        // seen the disconnect.
+        if let Some(pump) = self.pump {
+            panicked = panicked.or(pump.join().err());
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
         ServerRun {
             events,
             link,
@@ -1629,5 +1808,51 @@ impl DaemonServer {
             scale,
             stats: self.inner.stats.snapshot(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ekbd_graph::topology;
+
+    #[test]
+    fn owner_words_round_trip_and_never_read_as_unbound() {
+        for conn in [
+            ConnRef {
+                reactor: 0,
+                slot: 0,
+                gen: 1,
+            },
+            ConnRef {
+                reactor: ConnRef::MAX_REACTORS - 1,
+                slot: ConnRef::MAX_SLOTS - 1,
+                gen: u32::MAX,
+            },
+        ] {
+            assert_ne!(conn.pack(), ConnRef::UNBOUND);
+            assert!(ConnRef::unpack(conn.pack()) == Some(conn));
+        }
+        assert!(ConnRef::unpack(ConnRef::UNBOUND).is_none());
+    }
+
+    /// A server whose inside broke does not hand back a run record as if
+    /// it had not: the thread's panic comes out of `shutdown`, after the
+    /// teardown.
+    #[test]
+    fn shutdown_re_raises_the_panic_of_a_server_thread() {
+        let cfg = ServerConfig {
+            backend: BackendSpec::Scale { seed: 1 },
+            ..ServerConfig::default()
+        };
+        let addr = ServerAddr::Tcp("127.0.0.1:0".into());
+        let mut server = DaemonServer::start(topology::ring(3), &addr, cfg).unwrap();
+        // Stands in for a reactor that hit a bug.
+        server
+            .reactors
+            .push(std::thread::spawn(|| panic!("reactor broke")));
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.shutdown()));
+        let payload = raised.err().expect("shutdown re-raises the panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"reactor broke"));
     }
 }

@@ -263,94 +263,103 @@ fn get_u64(b: &[u8]) -> u64 {
 
 /// Encodes `frame` as one EKN1 wire frame.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut body = Vec::with_capacity(24);
+    let mut out = Vec::with_capacity(OVERHEAD + 24);
+    encode_frame_into(frame, &mut out);
+    out
+}
+
+/// Appends `frame` to `out` as one EKN1 wire frame — the allocation-free
+/// form of [`encode_frame`], for a writer that batches frames into one
+/// buffer.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    // Body length, patched once the body is written.
+    out.extend_from_slice(&[0, 0]);
     match frame {
         Frame::Hello { process } => {
-            body.push(T_HELLO);
-            put_u32(&mut body, *process);
+            out.push(T_HELLO);
+            put_u32(out, *process);
         }
         Frame::Resume {
             process,
             session,
             token,
         } => {
-            body.push(T_RESUME);
-            put_u32(&mut body, *process);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, *token);
+            out.push(T_RESUME);
+            put_u32(out, *process);
+            put_u64(out, *session);
+            put_u64(out, *token);
         }
         Frame::Welcome {
             session,
             token,
             path,
         } => {
-            body.push(T_WELCOME);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, *token);
-            body.push(path.to_byte());
+            out.push(T_WELCOME);
+            put_u64(out, *session);
+            put_u64(out, *token);
+            out.push(path.to_byte());
         }
         Frame::Busy { retry_after_ms } => {
-            body.push(T_BUSY);
-            put_u32(&mut body, *retry_after_ms);
+            out.push(T_BUSY);
+            put_u32(out, *retry_after_ms);
         }
         Frame::Reject { code } => {
-            body.push(T_REJECT);
-            body.push(*code);
+            out.push(T_REJECT);
+            out.push(*code);
         }
         Frame::Hungry { process } => {
-            body.push(T_HUNGRY);
-            put_u32(&mut body, *process);
+            out.push(T_HUNGRY);
+            put_u32(out, *process);
         }
         Frame::Granted { process, at_ms } => {
-            body.push(T_GRANTED);
-            put_u32(&mut body, *process);
-            put_u64(&mut body, *at_ms);
+            out.push(T_GRANTED);
+            put_u32(out, *process);
+            put_u64(out, *at_ms);
         }
         Frame::Released { process, at_ms } => {
-            body.push(T_RELEASED);
-            put_u32(&mut body, *process);
-            put_u64(&mut body, *at_ms);
+            out.push(T_RELEASED);
+            put_u32(out, *process);
+            put_u64(out, *at_ms);
         }
         Frame::Ping { nonce } => {
-            body.push(T_PING);
-            put_u32(&mut body, *nonce);
+            out.push(T_PING);
+            put_u32(out, *nonce);
         }
         Frame::Pong { nonce } => {
-            body.push(T_PONG);
-            put_u32(&mut body, *nonce);
+            out.push(T_PONG);
+            put_u32(out, *nonce);
         }
-        Frame::Bye => body.push(T_BYE),
+        Frame::Bye => out.push(T_BYE),
         Frame::Bind { process } => {
-            body.push(T_BIND);
-            put_u32(&mut body, *process);
+            out.push(T_BIND);
+            put_u32(out, *process);
         }
         Frame::Unbind { process } => {
-            body.push(T_UNBIND);
-            put_u32(&mut body, *process);
+            out.push(T_UNBIND);
+            put_u32(out, *process);
         }
         Frame::Bound { process, path } => {
-            body.push(T_BOUND);
-            put_u32(&mut body, *process);
-            body.push(path.to_byte());
+            out.push(T_BOUND);
+            put_u32(out, *process);
+            out.push(path.to_byte());
         }
         Frame::BindReject { process, code } => {
-            body.push(T_BIND_REJECT);
-            put_u32(&mut body, *process);
-            body.push(*code);
+            out.push(T_BIND_REJECT);
+            put_u32(out, *process);
+            out.push(*code);
         }
         Frame::Unbound { process } => {
-            body.push(T_UNBOUND);
-            put_u32(&mut body, *process);
+            out.push(T_UNBOUND);
+            put_u32(out, *process);
         }
     }
-    debug_assert!(!body.is_empty() && body.len() <= MAX_BODY);
-    let mut out = Vec::with_capacity(OVERHEAD + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&(body.len() as u16).to_le_bytes());
-    out.extend_from_slice(&body);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    let body = out.len() - start - 6;
+    debug_assert!(body > 0 && body <= MAX_BODY);
+    out[start + 4..start + 6].copy_from_slice(&(body as u16).to_le_bytes());
+    let crc = crc32(&out[start..]);
+    put_u32(out, crc);
 }
 
 fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
@@ -497,6 +506,76 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
     }
     let frame = parse_body(&buf[6..6 + len as usize])?;
     Ok(Some((frame, total)))
+}
+
+/// The one accumulate → decode loop of the crate: socket bytes go in
+/// with [`fill`](Self::fill), frames come out of
+/// [`next_frame`](Self::next_frame) at a cursor, and the decoded prefix is
+/// dropped once per socket read — never once per frame.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    /// `buf[at..end]` is received and not yet decoded; `buf[end..]` is
+    /// room for the next read.
+    buf: Vec<u8>,
+    at: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    /// Room offered to the first read, and the least ever offered.
+    const MIN_ROOM: usize = 512;
+    /// The buffer stops doubling here; undecoded bytes can still push it
+    /// further, so a caller that stops decoding bounds
+    /// [`buffered`](Self::buffered) itself.
+    const MAX_ROOM: usize = 64 * 1024;
+
+    /// An empty reader; allocates at the first read.
+    pub fn new() -> FrameReader {
+        FrameReader::default()
+    }
+
+    /// Decodes the next buffered frame: `Ok(None)` when what is buffered
+    /// is a proper prefix, `Err` when it can never become a frame (as
+    /// [`decode_frame`]).
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        let Some((frame, n)) = decode_frame(&self.buf[self.at..self.end])? else {
+            return Ok(None);
+        };
+        self.at += n;
+        Ok(Some(frame))
+    }
+
+    /// Reads once from `src` behind the undecoded bytes and returns what
+    /// `read` returned (`Ok(0)` is end of stream). A read that fills all
+    /// the room doubles it for the next, so a busy connection grows
+    /// towards [`MAX_ROOM`](Self::MAX_ROOM) and an idle one stays small.
+    pub fn fill(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
+        if self.at > 0 {
+            self.buf.copy_within(self.at..self.end, 0);
+            self.end -= self.at;
+            self.at = 0;
+        }
+        if self.buf.len() - self.end < Self::MIN_ROOM {
+            self.buf.resize(self.end + Self::MIN_ROOM, 0);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        if self.end == self.buf.len() && self.buf.len() < Self::MAX_ROOM {
+            self.buf.resize(self.buf.len() * 2, 0);
+        }
+        Ok(n)
+    }
+
+    /// Bytes received and not yet decoded.
+    pub fn buffered(&self) -> usize {
+        self.end - self.at
+    }
+
+    /// Forgets everything buffered.
+    pub fn clear(&mut self) {
+        self.at = 0;
+        self.end = 0;
+    }
 }
 
 #[cfg(test)]

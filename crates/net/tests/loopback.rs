@@ -229,7 +229,11 @@ fn mux_client_drives_many_processes_over_one_socket() {
     assert!(mux.hungry(3).is_err(), "unbound process refuses requests");
     mux.bye();
     let run = server.shutdown();
-    assert_eq!(run.stats.fresh, 4, "one Hello + three Binds: {:?}", run.stats);
+    assert_eq!(
+        run.stats.fresh, 4,
+        "one Hello + three Binds: {:?}",
+        run.stats
+    );
     assert_eq!(run.restarts.len(), 0, "graceful teardown crashed nobody");
 }
 
@@ -308,7 +312,10 @@ fn loadgen_multiplexed_fleet_completes() {
         report.completed_sessions, report.planned_sessions,
         "every multiplexed cycle completed"
     );
-    assert_eq!(run.stats.fresh, 8, "two connections admitted eight processes");
+    assert_eq!(
+        run.stats.fresh, 8,
+        "two connections admitted eight processes"
+    );
 }
 
 #[test]

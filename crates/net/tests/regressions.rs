@@ -14,9 +14,18 @@
 //!    second server silently stole a live server's socket;
 //! 5. a connected-but-silent dialer was counted as a protocol error,
 //!    polluting the misbehavior signal operators alert on.
+//!
+//! And one from the transport rework:
+//!
+//! 6. a wait whose timeout was zero (or had already passed) reported
+//!    `Timeout` without reading the socket, so a caller that only ever
+//!    polled never saw a frame the server had pushed.
 
 use ekbd_graph::topology;
-use ekbd_net::{ClientConfig, ClientError, DaemonClient, DaemonServer, ServerAddr, ServerConfig};
+use ekbd_net::{
+    ClientConfig, ClientError, DaemonClient, DaemonServer, MuxClient, MuxEvent, ServerAddr,
+    ServerConfig,
+};
 use ekbd_runtime::{RuntimeConfig, ThreadedDining};
 use ekbd_sim::ProcessId;
 use std::time::{Duration, Instant};
@@ -233,5 +242,42 @@ fn silent_dialer_counts_as_handshake_timeout_not_protocol_error() {
         std::thread::sleep(Duration::from_millis(20));
     }
     drop(silent);
+    server.shutdown();
+}
+
+/// Bug 6: polling with a zero timeout must still make progress. Each
+/// poll reads the socket once before it may report `Timeout`, so the
+/// pushed `Granted` arrives; the pre-fix clients compared the clock
+/// first and returned `Timeout` forever.
+#[test]
+fn zero_timeout_polls_receive_pushed_frames() {
+    let server =
+        DaemonServer::start(topology::ring(4), &ephemeral_tcp(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr().clone();
+    let deadline = Instant::now() + Duration::from_secs(5);
+
+    let mut mux = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    mux.hungry(0).unwrap();
+    loop {
+        match mux.next_event(Duration::ZERO) {
+            Ok(MuxEvent::Granted { process: 0, .. }) => break,
+            Err(ClientError::Timeout) => {}
+            other => panic!("unexpected answer to a poll: {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "polling never saw the grant");
+    }
+
+    let mut single = DaemonClient::connect(&addr, 2, ClientConfig::default()).unwrap();
+    single.hungry().unwrap();
+    loop {
+        match single.wait_granted(Duration::ZERO) {
+            Ok(_) => break,
+            Err(ClientError::Timeout) => {}
+            Err(e) => panic!("unexpected answer to a poll: {e}"),
+        }
+        assert!(Instant::now() < deadline, "polling never saw the grant");
+    }
+    mux.bye();
+    single.bye();
     server.shutdown();
 }

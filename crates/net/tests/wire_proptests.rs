@@ -1,9 +1,11 @@
 //! Property-based tests of the EKN1 wire codec: encode ∘ decode identity
 //! over arbitrary frames, plus exhaustive corruption sweeps — every
 //! truncation point and every single-bit flip of every generated frame
-//! must be *detected*, never decoded as a (different) frame.
+//! must be *detected*, never decoded as a (different) frame. The
+//! streaming [`FrameReader`] is held to the one-shot decoder over
+//! arbitrary chunkings of arbitrary frame sequences.
 
-use ekbd_net::wire::{decode_frame, encode_frame, AdmitPath, Frame};
+use ekbd_net::wire::{decode_frame, encode_frame, AdmitPath, Frame, FrameReader, WireError};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary protocol frame. The vendored proptest shim has
@@ -66,8 +68,76 @@ fn frame() -> impl Strategy<Value = Frame> {
         })
 }
 
+/// What one-shot [`decode_frame`] makes of `bytes`, frame after frame:
+/// the frames before the first error or incomplete tail, and that error.
+fn decode_one_shot(mut bytes: &[u8]) -> (Vec<Frame>, Option<WireError>) {
+    let mut frames = Vec::new();
+    loop {
+        match decode_frame(bytes) {
+            Ok(Some((frame, n))) => {
+                frames.push(frame);
+                bytes = &bytes[n..];
+            }
+            Ok(None) => return (frames, None),
+            Err(e) => return (frames, Some(e)),
+        }
+    }
+}
+
+/// The same through a [`FrameReader`] fed `bytes` in chunks of the given
+/// sizes (cycled), decoding as far as it can after every read.
+fn decode_chunked(bytes: &[u8], chunks: &[usize]) -> (Vec<Frame>, Option<WireError>) {
+    let mut reader = FrameReader::new();
+    let mut frames = Vec::new();
+    let mut rest = bytes;
+    for &size in chunks.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (mut chunk, tail) = rest.split_at(size.min(rest.len()));
+        rest = tail;
+        while !chunk.is_empty() {
+            reader
+                .fill(&mut chunk)
+                .expect("reading a slice cannot fail");
+            loop {
+                match reader.next_frame() {
+                    Ok(Some(frame)) => frames.push(frame),
+                    Ok(None) => break,
+                    Err(e) => return (frames, Some(e)),
+                }
+            }
+        }
+    }
+    (frames, None)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// However the stream is cut into reads, the reader yields the frames
+    /// of the one-shot decoder — and when one byte of the stream is
+    /// corrupt, the same frames before it and the same verdict at it.
+    #[test]
+    fn reader_matches_one_shot_decoding_at_any_chunking(
+        frames in proptest::collection::vec(frame(), 1..24),
+        chunks in proptest::collection::vec(1usize..48, 1..8),
+        rot in (0usize..usize::MAX, 0u8..8),
+    ) {
+        let mut bytes: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+        let (decoded, error) = decode_chunked(&bytes, &chunks);
+        prop_assert_eq!(&decoded, &frames);
+        prop_assert_eq!(error, None);
+
+        let (at, bit) = rot;
+        let at = at % bytes.len();
+        bytes[at] ^= 1 << bit;
+        let expected = decode_one_shot(&bytes);
+        prop_assert!(expected.0.len() < frames.len(), "the corrupt frame never decodes");
+        // A flip that only grows a length field leaves the tail looking
+        // incomplete; the stream ending there is the detection.
+        prop_assert_eq!(decode_chunked(&bytes, &chunks), expected);
+    }
 
     /// Round-trip identity: decode(encode(f)) == f, consuming exactly
     /// the encoded bytes.

@@ -55,4 +55,4 @@ mod process;
 mod system;
 
 pub use faults::ChannelFaults;
-pub use system::{RestartNotice, RuntimeConfig, RuntimeRun, ThreadedDining};
+pub use system::{RestartNotice, RestartWatch, RuntimeConfig, RuntimeRun, ThreadedDining};

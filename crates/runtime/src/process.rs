@@ -1,5 +1,5 @@
 use crate::faults::{state_entropy, LossyLinks};
-use crate::system::RestartNotice;
+use crate::system::{RestartNotice, RestartWatch};
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use ekbd_detector::{
     DetectorEvent, DetectorModule, DetectorMsg, DetectorOutput, HeartbeatDetector,
@@ -97,7 +97,7 @@ pub(crate) struct ProcessThread<A: DiningAlgorithm> {
     /// [`ThreadedDining::restart_paths`]).
     ///
     /// [`ThreadedDining::restart_paths`]: crate::ThreadedDining::restart_paths
-    pub restart_log: Arc<Mutex<Vec<RestartNotice>>>,
+    pub restart_log: RestartWatch,
     /// System-wide link counters, folded into at thread exit.
     pub link_stats: Arc<Mutex<LinkSummary>>,
     /// Fixed eating duration in milliseconds.
@@ -256,7 +256,7 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
         // traffic's effects must already see the notice.
         if let Some(log) = self.alg.restart_log() {
             if let Some(event) = log.into_iter().last() {
-                self.restart_log.lock().push(RestartNotice {
+                self.restart_log.publish(RestartNotice {
                     process: self.id,
                     at_ms: self.now().0,
                     event,

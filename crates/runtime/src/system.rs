@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,6 +77,63 @@ pub struct RestartNotice {
     pub event: RestartEvent,
 }
 
+/// The restart notices a running system has published so far, shared
+/// between the process threads that publish them and whoever waits for
+/// one (see [`ThreadedDining::restart_watch`]). A handle stays valid
+/// after the system shut down; it just never grows again.
+#[derive(Clone, Default)]
+pub struct RestartWatch {
+    shared: Arc<(std::sync::Mutex<Vec<RestartNotice>>, Condvar)>,
+}
+
+impl RestartWatch {
+    /// A push leaves the vector valid at every step, so a publisher that
+    /// panicked mid-restart poisons nothing worth refusing.
+    fn notices(&self) -> std::sync::MutexGuard<'_, Vec<RestartNotice>> {
+        self.shared
+            .0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    pub(crate) fn publish(&self, notice: RestartNotice) {
+        self.notices().push(notice);
+        self.shared.1.notify_all();
+    }
+
+    /// Every notice published so far.
+    pub(crate) fn snapshot(&self) -> Vec<RestartNotice> {
+        self.notices().clone()
+    }
+
+    /// Blocks until `process` has published more than `seen` notices or
+    /// `timeout` passes, woken by the publish itself. Returns its notice
+    /// count with the latest of them, `None` on timeout.
+    pub fn wait_past(
+        &self,
+        process: ProcessId,
+        seen: usize,
+        timeout: Duration,
+    ) -> Option<(usize, RestartNotice)> {
+        let deadline = Instant::now() + timeout;
+        let mut notices = self.notices();
+        loop {
+            let mine = || notices.iter().filter(|n| n.process == process);
+            let count = mine().count();
+            if count > seen {
+                return mine().next_back().cloned().map(|latest| (count, latest));
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            notices = self
+                .shared
+                .1
+                .wait_timeout(notices, left)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
+        }
+    }
+}
+
 /// A dining system running live: one OS thread per philosopher, crossbeam
 /// channels as FIFO links, wall-clock heartbeats as ◇P₁.
 ///
@@ -94,7 +151,7 @@ pub struct ThreadedDining<M: Clone + Send + 'static = DiningMsg> {
     /// installed subscriber (in addition to the `events` vector).
     tap: Arc<Mutex<Vec<Sender<SchedEvent>>>>,
     /// Restart notices published by recoverable process threads.
-    restart_log: Arc<Mutex<Vec<RestartNotice>>>,
+    restart_log: RestartWatch,
     link_stats: Arc<Mutex<LinkSummary>>,
     epoch: Instant,
     entropy_seed: u64,
@@ -139,7 +196,7 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
         let epoch = Instant::now();
         let events: Arc<Mutex<Vec<SchedEvent>>> = Arc::new(Mutex::new(Vec::new()));
         let tap: Arc<Mutex<Vec<Sender<SchedEvent>>>> = Arc::new(Mutex::new(Vec::new()));
-        let restart_log: Arc<Mutex<Vec<RestartNotice>>> = Arc::new(Mutex::new(Vec::new()));
+        let restart_log = RestartWatch::default();
         let link_stats: Arc<Mutex<LinkSummary>> = Arc::new(Mutex::new(LinkSummary::default()));
         let channels: Vec<_> = (0..graph.len())
             .map(|_| unbounded::<ThreadMsg<M>>())
@@ -164,7 +221,7 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
                 epoch,
                 events: Arc::clone(&events),
                 tap: Arc::clone(&tap),
-                restart_log: Arc::clone(&restart_log),
+                restart_log: restart_log.clone(),
                 link_stats: Arc::clone(&link_stats),
                 eat_ms: config.eat_ms.max(1),
                 audit_ms: config.audit_ms.max(1),
@@ -258,7 +315,14 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     /// recovery path the new incarnation took (journal fast-resume vs
     /// blank rejoin). Empty for crash-stop algorithms.
     pub fn restart_paths(&self) -> Vec<RestartNotice> {
-        self.restart_log.lock().clone()
+        self.restart_log.snapshot()
+    }
+
+    /// A handle on the restart notices that can *wait* for the next one
+    /// (see [`RestartWatch::wait_past`]) — what the net server's
+    /// readmission blocks on, outside any lock it holds on the system.
+    pub fn restart_watch(&self) -> RestartWatch {
+        self.restart_log.clone()
     }
 
     /// Lets the system run for `window`, then shuts every thread down and
@@ -292,9 +356,9 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     /// `restart()` before any rejoin traffic is transmitted, so the
     /// post-join snapshot is the only one guaranteed to be complete.
     pub fn shutdown_complete(self, window: Duration) -> RuntimeRun {
-        let restart_log = Arc::clone(&self.restart_log);
+        let restart_log = self.restart_log.clone();
         let (events, link) = self.shutdown_with_link(window);
-        let restarts = restart_log.lock().clone();
+        let restarts = restart_log.snapshot();
         RuntimeRun {
             events,
             link,

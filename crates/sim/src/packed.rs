@@ -1172,7 +1172,10 @@ mod interactive_tests {
         // Second round: everyone is thinking again, injections re-admit.
         let before = ik.now();
         for p in 0..12u32 {
-            assert!(ik.inject_hungry(p), "process {p} should accept a second meal");
+            assert!(
+                ik.inject_hungry(p),
+                "process {p} should accept a second meal"
+            );
         }
         while ik.has_pending() {
             ik.step(10_000, &mut obs);
