@@ -240,18 +240,32 @@ impl core::fmt::Display for DecodeError {
     }
 }
 
-/// CRC-32 (ISO-HDLC / zlib polynomial, reflected), bitwise.
-///
-/// Records are tens of bytes, so the table-free loop is plenty fast and
-/// keeps the crate dependency-free.
+/// `CRC_TABLE[b]` is the CRC register after eight bit-serial steps from
+/// `b` — the whole effect of one input byte, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+};
+
+/// CRC-32 (ISO-HDLC / zlib polynomial, reflected), one table load per
+/// byte. The wire codec shares it, and there it runs six times per
+/// hungry → granted → released cycle.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }

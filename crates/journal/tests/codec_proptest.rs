@@ -122,4 +122,25 @@ proptest! {
         prop_assert_eq!(meta.tick, r.tick);
         prop_assert_eq!(meta.incarnation, r.incarnation);
     }
+
+    /// The table-driven `crc32` is the bit-serial CRC it replaced, on
+    /// inputs of every length the two codecs produce and beyond.
+    #[test]
+    fn table_crc32_equals_the_bit_serial_loop(data in proptest::collection::vec(0u8..=255, 0..300)) {
+        prop_assert_eq!(ekbd_journal::codec::crc32(&data), crc32_bit_serial(&data));
+    }
+}
+
+/// The reference: CRC-32 (zlib polynomial, reflected) one bit at a time,
+/// as the codec computed it before the table.
+fn crc32_bit_serial(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
 }

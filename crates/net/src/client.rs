@@ -19,9 +19,18 @@
 //! exactly once per attempt, and never sleeps after the final attempt —
 //! a failed call returns at once, with the hint in the error for the
 //! caller's own scheduling.
+//!
+//! Both clients sit on one private `Link`: the socket, the
+//! [`FrameReader`] and one request buffer. Requests are encoded into the
+//! buffer and written with one `write_all` — at once for every control
+//! frame and for [`DaemonClient::hungry`]; for [`MuxClient::hungry`] when
+//! the client is next about to block in `read` (see there), so a
+//! closed-loop caller pays one `write` per wake-up, not one per request.
 
 use crate::conn::{splitmix64, Conn, ServerAddr};
-use crate::wire::{encode_frame, AdmitPath, Frame, FrameReader, WireError, REJECT_ALREADY_BOUND};
+use crate::wire::{
+    encode_frame_into, AdmitPath, Frame, FrameReader, WireError, REJECT_ALREADY_BOUND,
+};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
@@ -119,25 +128,109 @@ fn sleep_before_retry(
     std::thread::sleep(delay);
 }
 
+/// One dialed connection: the socket, the frames read from it and the
+/// requests not yet written to it. Everything either client reads comes
+/// through [`read_frame`](Self::read_frame); everything it writes leaves
+/// through [`flush`](Self::flush).
+struct Link {
+    conn: Conn,
+    reader: FrameReader,
+    /// Encoded frames, in call order, that have not reached the socket.
+    out: Vec<u8>,
+}
+
+impl Link {
+    /// Appends `frame` behind whatever is already waiting.
+    fn push(&mut self, frame: &Frame) {
+        encode_frame_into(frame, &mut self.out);
+    }
+
+    /// Writes everything buffered in one `write_all`. After an error the
+    /// bytes are gone either way — a partial write cannot be resumed on a
+    /// frame boundary, and the connection it was meant for is dead.
+    fn flush(&mut self) -> Result<(), ClientError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.conn.write_all(&self.out);
+        self.out.clear();
+        Ok(written?)
+    }
+
+    /// Sends `frame` now, behind anything buffered ahead of it.
+    fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
+        self.push(frame);
+        self.flush()
+    }
+
+    /// Hard-closes the socket; what was not yet written died with it.
+    fn kill(&mut self) {
+        self.out.clear();
+        self.conn.kill();
+    }
+
+    /// The next frame that is not a heartbeat, answering the server's
+    /// `Ping`s through the request buffer so that any blocked wait keeps
+    /// the session alive. Frames already read come first, and nothing is
+    /// written while one remains — that is what lets a caller's answers
+    /// to a batch of events leave in one write. Once they are exhausted
+    /// the buffer is written and then the socket is read — at least once
+    /// even when `deadline` has already passed, so a caller that polls
+    /// with a zero timeout still sends what it asked and drains what the
+    /// server pushed (one read blocks for
+    /// [`ClientConfig::read_timeout_ms`] at most).
+    fn read_frame(&mut self, deadline: Instant) -> Result<Frame, ClientError> {
+        let mut read_once = false;
+        loop {
+            while let Some(frame) = self.reader.next_frame().map_err(ClientError::Protocol)? {
+                match frame {
+                    Frame::Ping { nonce } => self.push(&Frame::Pong { nonce }),
+                    Frame::Pong { .. } => {}
+                    other => return Ok(other),
+                }
+            }
+            self.flush()?;
+            if read_once && Instant::now() >= deadline {
+                return Err(ClientError::Timeout);
+            }
+            read_once = true;
+            match self.reader.fill(&mut self.conn) {
+                Ok(0) => return Err(ClientError::Closed),
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+                Err(e) => return Err(ClientError::Io(e)),
+            }
+        }
+    }
+}
+
 /// Dials and runs one handshake. A `Busy` answer returns immediately
 /// with the hint attached — the *caller's* retry loop owns all sleeping.
 fn dial_and_bind(
     addr: &ServerAddr,
     cfg: &ClientConfig,
     handshake: Frame,
-) -> Result<(Conn, FrameReader, u64, u64, AdmitPath), ClientError> {
-    let mut conn = Conn::dial(addr)?;
+) -> Result<(Link, u64, u64, AdmitPath), ClientError> {
+    let conn = Conn::dial(addr)?;
     conn.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))?;
-    conn.write_all(&encode_frame(&handshake))?;
-    let mut reader = FrameReader::new();
+    let mut link = Link {
+        conn,
+        reader: FrameReader::new(),
+        out: Vec::new(),
+    };
+    link.send(&handshake)?;
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        match read_frame(&mut conn, &mut reader, deadline)? {
+        match link.read_frame(deadline)? {
             Frame::Welcome {
                 session,
                 token,
                 path,
-            } => return Ok((conn, reader, session, token, path)),
+            } => return Ok((link, session, token, path)),
             Frame::Busy { retry_after_ms } => {
                 return Err(ClientError::Busy {
                     hint_ms: retry_after_ms,
@@ -157,8 +250,7 @@ pub struct DaemonClient {
     addr: ServerAddr,
     cfg: ClientConfig,
     process: u32,
-    conn: Conn,
-    reader: FrameReader,
+    link: Link,
     session: u64,
     token: u64,
     path: AdmitPath,
@@ -192,13 +284,12 @@ impl DaemonClient {
         let attempts = cfg.max_attempts.max(1);
         for attempt in 0..attempts {
             match dial_and_bind(addr, &cfg, Frame::Hello { process }) {
-                Ok((conn, reader, session, token, path)) => {
+                Ok((link, session, token, path)) => {
                     return Ok(DaemonClient {
                         addr: addr.clone(),
                         cfg,
                         process,
-                        conn,
-                        reader,
+                        link,
                         session,
                         token,
                         path,
@@ -233,9 +324,8 @@ impl DaemonClient {
                 token: self.token,
             };
             match dial_and_bind(&self.addr, &self.cfg, resume) {
-                Ok((conn, reader, session, token, path)) => {
-                    self.conn = conn;
-                    self.reader = reader;
+                Ok((link, session, token, path)) => {
+                    self.link = link;
                     self.session = session;
                     self.token = token;
                     self.path = path;
@@ -255,9 +345,8 @@ impl DaemonClient {
                             process: self.process,
                         },
                     ) {
-                        Ok((conn, reader, session, token, path)) => {
-                            self.conn = conn;
-                            self.reader = reader;
+                        Ok((link, session, token, path)) => {
+                            self.link = link;
                             self.session = session;
                             self.token = token;
                             self.path = path;
@@ -301,10 +390,9 @@ impl DaemonClient {
 
     /// Requests to eat: sends `Hungry`.
     pub fn hungry(&mut self) -> Result<(), ClientError> {
-        self.conn.write_all(&encode_frame(&Frame::Hungry {
+        self.link.send(&Frame::Hungry {
             process: self.process,
-        }))?;
-        Ok(())
+        })
     }
 
     /// Waits until the daemon grants the table (`Granted`), answering
@@ -312,7 +400,7 @@ impl DaemonClient {
     pub fn wait_granted(&mut self, timeout: Duration) -> Result<u64, ClientError> {
         let deadline = Instant::now() + timeout;
         loop {
-            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
+            match self.link.read_frame(deadline)? {
                 Frame::Granted { process, at_ms } if process == self.process => return Ok(at_ms),
                 // A release from a previous cycle may still be in
                 // flight; another process's event is never ours to act
@@ -328,7 +416,7 @@ impl DaemonClient {
     pub fn wait_released(&mut self, timeout: Duration) -> Result<u64, ClientError> {
         let deadline = Instant::now() + timeout;
         loop {
-            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
+            match self.link.read_frame(deadline)? {
                 Frame::Released { process, at_ms } if process == self.process => return Ok(at_ms),
                 // A duplicate grant (re-sent hungry) is not an error.
                 Frame::Granted { .. } | Frame::Released { .. } => {}
@@ -341,14 +429,14 @@ impl DaemonClient {
     /// `Bye`. The server crashes the bound process and keeps the session
     /// detached; [`reconnect`](Self::reconnect) revives it.
     pub fn kill(&mut self) {
-        self.conn.kill();
+        self.link.kill();
     }
 
     /// Graceful goodbye: the server detaches the session without
     /// crashing the process.
     pub fn bye(mut self) {
-        let _ = self.conn.write_all(&encode_frame(&Frame::Bye));
-        self.conn.kill();
+        let _ = self.link.send(&Frame::Bye);
+        self.link.kill();
     }
 }
 
@@ -378,23 +466,45 @@ pub enum MuxEvent {
 /// with [`bind`](Self::bind). All event frames arrive process-tagged on
 /// the one socket; drive the whole fleet with
 /// [`hungry`](Self::hungry) / [`next_event`](Self::next_event).
+///
+/// # When a request reaches the wire
+///
+/// [`hungry`](Self::hungry) appends to the connection's request buffer;
+/// the buffer is written, in call order and in one `write`, when a wait
+/// ([`next_event`](Self::next_event), [`bind`](Self::bind),
+/// [`unbind`](Self::unbind)) has handed out every frame already read and
+/// is about to read the socket, when [`flush`](Self::flush) is called, or
+/// when 16 KiB have piled up. A caller that asks and then
+/// waits needs nothing more; a caller that asks and then does *not* wait
+/// calls `flush`. [`kill`](Self::kill) and a successful re-dial inside
+/// [`reconnect`](Self::reconnect) discard what was not yet written: it
+/// died with the connection, and a stale `Hungry` on the new socket
+/// ahead of its process's re-`Bind` would be a protocol error.
 pub struct MuxClient {
     addr: ServerAddr,
     cfg: ClientConfig,
     primary: u32,
-    conn: Conn,
-    reader: FrameReader,
+    link: Link,
     session: u64,
     token: u64,
     path: AdmitPath,
     rng: u64,
-    /// Secondary processes currently bound (primary excluded).
+    /// Secondary processes currently bound (primary excluded), in bind
+    /// order.
     bound: Vec<u32>,
+    /// `member[p]`: whether `p` is bound here, primary included — what
+    /// [`hungry`](Self::hungry) validates against, once per request.
+    member: Vec<bool>,
     /// Events decoded while waiting for a control answer.
     pending: VecDeque<MuxEvent>,
     /// `Busy` sheds absorbed by this client's retry loops so far.
     pub busy_retries: u64,
 }
+
+/// Buffered request bytes at which [`MuxClient::hungry`] writes without
+/// waiting for a wait: bounds the memory and the delay of a caller that
+/// fires requests and never reads.
+const WRITE_AT: usize = 16 * 1024;
 
 impl fmt::Debug for MuxClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -420,21 +530,23 @@ impl MuxClient {
         let attempts = cfg.max_attempts.max(1);
         for attempt in 0..attempts {
             match dial_and_bind(addr, &cfg, Frame::Hello { process: primary }) {
-                Ok((conn, reader, session, token, path)) => {
-                    return Ok(MuxClient {
+                Ok((link, session, token, path)) => {
+                    let mut client = MuxClient {
                         addr: addr.clone(),
                         cfg,
                         primary,
-                        conn,
-                        reader,
+                        link,
                         session,
                         token,
                         path,
                         rng,
                         bound: Vec::new(),
+                        member: Vec::new(),
                         pending: VecDeque::new(),
                         busy_retries,
-                    });
+                    };
+                    client.set_member(primary, true);
+                    return Ok(client);
                 }
                 Err(ClientError::Rejected(code)) => return Err(ClientError::Rejected(code)),
                 Err(e) => {
@@ -466,83 +578,124 @@ impl MuxClient {
         all
     }
 
-    /// Binds a secondary `process` onto this connection, returning the
-    /// admission path the server reported for it.
-    pub fn bind(&mut self, process: u32) -> Result<AdmitPath, ClientError> {
-        self.conn
-            .write_all(&encode_frame(&Frame::Bind { process }))?;
+    fn is_member(&self, process: u32) -> bool {
+        self.member.get(process as usize) == Some(&true)
+    }
+
+    /// Ids the server admitted are below its graph's size, which bounds
+    /// the table.
+    fn set_member(&mut self, process: u32, on: bool) {
+        let p = process as usize;
+        if on && self.member.len() <= p {
+            self.member.resize(p + 1, false);
+        }
+        if let Some(m) = self.member.get_mut(p) {
+            *m = on;
+        }
+    }
+
+    /// Waits (5 s at most) for the control answer `pick` recognizes.
+    /// Table events that arrive meanwhile are queued for
+    /// [`next_event`](Self::next_event); answers to other binds and
+    /// stray unbinds are dropped.
+    fn await_answer<T>(
+        &mut self,
+        mut pick: impl FnMut(&Frame) -> Option<T>,
+    ) -> Result<T, ClientError> {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
-                Frame::Bound { process: p, path } if p == process => {
-                    self.bound.push(process);
-                    return Ok(path);
-                }
-                Frame::BindReject { process: p, code } if p == process => {
-                    return Err(if code == crate::wire::REJECT_BUSY {
-                        ClientError::Busy {
-                            hint_ms: self.cfg.base_backoff_ms as u32,
-                        }
-                    } else {
-                        ClientError::Rejected(code)
-                    });
-                }
-                // Answers for other in-flight binds or stray unbinds.
-                Frame::Bound { .. } | Frame::BindReject { .. } | Frame::Unbound { .. } => {}
-                frame => return Err(unexpected(frame)),
+            let frame = self.link.read_frame(deadline)?;
+            if let Some(answer) = pick(&frame) {
+                return Ok(answer);
             }
+            match frame {
+                Frame::Bound { .. } | Frame::BindReject { .. } | Frame::Unbound { .. } => {}
+                frame => match table_event(&frame) {
+                    Some(event) => self.pending.push_back(event),
+                    None => return Err(unexpected(frame)),
+                },
+            }
+        }
+    }
+
+    /// Binds a secondary `process` onto this connection, returning the
+    /// admission path the server reported for it. Requests buffered by
+    /// [`hungry`](Self::hungry) are written ahead of the `Bind`, in the
+    /// same `write`.
+    pub fn bind(&mut self, process: u32) -> Result<AdmitPath, ClientError> {
+        self.link.send(&Frame::Bind { process })?;
+        let answer = self.await_answer(|frame| match *frame {
+            Frame::Bound { process: p, path } if p == process => Some(Ok(path)),
+            Frame::BindReject { process: p, code } if p == process => Some(Err(code)),
+            _ => None,
+        })?;
+        match answer {
+            Ok(path) => {
+                self.bound.push(process);
+                self.set_member(process, true);
+                Ok(path)
+            }
+            Err(crate::wire::REJECT_BUSY) => Err(ClientError::Busy {
+                hint_ms: self.cfg.base_backoff_ms as u32,
+            }),
+            Err(code) => Err(ClientError::Rejected(code)),
         }
     }
 
     /// Gracefully detaches a secondary (or the primary's entry in the
     /// event stream stays — the primary itself cannot be unbound).
+    /// Buffered requests are written ahead of the `Unbind`, as in
+    /// [`bind`](Self::bind).
     pub fn unbind(&mut self, process: u32) -> Result<(), ClientError> {
-        if !self.bound.contains(&process) {
+        if process == self.primary || !self.is_member(process) {
             return Err(ClientError::Rejected(crate::wire::REJECT_BAD_PROCESS));
         }
-        self.conn
-            .write_all(&encode_frame(&Frame::Unbind { process }))?;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
-                Frame::Unbound { process: p } if p == process => {
-                    self.bound.retain(|&b| b != process);
-                    return Ok(());
-                }
-                Frame::Bound { .. } | Frame::BindReject { .. } | Frame::Unbound { .. } => {}
-                frame => return Err(unexpected(frame)),
-            }
-        }
-    }
-
-    /// Requests to eat on behalf of any bound process.
-    pub fn hungry(&mut self, process: u32) -> Result<(), ClientError> {
-        if process != self.primary && !self.bound.contains(&process) {
-            return Err(ClientError::Rejected(crate::wire::REJECT_BAD_PROCESS));
-        }
-        self.conn
-            .write_all(&encode_frame(&Frame::Hungry { process }))?;
+        self.link.send(&Frame::Unbind { process })?;
+        self.await_answer(|frame| {
+            matches!(*frame, Frame::Unbound { process: p } if p == process).then_some(())
+        })?;
+        self.bound.retain(|&b| b != process);
+        self.set_member(process, false);
         Ok(())
     }
 
+    /// Requests to eat on behalf of any bound process. The request is
+    /// validated and buffered; it is written by the next wait, by
+    /// [`flush`](Self::flush), or here once 16 KiB are waiting — so a
+    /// socket error shows up in one of those, and in this call only in
+    /// the last case.
+    pub fn hungry(&mut self, process: u32) -> Result<(), ClientError> {
+        if !self.is_member(process) {
+            return Err(ClientError::Rejected(crate::wire::REJECT_BAD_PROCESS));
+        }
+        self.link.push(&Frame::Hungry { process });
+        if self.link.out.len() >= WRITE_AT {
+            self.link.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Writes every buffered request now. For a caller that asks and then
+    /// does something other than wait on this client; the waits do it
+    /// themselves.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        self.link.flush()
+    }
+
     /// The next table event for *any* bound process, answering
-    /// heartbeats along the way.
+    /// heartbeats along the way. Events already read are returned first;
+    /// buffered requests are written once none is left and before the
+    /// socket is read.
     pub fn next_event(&mut self, timeout: Duration) -> Result<MuxEvent, ClientError> {
         if let Some(e) = self.pending.pop_front() {
             return Ok(e);
         }
         let deadline = Instant::now() + timeout;
         loop {
-            match read_frame(&mut self.conn, &mut self.reader, deadline)? {
-                Frame::Granted { process, at_ms } => {
-                    return Ok(MuxEvent::Granted { process, at_ms })
-                }
-                Frame::Released { process, at_ms } => {
-                    return Ok(MuxEvent::Released { process, at_ms })
-                }
+            match self.link.read_frame(deadline)? {
                 // Stale control answers are dropped, not errors.
                 Frame::Bound { .. } | Frame::BindReject { .. } | Frame::Unbound { .. } => {}
-                frame => return Err(unexpected(frame)),
+                frame => return table_event(&frame).ok_or_else(|| unexpected(frame)),
             }
         }
     }
@@ -551,7 +704,8 @@ impl MuxClient {
     /// connection: resumes the primary under its credentials (falling
     /// back to `Hello` if the server reaped the session), then re-binds
     /// every secondary. Returns each process with the admission path the
-    /// server reported for it, primary first.
+    /// server reported for it, primary first. Requests still buffered
+    /// for the old connection, and events queued from it, are dropped.
     pub fn reconnect(&mut self) -> Result<Vec<(u32, AdmitPath)>, ClientError> {
         let mut last: ClientError = ClientError::Busy { hint_ms: 0 };
         let attempts = self.cfg.max_attempts.max(1);
@@ -601,9 +755,9 @@ impl MuxClient {
                     None
                 }
             };
-            if let Some((conn, reader, session, token, path)) = dialed {
-                self.conn = conn;
-                self.reader = reader;
+            if let Some((link, session, token, path)) = dialed {
+                // The old link goes, and its unwritten requests with it.
+                self.link = link;
                 self.session = session;
                 self.token = token;
                 self.path = path;
@@ -614,6 +768,7 @@ impl MuxClient {
                     // A secondary that cannot rebind (e.g. claimed by
                     // someone else meanwhile) is dropped from the fleet,
                     // not fatal to the connection.
+                    self.set_member(p, false);
                     if let Ok(bp) = self.bind(p) {
                         paths.push((p, bp));
                     }
@@ -626,16 +781,27 @@ impl MuxClient {
     }
 
     /// Simulates an abrupt client death: hard-closes the socket without
-    /// `Bye`. The server crashes *every* process bound here.
+    /// `Bye`. The server crashes *every* process bound here. Requests not
+    /// yet written are discarded.
     pub fn kill(&mut self) {
-        self.conn.kill();
+        self.link.kill();
     }
 
     /// Graceful goodbye: the server detaches every bound process without
-    /// crashing any of them.
+    /// crashing any of them. Buffered requests are written ahead of the
+    /// `Bye`.
     pub fn bye(mut self) {
-        let _ = self.conn.write_all(&encode_frame(&Frame::Bye));
-        self.conn.kill();
+        let _ = self.link.send(&Frame::Bye);
+        self.link.kill();
+    }
+}
+
+/// The table event a `Granted`/`Released` frame carries.
+fn table_event(frame: &Frame) -> Option<MuxEvent> {
+    match *frame {
+        Frame::Granted { process, at_ms } => Some(MuxEvent::Granted { process, at_ms }),
+        Frame::Released { process, at_ms } => Some(MuxEvent::Released { process, at_ms }),
+        _ => None,
     }
 }
 
@@ -659,41 +825,4 @@ fn backoff(cfg: &ClientConfig, rng: &mut u64, attempt: u32) -> Duration {
     let half = delay / 2;
     let jitter = splitmix64(rng) % (half + 1);
     Duration::from_millis(half + jitter)
-}
-
-/// The next frame that is not a heartbeat, answering the server's
-/// `Ping`s inline so that any blocked wait keeps the session alive.
-/// Buffered frames come first; then the socket is read — at least once
-/// even when `deadline` has already passed, so a caller that polls with a
-/// zero timeout still drains what the server pushed (one read blocks for
-/// [`ClientConfig::read_timeout_ms`] at most).
-fn read_frame(
-    conn: &mut Conn,
-    reader: &mut FrameReader,
-    deadline: Instant,
-) -> Result<Frame, ClientError> {
-    let mut read_once = false;
-    loop {
-        while let Some(frame) = reader.next_frame().map_err(ClientError::Protocol)? {
-            match frame {
-                Frame::Ping { nonce } => conn.write_all(&encode_frame(&Frame::Pong { nonce }))?,
-                Frame::Pong { .. } => {}
-                other => return Ok(other),
-            }
-        }
-        if read_once && Instant::now() >= deadline {
-            return Err(ClientError::Timeout);
-        }
-        read_once = true;
-        match reader.fill(conn) {
-            Ok(0) => return Err(ClientError::Closed),
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(ClientError::Io(e)),
-        }
-    }
 }

@@ -179,7 +179,12 @@ pub struct ServerConfig {
     /// Suspicion gate: consecutive silent sweeps tolerated before a
     /// session is declared dead. Any inbound frame resets the count, so a
     /// session only times out after `heartbeat_strikes × heartbeat_ms` of
-    /// total silence — one missed beat is suspicion, not conviction.
+    /// total silence — one missed beat is suspicion, not conviction. The
+    /// default window is 5 s: a client answers `Ping`s only from inside
+    /// its waits, so the window must outlast whatever a live caller does
+    /// between two of them, and a silent client blocks no neighbour
+    /// (meals are timed by the daemon) — conviction only reclaims its
+    /// slot.
     pub heartbeat_strikes: u32,
     /// Retry hint carried in `Busy` shed responses, in milliseconds.
     pub busy_retry_ms: u32,
@@ -203,7 +208,7 @@ impl Default for ServerConfig {
             max_sessions: 64,
             send_queue: 64,
             heartbeat_ms: 200,
-            heartbeat_strikes: 5,
+            heartbeat_strikes: 25,
             busy_retry_ms: 100,
             handshake_ms: 2_000,
             detach_ttl_ms: 30_000,

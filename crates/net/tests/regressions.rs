@@ -20,11 +20,21 @@
 //! 6. a wait whose timeout was zero (or had already passed) reported
 //!    `Timeout` without reading the socket, so a caller that only ever
 //!    polled never saw a frame the server had pushed.
+//!
+//! And one from the client write path:
+//!
+//! 7. `MuxClient`'s `pending` queue was popped and cleared but never
+//!    pushed to, so a `Granted`/`Released` that arrived while `bind` or
+//!    `unbind` waited for its answer failed the call with `Closed`;
+//! 8. the default heartbeat window (5 strikes × 200 ms) convicted a live
+//!    client that spent little more than a second between two waits —
+//!    which, once a saturated run served 10⁷ cycles, the benchmark's own
+//!    clients did while it sorted their grant times.
 
 use ekbd_graph::topology;
 use ekbd_net::{
-    ClientConfig, ClientError, DaemonClient, DaemonServer, MuxClient, MuxEvent, ServerAddr,
-    ServerConfig,
+    BackendSpec, ClientConfig, ClientError, DaemonClient, DaemonServer, MuxClient, MuxEvent,
+    ServerAddr, ServerConfig,
 };
 use ekbd_runtime::{RuntimeConfig, ThreadedDining};
 use ekbd_sim::ProcessId;
@@ -248,7 +258,9 @@ fn silent_dialer_counts_as_handshake_timeout_not_protocol_error() {
 /// Bug 6: polling with a zero timeout must still make progress. Each
 /// poll reads the socket once before it may report `Timeout`, so the
 /// pushed `Granted` arrives; the pre-fix clients compared the clock
-/// first and returned `Timeout` forever.
+/// first and returned `Timeout` forever. Since `MuxClient::hungry`
+/// buffers, the same polls are also what put the request on the wire:
+/// a zero-timeout wait writes the buffer, then reads once.
 #[test]
 fn zero_timeout_polls_receive_pushed_frames() {
     let server =
@@ -280,4 +292,77 @@ fn zero_timeout_polls_receive_pushed_frames() {
     mux.bye();
     single.bye();
     server.shutdown();
+}
+
+/// Bug 7: a table event that arrives while a control call waits for its
+/// answer belongs to `next_event`, not to the call. Process 0 asks, its
+/// grant and release (immediate on the scale backend: both neighbours
+/// think) are given time to reach the socket, and only then is process 2
+/// bound — so `bind` reads `Granted{0}` and `Released{0}` before its own
+/// `Bound`. The pre-fix client failed the bind with `Closed` at the first
+/// of them. (At the parent `hungry` wrote at once and there was no
+/// `flush`; delete that line to see this fail there.)
+#[test]
+fn events_arriving_during_bind_are_queued_for_next_event() {
+    let cfg = ServerConfig {
+        backend: BackendSpec::Scale { seed: 7 },
+        ..ServerConfig::default()
+    };
+    let server = DaemonServer::start(topology::ring(4), &ephemeral_tcp(), cfg).unwrap();
+    let addr = server.local_addr().clone();
+    let wait = Duration::from_secs(5);
+
+    let mut mux = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    mux.hungry(0).unwrap();
+    mux.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    mux.bind(2)
+        .expect("a grant in flight does not fail the bind");
+    assert!(matches!(
+        mux.next_event(wait),
+        Ok(MuxEvent::Granted { process: 0, .. })
+    ));
+    assert!(matches!(
+        mux.next_event(wait),
+        Ok(MuxEvent::Released { process: 0, .. })
+    ));
+
+    // The same for `unbind`, with the process just bound doing the eating.
+    mux.hungry(2).unwrap();
+    mux.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    mux.unbind(2)
+        .expect("a grant in flight does not fail the unbind");
+    assert!(matches!(
+        mux.next_event(wait),
+        Ok(MuxEvent::Granted { process: 2, .. })
+    ));
+    assert!(matches!(
+        mux.next_event(wait),
+        Ok(MuxEvent::Released { process: 2, .. })
+    ));
+    mux.bye();
+    let run = server.shutdown();
+    assert_eq!(run.stats.protocol_errors, 0, "{:?}", run.stats);
+}
+
+/// Bug 8: a client answers `Ping`s only from inside its waits, so the
+/// default conviction window must outlast a caller that is alive and
+/// busy elsewhere. A second and a half of that — well inside the default
+/// 5 s, past the old 1.2 s — leaves the session standing.
+#[test]
+fn a_live_client_busy_elsewhere_for_a_second_is_not_convicted() {
+    let server =
+        DaemonServer::start(topology::ring(4), &ephemeral_tcp(), ServerConfig::default()).unwrap();
+    let addr = server.local_addr().clone();
+    let mut mux = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    std::thread::sleep(Duration::from_millis(1_600));
+    mux.hungry(0).unwrap();
+    assert!(matches!(
+        mux.next_event(Duration::from_secs(5)),
+        Ok(MuxEvent::Granted { process: 0, .. })
+    ));
+    mux.bye();
+    let run = server.shutdown();
+    assert_eq!(run.stats.heartbeat_drops, 0, "{:?}", run.stats);
 }

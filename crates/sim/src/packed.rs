@@ -38,6 +38,7 @@
 use crate::obs::{splitmix, LatencyHistogram, Reservoir};
 use ekbd_graph::partition::Partition;
 use ekbd_graph::{ConflictGraph, ProcessId};
+use std::sync::Arc;
 
 /// Phase values in the 2-bit header field.
 const THINKING: u8 = 0;
@@ -197,6 +198,10 @@ pub(crate) struct ShardState {
     id: usize,
     /// Global ids of member processes, ascending.
     pub(crate) members: Vec<u32>,
+    /// For every process of the graph, its index within its own shard's
+    /// `members` — one table shared read-only by all shards, like `owner`
+    /// and `colors`, and like them outside the S1 words.
+    local_index: Arc<Vec<u32>>,
     /// Local CSR: `loff[l]..loff[l+1]` are member `l`'s adjacency slots.
     loff: Vec<u32>,
     /// Global neighbor id per local slot (sorted within each process).
@@ -257,7 +262,7 @@ pub struct PackedKernel {
     /// Shard of each process.
     pub(crate) owner: Vec<u8>,
     /// Static priorities (proper coloring), shared by all shards.
-    colors: std::sync::Arc<Vec<u32>>,
+    colors: Arc<Vec<u32>>,
     pub(crate) shards: Vec<ShardState>,
 }
 
@@ -356,11 +361,17 @@ fn ranged(seed: u64, salt: u64, p: u32, counter: u32, range: (u64, u64)) -> u64 
 }
 
 impl ShardState {
+    /// Where `global` sits in `members`: one load from the shared table,
+    /// and one from `members` to refuse — in release builds too — an event
+    /// addressed to another shard's process.
     #[inline]
     fn local_of(&self, global: u32) -> usize {
-        self.members
-            .binary_search(&global)
-            .expect("event routed to non-member")
+        let l = self.local_index[global as usize] as usize;
+        assert!(
+            self.members.get(l) == Some(&global),
+            "event routed to non-member"
+        );
+        l
     }
 
     #[inline]
@@ -819,6 +830,21 @@ impl PackedKernel {
             "packed event words index at most 2^22 neighbors"
         );
         let owner: Vec<u8> = partition.assignment.iter().map(|&s| s as u8).collect();
+        // `Partition::members` lists each shard's processes in ascending
+        // id order, so a process's index there is the number of smaller
+        // ids its shard owns: one counting pass.
+        let mut shard_sizes = vec![0u32; partition.shards];
+        let local_index: Arc<Vec<u32>> = Arc::new(
+            partition
+                .assignment
+                .iter()
+                .map(|&s| {
+                    let l = shard_sizes[s as usize];
+                    shard_sizes[s as usize] += 1;
+                    l
+                })
+                .collect(),
+        );
         let wheel_len = config.wheel_len();
         let mut shards = Vec::with_capacity(partition.shards);
         for (sid, members) in partition.members().into_iter().enumerate() {
@@ -870,6 +896,7 @@ impl PackedKernel {
                 record_obs: false,
                 obs: Vec::new(),
                 members,
+                local_index: local_index.clone(),
                 ladj,
                 rev_slot,
             };
@@ -894,13 +921,13 @@ impl PackedKernel {
             config,
             n,
             owner,
-            colors: std::sync::Arc::new(colors.to_vec()),
+            colors: Arc::new(colors.to_vec()),
             shards,
         }
     }
 
     /// Shared color table (read-only, used by every shard).
-    pub(crate) fn colors(&self) -> std::sync::Arc<Vec<u32>> {
+    pub(crate) fn colors(&self) -> Arc<Vec<u32>> {
         self.colors.clone()
     }
 
@@ -1139,6 +1166,58 @@ impl InteractiveScale {
     pub fn finish(self) -> ScaleRunReport {
         let now = self.now;
         self.kernel.into_report(now, 0)
+    }
+}
+
+#[cfg(test)]
+mod lookup_tests {
+    use super::*;
+    use ekbd_graph::partition::greedy_edge_cut;
+    use ekbd_graph::{coloring, random, topology};
+
+    #[test]
+    fn local_index_table_equals_binary_search_of_members() {
+        let graphs = [
+            ("sparse_gnp", random::sparse_gnp(600, 0.01, 5)),
+            ("powerlaw", random::powerlaw(500, 3, 8)),
+        ];
+        for (name, g) in &graphs {
+            let colors = coloring::greedy(g);
+            for shards in [1, 2, 4, 7] {
+                let part = greedy_edge_cut(g, shards);
+                let kernel = PackedKernel::new(g, &colors, &part, ScaleConfig::default());
+                for p in 0..g.len() as u32 {
+                    let shard = &kernel.shards[kernel.owner[p as usize] as usize];
+                    assert_eq!(
+                        Ok(shard.local_of(p)),
+                        shard.members.binary_search(&p),
+                        "{name}, {shards} shards, process {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The table alone would map any process to *some* member; the check
+    /// against `members` is what refuses an event on the wrong shard, and
+    /// it is an `assert!`, so run this with `--release` too.
+    #[test]
+    #[should_panic(expected = "event routed to non-member")]
+    fn event_for_another_shards_member_panics() {
+        let g = topology::ring(8);
+        let colors = coloring::greedy(&g);
+        let part = Partition {
+            assignment: vec![0, 0, 0, 0, 1, 1, 1, 1],
+            shards: 2,
+        };
+        let mut kernel = PackedKernel::new(&g, &colors, &part, ScaleConfig::default());
+        let cfg = kernel.config.clone();
+        let color_table = kernel.colors();
+        let PackedKernel { owner, shards, .. } = &mut kernel;
+        // Process 5 lives on shard 1; hand its hunger to shard 0.
+        shards[0].push_wheel(0, 1, encode(5, K_HUNGRY, 0, 0));
+        let mut out = vec![Vec::new(); 2];
+        shards[0].process_tick(&cfg, &color_table, owner, 1, &mut out);
     }
 }
 
