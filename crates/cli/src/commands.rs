@@ -475,16 +475,34 @@ fn cmd_run_scale(parsed: &Parsed, shards: usize) -> Result<(), ArgError> {
             expected: "1..=256 worker shards",
         });
     }
+    // The ranges `ScaleConfig` asserts, refused here with the flag's name.
     let eat = parsed.get_range("eat", (1, 10))?;
-    if eat.1 > 8191 {
+    let think = parsed.get_range("think", (1, 40))?;
+    for (flag, (lo, hi), max, expected) in [
+        (
+            "--eat",
+            eat,
+            8191,
+            "lo:hi ticks with 1 <= lo <= hi <= 8191 (the packed event word's aux field)",
+        ),
+        ("--think", think, u64::MAX, "lo:hi ticks with 1 <= lo <= hi"),
+    ] {
+        if lo == 0 || lo > hi || hi > max {
+            return Err(ArgError::BadValue {
+                flag: flag.into(),
+                value: format!("{lo}:{hi}"),
+                expected,
+            });
+        }
+    }
+    let sessions = parsed.get_parsed("sessions", 3u32)?;
+    if sessions == 0 {
         return Err(ArgError::BadValue {
-            flag: "--eat".into(),
-            value: format!("{}:{}", eat.0, eat.1),
-            expected: "an upper bound of at most 8191 ticks (the packed \
-                       event word's aux field)",
+            flag: "--sessions".into(),
+            value: "0".into(),
+            expected: "at least 1 eating session per process",
         });
     }
-    let think = parsed.get_range("think", (1, 40))?;
     let topology = TopologySpec::parse(parsed.get("topology").unwrap_or("ring:5"))?;
     let g = topology.build();
     let colors = ekbd_graph::coloring::greedy(&g);
@@ -492,7 +510,7 @@ fn cmd_run_scale(parsed: &Parsed, shards: usize) -> Result<(), ArgError> {
     let cfg = ekbd_sim::ScaleConfig::default()
         .seed(parsed.get_parsed("seed", 0u64)?)
         .horizon(parsed.get_parsed("horizon", 1_000_000u64)?)
-        .sessions(parsed.get_parsed("sessions", 3u32)?)
+        .sessions(sessions)
         .think(think.0, think.1)
         .eat(eat.0, eat.1);
     let kernel = ekbd_sim::PackedKernel::new(&g, &colors, &part, cfg);
@@ -1613,6 +1631,29 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("--journal"), "got: {err}");
+    }
+
+    #[test]
+    fn scale_tier_refuses_bad_ranges_instead_of_panicking() {
+        // `ScaleConfig::validate` asserts on each of these, so the CLI must
+        // answer first, with the flag's name.
+        for (args, flag) in [
+            ("--think 0:5", "--think"),
+            ("--think 9:3", "--think"),
+            ("--eat 0:5", "--eat"),
+            ("--eat 9:3", "--eat"),
+            ("--eat 1:8192", "--eat"),
+            ("--sessions 0", "--sessions"),
+        ] {
+            let err = cmd_run(&parsed(&format!("run --topology ring:8 --shards 1 {args}")))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(flag), "{args}: {err}");
+        }
+        cmd_run(&parsed(
+            "run --topology ring:8 --shards 1 --think 1:1 --eat 8191:8191",
+        ))
+        .unwrap();
     }
 
     #[test]

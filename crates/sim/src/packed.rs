@@ -55,6 +55,18 @@ const DEFERRED: u8 = 1 << 3;
 const FORK: u8 = 1 << 4;
 const TOKEN: u8 = 1 << 5;
 
+/// Slots per guard chunk: ten six-bit fields are the most a `u64` holds.
+const CHUNK: usize = 10;
+/// Bit 0 of each of a chunk's fields, `Σ 1 << 6i`; `REP >> 6k` is the
+/// same for a chunk of `CHUNK - k` slots.
+const REP: u64 = ((1 << (6 * CHUNK)) - 1) / 0x3f;
+
+/// Flag `f` of every slot in chunk `c`, moved to that slot's `REP` bit.
+#[inline]
+fn at(c: u64, f: u8) -> u64 {
+    c >> f.trailing_zeros()
+}
+
 /// Event kinds, ordered so that the packed-word integer order gives the
 /// canonical intra-tick processing order. Protocol messages (0–3) sort
 /// before the ghost `EatMark` (4): a process that starts eating at tick
@@ -374,39 +386,32 @@ impl ShardState {
         l
     }
 
+    /// Slots `g..g + count` (`count ≤ CHUNK`) in the low `6 · count` bits:
+    /// one shift across two words, `flags`' pad word keeping `w + 1` in
+    /// bounds for every slot that exists.
+    #[inline]
+    fn load_chunk(&self, g: usize, count: usize) -> u64 {
+        let (w, o) = (g * 6 / 64, (g * 6 % 64) as u32);
+        let wide = self.flags[w] as u128 | (self.flags[w + 1] as u128) << 64;
+        (wide >> o) as u64 & ((1 << (6 * count)) - 1)
+    }
+
     #[inline]
     fn get_flag(&self, g: usize, f: u8) -> bool {
-        let bit = g * 6;
-        let (w, o) = (bit / 64, (bit % 64) as u32);
-        let six = if o <= 58 {
-            (self.flags[w] >> o) & 0x3f
-        } else {
-            ((self.flags[w] >> o) | (self.flags[w + 1] << (64 - o))) & 0x3f
-        };
-        six & f as u64 != 0
+        self.load_chunk(g, 1) & f as u64 != 0
     }
 
     #[inline]
     fn set_flag(&mut self, g: usize, f: u8, v: bool) {
-        let bit = g * 6;
-        let (w, o) = (bit / 64, (bit % 64) as u32);
-        if o <= 58 {
-            if v {
-                self.flags[w] |= (f as u64) << o;
-            } else {
-                self.flags[w] &= !((f as u64) << o);
-            }
+        let (w, o) = (g * 6 / 64, (g * 6 % 64) as u32);
+        let wide = (f as u128) << o;
+        let (low, high) = (wide as u64, (wide >> 64) as u64);
+        if v {
+            self.flags[w] |= low;
+            self.flags[w + 1] |= high;
         } else {
-            // o in 59..=63: the 6-bit field straddles words w and w+1.
-            let low = (f as u64) << o;
-            let high = (f as u64) >> (64 - o);
-            if v {
-                self.flags[w] |= low;
-                self.flags[w + 1] |= high;
-            } else {
-                self.flags[w] &= !low;
-                self.flags[w + 1] &= !high;
-            }
+            self.flags[w] &= !low;
+            self.flags[w + 1] &= !high;
         }
     }
 
@@ -493,67 +498,56 @@ impl ShardState {
         }
     }
 
-    /// Action 2: while hungry outside, ping neighbors missing an ack.
-    fn try_request_acks(
+    /// One pass over member `l`'s S1 bits, a chunk per load, on one side of
+    /// the doorway. Outside: action 2 pings every neighbor neither pinged
+    /// nor acked, and the result is action 5's guard, "every neighbor
+    /// acked". Inside: action 6 spends a token on every missing fork, and
+    /// the result is action 9's guard, "every fork held". Sends go out in
+    /// slot order; neither action writes a bit the paired guard reads.
+    #[inline]
+    fn guard_pass(
         &mut self,
-        seed: u64,
-        delay_max: u64,
+        cfg: &ScaleConfig,
         now: u64,
         l: usize,
         owner: &[u8],
         out: &mut [Vec<(u64, u64)>],
-    ) {
-        if self.phase(l) != HUNGRY || self.inside(l) {
-            return;
-        }
-        for g in self.slots(l) {
-            if !self.get_flag(g, PINGED) && !self.get_flag(g, ACK) {
-                self.set_flag(g, PINGED, true);
-                self.send(seed, delay_max, now, l, g, K_PING, owner, out);
+        inside: bool,
+    ) -> bool {
+        let (spent, kind, needed) = if inside {
+            (TOKEN, K_REQUEST, FORK)
+        } else {
+            (PINGED, K_PING, ACK)
+        };
+        let (mut g, end) = (self.loff[l] as usize, self.loff[l + 1] as usize);
+        let mut every = true;
+        while g < end {
+            let count = (end - g).min(CHUNK);
+            let rep = REP >> (6 * (CHUNK - count));
+            let c = self.load_chunk(g, count);
+            let mut sending = rep
+                & if inside {
+                    at(c, TOKEN) & !at(c, FORK)
+                } else {
+                    !(at(c, PINGED) | at(c, ACK))
+                };
+            while sending != 0 {
+                let s = g + sending.trailing_zeros() as usize / 6;
+                self.set_flag(s, spent, !inside);
+                self.send(cfg.seed, cfg.delay_max, now, l, s, kind, owner, out);
+                sending &= sending - 1;
             }
+            every &= at(c, needed) & rep == rep;
+            g += count;
         }
+        every
     }
 
-    /// Action 5: enter the doorway once every neighbor acked (the scale
-    /// tier is fault-free, so the suspicion escape hatch never fires).
-    fn try_enter_doorway(&mut self, l: usize) {
-        if self.phase(l) != HUNGRY || self.inside(l) {
-            return;
-        }
-        if self.slots(l).all(|g| self.get_flag(g, ACK)) {
-            self.set_inside(l, true);
-            for g in self.slots(l) {
-                self.set_flag(g, ACK, false);
-                self.set_flag(g, REPLIED, false);
-            }
-        }
-    }
-
-    /// Action 6: inside the doorway, spend tokens on missing forks.
-    fn try_request_forks(
-        &mut self,
-        seed: u64,
-        delay_max: u64,
-        now: u64,
-        l: usize,
-        owner: &[u8],
-        out: &mut [Vec<(u64, u64)>],
-    ) {
-        if self.phase(l) != HUNGRY || !self.inside(l) {
-            return;
-        }
-        for g in self.slots(l) {
-            if self.get_flag(g, TOKEN) && !self.get_flag(g, FORK) {
-                self.set_flag(g, TOKEN, false);
-                self.send(seed, delay_max, now, l, g, K_REQUEST, owner, out);
-            }
-        }
-    }
-
-    /// Action 9: eat once every fork is held; emits marks, checks overlap
-    /// against stored neighbor intervals (detection site 2), schedules the
-    /// session end.
-    fn try_eat(
+    /// The internal guards in enabling order 2 → 5 → 6 → 9, evaluated on
+    /// the S1 words themselves. Action 5 touches ACK and REPLIED only (the
+    /// scale tier is fault-free, so its suspicion escape hatch never
+    /// fires), so entering the doorway falls through to 6 with nothing stale.
+    fn internal_actions(
         &mut self,
         cfg: &ScaleConfig,
         now: u64,
@@ -561,12 +555,33 @@ impl ShardState {
         owner: &[u8],
         out: &mut [Vec<(u64, u64)>],
     ) {
-        if self.phase(l) != HUNGRY || !self.inside(l) {
+        if self.phase(l) != HUNGRY {
             return;
         }
-        if !self.slots(l).all(|g| self.get_flag(g, FORK)) {
-            return;
+        if !self.inside(l) {
+            if !self.guard_pass(cfg, now, l, owner, out, false) {
+                return;
+            }
+            self.set_inside(l, true);
+            for g in self.slots(l) {
+                self.set_flag(g, ACK | REPLIED, false);
+            }
         }
+        if self.guard_pass(cfg, now, l, owner, out, true) {
+            self.start_eating(cfg, now, l, owner, out);
+        }
+    }
+
+    /// Action 9's effect: emits marks, checks overlap against stored
+    /// neighbor intervals (detection site 2), schedules the session end.
+    fn start_eating(
+        &mut self,
+        cfg: &ScaleConfig,
+        now: u64,
+        l: usize,
+        owner: &[u8],
+        out: &mut [Vec<(u64, u64)>],
+    ) {
         self.set_phase(l, EATING);
         let me = self.members[l];
         let dur = ranged(cfg.seed, eat_salt(), me, self.eats[l], cfg.eat);
@@ -605,20 +620,6 @@ impl ShardState {
                 out[dst].push((now + 1, word));
             }
         }
-    }
-
-    fn internal_actions(
-        &mut self,
-        cfg: &ScaleConfig,
-        now: u64,
-        l: usize,
-        owner: &[u8],
-        out: &mut [Vec<(u64, u64)>],
-    ) {
-        self.try_request_acks(cfg.seed, cfg.delay_max, now, l, owner, out);
-        self.try_enter_doorway(l);
-        self.try_request_forks(cfg.seed, cfg.delay_max, now, l, owner, out);
-        self.try_eat(cfg, now, l, owner, out);
     }
 
     /// Action 10: exit — grant deferred requests and pings, go thinking.
@@ -1130,10 +1131,9 @@ impl InteractiveScale {
     /// event-bearing ticks have been processed, appending observed eat
     /// transitions to `obs`. Returns the number of ticks processed.
     pub fn step(&mut self, max_ticks: u64, obs: &mut Vec<EatObs>) -> u64 {
-        let color_table = self.kernel.colors();
-        let cfg = self.kernel.config.clone();
-        let PackedKernel { owner, shards, .. } = &mut self.kernel;
-        let shard = &mut shards[0];
+        let kernel = &mut self.kernel;
+        let (cfg, colors, owner) = (&kernel.config, &kernel.colors, &kernel.owner);
+        let shard = &mut kernel.shards[0];
         let mut ticks = 0u64;
         while ticks < max_ticks {
             let next = shard.next_event_after(self.now);
@@ -1141,7 +1141,7 @@ impl InteractiveScale {
                 break;
             }
             self.now = next;
-            shard.process_tick(&cfg, &color_table, owner, next, &mut self.out_scratch);
+            shard.process_tick(cfg, colors, owner, next, &mut self.out_scratch);
             debug_assert!(
                 self.out_scratch[0].is_empty(),
                 "single shard never emits cross-shard events"
@@ -1166,6 +1166,260 @@ impl InteractiveScale {
     pub fn finish(self) -> ScaleRunReport {
         let now = self.now;
         self.kernel.into_report(now, 0)
+    }
+}
+
+#[cfg(test)]
+mod guard_tests {
+    use super::*;
+    use ekbd_graph::coloring;
+
+    /// The four per-slot guard walks `guard_pass` replaced, kept as the
+    /// reference it is tested against. They read and write one bit at a
+    /// time, so they share nothing with `load_chunk` and `set_flag`.
+    impl ShardState {
+        fn ref_get(&self, g: usize, f: u8) -> bool {
+            let bit = g * 6 + f.trailing_zeros() as usize;
+            self.flags[bit / 64] >> (bit % 64) & 1 != 0
+        }
+
+        fn ref_set(&mut self, g: usize, f: u8, v: bool) {
+            let bit = g * 6 + f.trailing_zeros() as usize;
+            self.flags[bit / 64] &= !(1 << (bit % 64));
+            self.flags[bit / 64] |= (v as u64) << (bit % 64);
+        }
+
+        /// Action 2: while hungry outside, ping neighbors missing an ack.
+        fn try_request_acks(
+            &mut self,
+            cfg: &ScaleConfig,
+            now: u64,
+            l: usize,
+            owner: &[u8],
+            out: &mut [Vec<(u64, u64)>],
+        ) {
+            if self.phase(l) != HUNGRY || self.inside(l) {
+                return;
+            }
+            for g in self.slots(l) {
+                if !self.ref_get(g, PINGED) && !self.ref_get(g, ACK) {
+                    self.ref_set(g, PINGED, true);
+                    self.send(cfg.seed, cfg.delay_max, now, l, g, K_PING, owner, out);
+                }
+            }
+        }
+
+        /// Action 5: enter the doorway once every neighbor acked.
+        fn try_enter_doorway(&mut self, l: usize) {
+            if self.phase(l) != HUNGRY || self.inside(l) {
+                return;
+            }
+            if self.slots(l).all(|g| self.ref_get(g, ACK)) {
+                self.set_inside(l, true);
+                for g in self.slots(l) {
+                    self.ref_set(g, ACK, false);
+                    self.ref_set(g, REPLIED, false);
+                }
+            }
+        }
+
+        /// Action 6: inside the doorway, spend tokens on missing forks.
+        fn try_request_forks(
+            &mut self,
+            cfg: &ScaleConfig,
+            now: u64,
+            l: usize,
+            owner: &[u8],
+            out: &mut [Vec<(u64, u64)>],
+        ) {
+            if self.phase(l) != HUNGRY || !self.inside(l) {
+                return;
+            }
+            for g in self.slots(l) {
+                if self.ref_get(g, TOKEN) && !self.ref_get(g, FORK) {
+                    self.ref_set(g, TOKEN, false);
+                    self.send(cfg.seed, cfg.delay_max, now, l, g, K_REQUEST, owner, out);
+                }
+            }
+        }
+
+        /// Action 9: eat once every fork is held.
+        fn try_eat(
+            &mut self,
+            cfg: &ScaleConfig,
+            now: u64,
+            l: usize,
+            owner: &[u8],
+            out: &mut [Vec<(u64, u64)>],
+        ) {
+            if self.phase(l) != HUNGRY || !self.inside(l) {
+                return;
+            }
+            if self.slots(l).all(|g| self.ref_get(g, FORK)) {
+                self.start_eating(cfg, now, l, owner, out);
+            }
+        }
+
+        fn reference_internal_actions(
+            &mut self,
+            cfg: &ScaleConfig,
+            now: u64,
+            l: usize,
+            owner: &[u8],
+            out: &mut [Vec<(u64, u64)>],
+        ) {
+            self.try_request_acks(cfg, now, l, owner, out);
+            self.try_enter_doorway(l);
+            self.try_request_forks(cfg, now, l, owner, out);
+            self.try_eat(cfg, now, l, owner, out);
+        }
+
+        /// Everything an internal action can touch.
+        fn touched(&self) -> impl PartialEq + std::fmt::Debug + '_ {
+            (
+                (&self.header, &self.flags, &self.seq, &self.last_del),
+                (&self.wheel, self.pending, self.messages, self.mistakes),
+                (&self.eat_start, &self.eat_end, &self.latency, &self.obs),
+            )
+        }
+    }
+
+    /// Shard 0 holds two hubs: process 0 with `pad` leaves, whose slots
+    /// only push the subject's along the flag words, and the subject,
+    /// process 1, with `degree` leaves — so its first slot sits at bit
+    /// `6 · pad` and its last is the shard's last. The leaves live on
+    /// shard 1, which puts every send, in order, into `out[1]`.
+    fn fixture(pad: usize, degree: usize) -> PackedKernel {
+        let n = 2 + pad + degree;
+        let pairs: Vec<(usize, usize)> = (0..pad)
+            .map(|i| (0, 2 + i))
+            .chain((0..degree).map(|j| (1, 2 + pad + j)))
+            .collect();
+        let g = ConflictGraph::from_pairs(n, &pairs);
+        let part = Partition {
+            assignment: (0..n).map(|p| (p >= 2) as u32).collect(),
+            shards: 2,
+        };
+        PackedKernel::new(&g, &coloring::greedy(&g), &part, ScaleConfig::default())
+    }
+
+    /// Fills every slot of `shard` with seeded random flags, then bends the
+    /// subject's towards the cases a uniform draw almost never produces at
+    /// high degree: every neighbor acked, every fork held, all but one.
+    fn scramble(shard: &mut ShardState, seed: u64, bend: u64) {
+        let mut rng = seed;
+        let mut next = move || {
+            rng = splitmix(rng);
+            rng
+        };
+        for g in 0..shard.ladj.len() {
+            let six = next();
+            for b in 0..6 {
+                shard.ref_set(g, 1 << b, six >> b & 1 != 0);
+            }
+        }
+        let subject = shard.slots(1);
+        for g in subject.clone() {
+            if bend & 1 != 0 {
+                shard.ref_set(g, ACK, true);
+            }
+            if bend & 2 != 0 {
+                shard.ref_set(g, FORK, true);
+            }
+        }
+        if bend & 4 != 0 && !subject.is_empty() {
+            let g = subject.start + next() as usize % subject.len();
+            shard.ref_set(g, ACK, false);
+            shard.ref_set(g, FORK, false);
+        }
+    }
+
+    /// Runs one internal-action step of the subject on a fresh fixture,
+    /// through the reference or through the pass.
+    fn step_subject(
+        (degree, pad, header, bend): (usize, usize, u8, u64),
+        reference: bool,
+    ) -> (PackedKernel, Vec<Vec<(u64, u64)>>) {
+        let mut kernel = fixture(pad, degree);
+        let shard = &mut kernel.shards[0];
+        let seed = mix3(24, degree as u64, pad as u64, (header as u64) << 3 | bend);
+        scramble(shard, seed, bend);
+        shard.header[1] = header;
+        let mut out = vec![Vec::new(); 2];
+        if reference {
+            shard.reference_internal_actions(&kernel.config, 5, 1, &kernel.owner, &mut out);
+        } else {
+            shard.internal_actions(&kernel.config, 5, 1, &kernel.owner, &mut out);
+        }
+        (kernel, out)
+    }
+
+    #[test]
+    fn guard_pass_equals_the_per_slot_reference() {
+        let headers = [THINKING, HUNGRY, EATING].map(|p| [p, p | INSIDE]);
+        let (mut enters, mut eats) = (0, 0);
+        for degree in 0..=25 {
+            for pad in 0..32 {
+                for header in headers.as_flattened() {
+                    // Only a hungry process gets past the phase test.
+                    let bends = if header & 0x3 == HUNGRY { 8 } else { 1 };
+                    for bend in 0..bends {
+                        let case = (degree, pad, *header, bend);
+                        let (want, want_out) = step_subject(case, true);
+                        let (got, got_out) = step_subject(case, false);
+                        assert_eq!(got_out, want_out, "sends, {case:?}");
+                        assert_eq!(
+                            got.shards[0].touched(),
+                            want.shards[0].touched(),
+                            "state, {case:?}"
+                        );
+                        let after = want.shards[0].header[1];
+                        enters += (*header == HUNGRY && after & INSIDE != 0) as u32;
+                        eats += (header & 0x3 == HUNGRY && after & 0x3 == EATING) as u32;
+                    }
+                }
+            }
+        }
+        assert!(
+            enters > 1000 && eats > 1000,
+            "too few decisions taken: {enters} doorway entries, {eats} eats"
+        );
+    }
+
+    #[test]
+    fn load_chunk_and_flag_accessors_equal_bitwise_reads_at_every_offset() {
+        let mut kernel = fixture(32, 25);
+        let shard = &mut kernel.shards[0];
+        scramble(shard, 7, 0);
+        let slots = shard.ladj.len();
+        for g in 0..slots {
+            for count in 0..=CHUNK.min(slots - g) {
+                let mut want = 0u64;
+                for i in 0..count {
+                    for b in 0..6 {
+                        want |= (shard.ref_get(g + i, 1 << b) as u64) << (6 * i + b);
+                    }
+                }
+                assert_eq!(shard.load_chunk(g, count), want, "slot {g}, count {count}");
+            }
+            for f in 1..64u8 {
+                let one = 1 << f.trailing_zeros();
+                assert_eq!(
+                    shard.get_flag(g, one),
+                    shard.ref_get(g, one),
+                    "slot {g}, flag {one}"
+                );
+                for v in [false, true] {
+                    let before = shard.flags.clone();
+                    for b in (0..6).filter(|b| f >> b & 1 != 0) {
+                        shard.ref_set(g, 1 << b, v);
+                    }
+                    let want = std::mem::replace(&mut shard.flags, before);
+                    shard.set_flag(g, f, v);
+                    assert_eq!(shard.flags, want, "slot {g}, mask {f:#08b}, value {v}");
+                }
+            }
+        }
     }
 }
 
@@ -1226,43 +1480,46 @@ mod interactive_tests {
     use super::*;
     use ekbd_graph::{coloring, topology};
 
+    /// Ring-12 is one partial guard chunk per process; clique-12 (degree
+    /// 11) is a full chunk and a second of one slot.
     #[test]
     fn interactive_kernel_starts_quiescent_and_serves_injections() {
-        let g = topology::ring(12);
-        let colors = coloring::greedy(&g);
-        let mut ik = InteractiveScale::new(&g, &colors, ScaleConfig::default().seed(9));
-        assert!(!ik.has_pending(), "no batch workload may be pre-scheduled");
-        let mut obs = Vec::new();
-        assert_eq!(ik.step(1_000, &mut obs), 0);
-        assert!(obs.is_empty());
+        for g in [topology::ring(12), topology::clique(12)] {
+            let colors = coloring::greedy(&g);
+            let mut ik = InteractiveScale::new(&g, &colors, ScaleConfig::default().seed(9));
+            assert!(!ik.has_pending(), "no batch workload may be pre-scheduled");
+            let mut obs = Vec::new();
+            assert_eq!(ik.step(1_000, &mut obs), 0);
+            assert!(obs.is_empty());
 
-        for p in 0..12u32 {
-            assert!(ik.inject_hungry(p));
-            assert!(!ik.inject_hungry(p), "double injection must be refused");
-        }
-        while ik.has_pending() {
-            ik.step(10_000, &mut obs);
-        }
-        let starts = obs.iter().filter(|o| o.started).count();
-        let stops = obs.iter().filter(|o| !o.started).count();
-        assert_eq!(starts, 12, "every injected process eats exactly once");
-        assert_eq!(stops, 12, "every session ends");
+            for p in 0..12u32 {
+                assert!(ik.inject_hungry(p));
+                assert!(!ik.inject_hungry(p), "double injection must be refused");
+            }
+            while ik.has_pending() {
+                ik.step(10_000, &mut obs);
+            }
+            let starts = obs.iter().filter(|o| o.started).count();
+            let stops = obs.iter().filter(|o| !o.started).count();
+            assert_eq!(starts, 12, "every injected process eats exactly once");
+            assert_eq!(stops, 12, "every session ends");
 
-        // Second round: everyone is thinking again, injections re-admit.
-        let before = ik.now();
-        for p in 0..12u32 {
-            assert!(
-                ik.inject_hungry(p),
-                "process {p} should accept a second meal"
-            );
+            // Second round: everyone is thinking again, injections re-admit.
+            let before = ik.now();
+            for p in 0..12u32 {
+                assert!(
+                    ik.inject_hungry(p),
+                    "process {p} should accept a second meal"
+                );
+            }
+            while ik.has_pending() {
+                ik.step(10_000, &mut obs);
+            }
+            assert!(ik.now() > before);
+            let report = ik.finish();
+            assert_eq!(report.mistakes, 0);
+            assert!(report.eats.iter().all(|&e| e == 2));
         }
-        while ik.has_pending() {
-            ik.step(10_000, &mut obs);
-        }
-        assert!(ik.now() > before);
-        let report = ik.finish();
-        assert_eq!(report.mistakes, 0);
-        assert!(report.eats.iter().all(|&e| e == 2));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Sharded-kernel golden gate (scale-tier satellite): shard-count
-//! invariance, rerun byte-identity, and cross-check against the legacy
-//! engine's semantics on small graphs.
+//! invariance, rerun byte-identity, a committed table of literal
+//! fingerprints, and cross-check against the legacy engine's semantics on
+//! small graphs.
 //!
 //! The packed kernel promises that its result is a pure function of
 //! `(graph, colors, seed)` — the shard count and thread interleaving must

@@ -17,6 +17,9 @@
 # Build each tree once into its own target directory
 # (`CARGO_TARGET_DIR=… cargo build --release --offline --manifest-path
 # perfbench/Cargo.toml`) and copy `release/perfbench` out first.
+# For an A/A row — what this host makes of two sides that do not differ —
+# pass the same executable (or two copies of it) as both PARENT_EXE and
+# CHANGE_EXE; a claimed ratio has to stand clear of the one that prints.
 # Exits 1 if any run failed an operation or a check.
 set -euo pipefail
 
@@ -32,7 +35,7 @@ while [[ $# -gt 0 && $1 == --* ]]; do
     esac
 done
 if [[ $# -lt 4 ]]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3
@@ -100,6 +103,14 @@ function quantile(side, m, q,    n, i, j, t, a, pos, lo) {
     if (lo >= n) return a[n]
     return a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
 }
+# The best of the n values collected for (side, metric): the highest of
+# `cycles_per_s`, the lowest of every other metric in the summary.
+function best(side, m,    i, b) {
+    b = val[side, m, 1]
+    for (i = 2; i <= count[side, m]; i++)
+        if (m == "cycles_per_s" ? val[side, m, i] > b : val[side, m, i] < b) b = val[side, m, i]
+    return b
+}
 function listed(side, m,    i, s) {
     s = ""
     for (i = 1; i <= count[side, m]; i++) s = s (i > 1 ? " · " : "") fmt(val[side, m, i])
@@ -125,8 +136,8 @@ END {
             fmt(at["parent", p, "cpu_us_per_cycle"]), fmt(at["change", p, "cpu_us_per_cycle"])
     }
     print ""
-    print "| metric | parent median (q1 – q3) | change median (q1 – q3) | change / parent | pairs where change is higher · lower · equal |"
-    print "|---|---|---|---|---|"
+    print "| metric | parent median (q1 – q3) | change median (q1 – q3) | change / parent | pairs where change is higher · lower · equal | parent best | change best |"
+    print "|---|---|---|---|---|---|---|"
     split("cycles_per_s setup_s peak_rss_kb cpu_us_per_cycle failed_ratio checks_failed", heads, " ")
     for (h = 1; h <= 6; h++) {
         m = heads[h]
@@ -137,10 +148,11 @@ END {
             if (d > 0) hi++; else if (d < 0) lo++; else eq++
         }
         pm = quantile("parent", m, 0.5); cm = quantile("change", m, 0.5)
-        printf "| `%s` | %s (%s – %s) | %s (%s – %s) | %s | %d · %d · %d |\n", m,
+        printf "| `%s` | %s (%s – %s) | %s (%s – %s) | %s | %d · %d · %d | %s | %s |\n", m,
             fmt(pm), fmt(quantile("parent", m, 0.25)), fmt(quantile("parent", m, 0.75)),
             fmt(cm), fmt(quantile("change", m, 0.25)), fmt(quantile("change", m, 0.75)),
-            (pm > 0 ? sprintf("%.3f", cm / pm) : "—"), hi, lo, eq
+            (pm > 0 ? sprintf("%.3f", cm / pm) : "—"), hi, lo, eq,
+            fmt(best("parent", m)), fmt(best("change", m))
     }
     if (trace != 1) exit
     print ""
