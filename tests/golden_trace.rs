@@ -15,27 +15,37 @@
 //! queue/interning code, so equality here means the rewrite changed the
 //! kernel's cost, not its behavior.
 
-use ekbd::harness::{Campaign, Scenario, Workload};
+use ekbd::harness::{Campaign, RunReport, Scenario, Workload};
 use ekbd::sim::{EngineKind, FaultPlan, ProcessId, Time, TraceEvent};
+use ekbd_chaos::{FaultSchedule, Intensity};
 use ekbd_link::LinkConfig;
 
 fn p(i: usize) -> ProcessId {
     ProcessId::from(i)
 }
 
-/// FNV-1a over the debug rendering of the full trace: stable, dependency
-/// free, and sensitive to every field of every event.
-fn trace_hash(trace: &[TraceEvent]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for ev in trace {
-        for b in format!("{ev:?}").bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= b'\n' as u64;
+/// One FNV-1a step over `bytes`.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over the debug rendering of each item, newline-separated:
+/// stable, dependency free, and sensitive to every field of every item.
+fn debug_hash<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
+    items.into_iter().fold(FNV_SEED, |h, item| {
+        fnv(fnv(h, format!("{item:?}").as_bytes()), b"\n")
+    })
+}
+
+/// FNV-1a over the debug rendering of the full trace.
+fn trace_hash(trace: &[TraceEvent]) -> u64 {
+    debug_hash(trace)
 }
 
 /// The E-suite's fault configurations, each applied to the given base
@@ -210,6 +220,79 @@ fn journaling_without_restarts_is_trace_invisible() {
             "{label}: trace hashes must match"
         );
     }
+}
+
+/// Everything a chaos run reports, as one line: the scheduling events,
+/// kernel counters, link and recovery counters, restart logs,
+/// readmissions, every journal byte and the full kernel trace.
+fn chaos_digest(r: &RunReport) -> String {
+    let journals = r.journals.iter().fold(FNV_SEED, |h, records| {
+        records
+            .iter()
+            .fold(fnv(h, b"|"), |h, rec| fnv(fnv(h, rec), b"\n"))
+    });
+    format!(
+        "events={} eats={} sched#{:016x} link#{:016x} recovery#{:016x} restarts#{:016x} \
+         readmit#{:016x} journals={}#{:016x} trace={}#{:016x}",
+        r.events_processed,
+        r.total_eat_sessions(),
+        debug_hash(&r.events),
+        debug_hash([r.link]),
+        debug_hash([r.recovery]),
+        debug_hash(&r.restart_logs),
+        debug_hash(r.readmissions()),
+        r.journals.iter().map(Vec::len).sum::<usize>(),
+        journals,
+        r.kernel_trace.len(),
+        trace_hash(&r.kernel_trace),
+    )
+}
+
+/// Literal digests of the 16 schedules the `sim-chaos` benchmark sweeps
+/// (generator seeds 1..=4 on four graphs, `Intensity::default_mix`),
+/// committed against the link, recovery and journal layers before their
+/// per-event path was made allocation-free. The engine comparisons above
+/// run the same link, recovery and journal code on both sides, so a
+/// refactor that changed those layers consistently would pass them; this
+/// table holds their behaviour absolutely.
+#[test]
+fn chaos_stack_matches_the_committed_digests() {
+    let table: [(&str, u64, &str); 16] = [
+        ("ring-8", 1, "events=58720 eats=64 sched#b05609f8774293ac link#995803ca6796db2c recovery#701383188d30334b restarts#1d4a2d25a372bfe5 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=93576#106a034c0ec849df"),
+        ("clique-6", 1, "events=90480 eats=44 sched#b73e0bc1760a64a7 link#5a8ec0f77987ebda recovery#8fc283196589c5f0 restarts#c967a39f2826ef35 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=149588#95672a50d4e20d03"),
+        ("grid-3x4", 1, "events=130620 eats=95 sched#c862d9fafba26960 link#69e60727e2ce4267 recovery#74693b77beb38a28 restarts#fe165f1569416d85 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=212045#e4c9e6853c0ac750"),
+        ("gnp-12-0.3", 1, "events=239392 eats=94 sched#122f5f19ad5fa8ac link#7634609f7be2b96a recovery#be0b957c20fb5156 restarts#fe165f1569416d85 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=396704#b9bb6e90fd3fa6f7"),
+        ("ring-8", 2, "events=56616 eats=80 sched#f8624faf570472a1 link#c2b15e682312307c recovery#321978ded376165d restarts#bf5a2821a4c02dd5 readmit#d7426bab37496552 journals=0#cbf29ce484222325 trace=89803#e314e1cabb5ba430"),
+        ("clique-6", 2, "events=86327 eats=64 sched#949baebe24b65c40 link#2a8189454f51be93 recovery#0db9e55a5d9ed9d4 restarts#218feb01b336ac03 readmit#9428cf2541c0686f journals=0#cbf29ce484222325 trace=141671#8f2af65012e85c37"),
+        ("grid-3x4", 2, "events=132940 eats=112 sched#e00a9cba0aa6e2af link#76acbcac205d5bfb recovery#a3e5affae01d28b9 restarts#f810831f7ce88ed3 readmit#7b52ceb435033e5d journals=0#cbf29ce484222325 trace=215358#4aab3a388ccd7234"),
+        ("gnp-12-0.3", 2, "events=222457 eats=112 sched#2e4f83098799814b link#d5d5e3051f864af2 recovery#bd35d0742c58a3b5 restarts#f810831f7ce88ed3 readmit#e9efacd0b21782cc journals=0#cbf29ce484222325 trace=366644#13318d325d961c8c"),
+        ("ring-8", 3, "events=60322 eats=76 sched#d9515bb4665181d4 link#0c0a7a2510bfe576 recovery#6fa1ec94046ddf05 restarts#93202689b12dc397 readmit#55e946e1c80ffd27 journals=0#cbf29ce484222325 trace=96966#10d5115680cc6323"),
+        ("clique-6", 3, "events=93144 eats=64 sched#e4fda8c46fa06307 link#acf7b0efdb5b36f3 recovery#fec3bd2381f63704 restarts#17b7ea825fb87565 readmit#e522ced5aa4dd422 journals=0#cbf29ce484222325 trace=154089#3979ddb1ae71b6ee"),
+        ("grid-3x4", 3, "events=134898 eats=105 sched#4f4e1fc65ef62742 link#3e35abb2bad5281c recovery#dc6bfed3f11e78f1 restarts#037be2c94947e22f readmit#ff42ad76ad241443 journals=0#cbf29ce484222325 trace=220836#d1cf37650ec3a608"),
+        ("gnp-12-0.3", 3, "events=247418 eats=98 sched#6135e7134417a1c6 link#4bd27af69bce3545 recovery#3a6bf2cb142b6f5e restarts#037be2c94947e22f readmit#f85ee5c2d831e9ac journals=0#cbf29ce484222325 trace=413139#b26fdc9c34d17cbe"),
+        ("ring-8", 4, "events=57731 eats=80 sched#5a67fe9c5481702c link#2e3137a64c624806 recovery#d7adc032524c97fd restarts#e3d6fe48865bd7f4 readmit#af1e73b54f0397da journals=90#622f077090c05149 trace=91399#919d1c20bf5e3b0b"),
+        ("clique-6", 4, "events=88321 eats=64 sched#767553646838e951 link#e994fddf5293c747 recovery#aff0154169b425f0 restarts#a84d2a5c893505c7 readmit#86b24b7c653f431a journals=77#ae9fd3c4aaad9447 trace=144562#21cdd94fc370ca8b"),
+        ("grid-3x4", 4, "events=134711 eats=112 sched#beb5b82a37a1fb84 link#daff7b3a940f2c3b recovery#e4ff176979969525 restarts#83c5f48cd3ab94c1 readmit#5811d4bb747d447d journals=121#a6ee93227fee5504 trace=217686#02dc0b78a67da7fa"),
+        ("gnp-12-0.3", 4, "events=217714 eats=112 sched#9654538c376ea408 link#96d0c6a56c60e5ef recovery#8eb786455ca20f60 restarts#9a1742e7505a6da2 readmit#3587348f46b3e7ee journals=135#f1a4c2bc1d82479c trace=357495#6b6a173331420578"),
+    ];
+    let mut wrong = Vec::new();
+    for (topology, seed, want) in table {
+        let schedule = FaultSchedule::generate(topology, seed, &Intensity::default_mix())
+            .expect("the generator makes valid schedules");
+        let report = Scenario::chaos(&schedule)
+            .expect("a generated schedule is valid")
+            .record_trace(true)
+            .run_recoverable();
+        let got = chaos_digest(&report);
+        if got != want {
+            wrong.push(format!("(\"{topology}\", {seed}, \"{got}\"),"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "chaos digests moved; the runs now read:\n{}",
+        wrong.join("\n")
+    );
 }
 
 #[test]
