@@ -485,7 +485,12 @@ fn cmd_run_scale(parsed: &Parsed, shards: usize) -> Result<(), ArgError> {
             8191,
             "lo:hi ticks with 1 <= lo <= hi <= 8191 (the packed event word's aux field)",
         ),
-        ("--think", think, u64::MAX, "lo:hi ticks with 1 <= lo <= hi"),
+        (
+            "--think",
+            think,
+            65_535,
+            "lo:hi ticks with 1 <= lo <= hi <= 65535 (the timer wheel keeps one slot per tick)",
+        ),
     ] {
         if lo == 0 || lo > hi || hi > max {
             return Err(ArgError::BadValue {
@@ -1636,10 +1641,20 @@ mod tests {
     #[test]
     fn scale_tier_refuses_bad_ranges_instead_of_panicking() {
         // `ScaleConfig::validate` asserts on each of these, so the CLI must
-        // answer first, with the flag's name.
+        // answer first, with the flag's name. The timer wheel keeps one
+        // slot per tick of the longest think, so an unbounded `--think`
+        // asked for ≈ 240 GB at 10^10 ticks.
         for (args, flag) in [
             ("--think 0:5", "--think"),
             ("--think 9:3", "--think"),
+            (
+                "--think 1:65536",
+                "--think: expected lo:hi ticks with 1 <= lo <= hi <= 65535",
+            ),
+            (
+                "--think 1:10000000000",
+                "--think: expected lo:hi ticks with 1 <= lo <= hi <= 65535",
+            ),
             ("--eat 0:5", "--eat"),
             ("--eat 9:3", "--eat"),
             ("--eat 1:8192", "--eat"),
@@ -1651,7 +1666,7 @@ mod tests {
             assert!(err.contains(flag), "{args}: {err}");
         }
         cmd_run(&parsed(
-            "run --topology ring:8 --shards 1 --think 1:1 --eat 8191:8191",
+            "run --topology ring:8 --shards 1 --think 65535:65535 --eat 8191:8191",
         ))
         .unwrap();
     }

@@ -74,7 +74,6 @@ use ekbd_detector::SuspicionView;
 use ekbd_graph::coloring::Color;
 use ekbd_graph::{ConflictGraph, ProcessId};
 use ekbd_journal::{BootPath, EdgeRecord, JournalHandle, JournalRecord, ResyncPath};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Wire messages of the crash-recovery layer: Algorithm 1's messages
 /// wrapped with incarnation stamps, plus the rejoin handshake and the
@@ -343,14 +342,16 @@ pub struct RecoverableDining {
     /// (0 when the last restart went blank) — echoed in
     /// [`RecoveryMsg::JournalResume`] for the staleness comparison.
     resume_seq: u64,
-    edges: BTreeMap<ProcessId, EdgeState>,
+    /// `edges[i]` is the recovery state of the edge to `peers[i].0`; one
+    /// binary search over `peers` ([`slot`](Self::slot)) reaches both.
+    edges: Vec<EdgeState>,
     /// Neighbors that crash-stopped out of the system permanently (dynamic
-    /// membership). Departed peers count as suspected in every inner guard
-    /// and their edges are excluded from the audit exchange; the local
-    /// audit pass remints a fork the dead peer took with it. The set is
-    /// membership *configuration*, not volatile protocol state, so — like
-    /// `peers` — it survives [`DiningAlgorithm::restart`].
-    departed: BTreeSet<ProcessId>,
+    /// membership), sorted. Departed peers count as suspected in every
+    /// inner guard and their edges are excluded from the audit exchange;
+    /// the local audit pass remints a fork the dead peer took with it. The
+    /// set is membership *configuration*, not volatile protocol state, so
+    /// — like `peers` — it survives [`DiningAlgorithm::restart`].
+    departed: Vec<ProcessId>,
     stats: RecoveryStats,
     /// The current life began with [`DiningAlgorithm::join`] (runtime
     /// admission) rather than genesis or a crash-recovery restart. A
@@ -364,6 +365,12 @@ pub struct RecoverableDining {
     journal: Option<JournalHandle>,
     /// One entry per restart, tagged with the path it took.
     restarts: Vec<RestartEvent>,
+    /// Working buffers reused across entry points, never protocol state:
+    /// the inner machine's sends before [`forward`](Self::forward) wraps
+    /// them, and the journal record's edges and encoding.
+    raw: Vec<(ProcessId, DiningMsg)>,
+    edge_records: Vec<EdgeRecord>,
+    record_bytes: Vec<u8>,
 }
 
 /// The local suspicion oracle unioned with the permanently departed
@@ -375,12 +382,12 @@ pub struct RecoverableDining {
 /// the dead edge.
 struct WithDeparted<'a> {
     base: &'a dyn SuspicionView,
-    departed: &'a BTreeSet<ProcessId>,
+    departed: &'a [ProcessId],
 }
 
 impl SuspicionView for WithDeparted<'_> {
     fn suspects(&self, q: ProcessId) -> bool {
-        self.departed.contains(&q) || self.base.suspects(q)
+        self.departed.binary_search(&q).is_ok() || self.base.suspects(q)
     }
 }
 
@@ -404,10 +411,7 @@ impl RecoverableDining {
         peers.sort_unstable_by_key(|&(q, _)| q);
         let mut inner = DiningProcess::new(id, color, peers.iter().copied());
         inner.harden();
-        let edges = peers
-            .iter()
-            .map(|&(q, _)| (q, EdgeState::fresh(true)))
-            .collect();
+        let edges = vec![EdgeState::fresh(true); peers.len()];
         RecoverableDining {
             inner,
             id,
@@ -419,12 +423,15 @@ impl RecoverableDining {
             boot: BootPath::Genesis,
             resume_seq: 0,
             edges,
-            departed: BTreeSet::new(),
+            departed: Vec::new(),
             stats: RecoveryStats::default(),
             joined_this_life: false,
             strikes: DEFAULT_STRIKES,
             journal: None,
             restarts: Vec::new(),
+            raw: Vec::new(),
+            edge_records: Vec::new(),
+            record_bytes: Vec::new(),
         }
     }
 
@@ -492,12 +499,12 @@ impl RecoverableDining {
     /// Whether the edge to `q` has an authoritative fork/token assignment
     /// (false only mid-rejoin after a restart of this process).
     pub fn edge_synced(&self, q: ProcessId) -> bool {
-        self.edges[&q].synced
+        self.edges[self.slot(q)].synced
     }
 
     /// Whether `q` is marked as permanently departed (crash-stop leave).
     pub fn peer_is_departed(&self, q: ProcessId) -> bool {
-        self.departed.contains(&q)
+        self.departed.binary_search(&q).is_ok()
     }
 
     /// Current sorted `(neighbor, color)` configuration — shrinks and grows
@@ -516,12 +523,15 @@ impl RecoverableDining {
         self.inner.holds_token(q)
     }
 
-    fn peer_color(&self, q: ProcessId) -> Color {
-        let i = self
-            .peers
-            .binary_search_by_key(&q, |&(p, _)| p)
-            .unwrap_or_else(|_| panic!("{q} is not a neighbor of {}", self.id));
-        self.peers[i].1
+    /// The index of neighbor `q` in `peers` and `edges`, if it is one.
+    fn find(&self, q: ProcessId) -> Option<usize> {
+        self.peers.binary_search_by_key(&q, |&(p, _)| p).ok()
+    }
+
+    /// The index of neighbor `q` in `peers` and `edges`.
+    fn slot(&self, q: ProcessId) -> usize {
+        self.find(q)
+            .unwrap_or_else(|| panic!("{q} is not a neighbor of {}", self.id))
     }
 
     /// The initial-placement rule of §3.1, as `(my_fork, my_token)`:
@@ -536,11 +546,12 @@ impl RecoverableDining {
     /// the authoritative state).
     fn forward(
         &mut self,
-        raw: Vec<(ProcessId, DiningMsg)>,
+        raw: &mut Vec<(ProcessId, DiningMsg)>,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        for (q, msg) in raw {
-            let e = self.edges.get_mut(&q).expect("neighbor");
+        for (q, msg) in raw.drain(..) {
+            let i = self.slot(q);
+            let e = &mut self.edges[i];
             if e.synced {
                 if matches!(msg, DiningMsg::Fork | DiningMsg::Request { .. }) {
                     e.activity += 1;
@@ -585,12 +596,23 @@ impl RecoverableDining {
         self.departed = departed;
     }
 
+    /// Feeds `input` to the inner machine and forwards its sends.
+    fn step_inner(
+        &mut self,
+        input: DiningInput<DiningMsg>,
+        suspicion: &dyn SuspicionView,
+        sends: &mut Vec<(ProcessId, RecoveryMsg)>,
+    ) {
+        let mut raw = std::mem::take(&mut self.raw);
+        self.inner_handle(input, suspicion, &mut raw);
+        self.forward(&mut raw, sends);
+        self.raw = raw;
+    }
+
     /// Re-evaluates the inner machine's guarded commands (Actions 2/5/6/9)
     /// after recovery-layer state surgery.
     fn poke(&mut self, suspicion: &dyn SuspicionView, sends: &mut Vec<(ProcessId, RecoveryMsg)>) {
-        let mut raw = Vec::new();
-        self.inner_handle(DiningInput::SuspicionChange, suspicion, &mut raw);
-        self.forward(raw, sends);
+        self.step_inner(DiningInput::SuspicionChange, suspicion, sends);
     }
 
     /// Handles a rejoin announcement. `stale` is set when this call
@@ -605,7 +627,8 @@ impl RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        let known = self.edges[&from].peer_inc;
+        let i = self.slot(from);
+        let known = self.edges[i].peer_inc;
         if rinc < known {
             self.stats.stale_dropped += 1;
             return;
@@ -618,13 +641,11 @@ impl RecoverableDining {
             let (my_fork, my_token) = if self.inner.state() == DinerState::Eating {
                 (true, false)
             } else {
-                self.canonical(self.peer_color(from))
+                self.canonical(self.peers[i].1)
             };
-            {
-                let e = self.edges.get_mut(&from).expect("neighbor");
-                e.peer_inc = rinc;
-                e.clear_strikes();
-            }
+            let e = &mut self.edges[i];
+            e.peer_inc = rinc;
+            e.clear_strikes();
             self.inner.reset_edge_session(from);
             self.inner.set_fork(from, my_fork);
             self.inner.set_token(from, my_token);
@@ -669,7 +690,8 @@ impl RecoverableDining {
     ) {
         let outcome;
         {
-            let e = self.edges.get_mut(&from).expect("neighbor");
+            let i = self.slot(from);
+            let e = &mut self.edges[i];
             e.peer_inc = e.peer_inc.max(pinc);
             if rinc != self.inc || e.synced {
                 self.stats.stale_dropped += 1;
@@ -706,6 +728,21 @@ impl RecoverableDining {
         // stamps must not depend on whether journaling is enabled.
         self.commit_seq += 1;
         let Some(journal) = &self.journal else { return };
+        let mut edges = std::mem::take(&mut self.edge_records);
+        edges.clear();
+        edges.extend(
+            self.peers
+                .iter()
+                .zip(&self.edges)
+                .map(|(&(q, _), e)| EdgeRecord {
+                    peer: q.index() as u32,
+                    peer_inc: e.peer_inc,
+                    flags: self.inner.edge_flags(q),
+                    synced: e.synced,
+                    resume_pending: e.resume_inc.is_some(),
+                    resync: e.resync,
+                }),
+        );
         let record = JournalRecord {
             seq: self.commit_seq,
             tick: self.now,
@@ -717,23 +754,12 @@ impl RecoverableDining {
             },
             doorway: self.inner.inside_doorway(),
             boot: self.boot,
-            edges: self
-                .peers
-                .iter()
-                .map(|&(q, _)| {
-                    let e = &self.edges[&q];
-                    EdgeRecord {
-                        peer: q.index() as u32,
-                        peer_inc: e.peer_inc,
-                        flags: self.inner.edge_flags(q),
-                        synced: e.synced,
-                        resume_pending: e.resume_inc.is_some(),
-                        resync: e.resync,
-                    }
-                })
-                .collect(),
+            edges,
         };
-        journal.commit(&record.encode());
+        self.record_bytes.clear();
+        record.encode_into(&mut self.record_bytes);
+        journal.commit(&self.record_bytes);
+        self.edge_records = record.edges;
     }
 
     /// Raises `commit_seq` to the highest sequence number recoverable
@@ -793,9 +819,10 @@ impl RecoverableDining {
         self.resume_seq = record.seq;
         for er in &record.edges {
             let q = ProcessId::from(er.peer as usize);
-            let Some(e) = self.edges.get_mut(&q) else {
+            let Some(i) = self.find(q) else {
                 continue; // configuration mismatch: ignore unknown edges
             };
+            let e = &mut self.edges[i];
             e.peer_inc = er.peer_inc;
             if er.synced {
                 self.inner.restore_edge_flags(q, er.flags & RESTORE_MASK);
@@ -841,8 +868,9 @@ impl RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        let known = self.edges[&from].peer_inc;
-        let last_seen = self.edges[&from].peer_seq;
+        let i = self.slot(from);
+        let known = self.edges[i].peer_inc;
+        let last_seen = self.edges[i].peer_seq;
         if rinc < known {
             self.stats.stale_dropped += 1;
             return;
@@ -871,7 +899,7 @@ impl RecoverableDining {
         // fork/token consistency check (which a stale-but-complementary
         // snapshot could even pass).
         let stale = seq < last_seen;
-        let confirm = !stale && jinc == known && peer_view == self.inc && self.edges[&from].synced;
+        let confirm = !stale && jinc == known && peer_view == self.inc && self.edges[i].synced;
         if confirm {
             // The journaled pairing matches this side exactly: register
             // the new incarnation and report holdings. Fork, token and
@@ -879,11 +907,9 @@ impl RecoverableDining {
             // with the *old* incarnation is dead (a ping the restarter
             // will never answer would otherwise dangle until the audit's
             // stuck-ping rescue), so restart it and re-evaluate.
-            {
-                let e = self.edges.get_mut(&from).expect("neighbor");
-                e.peer_inc = rinc;
-                e.clear_strikes();
-            }
+            let e = &mut self.edges[i];
+            e.peer_inc = rinc;
+            e.clear_strikes();
             self.inner.reset_edge_handshake(from);
             sends.push((
                 from,
@@ -926,7 +952,8 @@ impl RecoverableDining {
         let stale = last_seen > self.resume_seq;
         let consistent;
         {
-            let e = self.edges.get_mut(&from).expect("neighbor");
+            let i = self.slot(from);
+            let e = &mut self.edges[i];
             e.peer_inc = e.peer_inc.max(pinc);
             if rinc != self.inc || e.synced {
                 self.stats.stale_dropped += 1;
@@ -979,24 +1006,23 @@ impl RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        {
-            // The watermark update precedes the incarnation gate: a seq
-            // stamp proves a durable commit regardless of which life sent
-            // it (the counter is monotone across the peer's restarts).
-            let e = self.edges.get_mut(&from).expect("neighbor");
-            e.peer_seq = e.peer_seq.max(seq);
-        }
-        if self.edges[&from].peer_inc != pinc || dst != self.inc || !self.edges[&from].synced {
+        let i = self.slot(from);
+        let e = &mut self.edges[i];
+        // The watermark update precedes the incarnation gate: a seq stamp
+        // proves a durable commit regardless of which life sent it (the
+        // counter is monotone across the peer's restarts).
+        e.peer_seq = e.peer_seq.max(seq);
+        if e.peer_inc != pinc || dst != self.inc || !e.synced {
             self.stats.stale_dropped += 1;
             return;
         }
         let my_fork = self.inner.holds_fork(from);
         let my_token = self.inner.holds_token(from);
-        let lower = self.color < self.peer_color(from);
+        let lower = self.color < self.peers[i].1;
         let strikes = self.strikes;
         let mut repaired = false;
         {
-            let e = self.edges.get_mut(&from).expect("neighbor");
+            let e = &mut self.edges[i];
             // *Recreate*-type strikes (missing fork/token) only accumulate
             // across quiet audit intervals: an in-flight transfer looks
             // exactly like a missing fork (sender cleared, receiver not
@@ -1046,7 +1072,7 @@ impl RecoverableDining {
             self.inner.set_fork(from, false);
             changed = true;
         }
-        let e = self.edges.get_mut(&from).expect("neighbor");
+        let e = &mut self.edges[i];
         if e.missing_fork >= strikes && !lower {
             e.missing_fork = 0;
             self.inner.set_fork(from, true); // higher color recreates it
@@ -1076,13 +1102,13 @@ impl RecoverableDining {
     ) {
         match input {
             DiningInput::Message { from, msg } => {
-                if !self.edges.contains_key(&from) {
+                let Some(i) = self.find(from) else {
                     // A drained straggler from a peer that was removed, or
                     // a joiner's handshake racing ahead of its membership
                     // notice (the joiner's audit timer retries it).
                     self.stats.stale_dropped += 1;
                     return;
-                }
+                };
                 match msg {
                     RecoveryMsg::Dining {
                         inc,
@@ -1090,7 +1116,7 @@ impl RecoverableDining {
                         seq,
                         msg,
                     } => {
-                        let e = self.edges.get_mut(&from).expect("neighbor");
+                        let e = &mut self.edges[i];
                         // Watermark before gate: even a gated message proves
                         // the peer durably committed record `seq`.
                         e.peer_seq = e.peer_seq.max(seq);
@@ -1101,9 +1127,7 @@ impl RecoverableDining {
                         if matches!(msg, DiningMsg::Fork | DiningMsg::Request { .. }) {
                             e.activity += 1;
                         }
-                        let mut raw = Vec::new();
-                        self.inner_handle(DiningInput::Message { from, msg }, suspicion, &mut raw);
-                        self.forward(raw, sends);
+                        self.step_inner(DiningInput::Message { from, msg }, suspicion, sends);
                     }
                     RecoveryMsg::Rejoin { inc } => {
                         self.on_rejoin(from, inc, false, suspicion, sends)
@@ -1163,16 +1187,8 @@ impl RecoverableDining {
                     ),
                 }
             }
-            DiningInput::Hungry => {
-                let mut raw = Vec::new();
-                self.inner_handle(DiningInput::Hungry, suspicion, &mut raw);
-                self.forward(raw, sends);
-            }
-            DiningInput::DoneEating => {
-                let mut raw = Vec::new();
-                self.inner_handle(DiningInput::DoneEating, suspicion, &mut raw);
-                self.forward(raw, sends);
-            }
+            DiningInput::Hungry => self.step_inner(DiningInput::Hungry, suspicion, sends),
+            DiningInput::DoneEating => self.step_inner(DiningInput::DoneEating, suspicion, sends),
             DiningInput::SuspicionChange => self.poke(suspicion, sends),
         }
     }
@@ -1252,10 +1268,10 @@ impl DiningAlgorithm for RecoverableDining {
         let mut inner = DiningProcess::new(self.id, self.color, self.peers.iter().copied());
         inner.harden();
         self.inner = inner;
-        for (q, e) in self.edges.iter_mut() {
+        for (e, &(q, _)) in self.edges.iter_mut().zip(&self.peers) {
             // A departed peer will never answer a handshake; this side's
             // view of the dead edge is authoritative from the start.
-            *e = EdgeState::fresh(self.departed.contains(q));
+            *e = EdgeState::fresh(self.departed.binary_search(&q).is_ok());
         }
         self.resume_seq = 0;
         // Journal replay happens before adversarial corruption: the
@@ -1278,15 +1294,15 @@ impl DiningAlgorithm for RecoverableDining {
         if let Some(entropy) = corruption {
             self.scramble(entropy);
         }
-        for &(q, _) in &self.peers.clone() {
-            if self.departed.contains(&q) {
+        for (e, &(q, _)) in self.edges.iter().zip(&self.peers) {
+            if self.peer_is_departed(q) {
                 continue; // no handshake with the permanently departed
             }
-            let msg = match self.edges[&q].resume_inc {
+            let msg = match e.resume_inc {
                 Some(journal_inc) => RecoveryMsg::JournalResume {
                     inc: incarnation,
                     journal_inc,
-                    peer_inc: self.edges[&q].peer_inc,
+                    peer_inc: e.peer_inc,
                     seq: self.resume_seq,
                 },
                 None => RecoveryMsg::Rejoin { inc: incarnation },
@@ -1315,8 +1331,9 @@ impl DiningAlgorithm for RecoverableDining {
 
     fn audit(&mut self, suspicion: &dyn SuspicionView, sends: &mut Vec<(ProcessId, RecoveryMsg)>) {
         let mut changed = false;
-        for &(q, _) in &self.peers.clone() {
-            if self.departed.contains(&q) {
+        for i in 0..self.peers.len() {
+            let q = self.peers[i].0;
+            if self.peer_is_departed(q) {
                 // Reclaim a fork the dead peer took with it. The exchange
                 // repair cannot run (a departed peer sends no Audit
                 // snapshots), so the strike accumulates locally — and it
@@ -1333,7 +1350,7 @@ impl DiningAlgorithm for RecoverableDining {
                 // below excludes departed edges).
                 if !self.inner.holds_fork(q) {
                     let strikes = self.strikes;
-                    let e = self.edges.get_mut(&q).expect("neighbor");
+                    let e = &mut self.edges[i];
                     e.missing_fork += 1;
                     if e.missing_fork >= strikes {
                         e.missing_fork = 0;
@@ -1344,17 +1361,17 @@ impl DiningAlgorithm for RecoverableDining {
                 }
                 continue;
             }
-            if !self.edges[&q].synced {
+            if !self.edges[i].synced {
                 // Retry an unfinished resync (lost or crossed handshake),
                 // preserving the path the restart chose for this edge: a
                 // pending journal fast path keeps resuming — this is what
                 // carries a resume across a partition — and everything
                 // else re-rejoins.
-                let msg = match self.edges[&q].resume_inc {
+                let msg = match self.edges[i].resume_inc {
                     Some(journal_inc) => RecoveryMsg::JournalResume {
                         inc: self.inc,
                         journal_inc,
-                        peer_inc: self.edges[&q].peer_inc,
+                        peer_inc: self.edges[i].peer_inc,
                         seq: self.resume_seq,
                     },
                     None => RecoveryMsg::Rejoin { inc: self.inc },
@@ -1365,7 +1382,7 @@ impl DiningAlgorithm for RecoverableDining {
             if suspicion.suspects(q) {
                 // A presumed-crashed peer re-canonicalizes the edge itself
                 // when it rejoins; auditing against it is meaningless.
-                self.edges.get_mut(&q).expect("neighbor").clear_strikes();
+                self.edges[i].clear_strikes();
                 continue;
             }
             // Stuck ping: hungry-outside with a pending ping and no ack for
@@ -1376,7 +1393,7 @@ impl DiningAlgorithm for RecoverableDining {
                 && self.inner.ping_pending(q)
                 && !self.inner.acked_by(q);
             let strikes = self.strikes;
-            let e = self.edges.get_mut(&q).expect("neighbor");
+            let e = &mut self.edges[i];
             if stuck {
                 e.stuck_ping += 1;
                 if e.stuck_ping >= strikes {
@@ -1388,7 +1405,7 @@ impl DiningAlgorithm for RecoverableDining {
             } else {
                 e.stuck_ping = 0;
             }
-            let dst_inc = self.edges[&q].peer_inc;
+            let dst_inc = self.edges[i].peer_inc;
             sends.push((
                 q,
                 RecoveryMsg::Audit {
@@ -1400,18 +1417,21 @@ impl DiningAlgorithm for RecoverableDining {
                 },
             ));
         }
-        let mut raw = Vec::new();
-        let eligible: Vec<ProcessId> = self
-            .edges
-            .iter()
-            .filter(|(q, e)| e.synced && !self.departed.contains(q))
-            .map(|(&q, _)| q)
-            .collect();
-        if self.inner.audit_local(|q| eligible.contains(&q), &mut raw) {
+        // Only synced edges to live members take part in the local repair.
+        let mut raw = std::mem::take(&mut self.raw);
+        let (peers, edges, departed) = (&self.peers, &self.edges, &self.departed);
+        let eligible = |q: ProcessId| {
+            peers
+                .binary_search_by_key(&q, |&(p, _)| p)
+                .is_ok_and(|i| edges[i].synced)
+                && departed.binary_search(&q).is_err()
+        };
+        if self.inner.audit_local(eligible, &mut raw) {
             self.stats.local_repairs += 1;
             changed = true;
         }
-        self.forward(raw, sends);
+        self.forward(&mut raw, sends);
+        self.raw = raw;
         if changed {
             self.poke(suspicion, sends);
         }
@@ -1440,11 +1460,10 @@ impl DiningAlgorithm for RecoverableDining {
         let mut inner = DiningProcess::new(self.id, self.color, self.peers.iter().copied());
         inner.harden();
         self.inner = inner;
-        for (q, e) in self.edges.iter_mut() {
-            *e = EdgeState::fresh(self.departed.contains(q));
-        }
-        for &(q, _) in &self.peers.clone() {
-            if !self.departed.contains(&q) {
+        for (e, &(q, _)) in self.edges.iter_mut().zip(&self.peers) {
+            let departed = self.departed.binary_search(&q).is_ok();
+            *e = EdgeState::fresh(departed);
+            if !departed {
                 sends.push((q, RecoveryMsg::Rejoin { inc: incarnation }));
             }
         }
@@ -1458,11 +1477,11 @@ impl DiningAlgorithm for RecoverableDining {
     /// are typically unblocked before their `remove_peer` notice even
     /// arrives.
     fn retire(&mut self, sends: &mut Vec<(ProcessId, RecoveryMsg)>) {
-        for &(q, _) in &self.peers.clone() {
-            if !self.edges[&q].synced || self.departed.contains(&q) {
+        let mut raw = std::mem::take(&mut self.raw);
+        for (e, &(q, _)) in self.edges.iter().zip(&self.peers) {
+            if !e.synced || self.peer_is_departed(q) {
                 continue; // nothing authoritative to discharge
             }
-            let mut raw = Vec::new();
             if self.inner.deferring_ack(q) {
                 raw.push((q, DiningMsg::Ack));
             }
@@ -1471,8 +1490,9 @@ impl DiningAlgorithm for RecoverableDining {
             }
             self.inner.reset_edge_session(q);
             self.inner.set_fork(q, false);
-            self.forward(raw, sends);
         }
+        self.forward(&mut raw, sends);
+        self.raw = raw;
         self.journal_commit();
     }
 
@@ -1490,13 +1510,9 @@ impl DiningAlgorithm for RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        if self.edges.contains_key(&q) {
+        let Err(i) = self.peers.binary_search_by_key(&q, |&(p, _)| p) else {
             return; // duplicate notice
-        }
-        let i = self
-            .peers
-            .binary_search_by_key(&q, |&(p, _)| p)
-            .expect_err("edge map and peer list agree");
+        };
         self.peers.insert(i, (q, color));
         self.inner.add_neighbor(q, color);
         if self.joined_this_life {
@@ -1507,12 +1523,12 @@ impl DiningAlgorithm for RecoverableDining {
             // unsynced and initiate the handshake. Crossed hellos between
             // two joiners answer each other idempotently and converge;
             // a lost hello is retried by the audit (unsynced edge).
-            self.edges.insert(q, EdgeState::fresh(false));
+            self.edges.insert(i, EdgeState::fresh(false));
             sends.push((q, RecoveryMsg::Rejoin { inc: self.inc }));
         } else {
-            self.edges.insert(q, EdgeState::fresh(true));
+            self.edges.insert(i, EdgeState::fresh(true));
         }
-        self.departed.remove(&q);
+        self.forget_departure(q);
         self.poke(suspicion, sends);
         self.journal_commit();
     }
@@ -1530,9 +1546,9 @@ impl DiningAlgorithm for RecoverableDining {
             return; // duplicate notice
         };
         self.peers.remove(i);
-        self.edges.remove(&q);
+        self.edges.remove(i);
         self.inner.remove_neighbor(q);
-        self.departed.remove(&q);
+        self.forget_departure(q);
         self.poke(suspicion, sends);
         self.journal_commit();
     }
@@ -1548,19 +1564,29 @@ impl DiningAlgorithm for RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        let Some(e) = self.edges.get_mut(&q) else {
+        let Some(i) = self.find(q) else {
             return; // duplicate notice, or the edge was already removed
         };
+        let e = &mut self.edges[i];
         e.synced = true; // the dead peer will never answer; our view stands
         e.resume_inc = None;
         e.clear_strikes();
-        self.departed.insert(q);
+        if let Err(j) = self.departed.binary_search(&q) {
+            self.departed.insert(j, q);
+        }
         self.poke(suspicion, sends);
         self.journal_commit();
     }
 }
 
 impl RecoverableDining {
+    /// Clears a departed mark on `q` (the edge was regrown or torn down).
+    fn forget_departure(&mut self, q: ProcessId) {
+        if let Ok(j) = self.departed.binary_search(&q) {
+            self.departed.remove(j);
+        }
+    }
+
     /// Deterministically flips per-edge flag bits from `entropy`: roughly
     /// three of four edges get a non-empty XOR mask over the six per-edge
     /// bits; if the draw selects no edge at all, the first edge's fork bit
@@ -1568,7 +1594,8 @@ impl RecoverableDining {
     fn scramble(&mut self, entropy: u64) {
         let mut z = entropy;
         let mut any = false;
-        for &(q, _) in &self.peers.clone() {
+        for i in 0..self.peers.len() {
+            let q = self.peers[i].0;
             let r = splitmix(&mut z);
             if r & 0b11 == 0 {
                 continue;

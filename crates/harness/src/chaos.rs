@@ -105,7 +105,7 @@ pub fn run_chaos(schedule: &FaultSchedule) -> Result<ChaosOutcome, ScheduleError
     let scenario = Scenario::chaos(schedule)?;
     let report = scenario.run_recoverable();
     let rerun = scenario.run_recoverable();
-    let deterministic = format!("{:?}", report.events) == format!("{:?}", rerun.events);
+    let deterministic = report.events == rerun.events;
 
     // Judge mistakes only after both the detector has converged and the
     // last scheduled disturbance has had ten audit periods to be

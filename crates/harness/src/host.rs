@@ -171,6 +171,8 @@ pub struct DinerHost<A: DiningAlgorithm> {
     suspects_mirror: std::collections::BTreeSet<ProcessId>,
     /// Pooled dining-send buffer, reused across algorithm steps.
     sends_buf: Vec<(ProcessId, A::Msg)>,
+    /// Pooled link-action buffer, reused across link calls.
+    link_out: LinkActions<A::Msg>,
 }
 
 impl<A: DiningAlgorithm> DinerHost<A> {
@@ -188,6 +190,7 @@ impl<A: DiningAlgorithm> DinerHost<A> {
             det_out: DetectorOutput::new(),
             suspects_mirror: std::collections::BTreeSet::new(),
             sends_buf: Vec::new(),
+            link_out: LinkActions::new(),
         }
     }
 
@@ -223,22 +226,36 @@ impl<A: DiningAlgorithm> DinerHost<A> {
         self.link.as_ref().map(|l| l.stats())
     }
 
-    /// Transmits frames and arms timers requested by the link layer, and
-    /// feeds released payloads to the dining algorithm in order.
-    fn absorb_link_actions(
+    /// Runs one link-layer call against the pooled action buffer, then
+    /// transmits the frames and arms the timers it asked for and feeds the
+    /// payloads it released to the dining algorithm, in order.
+    fn link_call(
         &mut self,
-        actions: LinkActions<A::Msg>,
         ctx: &mut Context<'_, Envelope<A::Msg>, HostObs>,
+        call: impl FnOnce(&mut LinkEndpoint<A::Msg>, &mut LinkActions<A::Msg>),
     ) {
-        for (to, frame) in actions.sends {
+        let Some(link) = self.link.as_mut() else {
+            return;
+        };
+        let out = &mut self.link_out;
+        call(link, out);
+        for (to, frame) in out.sends.drain(..) {
             ctx.send(to, Envelope::Link(frame));
         }
-        for (peer, delay, epoch) in actions.timers {
+        for (peer, delay, epoch) in out.timers.drain(..) {
             ctx.set_timer(delay, link_timer_tag(peer, epoch));
         }
-        for (from, msg) in actions.delivered {
+        if out.delivered.is_empty() {
+            return;
+        }
+        // A delivered payload re-enters `drive`, whose sends come back
+        // through here while this list is still draining, so they find
+        // an empty one in its place.
+        let mut delivered = std::mem::take(&mut out.delivered);
+        for (from, msg) in delivered.drain(..) {
             self.drive(DiningInput::Message { from, msg }, ctx);
         }
+        self.link_out.delivered = delivered;
     }
 
     /// Feeds one event to the detector and applies its output: wraps sends,
@@ -277,10 +294,7 @@ impl<A: DiningAlgorithm> DinerHost<A> {
                 ctx.observe(HostObs::Unsuspect { target: q });
                 // False alarm: re-send everything still outstanding so a
                 // live neighbor is made whole (wait-freedom).
-                if self.link.is_some() {
-                    let actions = self.link.as_mut().unwrap().on_unsuspect(q);
-                    self.absorb_link_actions(actions, ctx);
-                }
+                self.link_call(ctx, |link, out| link.on_unsuspect(q, out));
             }
             self.suspects_mirror = after;
             self.drive(DiningInput::SuspicionChange, ctx);
@@ -295,13 +309,10 @@ impl<A: DiningAlgorithm> DinerHost<A> {
     ) {
         for (to, msg) in sends.drain(..) {
             ctx.observe(HostObs::DiningSend { to });
-            match self.link.as_mut() {
-                Some(link) => {
-                    let actions = link.send(to, msg);
-                    debug_assert!(actions.delivered.is_empty(), "send cannot deliver");
-                    self.absorb_link_actions(actions, ctx);
-                }
-                None => ctx.send(to, Envelope::Dining(msg)),
+            if self.link.is_some() {
+                self.link_call(ctx, |link, out| link.send(to, msg, out));
+            } else {
+                ctx.send(to, Envelope::Dining(msg));
             }
         }
     }
@@ -431,10 +442,7 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
             }
             NodeEvent::Timer { tag } if tag >= LINK_TAG_BASE => {
                 let (peer, epoch) = decode_timer_tag(tag);
-                if let Some(link) = self.link.as_mut() {
-                    let actions = link.on_timer(peer, epoch);
-                    self.absorb_link_actions(actions, ctx);
-                }
+                self.link_call(ctx, |link, out| link.on_timer(peer, epoch, out));
             }
             NodeEvent::Timer { tag } if tag >= AUDIT_TAG_BASE => {
                 // A tick from a previous incarnation's chain is stale noise;
@@ -450,10 +458,7 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
                 msg: Envelope::Link(frame),
             } => {
                 debug_assert!(self.link.is_some(), "link frame without a link layer");
-                if let Some(link) = self.link.as_mut() {
-                    let actions = link.on_message(from, frame);
-                    self.absorb_link_actions(actions, ctx);
-                }
+                self.link_call(ctx, |link, out| link.on_message(from, frame, out));
             }
             NodeEvent::Message {
                 from,

@@ -240,10 +240,13 @@ impl core::fmt::Display for DecodeError {
     }
 }
 
-/// `CRC_TABLE[b]` is the CRC register after eight bit-serial steps from
-/// `b` — the whole effect of one input byte, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables, built at compile time. `CRC_TABLES[0][b]` is the
+/// CRC register after eight bit-serial steps from `b` — the whole effect
+/// of one input byte — and `CRC_TABLES[k][b]` is the effect of byte `b`
+/// followed by `k` zero bytes, so eight lookups XOR to the effect of eight
+/// bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
@@ -253,19 +256,44 @@ const CRC_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             bit += 1;
         }
-        table[b] = crc;
+        t[0][b] = crc;
         b += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
-/// CRC-32 (ISO-HDLC / zlib polynomial, reflected), one table load per
-/// byte. The wire codec shares it, and there it runs six times per
-/// hungry → granted → released cycle.
+/// CRC-32 (ISO-HDLC / zlib polynomial, reflected), eight bytes per step
+/// (slicing-by-8) and one table load per byte for the tail. The wire
+/// codec shares it, and there it runs six times per hungry → granted →
+/// released cycle.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -273,9 +301,17 @@ pub fn crc32(data: &[u8]) -> u32 {
 impl JournalRecord {
     /// Serializes the record, appending the CRC-32 of everything before it.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + EDGE_LEN * self.edges.len() + CRC_LEN);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the record to `out` — the allocation-free form of
+    /// [`encode`](Self::encode), for a committer that reuses one buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let n = self.edges.len();
         debug_assert!(n <= u16::MAX as usize, "degree exceeds journal format");
-        let mut out = Vec::with_capacity(HEADER_LEN + EDGE_LEN * n + CRC_LEN);
+        let start = out.len();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.tick.to_le_bytes());
@@ -291,9 +327,8 @@ impl JournalRecord {
                 u8::from(e.synced) | (u8::from(e.resume_pending) << 1) | (e.resync.as_u8() << 2),
             );
         }
-        let crc = crc32(&out);
+        let crc = crc32(&out[start..]);
         out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
 
     /// Deserializes and fully validates a record.

@@ -13,6 +13,9 @@
 //! uses [`crate::codec::peek`], which reads only the header. Bytes that
 //! do not even carry the magic (nothing a real commit produces) are
 //! dropped at eviction rather than guessed about.
+//!
+//! A commit copies the caller's bytes into a buffer compaction dropped
+//! earlier, so a steady stream of commits allocates nothing.
 
 use crate::codec::peek;
 use std::collections::VecDeque;
@@ -29,6 +32,9 @@ pub struct HistoryWindow {
     cap: usize,
     /// Total commits ever pushed.
     writes: u64,
+    /// Emptied buffers of records compaction dropped, for the next pushes
+    /// to copy into; at most about one window's worth.
+    spare: Vec<Vec<u8>>,
 }
 
 impl HistoryWindow {
@@ -39,22 +45,28 @@ impl HistoryWindow {
             compacted: Vec::new(),
             cap: cap.max(1),
             writes: 0,
+            spare: Vec::new(),
         }
     }
 
-    /// Appends one committed record, rotating the dense window into the
-    /// compacted tail when full. Returns `true` when a rotation happened
-    /// (file-backed stores rewrite their predecessor segment on rotation).
-    pub fn push(&mut self, record: Vec<u8>) -> bool {
+    /// Appends a copy of one committed record, rotating the dense window
+    /// into the compacted tail when full. Returns `true` when a rotation
+    /// happened (file-backed stores rewrite their predecessor segment on
+    /// rotation).
+    pub fn push(&mut self, record: &[u8]) -> bool {
         self.writes += 1;
         let rotated = self.recent.len() >= self.cap;
         if rotated {
-            let evicted: Vec<Vec<u8>> = self.recent.drain(..).collect();
-            for r in evicted {
-                absorb_milestone(&mut self.compacted, r);
+            for r in self.recent.drain(..) {
+                if let Some(mut dropped) = absorb_milestone(&mut self.compacted, r) {
+                    dropped.clear();
+                    self.spare.push(dropped);
+                }
             }
         }
-        self.recent.push_back(record);
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.extend_from_slice(record);
+        self.recent.push_back(buf);
         rotated
     }
 
@@ -112,6 +124,7 @@ impl HistoryWindow {
             compacted,
             cap: cap.max(1),
             writes,
+            spare: Vec::new(),
         }
     }
 }
@@ -119,13 +132,14 @@ impl HistoryWindow {
 /// Folds one evicted record into the milestone tail: per incarnation,
 /// keep the first evicted record and the most recent one. Evictions
 /// arrive oldest-first and incarnations are monotone, so only the tail
-/// can share an incarnation with the newcomer.
-fn absorb_milestone(compacted: &mut Vec<Vec<u8>>, record: Vec<u8>) {
+/// can share an incarnation with the newcomer. Returns the buffer that
+/// no longer belongs to the history, if any.
+fn absorb_milestone(compacted: &mut Vec<Vec<u8>>, record: Vec<u8>) -> Option<Vec<u8>> {
     let Some(meta) = peek(&record) else {
         // Not a journal record (nothing the commit path produces); there
         // is no incarnation to file it under, so it does not survive
         // compaction.
-        return;
+        return Some(record);
     };
     let inc_of = |r: &[u8]| peek(r).map(|m| m.incarnation);
     let n = compacted.len();
@@ -134,9 +148,10 @@ fn absorb_milestone(compacted: &mut Vec<Vec<u8>>, record: Vec<u8>) {
     if last_inc == Some(meta.incarnation) && prev_inc == Some(meta.incarnation) {
         // First and latest of this incarnation already held: slide the
         // "latest" milestone forward.
-        compacted[n - 1] = record;
+        Some(std::mem::replace(&mut compacted[n - 1], record))
     } else {
         compacted.push(record);
+        None
     }
 }
 
@@ -162,7 +177,7 @@ mod tests {
     fn dense_window_serves_exact_history() {
         let mut w = HistoryWindow::new(4);
         for s in 1..=4 {
-            assert!(!w.push(rec(s, 0)));
+            assert!(!w.push(&rec(s, 0)));
         }
         assert_eq!(w.latest(), Some(&rec(4, 0)));
         assert_eq!(w.nth_back(3), Some(&rec(1, 0)));
@@ -174,11 +189,11 @@ mod tests {
         let mut w = HistoryWindow::new(4);
         // Incarnation 0: seq 1..=6 — more than one window's worth.
         for s in 1..=6 {
-            w.push(rec(s, 0));
+            w.push(&rec(s, 0));
         }
         // Incarnation 1: seq 7..=11 — forces another rotation.
         for s in 7..=11 {
-            w.push(rec(s, 1));
+            w.push(&rec(s, 1));
         }
         assert_eq!(w.writes(), 11);
         // Dense: the records after the last rotation.
@@ -206,11 +221,85 @@ mod tests {
     #[test]
     fn unparseable_bytes_do_not_survive_compaction() {
         let mut w = HistoryWindow::new(2);
-        w.push(b"junk-1".to_vec());
-        w.push(b"junk-2".to_vec());
-        w.push(rec(1, 0)); // rotation: junk evicted, dropped
+        w.push(b"junk-1");
+        w.push(b"junk-2");
+        w.push(&rec(1, 0)); // rotation: junk evicted, dropped
         assert_eq!(w.retained(), 1);
         assert_eq!(w.latest(), Some(&rec(1, 0)));
+    }
+
+    /// The window as documented, rebuilt from fresh `Vec`s: the dense part
+    /// is every record since the last rotation, and the milestones are the
+    /// first and last of each run of one incarnation among the parseable
+    /// records evicted before it.
+    fn reference(pushed: &[Vec<u8>], cap: usize) -> Vec<Vec<u8>> {
+        let dense = match pushed.len() {
+            0 => 0,
+            n => (n - 1) % cap + 1,
+        };
+        let (evicted, recent) = pushed.split_at(pushed.len() - dense);
+        let mut out: Vec<Vec<u8>> = Vec::new();
+        let mut run: Option<(u64, Vec<u8>, Option<Vec<u8>>)> = None;
+        for r in evicted {
+            let Some(meta) = peek(r) else { continue };
+            match &mut run {
+                Some((inc, _, last)) if *inc == meta.incarnation => *last = Some(r.clone()),
+                _ => {
+                    if let Some((_, first, last)) = run.take() {
+                        out.push(first);
+                        out.extend(last);
+                    }
+                    run = Some((meta.incarnation, r.clone(), None));
+                }
+            }
+        }
+        if let Some((_, first, last)) = run {
+            out.push(first);
+            out.extend(last);
+        }
+        out.extend(recent.iter().cloned());
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A window that copies into recycled buffers serves exactly what
+        /// the documented window over fresh `Vec`s would, over incarnation
+        /// sequences (with the odd unparseable record) that cross many
+        /// rotations.
+        #[test]
+        fn recycled_buffers_serve_the_same_history(
+            cap in 1usize..8,
+            steps in proptest::collection::vec((0u8..10, 0u8..16), 0..120),
+        ) {
+            let mut w = HistoryWindow::new(cap);
+            let mut mem = crate::store::MemJournal::new();
+            let mut pushed = Vec::new();
+            let mut inc = 0;
+            for (seq, &(bump, junk)) in steps.iter().enumerate() {
+                // Mostly the same incarnation, sometimes the next ones.
+                inc += u64::from(bump.saturating_sub(7));
+                let r = if junk == 0 {
+                    b"junk".to_vec()
+                } else {
+                    rec(seq as u64 + 1, inc)
+                };
+                w.push(&r);
+                crate::store::JournalStore::commit(&mut mem, &r);
+                pushed.push(r);
+                let want = reference(&pushed, cap);
+                let got: Vec<Vec<u8>> = w.iter_oldest_first().cloned().collect();
+                proptest::prop_assert_eq!(&got, &want);
+                for k in 0..=want.len() {
+                    proptest::prop_assert_eq!(
+                        w.nth_back(k),
+                        want.len().checked_sub(k + 1).map(|i| &want[i])
+                    );
+                }
+            }
+            proptest::prop_assert_eq!(mem.dump(), reference(&pushed, crate::store::MEM_HISTORY));
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl MemJournal {
 
 impl JournalStore for MemJournal {
     fn commit(&mut self, record: &[u8]) {
-        self.window.push(record.to_vec());
+        self.window.push(record);
     }
 
     fn load(&mut self) -> Option<Vec<u8>> {
@@ -244,7 +244,7 @@ impl FileJournal {
 
 impl JournalStore for FileJournal {
     fn commit(&mut self, record: &[u8]) {
-        let rotated = self.window.push(record.to_vec());
+        let rotated = self.window.push(record);
         if rotated {
             // The dense window just folded into the milestones: persist
             // the new predecessor segment first, so the active segment

@@ -124,10 +124,19 @@ proptest! {
     }
 
     /// The table-driven `crc32` is the bit-serial CRC it replaced, on
-    /// inputs of every length the two codecs produce and beyond.
+    /// inputs of every length the two codecs produce and beyond, and on
+    /// every length 0..=17: each remainder of the eight-byte step, with
+    /// zero, one and two whole steps before it.
     #[test]
-    fn table_crc32_equals_the_bit_serial_loop(data in proptest::collection::vec(0u8..=255, 0..300)) {
+    fn table_crc32_equals_the_bit_serial_loop(
+        data in proptest::collection::vec(0u8..=255, 0..300),
+        short in proptest::collection::vec(0u8..=255, 17..18),
+    ) {
         prop_assert_eq!(ekbd_journal::codec::crc32(&data), crc32_bit_serial(&data));
+        for len in 0..=17 {
+            let prefix = &short[..len];
+            prop_assert_eq!(ekbd_journal::codec::crc32(prefix), crc32_bit_serial(prefix), "length {}", len);
+        }
     }
 }
 

@@ -28,15 +28,16 @@
 //!   fork exchanges live.
 //!
 //! The implementation is sans-io in the same style as the detector and
-//! dining crates: methods consume events and return [`LinkActions`] —
-//! frames to transmit, timers to arm, payloads to deliver — and the host
-//! (simulator or threaded runtime) performs the actual io.
+//! dining crates: methods consume events and append to a caller-owned
+//! [`LinkActions`] — frames to transmit, timers to arm, payloads to
+//! deliver — and the host (simulator or threaded runtime) performs the
+//! actual io.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ekbd_sim::{Duration, ProcessId};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Tuning knobs for a [`LinkEndpoint`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,7 +136,10 @@ pub enum LinkMsg<M> {
 }
 
 /// Everything the host must do after handing an event to the endpoint.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The caller owns the buffer: every entry point *appends* to it and
+/// never clears it, so a host can keep one and drain it after each call.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinkActions<M> {
     /// Frames to transmit, in order.
     pub sends: Vec<(ProcessId, LinkMsg<M>)>,
@@ -149,8 +153,15 @@ pub struct LinkActions<M> {
     pub delivered: Vec<(ProcessId, M)>,
 }
 
+impl<M> Default for LinkActions<M> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<M> LinkActions<M> {
-    fn new() -> Self {
+    /// An empty buffer.
+    pub fn new() -> Self {
         LinkActions {
             sends: Vec::new(),
             timers: Vec::new(),
@@ -158,7 +169,7 @@ impl<M> LinkActions<M> {
         }
     }
 
-    /// Whether the event produced no work at all.
+    /// Whether the buffer holds no work at all.
     pub fn is_empty(&self) -> bool {
         self.sends.is_empty() && self.timers.is_empty() && self.delivered.is_empty()
     }
@@ -245,7 +256,7 @@ impl<M> PeerState<M> {
 /// neighbor.
 ///
 /// ```
-/// use ekbd_link::{LinkConfig, LinkEndpoint, LinkMsg};
+/// use ekbd_link::{LinkActions, LinkConfig, LinkEndpoint};
 /// use ekbd_sim::ProcessId;
 ///
 /// let (a, b) = (ProcessId(0), ProcessId(1));
@@ -253,18 +264,20 @@ impl<M> PeerState<M> {
 /// let mut bob = LinkEndpoint::new(b, LinkConfig::default());
 ///
 /// // Alice sends; the frame is wrapped and a retransmit timer requested.
-/// let out = alice.send(b, "fork");
-/// let (to, frame) = out.sends[0].clone();
+/// let mut out = LinkActions::new();
+/// alice.send(b, "fork", &mut out);
+/// let (to, frame) = out.sends.pop().unwrap();
 /// assert_eq!(to, b);
 ///
 /// // Bob receives: the payload is released in order and an ack produced.
-/// let got = bob.on_message(a, frame);
+/// let mut got = LinkActions::new();
+/// bob.on_message(a, frame, &mut got);
 /// assert_eq!(got.delivered, vec![(a, "fork")]);
 ///
 /// // The ack clears Alice's unacked queue.
-/// let (_, ack) = got.sends[0].clone();
-/// alice.on_message(b, ack);
-/// assert_eq!(alice.stats().data_sent, 1);
+/// let (_, ack) = got.sends.pop().unwrap();
+/// alice.on_message(b, ack, &mut out);
+/// assert_eq!(alice.unacked_to(b), 0);
 /// ```
 #[derive(Clone, Debug)]
 pub struct LinkEndpoint<M> {
@@ -272,7 +285,13 @@ pub struct LinkEndpoint<M> {
     config: LinkConfig,
     /// This endpoint's incarnation number, stamped on every frame.
     inc: u64,
-    peers: HashMap<ProcessId, PeerState<M>>,
+    /// Every peer heard from or sent to since the last restart, in
+    /// first-contact order. A process has a handful of neighbors, so a
+    /// scan beats hashing; nothing iterates it, so its order cannot reach
+    /// a trace.
+    ids: Vec<ProcessId>,
+    /// `states[i]` is the link state toward `ids[i]`.
+    states: Vec<PeerState<M>>,
     stats: LinkStats,
 }
 
@@ -283,7 +302,8 @@ impl<M: Clone> LinkEndpoint<M> {
             id,
             config,
             inc: 0,
-            peers: HashMap::new(),
+            ids: Vec::new(),
+            states: Vec::new(),
             stats: LinkStats::default(),
         }
     }
@@ -307,7 +327,8 @@ impl<M: Clone> LinkEndpoint<M> {
     /// [`stats`](Self::stats) survive, since they describe the whole run.
     pub fn on_restart(&mut self, inc: u64) {
         self.inc = inc;
-        self.peers.clear();
+        self.ids.clear();
+        self.states.clear();
     }
 
     /// Aggregate counters over all peers.
@@ -317,71 +338,96 @@ impl<M: Clone> LinkEndpoint<M> {
 
     /// Distinct payloads currently awaiting an ack from `peer`.
     pub fn unacked_to(&self, peer: ProcessId) -> usize {
-        self.peers.get(&peer).map_or(0, |p| p.unacked.len())
+        self.find(peer).map_or(0, |i| self.states[i].unacked.len())
     }
 
     /// Whether retransmission to `peer` is currently paused by suspicion.
     pub fn is_paused(&self, peer: ProcessId) -> bool {
-        self.peers.get(&peer).is_some_and(|p| p.paused)
+        self.find(peer).is_some_and(|i| self.states[i].paused)
     }
 
-    fn peer(&mut self, peer: ProcessId) -> &mut PeerState<M> {
-        self.peers.entry(peer).or_insert_with(PeerState::new)
+    fn find(&self, peer: ProcessId) -> Option<usize> {
+        self.ids.iter().position(|&q| q == peer)
     }
 
-    fn backoff_delay(config: &LinkConfig, exp: u32) -> Duration {
-        let exp = exp.min(config.max_backoff_exp);
-        config.retransmit_base.saturating_mul(1u64 << exp)
+    /// The index of `peer`'s state, created on first contact.
+    fn slot(&mut self, peer: ProcessId) -> usize {
+        self.find(peer).unwrap_or_else(|| {
+            self.ids.push(peer);
+            self.states.push(PeerState::new());
+            self.ids.len() - 1
+        })
     }
 
-    /// Arms (or re-arms) the retransmission timer for `peer`, bumping the
-    /// epoch so any previously armed timer becomes stale.
-    fn arm_timer(&mut self, peer: ProcessId, out: &mut LinkActions<M>) {
-        let config = self.config;
-        let st = self.peer(peer);
+    /// Arms (or re-arms) the retransmission timer toward `peer`, bumping
+    /// the epoch so any previously armed timer becomes stale.
+    fn arm_timer(
+        config: &LinkConfig,
+        peer: ProcessId,
+        st: &mut PeerState<M>,
+        out: &mut LinkActions<M>,
+    ) {
         st.timer_epoch += 1;
         st.timer_armed = true;
-        let delay = Self::backoff_delay(&config, st.backoff_exp);
+        let exp = st.backoff_exp.min(config.max_backoff_exp);
+        let delay = config.retransmit_base.saturating_mul(1u64 << exp);
         out.timers.push((peer, delay, st.timer_epoch));
     }
 
-    /// Queues `payload` for reliable delivery to `peer`.
+    /// Retransmits every unacked frame toward `ids[i]` (go-back-N),
+    /// straight from the queue, and re-arms the timer.
+    fn resend_all(&mut self, i: usize, out: &mut LinkActions<M>) {
+        let (inc, peer) = (self.inc, self.ids[i]);
+        let st = &mut self.states[i];
+        let dst_inc = st.peer_inc;
+        out.sends.extend(st.unacked.iter().map(|(seq, payload)| {
+            (
+                peer,
+                LinkMsg::Data {
+                    seq: *seq,
+                    inc,
+                    dst_inc,
+                    payload: payload.clone(),
+                },
+            )
+        }));
+        self.stats.retransmissions += st.unacked.len() as u64;
+        Self::arm_timer(&self.config, peer, st, out);
+    }
+
+    /// Queues `payload` for reliable delivery to `peer`, appending what the
+    /// host must do to `out`.
     ///
     /// The frame is transmitted immediately unless the peer is suspected
     /// (then it waits in the unacked queue for recovery), and a
     /// retransmission timer is armed if none is pending.
-    pub fn send(&mut self, peer: ProcessId, payload: M) -> LinkActions<M> {
-        let mut out = LinkActions::new();
-        let inc = self.inc;
-        let st = self.peer(peer);
+    pub fn send(&mut self, peer: ProcessId, payload: M, out: &mut LinkActions<M>) {
+        let i = self.slot(peer);
+        let st = &mut self.states[i];
         let seq = st.next_seq;
         st.next_seq += 1;
         st.unacked.push_back((seq, payload.clone()));
-        let unacked = st.unacked.len();
-        let paused = st.paused;
-        let need_timer = !st.timer_armed;
-        let dst_inc = st.peer_inc;
         self.stats.payloads_sent += 1;
-        self.stats.max_unacked = self.stats.max_unacked.max(unacked);
-        if !paused {
+        self.stats.max_unacked = self.stats.max_unacked.max(st.unacked.len());
+        if !st.paused {
             out.sends.push((
                 peer,
                 LinkMsg::Data {
                     seq,
-                    inc,
-                    dst_inc,
+                    inc: self.inc,
+                    dst_inc: st.peer_inc,
                     payload,
                 },
             ));
             self.stats.data_sent += 1;
-            if need_timer {
-                self.arm_timer(peer, &mut out);
+            if !st.timer_armed {
+                Self::arm_timer(&self.config, peer, st, out);
             }
         }
-        out
     }
 
-    /// Handles an incoming link frame from `peer`.
+    /// Handles an incoming link frame from `peer`, appending what the host
+    /// must do to `out`.
     ///
     /// Incarnation gating comes first: frames addressed to a previous life
     /// of this endpoint, or sent by a previous life of the peer, are
@@ -390,39 +436,25 @@ impl<M: Clone> LinkEndpoint<M> {
     /// peer lost its receive cursor in the crash, so outstanding frames are
     /// meaningless — the application-level rejoin handshake regenerates
     /// whatever still matters).
-    pub fn on_message(&mut self, peer: ProcessId, msg: LinkMsg<M>) -> LinkActions<M> {
-        let mut out = LinkActions::new();
+    pub fn on_message(&mut self, peer: ProcessId, msg: LinkMsg<M>, out: &mut LinkActions<M>) {
         let (msg_inc, msg_dst) = match &msg {
             LinkMsg::Data { inc, dst_inc, .. } | LinkMsg::Ack { inc, dst_inc, .. } => {
                 (*inc, *dst_inc)
             }
         };
         let my_inc = self.inc;
-        // 0 = pass, 1 = stale peer life, 2 = addressed to a previous life
-        // of this endpoint.
-        let (reset, verdict, reply_cum) = {
-            let st = self.peer(peer);
-            let reset = msg_inc > st.peer_inc;
-            if reset {
-                *st = PeerState::new();
-                st.peer_inc = msg_inc;
-            }
-            if msg_inc < st.peer_inc {
-                (reset, 1u8, 0)
-            } else if msg_dst != my_inc {
-                (reset, 2u8, st.recv_cum)
-            } else {
-                (reset, 0u8, 0)
-            }
-        };
-        if reset {
+        let i = self.slot(peer);
+        let st = &mut self.states[i];
+        if msg_inc > st.peer_inc {
+            *st = PeerState::new();
+            st.peer_inc = msg_inc;
             self.stats.incarnation_resets += 1;
         }
-        if verdict == 1 {
+        if msg_inc < st.peer_inc {
             self.stats.stale_dropped += 1;
-            return out;
+            return;
         }
-        if verdict == 2 {
+        if msg_dst != my_inc {
             // Addressed to another life of this endpoint. If the peer is
             // behind (it has not yet heard from this incarnation), answer
             // with a bare ack carrying our current incarnation: without
@@ -433,29 +465,29 @@ impl<M: Clone> LinkEndpoint<M> {
                 out.sends.push((
                     peer,
                     LinkMsg::Ack {
-                        cum: reply_cum,
+                        cum: st.recv_cum,
                         inc: my_inc,
                         dst_inc: msg_inc,
                     },
                 ));
                 self.stats.acks_sent += 1;
             }
-            return out;
+            return;
         }
         match msg {
             LinkMsg::Data { seq, payload, .. } => {
-                let st = self.peer(peer);
                 if seq < st.recv_cum || st.recv_buf.contains_key(&seq) {
                     self.stats.duplicates_suppressed += 1;
                 } else if seq == st.recv_cum {
                     // In-order: release it and everything it unblocks.
+                    let first = st.recv_cum;
                     st.recv_cum += 1;
                     out.delivered.push((peer, payload));
                     while let Some(next) = st.recv_buf.remove(&st.recv_cum) {
                         st.recv_cum += 1;
                         out.delivered.push((peer, next));
                     }
-                    self.stats.delivered += out.delivered.len() as u64;
+                    self.stats.delivered += st.recv_cum - first;
                 } else {
                     st.recv_buf.insert(seq, payload);
                     self.stats.out_of_order_buffered += 1;
@@ -463,20 +495,17 @@ impl<M: Clone> LinkEndpoint<M> {
                 // Always (re-)ack: the cumulative ack is idempotent and
                 // re-acking duplicates lets a sender whose ack was lost
                 // make progress.
-                let st = self.peer(peer);
-                let (cum, dst_inc) = (st.recv_cum, st.peer_inc);
                 out.sends.push((
                     peer,
                     LinkMsg::Ack {
-                        cum,
+                        cum: st.recv_cum,
                         inc: my_inc,
-                        dst_inc,
+                        dst_inc: st.peer_inc,
                     },
                 ));
                 self.stats.acks_sent += 1;
             }
             LinkMsg::Ack { cum, .. } => {
-                let st = self.peer(peer);
                 let before = st.unacked.len();
                 while st.unacked.front().is_some_and(|&(seq, _)| seq < cum) {
                     st.unacked.pop_front();
@@ -493,44 +522,27 @@ impl<M: Clone> LinkEndpoint<M> {
                 }
             }
         }
-        out
     }
 
-    /// Handles a retransmission-timer fire for `peer` carrying `epoch`.
+    /// Handles a retransmission-timer fire for `peer` carrying `epoch`,
+    /// appending what the host must do to `out`.
     ///
     /// Stale epochs (superseded by a later arm or cancel) are ignored.
     /// Otherwise every unacked frame is retransmitted (go-back-N) and the
     /// timer re-armed with doubled backoff — unless the peer is suspected,
     /// in which case the layer stays silent (quiescence, §7 S3).
-    pub fn on_timer(&mut self, peer: ProcessId, epoch: u64) -> LinkActions<M> {
-        let mut out = LinkActions::new();
-        let config = self.config;
-        let inc = self.inc;
-        let st = self.peer(peer);
+    pub fn on_timer(&mut self, peer: ProcessId, epoch: u64, out: &mut LinkActions<M>) {
+        let i = self.slot(peer);
+        let st = &mut self.states[i];
         if !st.timer_armed || epoch != st.timer_epoch {
-            return out;
+            return;
         }
         st.timer_armed = false;
         if st.paused || st.unacked.is_empty() {
-            return out;
+            return;
         }
-        st.backoff_exp = (st.backoff_exp + 1).min(config.max_backoff_exp);
-        let dst_inc = st.peer_inc;
-        let frames: Vec<(u64, M)> = st.unacked.iter().cloned().collect();
-        for (seq, payload) in frames {
-            out.sends.push((
-                peer,
-                LinkMsg::Data {
-                    seq,
-                    inc,
-                    dst_inc,
-                    payload,
-                },
-            ));
-            self.stats.retransmissions += 1;
-        }
-        self.arm_timer(peer, &mut out);
-        out
+        st.backoff_exp = (st.backoff_exp + 1).min(self.config.max_backoff_exp);
+        self.resend_all(i, out);
     }
 
     /// Notes that the local failure detector now suspects `peer`.
@@ -541,46 +553,31 @@ impl<M: Clone> LinkEndpoint<M> {
     /// gives quiescence: only finitely many frames ever target a crashed
     /// neighbor.
     pub fn on_suspect(&mut self, peer: ProcessId) {
-        let st = self.peer(peer);
+        let i = self.slot(peer);
+        let st = &mut self.states[i];
         st.paused = true;
         st.timer_armed = false;
         st.timer_epoch += 1;
     }
 
     /// Notes that the local failure detector retracted its suspicion of
-    /// `peer`.
+    /// `peer`, appending what the host must do to `out`.
     ///
     /// The pause was a false alarm, so everything still outstanding is
     /// retransmitted immediately with a reset backoff — the self-healing
     /// step that preserves wait-freedom for wrongly suspected neighbors.
-    pub fn on_unsuspect(&mut self, peer: ProcessId) -> LinkActions<M> {
-        let mut out = LinkActions::new();
-        let inc = self.inc;
-        let st = self.peer(peer);
+    pub fn on_unsuspect(&mut self, peer: ProcessId, out: &mut LinkActions<M>) {
+        let i = self.slot(peer);
+        let st = &mut self.states[i];
         if !st.paused {
-            return out;
+            return;
         }
         st.paused = false;
         st.backoff_exp = 0;
-        let dst_inc = st.peer_inc;
-        let frames: Vec<(u64, M)> = st.unacked.iter().cloned().collect();
-        if !frames.is_empty() {
+        if !st.unacked.is_empty() {
             self.stats.recoveries += 1;
-            for (seq, payload) in frames {
-                out.sends.push((
-                    peer,
-                    LinkMsg::Data {
-                        seq,
-                        inc,
-                        dst_inc,
-                        payload,
-                    },
-                ));
-                self.stats.retransmissions += 1;
-            }
-            self.arm_timer(peer, &mut out);
+            self.resend_all(i, out);
         }
-        out
     }
 }
 
@@ -590,6 +587,13 @@ mod tests {
 
     fn p(i: usize) -> ProcessId {
         ProcessId::from(i)
+    }
+
+    /// Runs one endpoint call against a fresh action buffer.
+    fn run(call: impl FnOnce(&mut LinkActions<u32>)) -> LinkActions<u32> {
+        let mut out = LinkActions::new();
+        call(&mut out);
+        out
     }
 
     fn endpoint() -> LinkEndpoint<u32> {
@@ -628,8 +632,8 @@ mod tests {
     #[test]
     fn send_wraps_with_increasing_seq_and_arms_one_timer() {
         let mut ep = endpoint();
-        let a = ep.send(p(1), 10);
-        let b = ep.send(p(1), 11);
+        let a = run(|o| ep.send(p(1), 10, o));
+        let b = run(|o| ep.send(p(1), 11, o));
         assert_eq!(data(&a), vec![(0, 10)]);
         assert_eq!(data(&b), vec![(1, 11)]);
         assert_eq!(a.timers.len(), 1, "first send arms the timer");
@@ -641,7 +645,7 @@ mod tests {
     #[test]
     fn in_order_delivery_and_cumulative_ack() {
         let mut ep = endpoint();
-        let out = ep.on_message(p(1), dmsg(0, 5));
+        let out = run(|o| ep.on_message(p(1), dmsg(0, 5), o));
         assert_eq!(out.delivered, vec![(p(1), 5)]);
         assert_eq!(out.sends, vec![(p(1), amsg(1))]);
     }
@@ -649,12 +653,12 @@ mod tests {
     #[test]
     fn out_of_order_frames_are_parked_then_released_in_order() {
         let mut ep = endpoint();
-        let late = ep.on_message(p(1), dmsg(2, 7));
+        let late = run(|o| ep.on_message(p(1), dmsg(2, 7), o));
         assert!(late.delivered.is_empty());
         assert_eq!(late.sends, vec![(p(1), amsg(0))]);
-        let later = ep.on_message(p(1), dmsg(1, 6));
+        let later = run(|o| ep.on_message(p(1), dmsg(1, 6), o));
         assert!(later.delivered.is_empty());
-        let first = ep.on_message(p(1), dmsg(0, 5));
+        let first = run(|o| ep.on_message(p(1), dmsg(0, 5), o));
         assert_eq!(first.delivered, vec![(p(1), 5), (p(1), 6), (p(1), 7)]);
         assert_eq!(first.sends, vec![(p(1), amsg(3))]);
         assert_eq!(ep.stats().out_of_order_buffered, 2);
@@ -663,28 +667,28 @@ mod tests {
     #[test]
     fn duplicates_are_suppressed_but_reacked() {
         let mut ep = endpoint();
-        ep.on_message(p(1), dmsg(0, 5));
-        let dup = ep.on_message(p(1), dmsg(0, 5));
+        run(|o| ep.on_message(p(1), dmsg(0, 5), o));
+        let dup = run(|o| ep.on_message(p(1), dmsg(0, 5), o));
         assert!(dup.delivered.is_empty(), "payload must not surface twice");
         assert_eq!(dup.sends, vec![(p(1), amsg(1))]);
         assert_eq!(ep.stats().duplicates_suppressed, 1);
         // A parked out-of-order frame also counts as already-received.
-        ep.on_message(p(1), dmsg(3, 9));
-        ep.on_message(p(1), dmsg(3, 9));
+        run(|o| ep.on_message(p(1), dmsg(3, 9), o));
+        run(|o| ep.on_message(p(1), dmsg(3, 9), o));
         assert_eq!(ep.stats().duplicates_suppressed, 2);
     }
 
     #[test]
     fn ack_clears_prefix_and_cancels_timer_when_drained() {
         let mut ep = endpoint();
-        ep.send(p(1), 10);
-        ep.send(p(1), 11);
-        ep.on_message(p(1), amsg(1));
+        run(|o| ep.send(p(1), 10, o));
+        run(|o| ep.send(p(1), 11, o));
+        run(|o| ep.on_message(p(1), amsg(1), o));
         assert_eq!(ep.unacked_to(p(1)), 1);
-        ep.on_message(p(1), amsg(2));
+        run(|o| ep.on_message(p(1), amsg(2), o));
         assert_eq!(ep.unacked_to(p(1)), 0);
         // The old timer epoch is now stale: firing it does nothing.
-        let out = ep.on_timer(p(1), 1);
+        let out = run(|o| ep.on_timer(p(1), 1, o));
         assert!(out.is_empty());
     }
 
@@ -692,22 +696,22 @@ mod tests {
     fn timer_retransmits_all_unacked_with_backoff() {
         let cfg = LinkConfig::default().retransmit_base(8).max_backoff_exp(3);
         let mut ep = LinkEndpoint::new(p(0), cfg);
-        let first = ep.send(p(1), 10);
-        ep.send(p(1), 11);
+        let first = run(|o| ep.send(p(1), 10, o));
+        run(|o| ep.send(p(1), 11, o));
         let (_, delay0, epoch0) = first.timers[0];
         assert_eq!(delay0, 8);
-        let fire1 = ep.on_timer(p(1), epoch0);
+        let fire1 = run(|o| ep.on_timer(p(1), epoch0, o));
         assert_eq!(data(&fire1), vec![(0, 10), (1, 11)], "go-back-N resend");
         let (_, delay1, epoch1) = fire1.timers[0];
         assert_eq!(delay1, 16, "backoff doubles");
-        let fire2 = ep.on_timer(p(1), epoch1);
+        let fire2 = run(|o| ep.on_timer(p(1), epoch1, o));
         let (_, delay2, epoch2) = fire2.timers[0];
         assert_eq!(delay2, 32);
         // Cap: exponent stops at 3 → 8 << 3 = 64.
-        let fire3 = ep.on_timer(p(1), epoch2);
+        let fire3 = run(|o| ep.on_timer(p(1), epoch2, o));
         let (_, delay3, epoch3) = fire3.timers[0];
         assert_eq!(delay3, 64);
-        let fire4 = ep.on_timer(p(1), epoch3);
+        let fire4 = run(|o| ep.on_timer(p(1), epoch3, o));
         let (_, delay4, _) = fire4.timers[0];
         assert_eq!(delay4, 64, "backoff is capped");
         assert_eq!(ep.stats().retransmissions, 8);
@@ -716,27 +720,27 @@ mod tests {
     #[test]
     fn stale_timer_epochs_are_ignored() {
         let mut ep = endpoint();
-        let first = ep.send(p(1), 10);
+        let first = run(|o| ep.send(p(1), 10, o));
         let (_, _, epoch) = first.timers[0];
-        let fire = ep.on_timer(p(1), epoch);
+        let fire = run(|o| ep.on_timer(p(1), epoch, o));
         assert!(!fire.sends.is_empty());
         // The original epoch was superseded by the re-arm.
-        assert!(ep.on_timer(p(1), epoch).is_empty());
+        assert!(run(|o| ep.on_timer(p(1), epoch, o)).is_empty());
     }
 
     #[test]
     fn ack_progress_resets_backoff() {
         let mut ep = endpoint();
-        let first = ep.send(p(1), 10);
-        ep.send(p(1), 11);
+        let first = run(|o| ep.send(p(1), 10, o));
+        run(|o| ep.send(p(1), 11, o));
         let (_, _, epoch) = first.timers[0];
-        let fire = ep.on_timer(p(1), epoch);
+        let fire = run(|o| ep.on_timer(p(1), epoch, o));
         let (_, delay_backed_off, _) = fire.timers[0];
         assert!(delay_backed_off > LinkConfig::default().retransmit_base);
-        ep.on_message(p(1), amsg(1));
+        run(|o| ep.on_message(p(1), amsg(1), o));
         // Next send arms at the base delay again.
-        ep.on_message(p(1), amsg(2));
-        let next = ep.send(p(1), 12);
+        run(|o| ep.on_message(p(1), amsg(2), o));
+        let next = run(|o| ep.send(p(1), 12, o));
         let (_, delay, _) = next.timers[0];
         assert_eq!(delay, LinkConfig::default().retransmit_base);
     }
@@ -744,13 +748,16 @@ mod tests {
     #[test]
     fn suspicion_pauses_retransmission_for_quiescence() {
         let mut ep = endpoint();
-        let first = ep.send(p(1), 10);
+        let first = run(|o| ep.send(p(1), 10, o));
         let (_, _, epoch) = first.timers[0];
         ep.on_suspect(p(1));
         assert!(ep.is_paused(p(1)));
-        assert!(ep.on_timer(p(1), epoch).is_empty(), "paused: no resend");
+        assert!(
+            run(|o| ep.on_timer(p(1), epoch, o)).is_empty(),
+            "paused: no resend"
+        );
         // New sends while paused queue silently.
-        let queued = ep.send(p(1), 11);
+        let queued = run(|o| ep.send(p(1), 11, o));
         assert!(queued.sends.is_empty());
         assert_eq!(ep.unacked_to(p(1)), 2);
         assert_eq!(ep.stats().data_sent, 1, "only the pre-pause transmission");
@@ -759,23 +766,23 @@ mod tests {
     #[test]
     fn unsuspect_recovers_everything_immediately() {
         let mut ep = endpoint();
-        ep.send(p(1), 10);
+        run(|o| ep.send(p(1), 10, o));
         ep.on_suspect(p(1));
-        ep.send(p(1), 11);
-        let out = ep.on_unsuspect(p(1));
+        run(|o| ep.send(p(1), 11, o));
+        let out = run(|o| ep.on_unsuspect(p(1), o));
         assert!(!ep.is_paused(p(1)));
         assert_eq!(data(&out), vec![(0, 10), (1, 11)]);
         assert_eq!(out.timers.len(), 1, "recovery re-arms the timer");
         assert_eq!(ep.stats().recoveries, 1);
         // Unsuspecting an unsuspected peer is a no-op.
-        assert!(ep.on_unsuspect(p(1)).is_empty());
+        assert!(run(|o| ep.on_unsuspect(p(1), o)).is_empty());
     }
 
     #[test]
     fn unsuspect_with_nothing_outstanding_stays_silent() {
         let mut ep = endpoint();
         ep.on_suspect(p(1));
-        let out = ep.on_unsuspect(p(1));
+        let out = run(|o| ep.on_unsuspect(p(1), o));
         assert!(out.is_empty());
         assert_eq!(ep.stats().recoveries, 0);
     }
@@ -783,15 +790,15 @@ mod tests {
     #[test]
     fn links_to_different_peers_are_independent() {
         let mut ep = endpoint();
-        ep.send(p(1), 10);
-        ep.send(p(2), 20);
+        run(|o| ep.send(p(1), 10, o));
+        run(|o| ep.send(p(2), 20, o));
         ep.on_suspect(p(1));
         assert!(ep.is_paused(p(1)));
         assert!(!ep.is_paused(p(2)));
         assert_eq!(ep.unacked_to(p(1)), 1);
         assert_eq!(ep.unacked_to(p(2)), 1);
         // Sequence numbers are per-peer.
-        let b = ep.send(p(2), 21);
+        let b = run(|o| ep.send(p(2), 21, o));
         assert_eq!(data(&b), vec![(1, 21)]);
     }
 
@@ -806,17 +813,17 @@ mod tests {
 
         let mut drop_first_data = true;
         for k in 0..5u32 {
-            let out = alice.send(p(1), k);
+            let out = run(|o| alice.send(p(1), k, o));
             alice_timers.extend(out.timers.iter().map(|&(_, _, e)| e));
             for (_, frame) in out.sends {
                 if drop_first_data {
                     // Adversary eats every first transmission.
                     continue;
                 }
-                let got = bob.on_message(p(0), frame);
+                let got = run(|o| bob.on_message(p(0), frame, o));
                 delivered.extend(got.delivered.iter().map(|&(_, v)| v));
                 for (_, ack) in got.sends {
-                    alice.on_message(p(1), ack);
+                    run(|o| alice.on_message(p(1), ack, o));
                 }
             }
             drop_first_data = true;
@@ -830,13 +837,13 @@ mod tests {
             assert!(guard < 100, "retransmission must converge");
             let epochs = std::mem::take(&mut alice_timers);
             for epoch in epochs {
-                let out = alice.on_timer(p(1), epoch);
+                let out = run(|o| alice.on_timer(p(1), epoch, o));
                 alice_timers.extend(out.timers.iter().map(|&(_, _, e)| e));
                 for (_, frame) in out.sends {
-                    let got = bob.on_message(p(0), frame);
+                    let got = run(|o| bob.on_message(p(0), frame, o));
                     delivered.extend(got.delivered.iter().map(|&(_, v)| v));
                     for (_, ack) in got.sends {
-                        alice.on_message(p(1), ack);
+                        run(|o| alice.on_message(p(1), ack, o));
                     }
                 }
             }
@@ -867,8 +874,8 @@ mod tests {
     #[test]
     fn restart_clears_sequence_state_and_bumps_incarnation() {
         let mut ep = endpoint();
-        ep.send(p(1), 10);
-        ep.on_message(p(1), dmsg(0, 5));
+        run(|o| ep.send(p(1), 10, o));
+        run(|o| ep.on_message(p(1), dmsg(0, 5), o));
         ep.on_suspect(p(2));
         assert_eq!(ep.incarnation(), 0);
         ep.on_restart(3);
@@ -876,7 +883,7 @@ mod tests {
         assert_eq!(ep.unacked_to(p(1)), 0, "unacked queue is volatile");
         assert!(!ep.is_paused(p(2)), "suspicion pause is volatile");
         // Fresh sends start at seq 0 and carry the new incarnation.
-        let out = ep.send(p(1), 11);
+        let out = run(|o| ep.send(p(1), 11, o));
         assert!(matches!(
             out.sends[0].1,
             LinkMsg::Data { seq: 0, inc: 3, .. }
@@ -887,24 +894,27 @@ mod tests {
     fn frames_from_newer_peer_incarnation_reset_the_link() {
         let mut ep = endpoint();
         // Pre-restart traffic from the peer, including a parked frame.
-        ep.on_message(p(1), dmsg(0, 5));
-        ep.on_message(p(1), dmsg(2, 7));
-        ep.send(p(1), 10);
+        run(|o| ep.on_message(p(1), dmsg(0, 5), o));
+        run(|o| ep.on_message(p(1), dmsg(2, 7), o));
+        run(|o| ep.send(p(1), 10, o));
         // The peer restarts (incarnation 1) and sends from seq 0 again.
-        let out = ep.on_message(
-            p(1),
-            LinkMsg::Data {
-                seq: 0,
-                inc: 1,
-                dst_inc: 0,
-                payload: 50,
-            },
-        );
+        let out = run(|o| {
+            ep.on_message(
+                p(1),
+                LinkMsg::Data {
+                    seq: 0,
+                    inc: 1,
+                    dst_inc: 0,
+                    payload: 50,
+                },
+                o,
+            )
+        });
         assert_eq!(out.delivered, vec![(p(1), 50)], "fresh seq 0 delivered");
         assert_eq!(ep.stats().incarnation_resets, 1);
         assert_eq!(ep.unacked_to(p(1)), 0, "stale outgoing frames dropped");
         // Frames from the peer's previous life are now dropped.
-        let stale = ep.on_message(p(1), dmsg(1, 6));
+        let stale = run(|o| ep.on_message(p(1), dmsg(1, 6), o));
         assert!(stale.is_empty());
         assert!(ep.stats().stale_dropped >= 1);
     }
@@ -916,7 +926,7 @@ mod tests {
         // A frame stamped for incarnation 0 of this endpoint: dropped, but
         // answered with an ack advertising incarnation 2 so the sender can
         // resynchronize (breaks the mutual-restart deadlock).
-        let out = ep.on_message(p(1), dmsg(0, 5));
+        let out = run(|o| ep.on_message(p(1), dmsg(0, 5), o));
         assert!(out.delivered.is_empty());
         assert_eq!(
             out.sends,
@@ -937,9 +947,9 @@ mod tests {
         let mut alice = LinkEndpoint::new(p(0), LinkConfig::default());
         let mut bob = LinkEndpoint::new(p(1), LinkConfig::default());
         // Establish incarnation-0 traffic both ways.
-        for (_, f) in alice.send(p(1), 1).sends {
-            for (_, a) in bob.on_message(p(0), f).sends {
-                alice.on_message(p(1), a);
+        for (_, f) in run(|o| alice.send(p(1), 1, o)).sends {
+            for (_, a) in run(|o| bob.on_message(p(0), f, o)).sends {
+                run(|o| alice.on_message(p(1), a, o));
             }
         }
         // Both restart at different incarnations; each still believes the
@@ -949,8 +959,7 @@ mod tests {
         // Alice's first frame is stamped dst_inc 0: Bob drops it but
         // answers with his identity; the exchange converges to delivery.
         let mut delivered = Vec::new();
-        let mut frames: Vec<(bool, LinkMsg<u32>)> = alice
-            .send(p(1), 42)
+        let mut frames: Vec<(bool, LinkMsg<u32>)> = run(|o| alice.send(p(1), 42, o))
             .sends
             .into_iter()
             .map(|(_, f)| (true, f))
@@ -960,19 +969,19 @@ mod tests {
             guard += 1;
             assert!(guard < 20, "identity exchange must converge");
             if to_bob {
-                let got = bob.on_message(p(0), frame);
+                let got = run(|o| bob.on_message(p(0), frame, o));
                 delivered.extend(got.delivered.iter().map(|&(_, v)| v));
                 frames.extend(got.sends.into_iter().map(|(_, f)| (false, f)));
             } else {
-                let got = alice.on_message(p(1), frame);
+                let got = run(|o| alice.on_message(p(1), frame, o));
                 frames.extend(got.sends.into_iter().map(|(_, f)| (true, f)));
             }
         }
         // The payload was dropped with the stale frame (link state is
         // volatile), but both sides now know each other's incarnation: the
         // next send goes straight through.
-        for (_, f) in alice.send(p(1), 43).sends {
-            let got = bob.on_message(p(0), f);
+        for (_, f) in run(|o| alice.send(p(1), 43, o)).sends {
+            let got = run(|o| bob.on_message(p(0), f, o));
             delivered.extend(got.delivered.iter().map(|&(_, v)| v));
         }
         assert_eq!(delivered, vec![43]);

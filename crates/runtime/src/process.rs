@@ -86,6 +86,8 @@ pub(crate) struct ProcessThread<A: DiningAlgorithm> {
     pub link: Option<LinkEndpoint<A::Msg>>,
     /// Last suspect set seen, for diffing into link pause/resume calls.
     pub suspects: BTreeSet<ProcessId>,
+    /// Pooled link-action buffer, reused across link calls.
+    pub link_out: LinkActions<A::Msg>,
     pub epoch: Instant,
     pub events: Arc<Mutex<Vec<SchedEvent>>>,
     /// Live event taps (see [`ThreadedDining::tap_events`]); a tap whose
@@ -127,25 +129,39 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
         self.tap.lock().retain(|tx| tx.send(e).is_ok());
     }
 
-    /// Transmits frames and arms timers requested by the link layer, and
-    /// feeds released payloads to the dining algorithm in order.
-    fn absorb_link_actions(
+    /// Runs link-layer calls against the pooled action buffer, then
+    /// transmits the frames and arms the timers they asked for and feeds
+    /// the payloads they released to the dining algorithm, in order.
+    fn link_call(
         &mut self,
-        actions: LinkActions<A::Msg>,
         timers: &mut Vec<(Instant, u64)>,
+        call: impl FnOnce(&mut LinkEndpoint<A::Msg>, &mut LinkActions<A::Msg>),
     ) {
-        for (to, frame) in actions.sends {
+        let Some(link) = self.link.as_mut() else {
+            return;
+        };
+        let out = &mut self.link_out;
+        call(link, out);
+        for (to, frame) in out.sends.drain(..) {
             self.links.send(to, ThreadMsg::Link(self.id, frame));
         }
-        for (peer, delay_ms, epoch) in actions.timers {
+        for (peer, delay_ms, epoch) in out.timers.drain(..) {
             timers.push((
                 Instant::now() + std::time::Duration::from_millis(delay_ms),
                 link_timer_tag(peer, epoch),
             ));
         }
-        for (from, msg) in actions.delivered {
+        if out.delivered.is_empty() {
+            return;
+        }
+        // A delivered payload re-enters `drive`, whose sends come back
+        // through here while this list is still draining, so they find
+        // an empty one in its place.
+        let mut delivered = std::mem::take(&mut out.delivered);
+        for (from, msg) in delivered.drain(..) {
             self.drive(DiningInput::Message { from, msg }, timers);
         }
+        self.link_out.delivered = delivered;
     }
 
     fn apply_detector_output(&mut self, out: DetectorOutput, timers: &mut Vec<(Instant, u64)>) {
@@ -161,23 +177,17 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
             ));
         }
         if out.changed {
-            let now_suspects = self.det.suspect_set();
-            if let Some(link) = self.link.as_mut() {
-                for &q in now_suspects.difference(&self.suspects) {
+            let now = self.det.suspect_set();
+            let before = std::mem::take(&mut self.suspects);
+            self.link_call(timers, |link, out| {
+                for &q in now.difference(&before) {
                     link.on_suspect(q);
                 }
-                let resumed: Vec<LinkActions<A::Msg>> = self
-                    .suspects
-                    .difference(&now_suspects)
-                    .map(|&q| link.on_unsuspect(q))
-                    .collect();
-                self.suspects = now_suspects;
-                for actions in resumed {
-                    self.absorb_link_actions(actions, timers);
+                for &q in before.difference(&now) {
+                    link.on_unsuspect(q, out);
                 }
-            } else {
-                self.suspects = now_suspects;
-            }
+            });
+            self.suspects = now;
             self.drive(DiningInput::SuspicionChange, timers);
         }
     }
@@ -185,13 +195,10 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
     /// Transmits dining-layer sends, via the link layer when present.
     fn send_dining(&mut self, sends: Vec<(ProcessId, A::Msg)>, timers: &mut Vec<(Instant, u64)>) {
         for (to, msg) in sends {
-            match self.link.as_mut() {
-                Some(link) => {
-                    let actions = link.send(to, msg);
-                    debug_assert!(actions.delivered.is_empty());
-                    self.absorb_link_actions(actions, timers);
-                }
-                None => self.links.send(to, ThreadMsg::Dining(self.id, msg)),
+            if self.link.is_some() {
+                self.link_call(timers, |link, out| link.send(to, msg, out));
+            } else {
+                self.links.send(to, ThreadMsg::Dining(self.id, msg));
             }
         }
     }
@@ -373,10 +380,7 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
                     self.arm_audit(&mut timers);
                 } else if tag >= LINK_TAG_BASE {
                     let (peer, epoch) = decode_timer_tag(tag);
-                    if let Some(link) = self.link.as_mut() {
-                        let actions = link.on_timer(peer, epoch);
-                        self.absorb_link_actions(actions, &mut timers);
-                    }
+                    self.link_call(&mut timers, |link, out| link.on_timer(peer, epoch, out));
                 } else {
                     let mut out = DetectorOutput::new();
                     let now = self.now();
@@ -419,10 +423,7 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
                     self.drive(DiningInput::Message { from, msg }, &mut timers);
                 }
                 Ok(ThreadMsg::Link(from, frame)) => {
-                    if let Some(link) = self.link.as_mut() {
-                        let actions = link.on_message(from, frame);
-                        self.absorb_link_actions(actions, &mut timers);
-                    }
+                    self.link_call(&mut timers, |link, out| link.on_message(from, frame, out));
                 }
                 Ok(ThreadMsg::Detector(from, msg)) => {
                     let mut out = DetectorOutput::new();

@@ -218,6 +218,7 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
                 links: LossyLinks::new(neighbor_txs, config.faults, i),
                 link: config.link.map(|cfg| LinkEndpoint::new(id, cfg)),
                 suspects: BTreeSet::new(),
+                link_out: Default::default(),
                 epoch,
                 events: Arc::clone(&events),
                 tap: Arc::clone(&tap),
