@@ -1206,42 +1206,52 @@ pub fn cmd_serve(parsed: &Parsed) -> Result<(), ArgError> {
     println!("reactor threads ............. {reactor_threads}");
     println!("serving for ................. {serve_ms} ms");
     std::thread::sleep(std::time::Duration::from_millis(serve_ms));
-    let run = server.shutdown();
-    let eats = run
-        .events
-        .iter()
-        .filter(|e| e.obs == ekbd_dining::DiningObs::StartedEating)
-        .count();
-    println!();
-    println!(
-        "sessions admitted ........... fresh={} resumed={} rejoined={}",
-        run.stats.fresh, run.stats.resumed, run.stats.rejoined
+    print!("\n{}", serve_report(&server.shutdown()));
+    Ok(())
+}
+
+/// What `ekbd serve` prints once it has stopped. Every count is the
+/// server's own, never one taken from the bounded `run.events` tail.
+fn serve_report(run: &ekbd_net::ServerRun) -> String {
+    let s = &run.stats;
+    let mut out = format!(
+        "sessions admitted ........... fresh={} resumed={} rejoined={}\n\
+         overload shed ............... busy={} slow-reader={} heartbeat={}\n\
+         protocol errors ............. {} (handshake timeouts: {})\n\
+         sessions reaped ............. {}\n\
+         transport ................... frames={} socket-writes={} reactor-wakes={}\n\
+         grants served ............... {}\n\
+         alternation violations ...... {}\n\
+         events recorded ............. {} (last {} kept)\n\
+         runtime restarts ............ {}\n",
+        s.fresh,
+        s.resumed,
+        s.rejoined,
+        s.shed_busy,
+        s.shed_slow,
+        s.heartbeat_drops,
+        s.protocol_errors,
+        s.handshake_timeouts,
+        s.reaped,
+        s.frames_out,
+        s.socket_writes,
+        s.reactor_wakes,
+        run.meals,
+        run.alternation_violations,
+        run.events_total,
+        run.events.len(),
+        run.restarts.len(),
     );
-    println!(
-        "overload shed ............... busy={} slow-reader={} heartbeat={}",
-        run.stats.shed_busy, run.stats.shed_slow, run.stats.heartbeat_drops
-    );
-    println!(
-        "protocol errors ............. {} (handshake timeouts: {})",
-        run.stats.protocol_errors, run.stats.handshake_timeouts
-    );
-    println!("sessions reaped ............. {}", run.stats.reaped);
-    println!(
-        "transport ................... frames={} socket-writes={} reactor-wakes={}",
-        run.stats.frames_out, run.stats.socket_writes, run.stats.reactor_wakes
-    );
-    println!("grants served ............... {eats}");
-    println!("runtime restarts ............ {}", run.restarts.len());
     if let Some(scale) = &run.scale {
-        println!(
-            "scale kernel ................ n={} eats={} mistakes={} final_tick={}",
+        out += &format!(
+            "scale kernel ................ n={} eats={} mistakes={} final_tick={}\n",
             scale.n,
             scale.eats.iter().map(|&e| u64::from(e)).sum::<u64>(),
             scale.mistakes,
             scale.final_tick
         );
     }
-    Ok(())
+    out
 }
 
 /// `ekbd loadgen …` — drive a client fleet against a serve instance.
@@ -1417,6 +1427,38 @@ mod tests {
             )),
             Err(ArgError::BadValue { .. })
         ));
+    }
+
+    /// A run longer than the event tail: the report's grant count must be
+    /// the server's meals counter, not a count over the tail it kept.
+    #[test]
+    fn serve_reports_meals_from_the_counter_not_the_tail() {
+        use ekbd_dining::DiningObs;
+        let tail: Vec<ekbd_metrics::SchedEvent> = (0..4)
+            .map(|i| {
+                let obs = [DiningObs::StartedEating, DiningObs::StoppedEating][i % 2];
+                ekbd_metrics::SchedEvent::new(Time(i as u64), ProcessId(0), obs)
+            })
+            .collect();
+        let run = ekbd_net::ServerRun {
+            events: tail,
+            events_total: 3_000_000,
+            meals: 1_500_000,
+            alternation_violations: 0,
+            link: ekbd_metrics::LinkSummary::default(),
+            restarts: Vec::new(),
+            scale: None,
+            stats: ekbd_net::ServerStats::default(),
+        };
+        let report = serve_report(&run);
+        assert!(
+            report.contains("grants served ............... 1500000\n"),
+            "{report}"
+        );
+        assert!(
+            report.contains("events recorded ............. 3000000 (last 4 kept)\n"),
+            "{report}"
+        );
     }
 
     #[test]

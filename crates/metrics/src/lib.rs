@@ -66,6 +66,76 @@ impl SchedEvent {
     }
 }
 
+/// The last [`EventTail::CAPACITY`] events of a run, in order, plus a count
+/// of every event ever pushed: the event log of a service that runs for
+/// ever, in bounded memory. The buffer grows as events arrive, so a short
+/// run never makes the whole capacity resident; once full, each push
+/// overwrites the oldest event.
+///
+/// Analyses over the tail are exact for the whole run exactly when
+/// [`total`](Self::total) equals [`len`](Self::len).
+#[derive(Clone, Debug, Default)]
+pub struct EventTail {
+    /// Events in arrival order until full; then a ring whose oldest event
+    /// sits at `head`.
+    buf: Vec<SchedEvent>,
+    head: usize,
+    total: u64,
+}
+
+impl EventTail {
+    /// Events kept: 2¹⁷, 2 MiB of [`SchedEvent`]s.
+    pub const CAPACITY: usize = 1 << 17;
+
+    /// An empty tail; nothing is allocated until the first push.
+    pub fn new() -> Self {
+        EventTail::default()
+    }
+
+    /// Appends `event`, dropping the oldest one when the tail is full.
+    pub fn push(&mut self, event: SchedEvent) {
+        self.total += 1;
+        if self.buf.len() < Self::CAPACITY {
+            if self.buf.len() == self.buf.capacity() {
+                // Double, but never past the capacity.
+                let grow = self.buf.len().max(4).min(Self::CAPACITY - self.buf.len());
+                self.buf.reserve_exact(grow);
+            }
+            self.buf.push(event);
+        } else {
+            self.buf[self.head] = event;
+            self.head = (self.head + 1) % Self::CAPACITY;
+        }
+    }
+
+    /// Every event pushed so far, kept or not.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Events kept: `min(total, CAPACITY)`.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing was ever pushed.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// The kept events, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &SchedEvent> {
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer)
+    }
+
+    /// The kept events, oldest first, without copying them.
+    pub fn into_vec(mut self) -> Vec<SchedEvent> {
+        self.buf.rotate_left(self.head);
+        self.buf
+    }
+}
+
 /// A half-open interval `[start, end)` in virtual time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interval {
@@ -140,6 +210,50 @@ mod tests {
         };
         assert!(a.overlaps(&c));
         assert!(c.overlaps(&a));
+    }
+
+    fn nth(i: usize) -> SchedEvent {
+        SchedEvent::new(
+            Time(i as u64),
+            ProcessId::from(i % 7),
+            DiningObs::StartedEating,
+        )
+    }
+
+    #[test]
+    fn event_tail_keeps_the_last_capacity_events_in_order() {
+        const N: usize = EventTail::CAPACITY;
+        let mut tail = EventTail::new();
+        assert!(tail.is_empty() && tail.iter().next().is_none());
+        for pushed in 1..=2 * N + N / 3 {
+            tail.push(nth(pushed - 1));
+            assert_eq!(tail.total(), pushed as u64, "the total counts every push");
+            assert_eq!(tail.len(), pushed.min(N));
+            assert!(tail.buf.capacity() <= N, "capacity {}", tail.buf.capacity());
+            // Check the order at the boundaries of the first wraps, and a
+            // little past them, without an O(N²) test.
+            if [N - 1, N, N + 1, 2 * N, 2 * N + 5].contains(&pushed) {
+                let first = pushed.saturating_sub(N);
+                let kept: Vec<SchedEvent> = tail.iter().copied().collect();
+                let want: Vec<SchedEvent> = (first..pushed).map(nth).collect();
+                assert!(kept == want, "after {pushed} pushes");
+            }
+        }
+        let pushed = 2 * N + N / 3;
+        let want: Vec<SchedEvent> = (pushed - N..pushed).map(nth).collect();
+        assert!(tail.clone().iter().copied().eq(want.iter().copied()));
+        assert!(tail.into_vec() == want, "into_vec is the same order");
+    }
+
+    #[test]
+    fn a_short_tail_holds_only_what_was_pushed() {
+        let mut tail = EventTail::new();
+        for i in 0..1000 {
+            tail.push(nth(i));
+        }
+        assert_eq!((tail.len(), tail.total()), (1000, 1000));
+        assert!(tail.buf.capacity() < 2048, "grows as events arrive");
+        assert!(tail.into_vec() == (0..1000).map(nth).collect::<Vec<_>>());
     }
 
     #[test]

@@ -115,7 +115,7 @@ use crate::wire::{
 use crossbeam_channel::Receiver;
 use ekbd_dining::{DiningObs, RecoveryMsg, RestartPath};
 use ekbd_graph::{coloring, ConflictGraph, ProcessId};
-use ekbd_metrics::{LinkSummary, SchedEvent};
+use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
 use ekbd_runtime::{RestartNotice, RestartWatch, RuntimeConfig, ThreadedDining};
 use ekbd_sim::{EatObs, InteractiveScale, ScaleConfig, ScaleRunReport, Time};
 use parking_lot::Mutex;
@@ -292,8 +292,20 @@ impl AtomicStats {
 
 /// Everything a stopped server hands back.
 pub struct ServerRun {
-    /// The full scheduling trace of the dining system.
+    /// The last [`EventTail::CAPACITY`] (2¹⁷) events of the dining
+    /// system's scheduling trace, oldest first: the whole trace when
+    /// [`events_total`](Self::events_total) equals its length, and only
+    /// then is an analysis over it one of the whole run.
     pub events: Vec<SchedEvent>,
+    /// Every event the backend recorded, kept in `events` or not.
+    pub events_total: u64,
+    /// Meals served: grants (`StartedEating`), counted as they happened.
+    pub meals: u64,
+    /// Breaks of per-process grant/release alternation, counted as events
+    /// arrived: a release with no grant open, or a grant while one is. A
+    /// crash ends a meal without a release, so on the threaded backend a
+    /// grant after a restart of the process is not one.
+    pub alternation_violations: u64,
     /// Link-layer counters (all zero when the reliable link is off, and
     /// for the scale backend).
     pub link: LinkSummary,
@@ -316,9 +328,10 @@ pub struct ServerRun {
 /// own — whichever reactor holds the backend mutex drives it.
 struct ScaleService {
     kernel: InteractiveScale,
-    /// Every eat transition so far, wall-clock stamped: what
+    /// The latest eat transitions, wall-clock stamped: what
     /// [`ServerRun::events`] returns.
-    log: Vec<SchedEvent>,
+    log: EventTail,
+    tally: Tally,
     /// Scratch for the observations of one hold of the lock.
     obs: Vec<EatObs>,
     /// Epoch of the `at_ms` stamps.
@@ -330,9 +343,53 @@ impl ScaleService {
         let colors = coloring::greedy(graph);
         ScaleService {
             kernel: InteractiveScale::new(graph, &colors, ScaleConfig::default().seed(seed)),
-            log: Vec::new(),
+            log: EventTail::new(),
+            tally: Tally::new(graph.len()),
             obs: Vec::new(),
             start: Instant::now(),
+        }
+    }
+}
+
+/// What the server counts as eat transitions arrive, on either backend:
+/// [`ServerRun::meals`] and [`ServerRun::alternation_violations`].
+#[derive(Default)]
+struct Tally {
+    meals: u64,
+    violations: u64,
+    /// Per process: the stamp of its open grant, or [`Tally::THINKING`].
+    granted_at: Vec<u64>,
+}
+
+impl Tally {
+    const THINKING: u64 = u64::MAX;
+
+    fn new(n: usize) -> Tally {
+        Tally {
+            granted_at: vec![Self::THINKING; n],
+            ..Tally::default()
+        }
+    }
+
+    /// Counts one grant (`started`) or release of `process` at `at_ms`.
+    /// `restarted_since(p, t)` says whether `p` restarted at or after `t`:
+    /// a crash ends a meal without a release.
+    fn observe(
+        &mut self,
+        process: u32,
+        started: bool,
+        at_ms: u64,
+        restarted_since: impl Fn(u32, u64) -> bool,
+    ) {
+        let open = &mut self.granted_at[process as usize];
+        if started {
+            self.meals += 1;
+            if *open != Self::THINKING && !restarted_since(process, *open) {
+                self.violations += 1;
+            }
+            *open = at_ms;
+        } else if std::mem::replace(open, Self::THINKING) == Self::THINKING {
+            self.violations += 1;
         }
     }
 }
@@ -1025,6 +1082,10 @@ impl Reactor {
             scale
                 .log
                 .push(SchedEvent::new(Time(at_ms), ProcessId(o.process), obs));
+            // The scale kernel never crashes a process.
+            scale
+                .tally
+                .observe(o.process, o.started, at_ms, |_, _| false);
             let Some(owner) = inner.owner(o.process) else {
                 continue;
             };
@@ -1605,10 +1666,17 @@ impl Reactor {
 /// The threaded backend's event pump: turns each batch of the runtime's
 /// live events into frames grouped by owning connection and posts one
 /// batch per reactor. Blocks on the tap; ends when the runtime is torn
-/// down and the tap disconnects.
-fn pump_events(inner: &ServerInner, tap: &Receiver<SchedEvent>) {
+/// down and the tap disconnects, and returns what it counted.
+fn pump_events(inner: &ServerInner, tap: &Receiver<SchedEvent>) -> Tally {
     let reactors = inner.reactors();
     let mut outbox = Outbox::new(reactors.len());
+    let mut tally = Tally::new(inner.owners.len());
+    let restarted_since = |p: u32, t: u64| {
+        inner
+            .restarts
+            .as_ref()
+            .is_some_and(|watch| watch.restarted_since(ProcessId(p), t))
+    };
     while let Ok(first) = tap.recv() {
         for e in std::iter::once(first).chain(tap.try_iter()) {
             let started = match e.obs {
@@ -1617,12 +1685,14 @@ fn pump_events(inner: &ServerInner, tap: &Receiver<SchedEvent>) {
                 _ => continue,
             };
             let process = e.process.0;
+            tally.observe(process, started, e.time.0, restarted_since);
             if let Some(owner) = inner.owner(process) {
                 outbox.push(owner, &event_frame(process, started, e.time.0));
             }
         }
         outbox.post(reactors, &inner.stats);
     }
+    tally
 }
 
 // ---------------------------------------------------------------------
@@ -1638,7 +1708,7 @@ pub struct DaemonServer {
     stop_accepting: Arc<Waker>,
     reactors: Vec<JoinHandle<()>>,
     /// The threaded backend's event pump; the scale backend has none.
-    pump: Option<JoinHandle<()>>,
+    pump: Option<JoinHandle<Tally>>,
     local_addr: ServerAddr,
 }
 
@@ -1787,27 +1857,43 @@ impl DaemonServer {
             panicked = panicked.or(handle.join().err());
         }
         let backend = self.inner.backend.lock().take();
-        let (events, link, restarts, scale) = match backend {
+        let mut tally = Tally::default();
+        let (events, events_total, link, restarts, scale) = match backend {
             Some(Backend::Threaded(sys)) => {
                 let run = sys.shutdown_complete(Duration::ZERO);
-                (run.events, run.link, run.restarts, None)
+                (run.events, run.events_total, run.link, run.restarts, None)
             }
             Some(Backend::Scale(scale)) => {
                 let report = scale.kernel.finish();
-                (scale.log, LinkSummary::default(), Vec::new(), Some(report))
+                tally = scale.tally;
+                let total = scale.log.total();
+                let events = scale.log.into_vec();
+                (
+                    events,
+                    total,
+                    LinkSummary::default(),
+                    Vec::new(),
+                    Some(report),
+                )
             }
             None => unreachable!("only shutdown takes the backend, and it runs once"),
         };
         // The runtime is gone and with it the tap's senders: the pump has
         // seen the disconnect.
         if let Some(pump) = self.pump {
-            panicked = panicked.or(pump.join().err());
+            match pump.join() {
+                Ok(pumped) => tally = pumped,
+                Err(payload) => panicked = panicked.or(Some(payload)),
+            }
         }
         if let Some(payload) = panicked {
             std::panic::resume_unwind(payload);
         }
         ServerRun {
             events,
+            events_total,
+            meals: tally.meals,
+            alternation_violations: tally.violations,
             link,
             restarts,
             scale,

@@ -289,6 +289,43 @@ fn mux_kill_crashes_block_and_reconnect_rebinds_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A connection killed mid-meal crashes its process, which never releases
+/// that meal: its next grant, after the restart, is no alternation
+/// violation, though the trace holds two grants and one release.
+#[test]
+fn a_crash_mid_meal_is_no_alternation_violation() {
+    let cfg = ServerConfig {
+        runtime: RuntimeConfig {
+            eat_ms: 400,
+            ..RuntimeConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = DaemonServer::start(topology::ring(4), &ephemeral_tcp(), cfg).unwrap();
+    let addr = server.local_addr().clone();
+    let mut mux = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+    mux.hungry(0).unwrap();
+    assert!(matches!(
+        mux.next_event(wait_timeout()).unwrap(),
+        MuxEvent::Granted { process: 0, .. }
+    ));
+    mux.kill();
+    mux.reconnect().expect("readmitted");
+    mux.hungry(0).unwrap();
+    loop {
+        if let MuxEvent::Released { process: 0, .. } = mux.next_event(wait_timeout()).unwrap() {
+            break;
+        }
+    }
+    mux.bye();
+    let run = server.shutdown();
+    assert_eq!(run.restarts.len(), 1);
+    assert_eq!((run.meals, run.alternation_violations), (2, 0));
+    let count = |obs| run.events.iter().filter(|e| e.obs == obs).count();
+    use ekbd_dining::DiningObs::{StartedEating, StoppedEating};
+    assert_eq!((count(StartedEating), count(StoppedEating)), (2, 1));
+}
+
 #[test]
 fn loadgen_multiplexed_fleet_completes() {
     let server =

@@ -3,13 +3,16 @@
 //! per-process frame order across reactor threads, and writes and
 //! wake-ups that stay far below the frame count.
 
+use ekbd_dining::DiningObs;
 use ekbd_graph::topology;
+use ekbd_metrics::ExclusionReport;
 use ekbd_net::wire::{encode_frame, Frame};
 use ekbd_net::{
     BackendSpec, ClientConfig, DaemonServer, MuxClient, MuxEvent, ServerAddr, ServerConfig,
     ServerRun,
 };
 use ekbd_runtime::RuntimeConfig;
+use ekbd_sim::Time;
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -172,14 +175,71 @@ fn frames_of_a_process_keep_kernel_order_across_reactors() {
     let cycles = 400; // × 128 processes: 51 200 cycles
     let run = saturate(scale(11), cycles);
     let total = u64::from(CONNECTIONS * BLOCK * cycles);
-    assert_eq!(run.scale.expect("scale backend").mistakes, 0);
+    assert!(run.scale.is_some(), "scale backend");
     assert_eq!(
-        run.events.len() as u64,
+        run.events_total,
         2 * total,
         "one grant and one release a cycle"
     );
+    assert_eq!(run.meals, total);
     assert_eq!(run.stats.protocol_errors, 0, "{:?}", run.stats);
     assert_eq!(run.stats.shed_slow, 0, "{:?}", run.stats);
+    assert_counters_match_the_tail(&run);
+}
+
+/// Recounts from the tail what the server counted as events arrived, on a
+/// run short enough for the tail to be the whole trace, and checks
+/// exclusion over it and, on the scale backend, the kernel's own count.
+fn assert_counters_match_the_tail(run: &ServerRun) {
+    let n = (CONNECTIONS * BLOCK) as usize;
+    assert_eq!(run.events_total, run.events.len() as u64, "the run fits");
+    let mut eating = vec![false; n];
+    let (mut meals, mut violations) = (0, 0);
+    for e in &run.events {
+        let p = e.process.index();
+        match e.obs {
+            DiningObs::StartedEating => {
+                meals += 1;
+                violations += u64::from(eating[p]);
+                eating[p] = true;
+            }
+            DiningObs::StoppedEating => {
+                violations += u64::from(!eating[p]);
+                eating[p] = false;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(run.meals, meals, "meals");
+    assert_eq!(run.alternation_violations, violations, "alternation");
+    assert_eq!(violations, 0);
+    let horizon = run.events.last().map_or(Time(0), |e| e.time);
+    let exclusion = ExclusionReport::analyze(&topology::ring(n), &run.events, &|_| None, horizon);
+    assert_eq!(exclusion.total(), 0, "{:?}", exclusion.mistakes);
+    if let Some(scale) = &run.scale {
+        assert_eq!(scale.mistakes, 0);
+    }
+}
+
+/// The same recount on the threaded backend, whose tail also holds the
+/// runtime's `BecameHungry`s. Nobody is suspected (the first timeout is a
+/// minute), so no exclusion mistake is allowed either.
+#[test]
+fn the_threaded_backends_counters_agree_with_its_tail() {
+    let mut runtime = RuntimeConfig {
+        eat_ms: 1,
+        ..RuntimeConfig::default()
+    };
+    runtime.heartbeat.initial_timeout = 60_000;
+    let cfg = ServerConfig {
+        runtime,
+        ..ServerConfig::default()
+    };
+    let cycles = 20;
+    let run = saturate(cfg, cycles);
+    assert_eq!(run.meals, u64::from(CONNECTIONS * BLOCK * cycles));
+    assert!(run.events_total > 2 * run.meals, "hungry transitions too");
+    assert_counters_match_the_tail(&run);
 }
 
 /// Test (iii): under load a write carries a pass's worth of frames and a

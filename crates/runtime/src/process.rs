@@ -9,7 +9,7 @@ use ekbd_graph::ProcessId;
 use ekbd_link::{
     decode_timer_tag, link_timer_tag, LinkActions, LinkEndpoint, LinkMsg, LINK_TAG_BASE,
 };
-use ekbd_metrics::{LinkSummary, SchedEvent};
+use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
 use ekbd_sim::Time;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -89,7 +89,7 @@ pub(crate) struct ProcessThread<A: DiningAlgorithm> {
     /// Pooled link-action buffer, reused across link calls.
     pub link_out: LinkActions<A::Msg>,
     pub epoch: Instant,
-    pub events: Arc<Mutex<Vec<SchedEvent>>>,
+    pub events: Arc<Mutex<EventTail>>,
     /// Live event taps (see [`ThreadedDining::tap_events`]); a tap whose
     /// receiver was dropped is pruned on the next event.
     ///

@@ -9,7 +9,7 @@ use ekbd_graph::coloring::{self, Color};
 use ekbd_graph::{ConflictGraph, Membership, ProcessId};
 use ekbd_journal::{FileJournal, JournalHandle};
 use ekbd_link::{LinkConfig, LinkEndpoint};
-use ekbd_metrics::{LinkSummary, SchedEvent};
+use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
@@ -106,6 +106,14 @@ impl RestartWatch {
         self.notices().clone()
     }
 
+    /// Whether `process` restarted at or after `at_ms`, in the system
+    /// epoch's milliseconds that [`SchedEvent`] times are stamped in.
+    pub fn restarted_since(&self, process: ProcessId, at_ms: u64) -> bool {
+        self.notices()
+            .iter()
+            .any(|n| n.process == process && n.at_ms >= at_ms)
+    }
+
     /// Blocks until `process` has published more than `seen` notices or
     /// `timeout` passes, woken by the publish itself. Returns its notice
     /// count with the latest of them, `None` on timeout.
@@ -146,9 +154,10 @@ impl RestartWatch {
 pub struct ThreadedDining<M: Clone + Send + 'static = DiningMsg> {
     txs: Vec<Sender<ThreadMsg<M>>>,
     handles: Vec<JoinHandle<()>>,
-    events: Arc<Mutex<Vec<SchedEvent>>>,
+    /// The last [`EventTail::CAPACITY`] recorded events and their count.
+    events: Arc<Mutex<EventTail>>,
     /// Live event taps: every recorded [`SchedEvent`] is streamed to each
-    /// installed subscriber (in addition to the `events` vector).
+    /// installed subscriber (in addition to the `events` tail).
     tap: Arc<Mutex<Vec<Sender<SchedEvent>>>>,
     /// Restart notices published by recoverable process threads.
     restart_log: RestartWatch,
@@ -194,7 +203,7 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
         A: DiningAlgorithm<Msg = M> + Send + 'static,
     {
         let epoch = Instant::now();
-        let events: Arc<Mutex<Vec<SchedEvent>>> = Arc::new(Mutex::new(Vec::new()));
+        let events: Arc<Mutex<EventTail>> = Arc::default();
         let tap: Arc<Mutex<Vec<Sender<SchedEvent>>>> = Arc::new(Mutex::new(Vec::new()));
         let restart_log = RestartWatch::default();
         let link_stats: Arc<Mutex<LinkSummary>> = Arc::new(Mutex::new(LinkSummary::default()));
@@ -292,9 +301,9 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
         let _ = self.txs[p.index()].send(ThreadMsg::Corrupt { entropy });
     }
 
-    /// Snapshot of the events recorded so far.
+    /// Snapshot of the last [`EventTail::CAPACITY`] events recorded so far.
     pub fn events_so_far(&self) -> Vec<SchedEvent> {
-        self.events.lock().clone()
+        self.events.lock().iter().copied().collect()
     }
 
     /// Installs a live event tap and returns its receiving end: every
@@ -327,7 +336,7 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     }
 
     /// Lets the system run for `window`, then shuts every thread down and
-    /// returns the recorded scheduling events.
+    /// returns the last [`EventTail::CAPACITY`] recorded scheduling events.
     pub fn shutdown_after(self, window: Duration) -> Vec<SchedEvent> {
         self.shutdown_with_link(window).0
     }
@@ -335,6 +344,11 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     /// Like [`shutdown_after`](Self::shutdown_after), but also returns the
     /// system-wide link-layer counters (all zeros when the link is off).
     pub fn shutdown_with_link(self, window: Duration) -> (Vec<SchedEvent>, LinkSummary) {
+        let (events, link) = self.join_all(window);
+        (events.into_vec(), link)
+    }
+
+    fn join_all(self, window: Duration) -> (EventTail, LinkSummary) {
         std::thread::sleep(window);
         for tx in &self.txs {
             let _ = tx.send(ThreadMsg::Shutdown);
@@ -358,10 +372,11 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     /// post-join snapshot is the only one guaranteed to be complete.
     pub fn shutdown_complete(self, window: Duration) -> RuntimeRun {
         let restart_log = self.restart_log.clone();
-        let (events, link) = self.shutdown_with_link(window);
+        let (events, link) = self.join_all(window);
         let restarts = restart_log.snapshot();
         RuntimeRun {
-            events,
+            events_total: events.total(),
+            events: events.into_vec(),
             link,
             restarts,
         }
@@ -371,8 +386,12 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
 /// Everything a completed teardown hands back (see
 /// [`ThreadedDining::shutdown_complete`]).
 pub struct RuntimeRun {
-    /// The full scheduling trace.
+    /// The last [`EventTail::CAPACITY`] (2¹⁷) events of the scheduling
+    /// trace, oldest first: the whole trace when `events_total` equals its
+    /// length.
     pub events: Vec<SchedEvent>,
+    /// Every event the run recorded, kept in `events` or not.
+    pub events_total: u64,
     /// System-wide link-layer counters (zeros when the link is off).
     pub link: LinkSummary,
     /// Every restart performed over the system's lifetime, including any
