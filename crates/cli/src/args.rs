@@ -11,6 +11,13 @@ pub enum ArgError {
     /// The subcommand is not one of `run`, `stabilize`, `threaded`,
     /// `campaign`, `replay`, `chaos`, `serve`, `loadgen`.
     UnknownCommand(String),
+    /// A flag the subcommand does not read.
+    UnknownFlag {
+        /// The subcommand.
+        command: String,
+        /// The flag, with its leading `--`.
+        flag: String,
+    },
     /// A flag was given without a value.
     MissingValue(String),
     /// A positional token appeared where a `--flag` was expected.
@@ -36,6 +43,9 @@ impl fmt::Display for ArgError {
                 )
             }
             ArgError::UnknownCommand(c) => write!(f, "unknown subcommand '{c}'"),
+            ArgError::UnknownFlag { command, flag } => {
+                write!(f, "unknown flag {flag} for `ekbd {command}`")
+            }
             ArgError::MissingValue(flag) => write!(f, "flag {flag} needs a value"),
             ArgError::UnexpectedToken(t) => write!(f, "unexpected token '{t}'"),
             ArgError::BadValue {
@@ -51,6 +61,37 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// The flags every subcommand that builds a dense `Scenario` reads.
+const SCENARIO_FLAGS: &str = "topology seed horizon sessions think eat oracle loss dup reorder \
+     partition crash recover corrupt-state journal storage-fault audit-period audit-strikes \
+     churn-rate churn-plan link";
+
+/// Each subcommand, whether it takes [`SCENARIO_FLAGS`], and the flags it
+/// reads besides.
+const COMMANDS: &[(&str, bool, &str)] = &[
+    ("run", true, "algorithm timeline dump-journal obs shards"),
+    ("stabilize", true, "algorithm protocol faults"),
+    ("campaign", true, "seeds workers verify"),
+    ("threaded", false, "n window-ms crash recover-ms"),
+    ("replay", false, "dir"),
+    (
+        "chaos",
+        false,
+        "topology count seed intensity out replay shrink",
+    ),
+    (
+        "serve",
+        false,
+        "listen uds topology serve-ms max-sessions send-queue heartbeat-ms journal-dir \
+         reactor-threads backend",
+    ),
+    (
+        "loadgen",
+        false,
+        "connect uds clients sessions kill think-ms seed multiplex",
+    ),
+];
+
 /// A parsed command line: the subcommand plus its `--flag value` pairs
 /// (repeated flags accumulate, e.g. `--crash`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -62,29 +103,23 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// Parses `args` (without the program name).
+    /// Parses `args` (without the program name). A flag the subcommand
+    /// does not read is refused rather than dropped.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, ArgError> {
         let mut it = args.into_iter();
         let command = it.next().ok_or(ArgError::MissingCommand)?;
-        if ![
-            "run",
-            "stabilize",
-            "threaded",
-            "campaign",
-            "replay",
-            "chaos",
-            "serve",
-            "loadgen",
-        ]
-        .contains(&command.as_str())
-        {
+        let Some(&(_, scenario, own)) = COMMANDS.iter().find(|(c, ..)| *c == command) else {
             return Err(ArgError::UnknownCommand(command));
-        }
+        };
+        let lists = |flags: &str, name: &str| flags.split_whitespace().any(|f| f == name);
         let mut flags: BTreeMap<String, Vec<String>> = BTreeMap::new();
         while let Some(tok) = it.next() {
             let Some(name) = tok.strip_prefix("--") else {
                 return Err(ArgError::UnexpectedToken(tok));
             };
+            if !lists(own, name) && !(scenario && lists(SCENARIO_FLAGS, name)) {
+                return Err(ArgError::UnknownFlag { command, flag: tok });
+            }
             let value = it
                 .next()
                 .ok_or_else(|| ArgError::MissingValue(tok.clone()))?;
@@ -170,6 +205,64 @@ mod tests {
             parse("run stray"),
             Err(ArgError::UnexpectedToken(_))
         ));
+    }
+
+    #[test]
+    fn refuses_flags_the_command_does_not_read() {
+        for (line, flag) in [
+            (
+                "run --topology ring:4 --sesions 2 --horizon 2000",
+                "--sesions",
+            ),
+            ("run --engine legacy", "--engine"),
+            ("threaded --n 4 --sessions 2", "--sessions"),
+            ("chaos --loss 0.1", "--loss"),
+        ] {
+            let command = line.split_whitespace().next().unwrap().to_string();
+            let err = parse(line).unwrap_err();
+            assert_eq!(
+                err,
+                ArgError::UnknownFlag {
+                    command,
+                    flag: flag.into()
+                },
+                "{line}"
+            );
+            assert!(err.to_string().contains(flag), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn accepts_every_flag_ci_and_the_docs_pass() {
+        for line in [
+            "run --topology ring:6 --oracle adversarial:2000:40 --seed 42 --sessions 8 \
+             --horizon 200000 --think 1:30 --eat 1:10 --algorithm alg1 --timeline 3000",
+            "run --topology grid:3x4 --oracle perfect --crash 0:500 --recover 0:2200:corrupt \
+             --corrupt-state 2:2600 --journal on --storage-fault 1:torn --audit-period 50 \
+             --audit-strikes 2 --dump-journal out",
+            "run --loss 0.2 --dup 0.1 --reorder 0.2:8 --partition 0:2000-9000 --link on",
+            "run --churn-rate 800",
+            "run --churn-plan join:2:5000",
+            "run --obs streaming",
+            "run --topology ring:8 --shards 2",
+            "stabilize --protocol coloring --topology ring:6 --seed 3 --faults 2 \
+             --algorithm alg1 --oracle perfect --crash 1:100 --horizon 60000",
+            "threaded --n 4 --window-ms 400 --crash 1 --recover-ms 150",
+            "campaign --topology ring:4 --seeds 3 --workers 2 --verify on --sessions 2",
+            "replay --dir e16-journals",
+            "chaos --topology ring-8 --count 3 --seed 5 --intensity light --out d",
+            "chaos --replay a.chaos",
+            "chaos --shrink a.chaos --out b.chaos",
+            "serve --listen 127.0.0.1:47201 --topology ring:32 --backend scale:7 \
+             --serve-ms 5000 --max-sessions 64 --send-queue 64 --heartbeat-ms 200 \
+             --journal-dir j --reactor-threads 2",
+            "serve --uds /tmp/ekbd.sock",
+            "loadgen --connect 127.0.0.1:47201 --clients 4 --multiplex 8 --sessions 3 \
+             --kill 0.3 --think-ms 5 --seed 7",
+            "loadgen --uds /tmp/ekbd.sock",
+        ] {
+            assert!(parse(line).is_ok(), "{line}: {:?}", parse(line));
+        }
     }
 
     #[test]

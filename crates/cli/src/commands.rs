@@ -12,7 +12,7 @@ use ekbd_graph::ProcessId;
 use ekbd_harness::{Campaign, MembershipTag, RunReport, Scenario, Workload};
 use ekbd_journal::StorageFaultPlan;
 use ekbd_metrics::{DetectorQualityReport, Timeline};
-use ekbd_sim::{EngineKind, Time};
+use ekbd_sim::Time;
 use ekbd_stabilize::{
     ColoringProtocol, LeaderProtocol, MisProtocol, Protocol, ScheduledRun, SpanningTreeProtocol,
     StabilizationConfig, TokenRingProtocol,
@@ -33,8 +33,7 @@ USAGE:
                  [--journal on|off] [--storage-fault proc:torn|rot|stale|dropped]...
                  [--audit-period N] [--audit-strikes N]
                  [--churn-rate N] [--churn-plan EV[,EV...]]
-                 [--engine indexed|legacy] [--dump-journal DIR]
-                 [--obs dense|streaming] [--shards N]
+                 [--dump-journal DIR] [--obs dense|streaming] [--shards N]
                  (--obs streaming aggregates metrics online in O(n) memory;
                   --shards N runs the fault-free packed scale kernel over N
                   worker threads — built for 10⁵+-process graphs)
@@ -45,7 +44,7 @@ USAGE:
   ekbd campaign  --topology SPEC [--seeds N] [--workers N|auto] [--verify on]
                  [common `run` flags: --seed (base), --sessions, --think, --eat,
                   --oracle, --crash, --recover, --corrupt-state, --loss, --dup,
-                  --reorder, --partition, --link, --horizon, --engine]
+                  --reorder, --partition, --link, --horizon]
   ekbd replay    --dir DIR    (post-mortem narrative from a journal directory
                   written by `run --dump-journal DIR` or the threaded runtime)
   ekbd chaos     [--topology SPEC]... [--count N] [--seed BASE]
@@ -205,20 +204,7 @@ fn scenario_from(parsed: &Parsed) -> Result<Scenario, ArgError> {
     if let Some(spec) = parsed.get("link") {
         s = s.reliable_link(parse_link(spec)?);
     }
-    s = s.engine(parse_engine(parsed)?);
     Ok(s)
-}
-
-fn parse_engine(parsed: &Parsed) -> Result<EngineKind, ArgError> {
-    match parsed.get("engine").unwrap_or("indexed") {
-        "indexed" => Ok(EngineKind::Indexed),
-        "legacy" => Ok(EngineKind::Legacy),
-        other => Err(ArgError::BadValue {
-            flag: "--engine".into(),
-            value: other.to_string(),
-            expected: "indexed | legacy",
-        }),
-    }
 }
 
 fn run_with_algorithm(s: &Scenario, alg: &AlgorithmSpec) -> Result<RunReport, ArgError> {
@@ -442,7 +428,6 @@ fn cmd_run_scale(parsed: &Parsed, shards: usize) -> Result<(), ArgError> {
         "churn-plan",
         "timeline",
         "dump-journal",
-        "engine",
     ];
     for flag in INCOMPATIBLE {
         if parsed.get(flag).is_some() {
@@ -1660,7 +1645,6 @@ mod tests {
         assert!(cmd_run(&parsed("run --topology blob:2")).is_err());
         assert!(cmd_run(&parsed("run --timeline soon")).is_err());
         assert!(cmd_stabilize(&parsed("stabilize --protocol sorting")).is_err());
-        assert!(cmd_run(&parsed("run --engine turbo")).is_err());
         assert!(cmd_campaign(&parsed("campaign --seeds 0")).is_err());
         assert!(cmd_campaign(&parsed("campaign --seeds 2 --workers few")).is_err());
     }
@@ -1711,16 +1695,6 @@ mod tests {
             "run --topology ring:8 --shards 1 --think 65535:65535 --eat 8191:8191",
         ))
         .unwrap();
-    }
-
-    #[test]
-    fn engine_flag_selects_kernel() {
-        let s = scenario_from(&parsed("run --topology ring:4")).unwrap();
-        assert_eq!(s.engine, EngineKind::Indexed, "indexed is the default");
-        let s = scenario_from(&parsed("run --topology ring:4 --engine legacy")).unwrap();
-        assert_eq!(s.engine, EngineKind::Legacy);
-        let p = parsed("run --topology ring:4 --sessions 2 --horizon 10000 --engine legacy");
-        cmd_run(&p).unwrap();
     }
 
     #[test]

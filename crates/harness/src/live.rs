@@ -27,8 +27,7 @@ impl<A: DiningAlgorithm> LiveRun<A> {
             .n(scenario.graph.len())
             .seed(scenario.seed)
             .delay(scenario.delay.clone())
-            .faults(scenario.faults.clone())
-            .engine(scenario.engine);
+            .faults(scenario.faults.clone());
         let workload = crate::host::HostWorkload {
             sessions: scenario.workload.sessions,
             think: scenario.workload.think,

@@ -10,7 +10,7 @@ use ekbd_graph::{ConflictGraph, Membership, ProcessId};
 use ekbd_journal::StorageFaultPlan;
 use ekbd_link::LinkConfig;
 use ekbd_sim::{
-    DelayModel, EngineKind, FaultPlan, MembershipEvent, MembershipPlan, SimConfig, Simulator, Time,
+    DelayModel, FaultPlan, MembershipEvent, MembershipPlan, SimConfig, Simulator, Time,
 };
 
 /// Which failure detector each process runs.
@@ -85,9 +85,6 @@ pub struct Scenario {
     /// Reliable link layer wrapping dining traffic (default: off). Required
     /// for the theorems to survive a non-inert fault plan.
     pub link: Option<LinkConfig>,
-    /// Simulator kernel engine (observably identical either way; see
-    /// [`EngineKind`]).
-    pub engine: EngineKind,
     /// Whether to record the kernel trace into
     /// [`RunReport::kernel_trace`](crate::RunReport::kernel_trace)
     /// (default: off — tracing clones every payload's routing record).
@@ -132,7 +129,6 @@ impl Scenario {
             horizon: Time(100_000),
             faults: FaultPlan::default(),
             link: None,
-            engine: EngineKind::default(),
             record_trace: false,
             journal: false,
             storage_faults: StorageFaultPlan::default(),
@@ -269,18 +265,9 @@ impl Scenario {
         self
     }
 
-    /// Selects the simulator kernel engine (defaults to
-    /// [`EngineKind::Indexed`]; `Legacy` keeps the pre-optimization kernel
-    /// for A/B benchmarking).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Enables kernel-trace recording; the trace comes back in
     /// [`RunReport::kernel_trace`](crate::RunReport::kernel_trace). Used by
-    /// the golden-trace determinism suite to compare engines event by
-    /// event.
+    /// the golden-trace determinism suite to pin runs event by event.
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
         self
@@ -386,7 +373,6 @@ impl Scenario {
             .seed(self.seed)
             .delay(self.delay.clone())
             .faults(self.faults.clone())
-            .engine(self.engine)
             .record_trace(self.record_trace);
         let workload = HostWorkload {
             sessions: self.workload.sessions,
@@ -420,17 +406,15 @@ impl Scenario {
             sim.schedule_external(p, t, HostCmd::BecomeHungry);
         }
         self.schedule_membership(&mut sim);
-        if self.engine == EngineKind::Indexed {
-            // Workload-shaped estimate: 5 scheduling observations per eat
-            // session plus ~3 dining sends per session-edge, with 20% slack
-            // for suspicion churn. An overrun just resumes normal growth.
-            let n = self.graph.len();
-            let deg_sum: usize = (0..n)
-                .map(|i| self.graph.neighbors(ProcessId::from(i)).len())
-                .sum();
-            let est = self.workload.sessions as usize * (5 * n + 3 * deg_sum) * 6 / 5;
-            sim.reserve_observations(est);
-        }
+        // Workload-shaped estimate: 5 scheduling observations per eat
+        // session plus ~3 dining sends per session-edge, with 20% slack for
+        // suspicion churn. An overrun just resumes normal growth.
+        let n = self.graph.len();
+        let deg_sum: usize = (0..n)
+            .map(|i| self.graph.neighbors(ProcessId::from(i)).len())
+            .sum();
+        let est = self.workload.sessions as usize * (5 * n + 3 * deg_sum) * 6 / 5;
+        sim.reserve_observations(est);
         sim.run_until(self.horizon);
         RunReport::collect(self, &mut sim)
     }

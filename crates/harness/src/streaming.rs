@@ -301,8 +301,7 @@ impl Scenario {
             .n(self.graph.len())
             .seed(self.seed)
             .delay(self.delay.clone())
-            .faults(self.faults.clone())
-            .engine(self.engine);
+            .faults(self.faults.clone());
         let workload = HostWorkload {
             sessions: self.workload.sessions,
             think: self.workload.think,

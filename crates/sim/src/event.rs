@@ -1,32 +1,7 @@
 use crate::time::Time;
 use crate::ProcessId;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::mem;
-
-/// Which kernel data-structure engine a simulation runs on.
-///
-/// Both engines are observably identical: for any `(seed, schedule)` they
-/// produce the same event order, the same trace, and the same statistics
-/// (enforced by the cross-engine golden-trace tests). They differ only in
-/// cost:
-///
-/// * [`Indexed`](EngineKind::Indexed) — the optimized kernel: a timer-wheel
-///   event queue indexed by `Time`, conflict-graph channels interned to dense
-///   ids backed by flat `Vec`s, pooled per-event allocations, and
-///   move-instead-of-clone message delivery.
-/// * [`Legacy`](EngineKind::Legacy) — the pre-optimization kernel
-///   (`BinaryHeap` queue, `HashMap<(ProcessId, ProcessId), _>` channel state,
-///   fresh allocations per event). Kept selectable so the E9 benchmark can
-///   measure before/after on the same build and so equivalence stays testable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Timer-wheel queue + dense interned edge state (the default).
-    #[default]
-    Indexed,
-    /// The original heap + hash-map kernel, for A/B benchmarking.
-    Legacy,
-}
 
 /// What happens when a queued event fires.
 #[derive(Debug)]
@@ -71,120 +46,6 @@ pub(crate) struct Scheduled<M, E> {
     pub kind: EventKind<M, E>,
 }
 
-impl<M, E> PartialEq for Scheduled<M, E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M, E> Eq for Scheduled<M, E> {}
-impl<M, E> PartialOrd for Scheduled<M, E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M, E> Ord for Scheduled<M, E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// Deterministic priority queue of scheduled events, in the engine flavor
-/// chosen by [`EngineKind`]. Both flavors pop in identical `(time, seq)`
-/// order.
-// One instance per simulator, accessed on every event: the wheel stays
-// inline rather than boxed so the hot path has no extra indirection.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum EventQueue<M, E> {
-    Wheel(WheelQueue<M, E>),
-    Heap(HeapQueue<M, E>),
-}
-
-impl<M, E> EventQueue<M, E> {
-    pub fn new(engine: EngineKind) -> Self {
-        match engine {
-            EngineKind::Indexed => EventQueue::Wheel(WheelQueue::new()),
-            EngineKind::Legacy => EventQueue::Heap(HeapQueue::new()),
-        }
-    }
-
-    /// Schedules `kind` at `time` for `target`; returns the sequence number.
-    #[inline]
-    pub fn push(&mut self, time: Time, target: ProcessId, kind: EventKind<M, E>) -> u64 {
-        match self {
-            EventQueue::Wheel(q) => q.push(time, target, kind),
-            EventQueue::Heap(q) => q.push(time, target, kind),
-        }
-    }
-
-    #[inline]
-    pub fn pop(&mut self) -> Option<Scheduled<M, E>> {
-        match self {
-            EventQueue::Wheel(q) => q.pop(),
-            EventQueue::Heap(q) => q.pop(),
-        }
-    }
-
-    #[inline]
-    pub fn peek_time(&mut self) -> Option<Time> {
-        match self {
-            EventQueue::Wheel(q) => q.peek_time(),
-            EventQueue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(q) => q.len,
-            EventQueue::Heap(q) => q.heap.len(),
-        }
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Wheel(q) => q.len == 0,
-            EventQueue::Heap(q) => q.heap.is_empty(),
-        }
-    }
-}
-
-/// The pre-optimization queue: a `BinaryHeap` over [`Scheduled`].
-pub(crate) struct HeapQueue<M, E> {
-    heap: BinaryHeap<Scheduled<M, E>>,
-    next_seq: u64,
-}
-
-impl<M, E> HeapQueue<M, E> {
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    pub fn push(&mut self, time: Time, target: ProcessId, kind: EventKind<M, E>) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled {
-            time,
-            seq,
-            target,
-            kind,
-        });
-        seq
-    }
-
-    pub fn pop(&mut self) -> Option<Scheduled<M, E>> {
-        self.heap.pop()
-    }
-
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|s| s.time)
-    }
-}
-
 const WHEEL_BITS: usize = 12;
 /// Wheel window width in ticks. Message delays and timer periods in every
 /// workload are orders of magnitude smaller, so in practice all pushes land
@@ -207,8 +68,8 @@ const POOL_CAP: usize = 64;
 /// `cursor` only advances when a batch is *popped*, never on peek, so
 /// callers may interleave `peek_time` with external event injection (the
 /// `LiveRun` pattern) without perturbing order. Within one tick, events from
-/// the wheel and the overflow are merged by `seq`, preserving the global
-/// `(time, seq)` pop order of the legacy heap exactly.
+/// the wheel and the overflow are merged by `seq`, so events pop in global
+/// `(time, seq)` order exactly.
 pub(crate) struct WheelQueue<M, E> {
     slots: Box<[Vec<Scheduled<M, E>>]>,
     /// Bit `i % 64` of word `i / 64` set iff slot `i` is non-empty.
@@ -324,6 +185,15 @@ impl<M, E> WheelQueue<M, E> {
         let ev = self.draining.pop().expect("staged batch is non-empty");
         self.len -= 1;
         Some(ev)
+    }
+
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Earliest queued tick, without committing the cursor.
@@ -501,44 +371,36 @@ mod tests {
         ProcessId::from(i)
     }
 
-    fn engines() -> [EngineKind; 2] {
-        [EngineKind::Indexed, EngineKind::Legacy]
-    }
-
     #[test]
     fn pops_in_time_then_seq_order() {
-        for engine in engines() {
-            let mut q: EventQueue<u32, ()> = EventQueue::new(engine);
-            q.push(Time(5), p(0), EventKind::Timer { tag: 1 });
-            q.push(Time(3), p(1), EventKind::Timer { tag: 2 });
-            q.push(Time(5), p(2), EventKind::Timer { tag: 3 });
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.peek_time(), Some(Time(3)));
-            let a = q.pop().unwrap();
-            assert_eq!((a.time, a.target), (Time(3), p(1)));
-            let b = q.pop().unwrap();
-            let c = q.pop().unwrap();
-            // Same timestamp: scheduling order (seq) breaks the tie.
-            assert_eq!((b.time, b.target), (Time(5), p(0)));
-            assert_eq!((c.time, c.target), (Time(5), p(2)));
-            assert!(b.seq < c.seq);
-            assert!(q.is_empty());
-        }
+        let mut q: WheelQueue<u32, ()> = WheelQueue::new();
+        q.push(Time(5), p(0), EventKind::Timer { tag: 1 });
+        q.push(Time(3), p(1), EventKind::Timer { tag: 2 });
+        q.push(Time(5), p(2), EventKind::Timer { tag: 3 });
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(Time(3)));
+        let a = q.pop().unwrap();
+        assert_eq!((a.time, a.target), (Time(3), p(1)));
+        let b = q.pop().unwrap();
+        let c = q.pop().unwrap();
+        // Same timestamp: scheduling order (seq) breaks the tie.
+        assert_eq!((b.time, b.target), (Time(5), p(0)));
+        assert_eq!((c.time, c.target), (Time(5), p(2)));
+        assert!(b.seq < c.seq);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn seq_is_globally_monotone() {
-        for engine in engines() {
-            let mut q: EventQueue<(), ()> = EventQueue::new(engine);
-            let s1 = q.push(Time(9), p(0), EventKind::Crash);
-            let s2 = q.push(Time(1), p(0), EventKind::Crash);
-            assert!(s2 > s1);
-        }
+        let mut q: WheelQueue<(), ()> = WheelQueue::new();
+        let s1 = q.push(Time(9), p(0), EventKind::Crash);
+        let s2 = q.push(Time(1), p(0), EventKind::Crash);
+        assert!(s2 > s1);
     }
 
     #[test]
     fn far_future_events_overflow_and_return() {
-        let mut q: EventQueue<u64, ()> = EventQueue::new(EngineKind::Indexed);
+        let mut q: WheelQueue<u64, ()> = WheelQueue::new();
         // Far beyond the wheel window.
         let far = Time(WHEEL_SLOTS as u64 * 10 + 3);
         q.push(far, p(0), EventKind::Timer { tag: 99 });
@@ -554,7 +416,7 @@ mod tests {
 
     #[test]
     fn same_tick_wheel_and_overflow_merge_by_seq() {
-        let mut q: EventQueue<u64, ()> = EventQueue::new(EngineKind::Indexed);
+        let mut q: WheelQueue<u64, ()> = WheelQueue::new();
         let t = Time(WHEEL_SLOTS as u64 + 100);
         // Out of window now: goes to overflow.
         let s0 = q.push(t, p(0), EventKind::Timer { tag: 0 });
@@ -573,7 +435,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_commit_the_cursor() {
-        let mut q: EventQueue<u64, ()> = EventQueue::new(EngineKind::Indexed);
+        let mut q: WheelQueue<u64, ()> = WheelQueue::new();
         q.push(Time(500), p(0), EventKind::Timer { tag: 5 });
         assert_eq!(q.peek_time(), Some(Time(500)));
         // An earlier event injected after the peek must still pop first.
@@ -584,9 +446,9 @@ mod tests {
     }
 
     #[test]
-    fn wheel_matches_heap_on_random_workload() {
-        // A deterministic pseudo-random push/pop workload; both engines must
-        // produce identical (time, seq) pop sequences.
+    fn wheel_matches_an_ordered_map_on_random_workload() {
+        // A deterministic pseudo-random push/pop workload against the
+        // obvious model: a map keyed by (tick, seq), popped from the front.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             state ^= state << 13;
@@ -594,8 +456,12 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut wheel: EventQueue<u64, ()> = EventQueue::new(EngineKind::Indexed);
-        let mut heap: EventQueue<u64, ()> = EventQueue::new(EngineKind::Legacy);
+        let mut wheel: WheelQueue<u64, ()> = WheelQueue::new();
+        let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        let popped = |ev: Scheduled<u64, ()>| match ev.kind {
+            EventKind::Timer { tag } => ((ev.time.ticks(), ev.seq), tag),
+            _ => unreachable!("only timers are pushed"),
+        };
         let mut clock = 0u64;
         for round in 0..5_000 {
             let burst = (next() % 4) as usize;
@@ -606,27 +472,23 @@ mod tests {
                 } else {
                     next() % 64
                 };
-                let t = Time(clock + jump);
+                let t = clock + jump;
                 let tag = next();
-                wheel.push(t, p(0), EventKind::Timer { tag });
-                heap.push(t, p(0), EventKind::Timer { tag });
+                let seq = wheel.push(Time(t), p(0), EventKind::Timer { tag });
+                model.insert((t, seq), tag);
             }
             if round % 3 != 0 {
-                let (a, b) = (wheel.pop(), heap.pop());
-                match (a, b) {
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.time, x.seq), (y.time, y.seq), "round {round}");
-                        clock = x.time.ticks();
-                    }
-                    (None, None) => {}
-                    _ => panic!("engines disagree on emptiness at round {round}"),
+                let got = wheel.pop().map(popped);
+                assert_eq!(got, model.pop_first(), "round {round}");
+                if let Some(((t, _), _)) = got {
+                    clock = t;
                 }
             }
-            assert_eq!(wheel.peek_time(), heap.peek_time(), "round {round}");
+            let want = model.keys().next().map(|&(t, _)| Time(t));
+            assert_eq!(wheel.peek_time(), want, "round {round}");
         }
-        while let Some(y) = heap.pop() {
-            let x = wheel.pop().expect("wheel drained early");
-            assert_eq!((x.time, x.seq), (y.time, y.seq));
+        while let Some(want) = model.pop_first() {
+            assert_eq!(wheel.pop().map(popped), Some(want));
         }
         assert!(wheel.is_empty());
     }

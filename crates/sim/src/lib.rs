@@ -85,7 +85,6 @@ mod time;
 mod trace;
 
 pub use ekbd_graph::ProcessId;
-pub use event::EngineKind;
 pub use fault::{CorruptionSpec, FaultPlan, FaultPlanError, LinkFault, Partition, RecoverySpec};
 pub use membership::{MembershipEvent, MembershipPlan, MembershipPlanError};
 pub use network::{ChannelStats, DelayModel};

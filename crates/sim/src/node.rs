@@ -89,15 +89,9 @@ pub trait Node {
 }
 
 /// Where [`Context::observe`] writes.
-///
-/// The legacy engine buffers raw observations per dispatch and lets the
-/// simulator wrap them afterwards (the pre-optimization cost model); the
-/// indexed engine hands the context the simulator's log directly, so each
-/// observation is stamped and stored exactly once.
 pub(crate) enum ObsSink<'a, O> {
-    /// Per-dispatch scratch, drained by the simulator after the handler.
-    Scratch(Vec<O>),
-    /// The simulator's observation log, written in place.
+    /// The simulator's observation log, written in place: each observation
+    /// is stamped and stored exactly once.
     Direct(&'a mut Vec<Observation<O>>),
     /// A streaming aggregator (the scale tier): each observation is
     /// consumed immediately and never stored densely.
@@ -162,7 +156,6 @@ impl<'a, M, O> Context<'a, M, O> {
     /// Emits an observation for the metrics layer.
     pub fn observe(&mut self, obs: O) {
         match &mut self.observations {
-            ObsSink::Scratch(v) => v.push(obs),
             ObsSink::Direct(out) => out.push(Observation {
                 time: self.now,
                 process: self.id,
@@ -186,13 +179,14 @@ mod tests {
     #[test]
     fn context_buffers_effects() {
         let mut rng = StdRng::seed_from_u64(0);
+        let mut log: Vec<Observation<u32>> = Vec::new();
         let mut ctx: Context<'_, &str, u32> = Context::with_buffers(
             ProcessId(2),
             Time(7),
             &mut rng,
             Vec::new(),
             Vec::new(),
-            ObsSink::Scratch(Vec::new()),
+            ObsSink::Direct(&mut log),
         );
         assert_eq!(ctx.id(), ProcessId(2));
         assert_eq!(ctx.now(), Time(7));
@@ -201,30 +195,12 @@ mod tests {
         ctx.observe(41);
         assert_eq!(ctx.sends, vec![(ProcessId(0), "hi")]);
         assert_eq!(ctx.timers, vec![(1, 9)]);
-        match ctx.observations {
-            ObsSink::Scratch(v) => assert_eq!(v, vec![41]),
-            _ => panic!("this context buffers in scratch"),
-        }
-    }
-
-    #[test]
-    fn direct_sink_stamps_in_place() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut log: Vec<Observation<u32>> = Vec::new();
-        let mut ctx: Context<'_, &str, u32> = Context::with_buffers(
-            ProcessId(3),
-            Time(11),
-            &mut rng,
-            Vec::new(),
-            Vec::new(),
-            ObsSink::Direct(&mut log),
-        );
-        ctx.observe(7);
         drop(ctx);
+        // The observation is stamped and stored in place.
         assert_eq!(log.len(), 1);
         assert_eq!(
             (log[0].time, log[0].process, log[0].obs),
-            (Time(11), ProcessId(3), 7)
+            (Time(7), ProcessId(2), 41)
         );
     }
 }

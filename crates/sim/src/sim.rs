@@ -1,4 +1,4 @@
-use crate::event::{EngineKind, EventKind, EventQueue};
+use crate::event::{EventKind, WheelQueue};
 use crate::fault::FaultPlan;
 use crate::network::{ChannelStats, DelayModel, Network};
 use crate::node::{Context, Node, NodeEvent, ObsSink};
@@ -41,9 +41,6 @@ pub struct SimConfig {
     pub record_trace: bool,
     /// Safety valve: [`Simulator::run`] stops after this many events.
     pub max_events: u64,
-    /// Which kernel data-structure engine to run on (observably identical;
-    /// see [`EngineKind`]).
-    pub engine: EngineKind,
 }
 
 impl Default for SimConfig {
@@ -55,7 +52,6 @@ impl Default for SimConfig {
             faults: FaultPlan::default(),
             record_trace: false,
             max_events: 50_000_000,
-            engine: EngineKind::default(),
         }
     }
 }
@@ -91,17 +87,11 @@ impl SimConfig {
         self.max_events = max;
         self
     }
-    /// Selects the kernel engine (defaults to [`EngineKind::Indexed`]).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
 }
 
-/// Reusable effect buffers swapped into each [`Context`], so the indexed
-/// engine's steady state dispatches events without heap allocation.
-/// (Observations need no scratch: the indexed engine writes them straight
-/// into the simulator's log via [`ObsSink::Direct`].)
+/// Reusable effect buffers swapped into each [`Context`], so the steady
+/// state dispatches events without heap allocation. (Observations need no
+/// scratch: they go straight into the simulator's log or streaming sink.)
 struct Scratch<N: Node> {
     sends: Vec<(ProcessId, N::Msg)>,
     timers: Vec<(Duration, u64)>,
@@ -129,7 +119,7 @@ impl<N: Node> Scratch<N> {
 pub struct Simulator<N: Node> {
     config: SimConfig,
     time: Time,
-    queue: EventQueue<N::Msg, N::Ext>,
+    queue: WheelQueue<N::Msg, N::Ext>,
     network: Network,
     nodes: Vec<N>,
     crashed: Vec<bool>,
@@ -160,7 +150,7 @@ impl<N: Node> Simulator<N> {
             .map(|i| factory(ProcessId::from(i), &mut rng))
             .collect();
         let n = config.n;
-        let mut queue = EventQueue::new(config.engine);
+        let mut queue = WheelQueue::new();
         // Auto-schedule the plan-declared process faults straight off the
         // borrowed plan — no `FaultPlan` clone is ever needed.
         for r in &config.faults.recoveries {
@@ -172,7 +162,7 @@ impl<N: Node> Simulator<N> {
             queue.push(c.at, c.process, EventKind::Corrupt);
         }
         Simulator {
-            network: Network::new(n, config.seed, config.engine),
+            network: Network::new(n, config.seed),
             config,
             time: Time::ZERO,
             queue,
@@ -380,58 +370,24 @@ impl<N: Node> Simulator<N> {
     }
 
     fn dispatch(&mut self, target: ProcessId, ev: NodeEvent<N::Msg, N::Ext>) {
-        // The indexed engine recycles the effect buffers and moves (rather
-        // than clones) the payload of the last delivery copy. The legacy
-        // engine keeps the pre-optimization cost model — fresh allocations
-        // and a clone per copy — so E9 measures an honest before/after.
-        let pooled = self.config.engine == EngineKind::Indexed;
-        let sink = match (&mut self.streaming, pooled) {
-            (Some(s), _) => ObsSink::Stream(s.as_mut()),
-            (None, true) => ObsSink::Direct(&mut self.observations),
-            (None, false) => ObsSink::Scratch(Vec::new()),
+        let sink = match &mut self.streaming {
+            Some(s) => ObsSink::Stream(s.as_mut()),
+            None => ObsSink::Direct(&mut self.observations),
         };
-        let mut ctx = if pooled {
-            Context::with_buffers(
-                target,
-                self.time,
-                &mut self.rng,
-                mem::take(&mut self.scratch.sends),
-                mem::take(&mut self.scratch.timers),
-                sink,
-            )
-        } else {
-            Context::with_buffers(
-                target,
-                self.time,
-                &mut self.rng,
-                Vec::new(),
-                Vec::new(),
-                sink,
-            )
-        };
+        let mut ctx = Context::with_buffers(
+            target,
+            self.time,
+            &mut self.rng,
+            mem::take(&mut self.scratch.sends),
+            mem::take(&mut self.scratch.timers),
+            sink,
+        );
         self.nodes[target.index()].handle(ev, &mut ctx);
         let Context {
             mut sends,
             mut timers,
-            observations,
             ..
         } = ctx;
-        // Consume the sink first: it may hold a borrow of the observation
-        // log whose lifetime is unified with the context's rng borrow.
-        match observations {
-            // Legacy cost model: wrap and copy each observation after the
-            // handler. (The indexed engine already wrote them in place.)
-            ObsSink::Scratch(mut raw) => {
-                for obs in raw.drain(..) {
-                    self.observations.push(Observation {
-                        time: self.time,
-                        process: target,
-                        obs,
-                    });
-                }
-            }
-            ObsSink::Direct(_) | ObsSink::Stream(_) => {}
-        }
         for (to, msg) in sends.drain(..) {
             assert!(to.index() < self.crashed.len(), "send target out of range");
             assert!(to != target, "a process cannot send to itself");
@@ -448,7 +404,8 @@ impl<N: Node> Simulator<N> {
             let copies = disposition.deliveries.len();
             let mut payload = Some(msg);
             for (copy, &delivery) in disposition.deliveries.as_slice().iter().enumerate() {
-                let msg = if pooled && copy + 1 == copies {
+                // The last copy takes the payload; only a duplicate clones.
+                let msg = if copy + 1 == copies {
                     payload.take().expect("payload moved once")
                 } else {
                     payload.as_ref().expect("payload present").clone()
@@ -496,10 +453,8 @@ impl<N: Node> Simulator<N> {
             self.queue
                 .push(self.time + delay, target, EventKind::Timer { tag });
         }
-        if pooled {
-            self.scratch.sends = sends;
-            self.scratch.timers = timers;
-        }
+        self.scratch.sends = sends;
+        self.scratch.timers = timers;
     }
 
     fn ensure_started(&mut self) {

@@ -1,7 +1,7 @@
 //! Sharded-kernel golden gate (scale-tier satellite): shard-count
 //! invariance, rerun byte-identity, a committed table of literal
-//! fingerprints, and cross-check against the legacy engine's semantics on
-//! small graphs.
+//! fingerprints, and cross-check against the dense simulator's semantics
+//! on small graphs.
 //!
 //! The packed kernel promises that its result is a pure function of
 //! `(graph, colors, seed)` — the shard count and thread interleaving must
@@ -87,7 +87,7 @@ fn packed_semantics_cross_check_against_full_simulator() {
     // re-skin of the simulator, so traces are not comparable event by
     // event — but the *safety theorems* must hold in both worlds. On the
     // reference topologies the packed run must be mistake-free and
-    // wait-free, exactly as the golden-trace-pinned legacy engine is.
+    // wait-free, exactly as the golden-trace-pinned dense simulator is.
     for (g, label) in [
         (topology::ring(8), "ring-8"),
         (topology::clique(6), "clique-6"),
