@@ -143,13 +143,17 @@ pub fn derived_audit_period(max_degree: usize) -> u64 {
     (10 * (max_degree as u64 + 3)).clamp(30, 240)
 }
 
-/// A simulated process hosting a dining algorithm and a failure detector.
+/// A process hosting a dining algorithm and a failure detector.
 ///
 /// The host owns all the plumbing the paper leaves implicit: delivering
 /// detector output changes to the dining layer (so oracle-guarded actions
 /// re-fire), finite eating, recurring appetite, and the emission of
 /// [`HostObs`] for the metrics layer — derived by *diffing* the algorithm's
 /// visible state around each call, so no algorithm can misreport itself.
+/// It also wires in the link layer, crash recovery, the audit and
+/// membership. It is the one host of both substrates: the simulator
+/// dispatches to it directly, and each `ekbd-runtime` process thread
+/// drives it through a [`Context`] over its own reused buffers.
 pub struct DinerHost<A: DiningAlgorithm> {
     alg: A,
     det: AnyDetector,
@@ -159,8 +163,8 @@ pub struct DinerHost<A: DiningAlgorithm> {
     /// [`Envelope::Dining`] frames (the seed behavior, correct over
     /// reliable channels).
     link: Option<LinkEndpoint<A::Msg>>,
-    /// This process's incarnation as last told by the simulator (0 until
-    /// the first restart). Stamps the audit timer chain.
+    /// This process's incarnation as last told by its driver (0 until the
+    /// first restart or join). Stamps the audit timer chain.
     inc: u64,
     /// Audit-and-repair period ([`AUDIT_PERIOD`] unless overridden).
     audit_period: u64,
@@ -558,8 +562,11 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
                 self.inc = incarnation;
                 // Same ordering as a crash-recovery restart: clean link
                 // channels first, then the algorithm introduces itself via
-                // the rejoin handshake, then the detector boots (its first
-                // life — a joiner has no pre-crash suspicions to refute).
+                // the rejoin handshake, then the detector opens the
+                // incarnation's epoch. The neighbours rightly suspected
+                // the absent process (it sent no heartbeats), and only an
+                // epoch-stamped `Alive` withdraws a standing suspicion
+                // without counting it a false positive.
                 if let Some(link) = self.link.as_mut() {
                     link.on_restart(incarnation);
                 }
@@ -568,7 +575,13 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
                 self.alg.join(incarnation, &self.det, &mut sends);
                 self.send_dining(&mut sends, ctx);
                 self.sends_buf = sends;
-                self.detector_event(DetectorEvent::Start { now: ctx.now() }, ctx);
+                self.detector_event(
+                    DetectorEvent::Recovered {
+                        now: ctx.now(),
+                        epoch: incarnation,
+                    },
+                    ctx,
+                );
                 self.sessions_left = self.workload.sessions;
                 self.schedule_appetite(ctx);
                 self.arm_audit(ctx);
@@ -579,6 +592,84 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
                 // are re-armed — the simulator delivers nothing after this.
                 self.step_alg(ctx, |alg, _det, sends| alg.retire(sends));
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ekbd_detector::{HeartbeatConfig, HeartbeatDetector, SuspicionView};
+    use ekbd_dining::RecoverableDining;
+    use ekbd_graph::{coloring, topology};
+    use ekbd_sim::{ObsSink, Observation, Time};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn a_joiner_refutes_its_neighbours_suspicion_without_a_false_positive() {
+        let g = topology::path(3);
+        let colors = coloring::greedy(&g);
+        let joiner = ProcessId(1);
+        let cfg = HeartbeatConfig::default();
+        let detector = HeartbeatDetector::new(cfg, g.neighbors(joiner).iter().copied());
+        let mut host = DinerHost::new(
+            RecoverableDining::from_graph(&g, &colors, joiner),
+            AnyDetector::Heartbeat(detector),
+            HostWorkload::manual(),
+        );
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut log: Vec<Observation<HostObs>> = Vec::new();
+        let mut ctx = Context::with_buffers(
+            joiner,
+            Time(100),
+            &mut rng,
+            Vec::new(),
+            Vec::new(),
+            ObsSink::Direct(&mut log),
+        );
+        host.handle(NodeEvent::Join { incarnation: 1 }, &mut ctx);
+        let (sends, _) = ctx.into_buffers();
+        for &q in g.neighbors(joiner) {
+            let heard: Vec<DetectorMsg> = sends
+                .iter()
+                .filter_map(|(to, m)| match m {
+                    Envelope::Detector(m) if *to == q => Some(*m),
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                heard.contains(&DetectorMsg::Alive { epoch: 1 }),
+                "{q:?} hears the joiner's epoch: {heard:?}"
+            );
+            // The neighbour rightly suspected the absent joiner, which sent
+            // it nothing before its join.
+            let mut neighbour = HeartbeatDetector::new(cfg, [joiner]);
+            let mut out = DetectorOutput::new();
+            neighbour.handle(DetectorEvent::Start { now: Time(0) }, &mut out);
+            neighbour.handle(
+                DetectorEvent::Timer {
+                    now: Time(99),
+                    tag: 1,
+                },
+                &mut out,
+            );
+            assert!(neighbour.suspects(joiner));
+            for msg in heard {
+                let now = Time(101);
+                let ev = DetectorEvent::Message {
+                    now,
+                    from: joiner,
+                    msg,
+                };
+                neighbour.handle(ev, &mut out);
+            }
+            assert!(!neighbour.suspects(joiner), "the join withdraws it");
+            assert_eq!(
+                neighbour.total_false_positives(),
+                0,
+                "a correct suspicion withdrawn is no false positive"
+            );
         }
     }
 }

@@ -227,17 +227,7 @@ impl RunReport {
             let mut summary = LinkSummary::default();
             for i in 0..n {
                 if let Some(s) = sim.node(ProcessId::from(i)).link_stats() {
-                    summary.absorb(
-                        s.payloads_sent,
-                        s.data_sent,
-                        s.retransmissions,
-                        s.acks_sent,
-                        s.duplicates_suppressed,
-                        s.out_of_order_buffered,
-                        s.delivered,
-                        s.recoveries,
-                        s.max_unacked,
-                    );
+                    summary.absorb(&s);
                 }
             }
             summary

@@ -90,10 +90,11 @@ pub fn state_entropy(seed: u64, p: ProcessId, nonce: u64) -> u64 {
 
 /// A process's outgoing channels, wrapped with fault injection.
 ///
-/// Control traffic (hungry/crash/shutdown commands) bypasses the faults
-/// via [`send_reliable`](Self::send_reliable); payload traffic (dining,
-/// link, detector frames) goes through [`send`](Self::send), which rolls
-/// the loss and duplication dice per frame.
+/// Only a process thread's wire traffic (dining, link and detector
+/// frames) goes through [`send`](Self::send), which rolls the loss,
+/// duplication and reorder dice per frame. Control traffic (hungry,
+/// crash, membership and shutdown commands) never passes through here:
+/// the system handle writes it straight to each thread's channel.
 pub(crate) struct LossyLinks<T: Clone> {
     txs: HashMap<ProcessId, Sender<T>>,
     faults: ChannelFaults,

@@ -2,17 +2,19 @@
 //!
 //! The dining layer ([`DiningAlgorithm`](ekbd_dining::DiningAlgorithm)) and
 //! the detector layer ([`DetectorModule`](ekbd_detector::DetectorModule))
-//! are pure state machines, so the same code that runs on the
-//! discrete-event simulator runs here on OS threads: one thread per
-//! process, crossbeam channels as the reliable FIFO links, wall-clock
-//! milliseconds as the time base, and a live
+//! are pure state machines, and so is the host that wires them together
+//! with the link, recovery and membership layers
+//! ([`DinerHost`](ekbd_harness::DinerHost), driven through an
+//! [`ekbd_sim::Context`]). Each process thread here runs that same host,
+//! the one the discrete-event simulator runs: one thread per process,
+//! crossbeam channels as the reliable FIFO links, wall-clock milliseconds
+//! as the time base, and a live
 //! [`HeartbeatDetector`](ekbd_detector::HeartbeatDetector) as ◇P₁.
 //!
 //! Channels can be made adversarial with [`ChannelFaults`] — a lighter
 //! mirror of the simulator's fault plan that drops or duplicates payload
 //! frames at the sender — and dining traffic can then be wrapped by the
-//! [`ekbd_link`] reliable link layer (`RuntimeConfig::link`), the same
-//! sans-io state machine the simulator hosts.
+//! [`ekbd_link`] reliable link layer (`RuntimeConfig::link`).
 //!
 //! Crashes are real: under the crash-stop algorithm a crashed process's
 //! thread exits, its channel receivers drop, and from then on it neither

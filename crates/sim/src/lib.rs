@@ -88,7 +88,7 @@ pub use ekbd_graph::ProcessId;
 pub use fault::{CorruptionSpec, FaultPlan, FaultPlanError, LinkFault, Partition, RecoverySpec};
 pub use membership::{MembershipEvent, MembershipPlan, MembershipPlanError};
 pub use network::{ChannelStats, DelayModel};
-pub use node::{Context, Node, NodeEvent};
+pub use node::{Context, Node, NodeEvent, ObsSink};
 pub use obs::{LatencyHistogram, Reservoir, StreamSink};
 pub use packed::{EatExcerpt, EatObs, InteractiveScale, PackedKernel, ScaleConfig};
 pub use shard::{run_sharded, ScaleRunReport};

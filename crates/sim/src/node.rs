@@ -68,7 +68,8 @@ pub enum NodeEvent<M, E> {
 ///
 /// Nodes are *pure state machines*: all interaction with the outside world
 /// goes through the [`Context`] passed to [`Node::handle`]. This is what
-/// lets the same algorithm code run unchanged on the discrete-event
+/// lets the same node — the harness's `DinerHost` with its algorithm,
+/// detector and link layer — run unchanged on the discrete-event
 /// simulator and on the threaded real-time runtime.
 pub trait Node {
     /// Message type exchanged between nodes. `Clone` is required so the
@@ -89,37 +90,45 @@ pub trait Node {
 }
 
 /// Where [`Context::observe`] writes.
-pub(crate) enum ObsSink<'a, O> {
-    /// The simulator's observation log, written in place: each observation
-    /// is stamped and stored exactly once.
+pub enum ObsSink<'a, O> {
+    /// An observation log (the simulator's, or a host loop's per-event
+    /// buffer), written in place: each observation is stamped and stored
+    /// exactly once.
     Direct(&'a mut Vec<Observation<O>>),
     /// A streaming aggregator (the scale tier): each observation is
     /// consumed immediately and never stored densely.
     Stream(&'a mut dyn StreamSink<O>),
 }
 
+/// Messages a handler sent, as `(destination, message)`, in send order.
+type Sends<M> = Vec<(ProcessId, M)>;
+/// Timers a handler armed, as `(delay, tag)`, in arming order.
+type Timers = Vec<(Duration, u64)>;
+
 /// The effect interface handed to [`Node::handle`].
 ///
-/// Effects are buffered and applied by the simulator after the handler
-/// returns, so a handler always sees a consistent snapshot of time.
+/// Effects are buffered and applied by the caller (the simulator, or a
+/// runtime thread) after the handler returns, so a handler always sees a
+/// consistent snapshot of time.
 pub struct Context<'a, M, O> {
     pub(crate) id: ProcessId,
     pub(crate) now: Time,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) sends: Vec<(ProcessId, M)>,
-    pub(crate) timers: Vec<(Duration, u64)>,
+    pub(crate) sends: Sends<M>,
+    pub(crate) timers: Timers,
     pub(crate) observations: ObsSink<'a, O>,
 }
 
 impl<'a, M, O> Context<'a, M, O> {
-    /// Builds a context around caller-owned effect buffers, so the simulator
-    /// can recycle them across events instead of allocating per dispatch.
-    pub(crate) fn with_buffers(
+    /// Builds a context around caller-owned effect buffers, so a host loop
+    /// (the simulator, or the threaded runtime's process threads) can
+    /// recycle them across events instead of allocating per dispatch.
+    pub fn with_buffers(
         id: ProcessId,
         now: Time,
         rng: &'a mut StdRng,
-        sends: Vec<(ProcessId, M)>,
-        timers: Vec<(Duration, u64)>,
+        sends: Sends<M>,
+        timers: Timers,
         observations: ObsSink<'a, O>,
     ) -> Self {
         Context {
@@ -130,6 +139,12 @@ impl<'a, M, O> Context<'a, M, O> {
             timers,
             observations,
         }
+    }
+
+    /// Hands back the send and timer buffers, in the order the handler
+    /// filled them, for the caller to apply and then reuse.
+    pub fn into_buffers(self) -> (Sends<M>, Timers) {
+        (self.sends, self.timers)
     }
 
     /// This process's id.
