@@ -273,6 +273,92 @@ fn crash_recovery_trace_matches_the_committed_digest() {
     );
 }
 
+/// Literal digests at high degree, taken from the per-slot `DiningProcess`
+/// before its edge flags became S1 words. Six bits a slot and ten slots a
+/// 60-bit guard chunk: clique-12 (δ = 11) puts slot 10 at bits 60–65, in a
+/// second chunk and a second word, and star-24's hub (δ = 23) takes three
+/// chunks. Both run under the adversarial oracle, so `∨ suspected` decides
+/// guards that span chunks.
+const HIGH_DEGREE_DIGESTS: [(&str, &str); 2] = [
+    (
+        "clique-12",
+        "events=3911 messages=2586 sched#c656b423ed433ff6 states#b03d58f18f3843e5 incarnations#d4391dfeca373bc5 trace=6497#301e352396ade5ec",
+    ),
+    (
+        "star-24",
+        "events=2688 messages=1024 sched#5589fd851706b7ab states#55a63c11b10e51a5 incarnations#1d9952ce4f167065 trace=3712#7e33113a4a3329bb",
+    ),
+];
+
+/// [`high_degree_recovery_scenario`] under `run_recoverable`, read by
+/// [`chaos_digest`]: every journal byte is in it, so the edge flags a
+/// restart snapshots, restores and corrupts are pinned past the first
+/// chunk.
+const HIGH_DEGREE_RECOVERY_DIGEST: &str = "events=150420 eats=70 sched#4a8fde585b6a4e14 link#7d5a76a240059a76 recovery#f26491d7c10e8564 restarts#065b1ff9163140c6 readmit#9a4d3cc085c2e1dc journals=94#0d80b2ed0f30e3cb trace=247346#f7a57f9957c03be9";
+
+#[test]
+fn high_degree_traces_match_the_committed_digests() {
+    let graphs = [
+        ("clique-12", ekbd::graph::topology::clique(12), 12),
+        ("star-24", ekbd::graph::topology::star(24), 24),
+    ];
+    assert_rows(
+        graphs
+            .into_iter()
+            .filter_map(|(label, g, seed)| {
+                let (_, want) = HIGH_DEGREE_DIGESTS
+                    .iter()
+                    .find(|(l, _)| *l == label)
+                    .expect("a committed row");
+                check_digest(
+                    label,
+                    &base_scenario(g, seed),
+                    Scenario::run_algorithm1,
+                    want,
+                )
+            })
+            .collect(),
+    );
+}
+
+/// A journaled clique-12 with a plain restart (the journal resumes the
+/// edge flags), a corrupted restart and a live-state corruption, each on a
+/// process whose edge slots run past bit 60.
+fn high_degree_recovery_scenario() -> Scenario {
+    base_scenario(ekbd::graph::topology::clique(12), 12)
+        .journal(true)
+        .crash(p(3), Time(4_000))
+        .recover(p(3), Time(9_000))
+        .crash(p(11), Time(6_000))
+        .recover_corrupted(p(11), Time(12_000))
+        .corrupt_state(p(10), Time(15_000))
+}
+
+#[test]
+fn high_degree_crash_recovery_matches_the_committed_digest() {
+    let scenario = high_degree_recovery_scenario();
+    let first = scenario.run_recoverable();
+    assert_eq!(
+        (first.incarnations[3], first.incarnations[11]),
+        (1, 1),
+        "both restarts ran"
+    );
+    assert!(
+        first.journals.iter().any(|j| !j.is_empty()),
+        "journaling must be on for this test to mean anything"
+    );
+    let got = chaos_digest(&first);
+    assert_eq!(
+        got,
+        chaos_digest(&scenario.run_recoverable()),
+        "repeat run digest"
+    );
+    assert_eq!(
+        got, HIGH_DEGREE_RECOVERY_DIGEST,
+        "digest moved; the run now reads:\n{got}"
+    );
+}
+
 #[test]
 fn journaling_without_restarts_is_trace_invisible() {
     // The stable-storage journal is written on every transition but only
