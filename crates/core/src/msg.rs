@@ -1,4 +1,6 @@
 use ekbd_graph::coloring::Color;
+use ekbd_graph::ProcessId;
+use ekbd_sim::alg1::Msg;
 
 /// Wire messages of Algorithm 1.
 ///
@@ -36,6 +38,24 @@ impl DiningMsg {
             }
             _ => 0,
         }
+    }
+}
+
+/// Where a shared Algorithm 1 action's sends go: slot `j` is
+/// `neighbors[j]`, and a request carries the sender's `color`.
+pub(crate) fn outbox<'a>(
+    neighbors: &'a [ProcessId],
+    color: Color,
+    sends: &'a mut Vec<(ProcessId, DiningMsg)>,
+) -> impl FnMut(usize, Msg) + 'a {
+    move |j, msg| {
+        let msg = match msg {
+            Msg::Ping => DiningMsg::Ping,
+            Msg::Ack => DiningMsg::Ack,
+            Msg::Request => DiningMsg::Request { color },
+            Msg::Fork => DiningMsg::Fork,
+        };
+        sends.push((neighbors[j], msg));
     }
 }
 

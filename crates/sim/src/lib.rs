@@ -38,6 +38,9 @@
 //!   reordering, and timed link partitions that heal — all recorded in the
 //!   kernel trace and exactly as deterministic per seed as a fault-free run.
 //!   The `ekbd-link` crate restores reliable FIFO delivery on top.
+//! * [`alg1`] — Algorithm 1's per-edge S1 bits and the actions over them,
+//!   shared by `ekbd-dining`'s processes and the packed [`PackedKernel`].
+//!   It lives here because `ekbd-dining` already depends on this crate.
 //!
 //! # Example
 //!
@@ -72,6 +75,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod alg1;
 mod event;
 mod fault;
 mod membership;

@@ -21,12 +21,17 @@
 //!   delivery tick is a pure function of the run's history on that channel
 //!   — identical no matter which shard computes it.
 //!
-//! The kernel mirrors `ekbd-dining`'s `DiningProcess` action-for-action
-//! (the ten actions of Algorithm 1, internal guards evaluated in enabling
-//! order 2 → 5 → 6 → 9 after every event). It deliberately omits the
-//! failure-detector, crash, and membership machinery: the scale tier
-//! answers throughput and contention questions on correct runs, and the
-//! general simulator plus golden traces remain the oracle for faults.
+//! Algorithm 1 itself is not the kernel's: its S1 words, its guard pass
+//! (internal guards in enabling order 2 → 5 → 6 → 9 after every event) and
+//! the effects of its actions are [`alg1`](crate::alg1)'s, which
+//! `ekbd-dining`'s `DiningProcess` runs too. The kernel owns what is
+//! around them: scheduling (event words, the timer wheel, shards), the
+//! hashed delays, the ghost marks below, and the colour table a request's
+//! priority is read from instead of riding in the message. It deliberately
+//! omits the failure-detector, crash, and membership machinery (nobody is
+//! ever suspected): the scale tier answers throughput and contention
+//! questions on correct runs, and the general simulator plus golden traces
+//! remain the oracle for faults.
 //!
 //! Safety checking at scale cannot afford dense traces, so exclusion is
 //! checked *in flight*: every eating session broadcasts a ghost `EatMark`
@@ -35,6 +40,7 @@
 //! edge detects each overlapping interval pair exactly once and the
 //! higher-id endpoint counts it. A fault-free run must report zero.
 
+use crate::alg1::{self, Msg, FORK};
 use crate::obs::{splitmix, LatencyHistogram, Reservoir};
 use ekbd_graph::partition::Partition;
 use ekbd_graph::{ConflictGraph, ProcessId};
@@ -47,35 +53,16 @@ const EATING: u8 = 2;
 /// Doorway bit in the header.
 const INSIDE: u8 = 1 << 2;
 
-/// Per-edge flag bits, identical to `ekbd-dining`'s layout.
-const PINGED: u8 = 1 << 0;
-const ACK: u8 = 1 << 1;
-const REPLIED: u8 = 1 << 2;
-const DEFERRED: u8 = 1 << 3;
-const FORK: u8 = 1 << 4;
-const TOKEN: u8 = 1 << 5;
-
-/// Slots per guard chunk: ten six-bit fields are the most a `u64` holds.
-const CHUNK: usize = 10;
-/// Bit 0 of each of a chunk's fields, `Σ 1 << 6i`; `REP >> 6k` is the
-/// same for a chunk of `CHUNK - k` slots.
-const REP: u64 = ((1 << (6 * CHUNK)) - 1) / 0x3f;
-
-/// Flag `f` of every slot in chunk `c`, moved to that slot's `REP` bit.
-#[inline]
-fn at(c: u64, f: u8) -> u64 {
-    c >> f.trailing_zeros()
-}
-
 /// Event kinds, ordered so that the packed-word integer order gives the
-/// canonical intra-tick processing order. Protocol messages (0–3) sort
-/// before the ghost `EatMark` (4): a process that starts eating at tick
-/// `t` always does so before handling marks arriving at `t`, which is what
-/// makes overlap detection exactly-once (see `on_mark`).
-const K_PING: u64 = 0;
-const K_ACK: u64 = 1;
-const K_REQUEST: u64 = 2;
-const K_FORK: u64 = 3;
+/// canonical intra-tick processing order. Protocol messages (0–3, the
+/// discriminants of [`Msg`]) sort before the ghost `EatMark` (4): a
+/// process that starts eating at tick `t` always does so before handling
+/// marks arriving at `t`, which is what makes overlap detection
+/// exactly-once (see `K_MARK` in `process_tick`).
+const K_PING: u64 = Msg::Ping as u64;
+const K_ACK: u64 = Msg::Ack as u64;
+const K_REQUEST: u64 = Msg::Request as u64;
+const K_FORK: u64 = Msg::Fork as u64;
 const K_MARK: u64 = 4;
 const K_HUNGRY: u64 = 5;
 const K_EATEND: u64 = 6;
@@ -207,7 +194,6 @@ pub struct EatExcerpt {
 /// processes and a local timer wheel. All cross-shard interaction goes
 /// through explicit `(delivery_tick, event_word)` batches.
 pub(crate) struct ShardState {
-    id: usize,
     /// Global ids of member processes, ascending.
     pub(crate) members: Vec<u32>,
     /// For every process of the graph, its index within its own shard's
@@ -216,20 +202,14 @@ pub(crate) struct ShardState {
     local_index: Arc<Vec<u32>>,
     /// Local CSR: `loff[l]..loff[l+1]` are member `l`'s adjacency slots.
     loff: Vec<u32>,
-    /// Global neighbor id per local slot (sorted within each process).
-    ladj: Vec<u32>,
-    /// For local slot `g` (me → q), my slot index within q's adjacency —
-    /// stamped into event words so the receiver's lookup is O(1).
-    rev_slot: Vec<u32>,
     /// 3 header bits per member (phase + doorway).
     header: Vec<u8>,
-    /// 6 flag bits per local slot, packed into contiguous words: slot `g`
-    /// occupies bits `[6g, 6g+6)` — the S1 layout, literally.
+    /// The [`alg1`] words of every local slot, member after member: slot
+    /// `g` occupies bits `[6g, 6g+6)` — the S1 layout, literally.
     flags: Vec<u64>,
-    /// Per-channel send counter (me → q), feeding the stateless delay hash.
-    seq: Vec<u32>,
-    /// Per-channel last delivery tick, enforcing FIFO.
-    last_del: Vec<u64>,
+    /// Everything a send touches, kept apart from `flags` so that an
+    /// action can send while it holds them.
+    wire: Wire,
     /// Most recent neighbor eating interval learned from an `EatMark`,
     /// per local slot; `[0, 0)` until the first mark.
     nbr_start: Vec<u64>,
@@ -239,14 +219,10 @@ pub(crate) struct ShardState {
     eat_start: Vec<u64>,
     eat_end: Vec<u64>,
     pub(crate) eats: Vec<u32>,
-    /// Timer wheel: ring of per-tick event lists.
-    wheel: Vec<Vec<u64>>,
-    pending: usize,
     /// Scratch for the current tick's sorted events.
     batch: Vec<u64>,
     // ---- per-shard counters, merged into the run report ----
     pub(crate) events: u64,
-    pub(crate) messages: u64,
     pub(crate) mistakes: u64,
     pub(crate) latency: LatencyHistogram,
     pub(crate) excerpts: Reservoir<EatExcerpt>,
@@ -255,6 +231,27 @@ pub(crate) struct ShardState {
     /// for the batch workload paths.
     record_obs: bool,
     obs: Vec<(u64, u32, bool)>,
+}
+
+/// A shard's outgoing side: where each local slot leads, the per-channel
+/// FIFO state, and the timer wheel every event of the shard waits on.
+struct Wire {
+    /// The shard this is.
+    id: usize,
+    /// Global neighbor id per local slot (sorted within each process).
+    ladj: Vec<u32>,
+    /// For local slot `g` (me → q), my slot index within q's adjacency —
+    /// stamped into event words so the receiver's lookup is O(1).
+    rev_slot: Vec<u32>,
+    /// Per-channel send counter (me → q), feeding the stateless delay hash.
+    seq: Vec<u32>,
+    /// Per-channel last delivery tick, enforcing FIFO.
+    last_del: Vec<u64>,
+    /// Timer wheel: ring of per-tick event lists.
+    wheel: Vec<Vec<u64>>,
+    pending: usize,
+    /// Protocol messages sent (marks excluded), merged into the report.
+    messages: u64,
 }
 
 /// A shard's final state plus the tick its worker stopped at, moved out
@@ -386,35 +383,6 @@ impl ShardState {
         l
     }
 
-    /// Slots `g..g + count` (`count ≤ CHUNK`) in the low `6 · count` bits:
-    /// one shift across two words, `flags`' pad word keeping `w + 1` in
-    /// bounds for every slot that exists.
-    #[inline]
-    fn load_chunk(&self, g: usize, count: usize) -> u64 {
-        let (w, o) = (g * 6 / 64, (g * 6 % 64) as u32);
-        let wide = self.flags[w] as u128 | (self.flags[w + 1] as u128) << 64;
-        (wide >> o) as u64 & ((1 << (6 * count)) - 1)
-    }
-
-    #[inline]
-    fn get_flag(&self, g: usize, f: u8) -> bool {
-        self.load_chunk(g, 1) & f as u64 != 0
-    }
-
-    #[inline]
-    fn set_flag(&mut self, g: usize, f: u8, v: bool) {
-        let (w, o) = (g * 6 / 64, (g * 6 % 64) as u32);
-        let wide = (f as u128) << o;
-        let (low, high) = (wide as u64, (wide >> 64) as u64);
-        if v {
-            self.flags[w] |= low;
-            self.flags[w + 1] |= high;
-        } else {
-            self.flags[w] &= !low;
-            self.flags[w + 1] &= !high;
-        }
-    }
-
     #[inline]
     fn phase(&self, l: usize) -> u8 {
         self.header[l] & 0x3
@@ -444,109 +412,9 @@ impl ShardState {
         self.loff[l] as usize..self.loff[l + 1] as usize
     }
 
-    fn push_wheel(&mut self, now: u64, delivery: u64, word: u64) {
-        let len = self.wheel.len() as u64;
-        assert!(
-            delivery > now && delivery - now < len,
-            "delivery {delivery} outside wheel window at tick {now}"
-        );
-        self.wheel[(delivery % len) as usize].push(word);
-        self.pending += 1;
-    }
-
-    /// Earliest tick after `now` with a scheduled local event.
-    fn next_after(&self, now: u64) -> u64 {
-        if self.pending == 0 {
-            return u64::MAX;
-        }
-        let len = self.wheel.len() as u64;
-        for dt in 1..len {
-            if !self.wheel[((now + dt) % len) as usize].is_empty() {
-                return now + dt;
-            }
-        }
-        unreachable!("pending events must live within the wheel window");
-    }
-
-    /// Sends a protocol message on local slot `g` (member `l` → its `j`-th
-    /// neighbor): stateless hashed delay, FIFO-bumped per channel.
-    #[allow(clippy::too_many_arguments)] // hot path: fields unpacked by the dispatcher
-    fn send(
-        &mut self,
-        seed: u64,
-        delay_max: u64,
-        now: u64,
-        l: usize,
-        g: usize,
-        kind: u64,
-        owner: &[u8],
-        out: &mut [Vec<(u64, u64)>],
-    ) {
-        let from = self.members[l];
-        let to = self.ladj[g];
-        let delay = 1 + mix3(seed, from as u64, to as u64, self.seq[g] as u64) % delay_max;
-        self.seq[g] += 1;
-        let delivery = (now + delay).max(self.last_del[g] + 1);
-        self.last_del[g] = delivery;
-        self.messages += 1;
-        let word = encode(to, kind, self.rev_slot[g], 0);
-        let dst = owner[to as usize] as usize;
-        if dst == self.id {
-            self.push_wheel(now, delivery, word);
-        } else {
-            out[dst].push((delivery, word));
-        }
-    }
-
-    /// One pass over member `l`'s S1 bits, a chunk per load, on one side of
-    /// the doorway. Outside: action 2 pings every neighbor neither pinged
-    /// nor acked, and the result is action 5's guard, "every neighbor
-    /// acked". Inside: action 6 spends a token on every missing fork, and
-    /// the result is action 9's guard, "every fork held". Sends go out in
-    /// slot order; neither action writes a bit the paired guard reads.
-    #[inline]
-    fn guard_pass(
-        &mut self,
-        cfg: &ScaleConfig,
-        now: u64,
-        l: usize,
-        owner: &[u8],
-        out: &mut [Vec<(u64, u64)>],
-        inside: bool,
-    ) -> bool {
-        let (spent, kind, needed) = if inside {
-            (TOKEN, K_REQUEST, FORK)
-        } else {
-            (PINGED, K_PING, ACK)
-        };
-        let (mut g, end) = (self.loff[l] as usize, self.loff[l + 1] as usize);
-        let mut every = true;
-        while g < end {
-            let count = (end - g).min(CHUNK);
-            let rep = REP >> (6 * (CHUNK - count));
-            let c = self.load_chunk(g, count);
-            let mut sending = rep
-                & if inside {
-                    at(c, TOKEN) & !at(c, FORK)
-                } else {
-                    !(at(c, PINGED) | at(c, ACK))
-                };
-            while sending != 0 {
-                let s = g + sending.trailing_zeros() as usize / 6;
-                self.set_flag(s, spent, !inside);
-                self.send(cfg.seed, cfg.delay_max, now, l, s, kind, owner, out);
-                sending &= sending - 1;
-            }
-            every &= at(c, needed) & rep == rep;
-            g += count;
-        }
-        every
-    }
-
-    /// The internal guards in enabling order 2 → 5 → 6 → 9, evaluated on
-    /// the S1 words themselves. Action 5 touches ACK and REPLIED only (the
-    /// scale tier is fault-free, so its suspicion escape hatch never
-    /// fires), so entering the doorway falls through to 6 with nothing stale.
+    /// The internal guards in enabling order 2 → 5 → 6 → 9, on the S1
+    /// words themselves ([`alg1::hungry`]). The kernel is fault-free, so
+    /// nobody is ever suspected.
     fn internal_actions(
         &mut self,
         cfg: &ScaleConfig,
@@ -558,16 +426,17 @@ impl ShardState {
         if self.phase(l) != HUNGRY {
             return;
         }
-        if !self.inside(l) {
-            if !self.guard_pass(cfg, now, l, owner, out, false) {
-                return;
-            }
-            self.set_inside(l, true);
-            for g in self.slots(l) {
-                self.set_flag(g, ACK | REPLIED, false);
-            }
-        }
-        if self.guard_pass(cfg, now, l, owner, out, true) {
+        let (from, slots, mut inside) = (self.members[l], self.slots(l), self.inside(l));
+        let wire = &mut self.wire;
+        let eats = alg1::hungry(
+            &mut self.flags,
+            slots,
+            &mut inside,
+            |_| false,
+            |g, msg| wire.send(cfg, now, from, g, msg, owner, out),
+        );
+        self.set_inside(l, inside);
+        if eats {
             self.start_eating(cfg, now, l, owner, out);
         }
     }
@@ -597,12 +466,12 @@ impl ShardState {
                 latency: lat,
             },
         );
-        self.push_wheel(now, now + dur, encode(me, K_EATEND, 0, 0));
+        self.wire.push(now, now + dur, encode(me, K_EATEND, 0, 0));
         if self.record_obs {
             self.obs.push((now, me, true));
         }
         for g in self.slots(l) {
-            let q = self.ladj[g];
+            let q = self.wire.ladj[g];
             // Site 2: my new interval vs the neighbor interval last heard.
             if self.nbr_end[g] > 0
                 && self.nbr_start[g] < now + dur
@@ -612,21 +481,15 @@ impl ShardState {
                 self.mistakes += 1;
             }
             // Ghost mark: fixed 1-tick delay, outside the FIFO channel.
-            let word = encode(q, K_MARK, self.rev_slot[g], dur);
-            let dst = owner[q as usize] as usize;
-            if dst == self.id {
-                self.push_wheel(now, now + 1, word);
-            } else {
-                out[dst].push((now + 1, word));
-            }
+            let word = encode(q, K_MARK, self.wire.rev_slot[g], dur);
+            self.wire.route(now, now + 1, q, word, owner, out);
         }
     }
 
-    /// Action 10: exit — grant deferred requests and pings, go thinking.
+    /// Action 10: exit — go thinking, grant deferred requests and pings.
     fn exit(
         &mut self,
-        seed: u64,
-        delay_max: u64,
+        cfg: &ScaleConfig,
         now: u64,
         l: usize,
         owner: &[u8],
@@ -634,16 +497,10 @@ impl ShardState {
     ) {
         self.set_inside(l, false);
         self.set_phase(l, THINKING);
-        for g in self.slots(l) {
-            if self.get_flag(g, TOKEN) && self.get_flag(g, FORK) {
-                self.set_flag(g, FORK, false);
-                self.send(seed, delay_max, now, l, g, K_FORK, owner, out);
-            }
-            if self.get_flag(g, DEFERRED) {
-                self.set_flag(g, DEFERRED, false);
-                self.send(seed, delay_max, now, l, g, K_ACK, owner, out);
-            }
-        }
+        let (from, slots, wire) = (self.members[l], self.slots(l), &mut self.wire);
+        alg1::exit(&mut self.flags, slots, |g, msg| {
+            wire.send(cfg, now, from, g, msg, owner, out)
+        });
     }
 
     /// Processes every event scheduled for tick `now`, appending
@@ -656,72 +513,61 @@ impl ShardState {
         now: u64,
         out: &mut [Vec<(u64, u64)>],
     ) {
-        let slot = (now % self.wheel.len() as u64) as usize;
-        if self.wheel[slot].is_empty() {
+        let slot = (now % self.wire.wheel.len() as u64) as usize;
+        if self.wire.wheel[slot].is_empty() {
             return;
         }
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
-        batch.append(&mut self.wheel[slot]);
-        self.pending -= batch.len();
+        batch.append(&mut self.wire.wheel[slot]);
+        self.wire.pending -= batch.len();
         // Canonical order: plain integer sort = (to, kind, slot, aux).
         batch.sort_unstable();
         for &word in &batch {
             self.events += 1;
             let (to, kind, slot, aux) = decode(word);
             let l = self.local_of(to);
+            let g = self.loff[l] as usize + slot as usize;
+            let (hungry, inside) = (self.phase(l) == HUNGRY, self.inside(l));
             match kind {
                 K_PING => {
-                    let g = self.loff[l] as usize + slot as usize;
-                    // Action 3: defer if inside or already replied this
-                    // session; otherwise ack (and remember it while hungry).
-                    if self.inside(l) || self.get_flag(g, REPLIED) {
-                        self.set_flag(g, DEFERRED, true);
-                    } else {
-                        self.set_flag(g, REPLIED, self.phase(l) == HUNGRY);
-                        self.send(cfg.seed, cfg.delay_max, now, l, g, K_ACK, owner, out);
+                    if alg1::ping(&mut self.flags, g, inside, hungry) {
+                        self.wire.send(cfg, now, to, g, Msg::Ack, owner, out);
                     }
                     self.internal_actions(cfg, now, l, owner, out);
                 }
                 K_ACK => {
-                    let g = self.loff[l] as usize + slot as usize;
-                    // Action 4.
-                    let useful = self.phase(l) == HUNGRY && !self.inside(l);
-                    self.set_flag(g, ACK, useful);
-                    self.set_flag(g, PINGED, false);
+                    alg1::ack(&mut self.flags, g, hungry && !inside);
                     self.internal_actions(cfg, now, l, owner, out);
                 }
                 K_REQUEST => {
-                    let g = self.loff[l] as usize + slot as usize;
-                    let from = self.ladj[g];
                     // Action 7: the requester's color comes from the shared
                     // table instead of riding in the message.
-                    debug_assert!(self.get_flag(g, FORK), "Lemma 1.1: request without fork");
-                    self.set_flag(g, TOKEN, true);
-                    let grant = self.get_flag(g, FORK)
-                        && (!self.inside(l)
-                            || (self.phase(l) == HUNGRY
-                                && colors[to as usize] < colors[from as usize]));
-                    if grant {
-                        self.set_flag(g, FORK, false);
-                        self.send(cfg.seed, cfg.delay_max, now, l, g, K_FORK, owner, out);
+                    debug_assert!(
+                        alg1::get(&self.flags, g, FORK),
+                        "Lemma 1.1: request without fork"
+                    );
+                    let from = self.wire.ladj[g];
+                    let outranked = hungry && colors[to as usize] < colors[from as usize];
+                    if alg1::request(&mut self.flags, g, inside, outranked) {
+                        self.wire.send(cfg, now, to, g, Msg::Fork, owner, out);
                     }
                     self.internal_actions(cfg, now, l, owner, out);
                 }
                 K_FORK => {
-                    let g = self.loff[l] as usize + slot as usize;
-                    // Action 8.
-                    debug_assert!(!self.get_flag(g, FORK), "Lemma 1.2: duplicate fork");
-                    self.set_flag(g, FORK, true);
+                    debug_assert!(
+                        !alg1::get(&self.flags, g, FORK),
+                        "Lemma 1.2: duplicate fork"
+                    );
+                    alg1::fork(&mut self.flags, g);
                     self.internal_actions(cfg, now, l, owner, out);
                 }
                 K_MARK => {
                     // Ghost message: neighbor's session interval is
                     // [now - 1, now - 1 + aux). Site 1 of overlap
                     // detection; no internal actions (not a protocol event).
-                    let g = self.loff[l] as usize + slot as usize;
                     let (ms, me_) = (now - 1, now - 1 + aux);
-                    let q = self.ladj[g];
+                    let q = self.wire.ladj[g];
                     if self.phase(l) == EATING
                         && self.eat_start[l] < me_
                         && ms < self.eat_end[l]
@@ -746,14 +592,15 @@ impl ShardState {
                 }
                 K_EATEND => {
                     debug_assert_eq!(self.phase(l), EATING);
-                    self.exit(cfg.seed, cfg.delay_max, now, l, owner, out);
+                    self.exit(cfg, now, l, owner, out);
                     self.eats[l] += 1;
                     if self.record_obs {
                         self.obs.push((now, to, false));
                     }
                     if self.eats[l] < cfg.sessions {
                         let think = ranged(cfg.seed, think_salt(), to, self.eats[l], cfg.think);
-                        self.push_wheel(now, now + 1 + think, encode(to, K_HUNGRY, 0, 0));
+                        self.wire
+                            .push(now, now + 1 + think, encode(to, K_HUNGRY, 0, 0));
                     }
                     self.internal_actions(cfg, now, l, owner, out);
                 }
@@ -775,13 +622,78 @@ impl ShardState {
     /// Accepts a batch of cross-shard events delivered after a barrier.
     pub(crate) fn accept(&mut self, now: u64, batch: &mut Vec<(u64, u64)>) {
         for (delivery, word) in batch.drain(..) {
-            self.push_wheel(now, delivery, word);
+            self.wire.push(now, delivery, word);
         }
     }
 
     /// Earliest pending tick, for the global time-advance consensus.
     pub(crate) fn next_event_after(&self, now: u64) -> u64 {
-        self.next_after(now)
+        let wire = &self.wire;
+        if wire.pending == 0 {
+            return u64::MAX;
+        }
+        let len = wire.wheel.len() as u64;
+        for dt in 1..len {
+            if !wire.wheel[((now + dt) % len) as usize].is_empty() {
+                return now + dt;
+            }
+        }
+        unreachable!("pending events must live within the wheel window");
+    }
+}
+
+impl Wire {
+    fn push(&mut self, now: u64, delivery: u64, word: u64) {
+        let len = self.wheel.len() as u64;
+        assert!(
+            delivery > now && delivery - now < len,
+            "delivery {delivery} outside wheel window at tick {now}"
+        );
+        self.wheel[(delivery % len) as usize].push(word);
+        self.pending += 1;
+    }
+
+    /// Schedules `word`, addressed to process `to`, for `delivery`: on this
+    /// shard's wheel, or in its owner's outbox.
+    fn route(
+        &mut self,
+        now: u64,
+        delivery: u64,
+        to: u32,
+        word: u64,
+        owner: &[u8],
+        out: &mut [Vec<(u64, u64)>],
+    ) {
+        let dst = owner[to as usize] as usize;
+        if dst == self.id {
+            self.push(now, delivery, word);
+        } else {
+            out[dst].push((delivery, word));
+        }
+    }
+
+    /// Sends `msg` from process `from` on its local slot `g`: stateless
+    /// hashed delay, FIFO-bumped per channel.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // hot path: fields unpacked by the dispatcher
+    fn send(
+        &mut self,
+        cfg: &ScaleConfig,
+        now: u64,
+        from: u32,
+        g: usize,
+        msg: Msg,
+        owner: &[u8],
+        out: &mut [Vec<(u64, u64)>],
+    ) {
+        let to = self.ladj[g];
+        let delay = 1 + mix3(cfg.seed, from as u64, to as u64, self.seq[g] as u64) % cfg.delay_max;
+        self.seq[g] += 1;
+        let delivery = (now + delay).max(self.last_del[g] + 1);
+        self.last_del[g] = delivery;
+        self.messages += 1;
+        let word = encode(to, msg as u64, self.rev_slot[g], 0);
+        self.route(now, delivery, to, word, owner, out);
     }
 }
 
@@ -853,7 +765,6 @@ impl PackedKernel {
             let mut loff = Vec::with_capacity(members.len() + 1);
             let mut ladj = Vec::new();
             let mut rev_slot = Vec::new();
-            let mut flags_bits = 0usize;
             loff.push(0u32);
             for &m in &members {
                 let p = ProcessId::from(m as usize);
@@ -872,25 +783,29 @@ impl PackedKernel {
                 }
                 loff.push(ladj.len() as u32);
             }
-            flags_bits += ladj.len() * 6;
+            let slots = ladj.len();
             let mut shard = ShardState {
-                id: sid,
                 loff,
                 header: vec![THINKING; members.len()],
-                flags: vec![0u64; flags_bits.div_ceil(64) + 1],
-                seq: vec![0; ladj.len()],
-                last_del: vec![0; ladj.len()],
-                nbr_start: vec![0; ladj.len()],
-                nbr_end: vec![0; ladj.len()],
+                flags: vec![0u64; alg1::words_for(slots)],
+                wire: Wire {
+                    id: sid,
+                    ladj,
+                    rev_slot,
+                    seq: vec![0; slots],
+                    last_del: vec![0; slots],
+                    wheel: vec![Vec::new(); wheel_len],
+                    pending: 0,
+                    messages: 0,
+                },
+                nbr_start: vec![0; slots],
+                nbr_end: vec![0; slots],
                 hungry_since: vec![0; members.len()],
                 eat_start: vec![0; members.len()],
                 eat_end: vec![0; members.len()],
                 eats: vec![0; members.len()],
-                wheel: vec![Vec::new(); wheel_len],
-                pending: 0,
                 batch: Vec::new(),
                 events: 0,
-                messages: 0,
                 mistakes: 0,
                 latency: LatencyHistogram::new(),
                 excerpts: Reservoir::new(config.seed ^ 0xe8ce_4a17, config.excerpt_cap),
@@ -898,23 +813,21 @@ impl PackedKernel {
                 obs: Vec::new(),
                 members,
                 local_index: local_index.clone(),
-                ladj,
-                rev_slot,
             };
             // §3.1 initial placement: fork at the higher color, token at
             // the lower; and every process schedules its first hunger.
             for l in 0..shard.members.len() {
                 let me = shard.members[l];
                 for g in shard.slots(l) {
-                    let q = shard.ladj[g];
-                    if colors[me as usize] > colors[q as usize] {
-                        shard.set_flag(g, FORK, true);
-                    } else {
-                        shard.set_flag(g, TOKEN, true);
-                    }
+                    let q = shard.wire.ladj[g];
+                    alg1::place(
+                        &mut shard.flags,
+                        g,
+                        colors[me as usize] > colors[q as usize],
+                    );
                 }
                 let think = ranged(config.seed, think_salt(), me, 0, config.think);
-                shard.push_wheel(0, 1 + think, encode(me, K_HUNGRY, 0, 0));
+                shard.wire.push(0, 1 + think, encode(me, K_HUNGRY, 0, 0));
             }
             shards.push(shard);
         }
@@ -938,10 +851,11 @@ impl PackedKernel {
         self.shards
             .iter()
             .map(|s| {
+                let w = &s.wire;
                 s.header.len()
                     + s.flags.len() * 8
-                    + (s.seq.len() + s.rev_slot.len() + s.ladj.len()) * 4
-                    + (s.last_del.len() + s.nbr_start.len() + s.nbr_end.len()) * 8
+                    + (w.seq.len() + w.rev_slot.len() + w.ladj.len()) * 4
+                    + (w.last_del.len() + s.nbr_start.len() + s.nbr_end.len()) * 8
                     + (s.hungry_since.len() + s.eat_start.len() + s.eat_end.len()) * 8
                     + s.eats.len() * 4
             })
@@ -1000,7 +914,7 @@ impl PackedKernel {
                 }
             }
             events += shard.events;
-            messages += shard.messages;
+            messages += shard.wire.messages;
             mistakes += shard.mistakes;
             latency.merge(&shard.latency);
             excerpts.merge(shard.excerpts);
@@ -1076,10 +990,10 @@ impl InteractiveScale {
         };
         let mut kernel = PackedKernel::new(graph, colors, &part, config);
         let shard = &mut kernel.shards[0];
-        for cell in &mut shard.wheel {
+        for cell in &mut shard.wire.wheel {
             cell.clear();
         }
-        shard.pending = 0;
+        shard.wire.pending = 0;
         shard.record_obs = true;
         InteractiveScale {
             queued: vec![false; graph.len()],
@@ -1107,7 +1021,7 @@ impl InteractiveScale {
     /// Whether any events are pending (i.e. [`step`](Self::step) would
     /// advance virtual time).
     pub fn has_pending(&self) -> bool {
-        self.kernel.shards[0].pending > 0
+        self.kernel.shards[0].wire.pending > 0
     }
 
     /// Injects hunger for process `p`, scheduling its `K_HUNGRY` one tick
@@ -1122,7 +1036,9 @@ impl InteractiveScale {
         if shard.phase(l) != THINKING {
             return false;
         }
-        shard.push_wheel(self.now, self.now + 1, encode(p, K_HUNGRY, 0, 0));
+        shard
+            .wire
+            .push(self.now, self.now + 1, encode(p, K_HUNGRY, 0, 0));
         self.queued[p as usize] = true;
         true
     }
@@ -1166,260 +1082,6 @@ impl InteractiveScale {
     pub fn finish(self) -> ScaleRunReport {
         let now = self.now;
         self.kernel.into_report(now, 0)
-    }
-}
-
-#[cfg(test)]
-mod guard_tests {
-    use super::*;
-    use ekbd_graph::coloring;
-
-    /// The four per-slot guard walks `guard_pass` replaced, kept as the
-    /// reference it is tested against. They read and write one bit at a
-    /// time, so they share nothing with `load_chunk` and `set_flag`.
-    impl ShardState {
-        fn ref_get(&self, g: usize, f: u8) -> bool {
-            let bit = g * 6 + f.trailing_zeros() as usize;
-            self.flags[bit / 64] >> (bit % 64) & 1 != 0
-        }
-
-        fn ref_set(&mut self, g: usize, f: u8, v: bool) {
-            let bit = g * 6 + f.trailing_zeros() as usize;
-            self.flags[bit / 64] &= !(1 << (bit % 64));
-            self.flags[bit / 64] |= (v as u64) << (bit % 64);
-        }
-
-        /// Action 2: while hungry outside, ping neighbors missing an ack.
-        fn try_request_acks(
-            &mut self,
-            cfg: &ScaleConfig,
-            now: u64,
-            l: usize,
-            owner: &[u8],
-            out: &mut [Vec<(u64, u64)>],
-        ) {
-            if self.phase(l) != HUNGRY || self.inside(l) {
-                return;
-            }
-            for g in self.slots(l) {
-                if !self.ref_get(g, PINGED) && !self.ref_get(g, ACK) {
-                    self.ref_set(g, PINGED, true);
-                    self.send(cfg.seed, cfg.delay_max, now, l, g, K_PING, owner, out);
-                }
-            }
-        }
-
-        /// Action 5: enter the doorway once every neighbor acked.
-        fn try_enter_doorway(&mut self, l: usize) {
-            if self.phase(l) != HUNGRY || self.inside(l) {
-                return;
-            }
-            if self.slots(l).all(|g| self.ref_get(g, ACK)) {
-                self.set_inside(l, true);
-                for g in self.slots(l) {
-                    self.ref_set(g, ACK, false);
-                    self.ref_set(g, REPLIED, false);
-                }
-            }
-        }
-
-        /// Action 6: inside the doorway, spend tokens on missing forks.
-        fn try_request_forks(
-            &mut self,
-            cfg: &ScaleConfig,
-            now: u64,
-            l: usize,
-            owner: &[u8],
-            out: &mut [Vec<(u64, u64)>],
-        ) {
-            if self.phase(l) != HUNGRY || !self.inside(l) {
-                return;
-            }
-            for g in self.slots(l) {
-                if self.ref_get(g, TOKEN) && !self.ref_get(g, FORK) {
-                    self.ref_set(g, TOKEN, false);
-                    self.send(cfg.seed, cfg.delay_max, now, l, g, K_REQUEST, owner, out);
-                }
-            }
-        }
-
-        /// Action 9: eat once every fork is held.
-        fn try_eat(
-            &mut self,
-            cfg: &ScaleConfig,
-            now: u64,
-            l: usize,
-            owner: &[u8],
-            out: &mut [Vec<(u64, u64)>],
-        ) {
-            if self.phase(l) != HUNGRY || !self.inside(l) {
-                return;
-            }
-            if self.slots(l).all(|g| self.ref_get(g, FORK)) {
-                self.start_eating(cfg, now, l, owner, out);
-            }
-        }
-
-        fn reference_internal_actions(
-            &mut self,
-            cfg: &ScaleConfig,
-            now: u64,
-            l: usize,
-            owner: &[u8],
-            out: &mut [Vec<(u64, u64)>],
-        ) {
-            self.try_request_acks(cfg, now, l, owner, out);
-            self.try_enter_doorway(l);
-            self.try_request_forks(cfg, now, l, owner, out);
-            self.try_eat(cfg, now, l, owner, out);
-        }
-
-        /// Everything an internal action can touch.
-        fn touched(&self) -> impl PartialEq + std::fmt::Debug + '_ {
-            (
-                (&self.header, &self.flags, &self.seq, &self.last_del),
-                (&self.wheel, self.pending, self.messages, self.mistakes),
-                (&self.eat_start, &self.eat_end, &self.latency, &self.obs),
-            )
-        }
-    }
-
-    /// Shard 0 holds two hubs: process 0 with `pad` leaves, whose slots
-    /// only push the subject's along the flag words, and the subject,
-    /// process 1, with `degree` leaves — so its first slot sits at bit
-    /// `6 · pad` and its last is the shard's last. The leaves live on
-    /// shard 1, which puts every send, in order, into `out[1]`.
-    fn fixture(pad: usize, degree: usize) -> PackedKernel {
-        let n = 2 + pad + degree;
-        let pairs: Vec<(usize, usize)> = (0..pad)
-            .map(|i| (0, 2 + i))
-            .chain((0..degree).map(|j| (1, 2 + pad + j)))
-            .collect();
-        let g = ConflictGraph::from_pairs(n, &pairs);
-        let part = Partition {
-            assignment: (0..n).map(|p| (p >= 2) as u32).collect(),
-            shards: 2,
-        };
-        PackedKernel::new(&g, &coloring::greedy(&g), &part, ScaleConfig::default())
-    }
-
-    /// Fills every slot of `shard` with seeded random flags, then bends the
-    /// subject's towards the cases a uniform draw almost never produces at
-    /// high degree: every neighbor acked, every fork held, all but one.
-    fn scramble(shard: &mut ShardState, seed: u64, bend: u64) {
-        let mut rng = seed;
-        let mut next = move || {
-            rng = splitmix(rng);
-            rng
-        };
-        for g in 0..shard.ladj.len() {
-            let six = next();
-            for b in 0..6 {
-                shard.ref_set(g, 1 << b, six >> b & 1 != 0);
-            }
-        }
-        let subject = shard.slots(1);
-        for g in subject.clone() {
-            if bend & 1 != 0 {
-                shard.ref_set(g, ACK, true);
-            }
-            if bend & 2 != 0 {
-                shard.ref_set(g, FORK, true);
-            }
-        }
-        if bend & 4 != 0 && !subject.is_empty() {
-            let g = subject.start + next() as usize % subject.len();
-            shard.ref_set(g, ACK, false);
-            shard.ref_set(g, FORK, false);
-        }
-    }
-
-    /// Runs one internal-action step of the subject on a fresh fixture,
-    /// through the reference or through the pass.
-    fn step_subject(
-        (degree, pad, header, bend): (usize, usize, u8, u64),
-        reference: bool,
-    ) -> (PackedKernel, Vec<Vec<(u64, u64)>>) {
-        let mut kernel = fixture(pad, degree);
-        let shard = &mut kernel.shards[0];
-        let seed = mix3(24, degree as u64, pad as u64, (header as u64) << 3 | bend);
-        scramble(shard, seed, bend);
-        shard.header[1] = header;
-        let mut out = vec![Vec::new(); 2];
-        if reference {
-            shard.reference_internal_actions(&kernel.config, 5, 1, &kernel.owner, &mut out);
-        } else {
-            shard.internal_actions(&kernel.config, 5, 1, &kernel.owner, &mut out);
-        }
-        (kernel, out)
-    }
-
-    #[test]
-    fn guard_pass_equals_the_per_slot_reference() {
-        let headers = [THINKING, HUNGRY, EATING].map(|p| [p, p | INSIDE]);
-        let (mut enters, mut eats) = (0, 0);
-        for degree in 0..=25 {
-            for pad in 0..32 {
-                for header in headers.as_flattened() {
-                    // Only a hungry process gets past the phase test.
-                    let bends = if header & 0x3 == HUNGRY { 8 } else { 1 };
-                    for bend in 0..bends {
-                        let case = (degree, pad, *header, bend);
-                        let (want, want_out) = step_subject(case, true);
-                        let (got, got_out) = step_subject(case, false);
-                        assert_eq!(got_out, want_out, "sends, {case:?}");
-                        assert_eq!(
-                            got.shards[0].touched(),
-                            want.shards[0].touched(),
-                            "state, {case:?}"
-                        );
-                        let after = want.shards[0].header[1];
-                        enters += (*header == HUNGRY && after & INSIDE != 0) as u32;
-                        eats += (header & 0x3 == HUNGRY && after & 0x3 == EATING) as u32;
-                    }
-                }
-            }
-        }
-        assert!(
-            enters > 1000 && eats > 1000,
-            "too few decisions taken: {enters} doorway entries, {eats} eats"
-        );
-    }
-
-    #[test]
-    fn load_chunk_and_flag_accessors_equal_bitwise_reads_at_every_offset() {
-        let mut kernel = fixture(32, 25);
-        let shard = &mut kernel.shards[0];
-        scramble(shard, 7, 0);
-        let slots = shard.ladj.len();
-        for g in 0..slots {
-            for count in 0..=CHUNK.min(slots - g) {
-                let mut want = 0u64;
-                for i in 0..count {
-                    for b in 0..6 {
-                        want |= (shard.ref_get(g + i, 1 << b) as u64) << (6 * i + b);
-                    }
-                }
-                assert_eq!(shard.load_chunk(g, count), want, "slot {g}, count {count}");
-            }
-            for f in 1..64u8 {
-                let one = 1 << f.trailing_zeros();
-                assert_eq!(
-                    shard.get_flag(g, one),
-                    shard.ref_get(g, one),
-                    "slot {g}, flag {one}"
-                );
-                for v in [false, true] {
-                    let before = shard.flags.clone();
-                    for b in (0..6).filter(|b| f >> b & 1 != 0) {
-                        shard.ref_set(g, 1 << b, v);
-                    }
-                    let want = std::mem::replace(&mut shard.flags, before);
-                    shard.set_flag(g, f, v);
-                    assert_eq!(shard.flags, want, "slot {g}, mask {f:#08b}, value {v}");
-                }
-            }
-        }
     }
 }
 
@@ -1469,7 +1131,7 @@ mod lookup_tests {
         let color_table = kernel.colors();
         let PackedKernel { owner, shards, .. } = &mut kernel;
         // Process 5 lives on shard 1; hand its hunger to shard 0.
-        shards[0].push_wheel(0, 1, encode(5, K_HUNGRY, 0, 0));
+        shards[0].wire.push(0, 1, encode(5, K_HUNGRY, 0, 0));
         let mut out = vec![Vec::new(); 2];
         shards[0].process_tick(&cfg, &color_table, owner, 1, &mut out);
     }
