@@ -117,7 +117,8 @@ impl Parsed {
             let Some(name) = tok.strip_prefix("--") else {
                 return Err(ArgError::UnexpectedToken(tok));
             };
-            if !lists(own, name) && !(scenario && lists(SCENARIO_FLAGS, name)) {
+            let read = lists(own, name) || (scenario && lists(SCENARIO_FLAGS, name));
+            if !read {
                 return Err(ArgError::UnknownFlag { command, flag: tok });
             }
             let value = it
