@@ -20,7 +20,10 @@
 //!
 //! This is the strongest correctness statement in the test suite: for
 //! these instances the theorems hold not just on sampled runs but on the
-//! complete reachable state space.
+//! complete reachable state space. `DiningProcess` keeps its flags as the
+//! S1 words of `ekbd_sim::alg1` and runs that module's guard pass and
+//! actions, which the packed scale kernel runs too, so the search covers
+//! the one encoding both tiers share.
 
 use ekbd::dining::{DinerState, DiningAlgorithm, DiningInput, DiningMsg, DiningProcess};
 use ekbd::graph::{ConflictGraph, ProcessId};
@@ -241,6 +244,13 @@ fn path3() -> (ConflictGraph, Vec<u32>) {
     )
 }
 
+fn path4() -> (ConflictGraph, Vec<u32>) {
+    (
+        ConflictGraph::from_pairs(4, &[(0, 1), (1, 2), (2, 3)]),
+        vec![1, 0, 2, 1],
+    )
+}
+
 fn triangle() -> (ConflictGraph, Vec<u32>) {
     (
         ConflictGraph::from_pairs(3, &[(0, 1), (0, 2), (1, 2)]),
@@ -267,6 +277,30 @@ fn exhaustive_three_path_two_sessions() {
     let (states, _) = model.explore(start);
     println!("3-path: {states} states");
     assert!(states > 5_000);
+}
+
+#[test]
+fn exhaustive_four_path_one_session() {
+    let (g, colors) = path4();
+    let model = Model::new(g, &colors, &[]);
+    let start = model.initial(&colors, 1);
+    let (states, terminals) = model.explore(start);
+    println!("4-path, one session: {states} states, {terminals} terminal");
+    assert!(states > 10_000);
+}
+
+/// ≈ 4.7 · 10⁵ states: longer in a debug build than the rest of this
+/// file together, so it is left to an optimized run
+/// (`cargo test --release --test exhaustive_model_check -- --ignored`).
+#[test]
+#[ignore]
+fn exhaustive_four_path_two_sessions() {
+    let (g, colors) = path4();
+    let model = Model::new(g, &colors, &[]);
+    let start = model.initial(&colors, 2);
+    let (states, terminals) = model.explore(start);
+    println!("4-path, two sessions: {states} states, {terminals} terminal");
+    assert!(states > 100_000);
 }
 
 #[test]

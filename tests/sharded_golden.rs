@@ -83,9 +83,11 @@ fn reruns_are_byte_identical_per_shard_count() {
 
 #[test]
 fn packed_semantics_cross_check_against_full_simulator() {
-    // The packed kernel is a re-implementation of Algorithm 1, not a
-    // re-skin of the simulator, so traces are not comparable event by
-    // event — but the *safety theorems* must hold in both worlds. On the
+    // The packed kernel runs the same Algorithm 1 code as the dense
+    // `DiningProcess` (`ekbd_sim::alg1`: the S1 words, the guard pass and
+    // the action effects), but its scheduling, hashed delays, ghost marks
+    // and colour table are its own, so traces are not comparable event by
+    // event — the *safety theorems* must hold in both worlds. On the
     // reference topologies the packed run must be mistake-free and
     // wait-free, exactly as the golden-trace-pinned dense simulator is.
     for (g, label) in [
@@ -107,7 +109,9 @@ fn packed_semantics_cross_check_against_full_simulator() {
 /// Literal fingerprints, committed against the per-slot-guard kernel before
 /// the guards were made word-parallel. Every other test here compares runs
 /// with each other, so a refactor that changed behaviour *consistently*
-/// would pass them; these hold the behaviour absolutely. The set covers
+/// would pass them; these hold the behaviour absolutely, and with
+/// `tests/golden_trace.rs` they are the reference for the guard pass the
+/// kernel shares with the dense processes. The set covers
 /// degree 0 (`sparse_gnp` has isolated vertices), 1–10 (one guard chunk),
 /// 11–20 (two) and ≥ 21 (three).
 #[test]
