@@ -3,7 +3,7 @@
 //!
 //! The `ekbd-net` runtime maps network failures onto the paper's
 //! crash-recovery fault model: a dead socket is `crash(p)`, a reconnect
-//! with valid session credentials is `recover(p)` riding the journal
+//! that binds the process again is `recover(p)` riding the journal
 //! fast-resume path (falling back to the blank rejoin handshake). This
 //! experiment exercises that mapping end to end over real loopback TCP:
 //!
@@ -17,7 +17,7 @@
 //!   socket). Reported: p50/p99/p999 hungry→eat latency and per-kill
 //!   readmission wall time.
 //! * **Overload phase** — a fleet twice the admission cap connects at
-//!   once. The server must shed the surplus with `Busy` (never queue it)
+//!   once. The server must shed the surplus as busy (never queue it)
 //!   while every *accepted* session completes all cycles with bounded
 //!   p99 latency: shedding protects the admitted.
 //!
@@ -216,7 +216,7 @@ fn main() {
     }
     table.print();
 
-    println!("\nReadmissions (kill → Welcome):\n");
+    println!("\nReadmissions (kill → Bound):\n");
     let mut readmit_table = Table::new(&["process", "path", "ms"]);
     for r in &churn.report.readmissions {
         readmit_table.row([

@@ -2,34 +2,32 @@
 //! binds dining processes, and drives hungry → granted → released cycles
 //! over the EKN1 wire protocol.
 //!
-//! Two shapes:
+//! There is one client, [`MuxClient`]: one socket fronting any number of
+//! processes. Every process is admitted the one way the server knows — a
+//! `Bind` — the first one when the client connects, the rest with
+//! [`MuxClient::bind`]; `Unbind` releases one (the gateway/proxy shape).
+//! Event frames are process-tagged, so the caller demuxes with
+//! [`MuxClient::next_event`].
 //!
-//! * [`DaemonClient`] — one socket, one process: the original
-//!   session-per-connection client.
-//! * [`MuxClient`] — one socket, many processes: authenticates a primary
-//!   with `Hello`/`Resume`, then multiplexes any number of secondaries
-//!   over the same connection with `Bind`/`Unbind` (the gateway/proxy
-//!   shape). Event frames are process-tagged, so the caller demuxes with
-//!   [`MuxClient::next_event`].
-//!
-//! The client owns the retry policy: connection attempts and `Busy`
-//! sheds back off exponentially with seeded jitter (deterministic per
-//! client, decorrelated across a fleet). A `Busy` answer carries the
+//! The client owns the retry policy: connection attempts and busy
+//! refusals back off exponentially with seeded jitter (deterministic per
+//! client, decorrelated across a fleet). A busy refusal carries the
 //! server's retry hint; the retry loop honors `max(hint, backoff)`
 //! exactly once per attempt, and never sleeps after the final attempt —
 //! a failed call returns at once, with the hint in the error for the
 //! caller's own scheduling.
 //!
-//! Both clients sit on one private `Link`: the socket, the
-//! [`FrameReader`] and one request buffer. Requests are encoded into the
-//! buffer and written with one `write_all` — at once for every control
-//! frame and for [`DaemonClient::hungry`]; for [`MuxClient::hungry`] when
+//! The client sits on a private `Link`: the socket, the [`FrameReader`],
+//! one request buffer and the events read while a control call waited.
+//! Requests are encoded into the buffer and written with one `write_all`
+//! — at once for every control frame, and for [`MuxClient::hungry`] when
 //! the client is next about to block in `read` (see there), so a
 //! closed-loop caller pays one `write` per wake-up, not one per request.
 
 use crate::conn::{splitmix64, Conn, ServerAddr};
 use crate::wire::{
     encode_frame_into, AdmitPath, Frame, FrameReader, WireError, REJECT_ALREADY_BOUND,
+    REJECT_BAD_PROCESS, REJECT_BUSY,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -70,9 +68,10 @@ impl Default for ClientConfig {
 pub enum ClientError {
     /// Socket-level failure.
     Io(io::Error),
-    /// The server refused with this `Reject` (or `BindReject`) code.
+    /// The server refused with this `BindReject` code.
     Rejected(u8),
-    /// Every attempt was shed with `Busy`.
+    /// The server refused at its admission cap (`REJECT_BUSY`) — on every
+    /// attempt, for a call that retries.
     Busy {
         /// The server's most recent retry hint, in milliseconds.
         hint_ms: u32,
@@ -109,7 +108,7 @@ impl From<io::Error> for ClientError {
 }
 
 /// Sleeps before the next attempt — but only if one remains. The server's
-/// `Busy` hint and the client's own jittered backoff are reconciled by
+/// busy hint and the client's own jittered backoff are reconciled by
 /// taking the larger of the two, once; they never stack.
 fn sleep_before_retry(
     cfg: &ClientConfig,
@@ -129,7 +128,7 @@ fn sleep_before_retry(
 }
 
 /// One dialed connection: the socket, the frames read from it and the
-/// requests not yet written to it. Everything either client reads comes
+/// requests not yet written to it. Everything the client reads comes
 /// through [`read_frame`](Self::read_frame); everything it writes leaves
 /// through [`flush`](Self::flush).
 struct Link {
@@ -137,9 +136,22 @@ struct Link {
     reader: FrameReader,
     /// Encoded frames, in call order, that have not reached the socket.
     out: Vec<u8>,
+    /// Events decoded while waiting for a control answer.
+    pending: VecDeque<MuxEvent>,
 }
 
 impl Link {
+    fn dial(addr: &ServerAddr, cfg: &ClientConfig) -> Result<Link, ClientError> {
+        let conn = Conn::dial(addr)?;
+        conn.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))?;
+        Ok(Link {
+            conn,
+            reader: FrameReader::new(),
+            out: Vec::new(),
+            pending: VecDeque::new(),
+        })
+    }
+
     /// Appends `frame` behind whatever is already waiting.
     fn push(&mut self, frame: &Frame) {
         encode_frame_into(frame, &mut self.out);
@@ -206,238 +218,89 @@ impl Link {
             }
         }
     }
+
+    /// Waits (5 s at most) for the control answer `pick` recognizes.
+    /// Table events that arrive meanwhile are queued for
+    /// [`MuxClient::next_event`]; answers to other binds and stray
+    /// unbinds are dropped.
+    fn await_answer<T>(
+        &mut self,
+        mut pick: impl FnMut(&Frame) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let frame = self.read_frame(deadline)?;
+            if let Some(answer) = pick(&frame) {
+                return Ok(answer);
+            }
+            match frame {
+                Frame::Bound { .. } | Frame::BindReject { .. } | Frame::Unbound { .. } => {}
+                frame => match table_event(&frame) {
+                    Some(event) => self.pending.push_back(event),
+                    None => return Err(unexpected(frame)),
+                },
+            }
+        }
+    }
+
+    /// Binds `process` — the one admission — behind whatever requests
+    /// are buffered, in the same `write`, and waits for the answer.
+    fn bind(&mut self, process: u32) -> Result<AdmitPath, ClientError> {
+        self.send(&Frame::Bind { process })?;
+        self.await_answer(|frame| match *frame {
+            Frame::Bound { process: p, path } if p == process => Some(Ok(path)),
+            Frame::BindReject {
+                process: p,
+                code,
+                retry_after_ms,
+            } if p == process => Some(Err(if code == REJECT_BUSY {
+                ClientError::Busy {
+                    hint_ms: retry_after_ms,
+                }
+            } else {
+                ClientError::Rejected(code)
+            })),
+            _ => None,
+        })?
+    }
 }
 
-/// Dials and runs one handshake. A `Busy` answer returns immediately
-/// with the hint attached — the *caller's* retry loop owns all sleeping.
-fn dial_and_bind(
+/// Dials and binds `process` on the new connection until the server
+/// admits it, retrying through busy refusals and dial failures with
+/// jittered backoff — and through `ALREADY_BOUND` when
+/// `already_bound_is_transient`. Any other refusal returns at once.
+fn dial_until_bound(
     addr: &ServerAddr,
     cfg: &ClientConfig,
-    handshake: Frame,
-) -> Result<(Link, u64, u64, AdmitPath), ClientError> {
-    let conn = Conn::dial(addr)?;
-    conn.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))))?;
-    let mut link = Link {
-        conn,
-        reader: FrameReader::new(),
-        out: Vec::new(),
-    };
-    link.send(&handshake)?;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match link.read_frame(deadline)? {
-            Frame::Welcome {
-                session,
-                token,
-                path,
-            } => return Ok((link, session, token, path)),
-            Frame::Busy { retry_after_ms } => {
-                return Err(ClientError::Busy {
-                    hint_ms: retry_after_ms,
-                })
-            }
-            Frame::Reject { code } => return Err(ClientError::Rejected(code)),
-            // Tolerate a stray frame racing ahead of the Welcome.
-            _ => {}
-        }
-    }
-}
-
-/// A bound session with a daemon server.
-///
-/// The `Debug` form shows the session identity, not the socket.
-pub struct DaemonClient {
-    addr: ServerAddr,
-    cfg: ClientConfig,
+    rng: &mut u64,
+    busy_retries: &mut u64,
     process: u32,
-    link: Link,
-    session: u64,
-    token: u64,
-    path: AdmitPath,
-    rng: u64,
-    /// `Busy` sheds absorbed by this client's retry loops so far.
-    pub busy_retries: u64,
-}
-
-impl fmt::Debug for DaemonClient {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DaemonClient")
-            .field("process", &self.process)
-            .field("session", &self.session)
-            .field("path", &self.path)
-            .finish_non_exhaustive()
-    }
-}
-
-impl DaemonClient {
-    /// Dials `addr` and binds `process` with a fresh `Hello`, retrying
-    /// through `Busy` sheds and transient dial failures with jittered
-    /// exponential backoff.
-    pub fn connect(
-        addr: &ServerAddr,
-        process: u32,
-        cfg: ClientConfig,
-    ) -> Result<Self, ClientError> {
-        let mut rng = cfg.seed ^ (u64::from(process) << 32) ^ 0xC11E_57AB;
-        let mut busy_retries = 0;
-        let mut last: ClientError = ClientError::Busy { hint_ms: 0 };
-        let attempts = cfg.max_attempts.max(1);
-        for attempt in 0..attempts {
-            match dial_and_bind(addr, &cfg, Frame::Hello { process }) {
-                Ok((link, session, token, path)) => {
-                    return Ok(DaemonClient {
-                        addr: addr.clone(),
-                        cfg,
-                        process,
-                        link,
-                        session,
-                        token,
-                        path,
-                        rng,
-                        busy_retries,
-                    });
-                }
-                Err(ClientError::Rejected(code)) => return Err(ClientError::Rejected(code)),
-                Err(e) => {
-                    if matches!(e, ClientError::Busy { .. }) {
-                        busy_retries += 1;
-                    }
-                    last = e;
-                    sleep_before_retry(&cfg, &mut rng, attempt, attempts, &last);
-                }
+    already_bound_is_transient: bool,
+) -> Result<(Link, AdmitPath), ClientError> {
+    let mut last: ClientError = ClientError::Busy { hint_ms: 0 };
+    let attempts = cfg.max_attempts.max(1);
+    for attempt in 0..attempts {
+        let bound = Link::dial(addr, cfg).and_then(|mut link| {
+            let path = link.bind(process)?;
+            Ok((link, path))
+        });
+        match bound {
+            Ok(ok) => return Ok(ok),
+            Err(ClientError::Rejected(code))
+                if !(already_bound_is_transient && code == REJECT_ALREADY_BOUND) =>
+            {
+                return Err(ClientError::Rejected(code));
             }
-        }
-        Err(last)
-    }
-
-    /// Re-establishes the session after a dead connection: `Resume` with
-    /// the held credentials rides the server's journal fast path; if the
-    /// server no longer knows the session, falls back to a fresh `Hello`.
-    /// Returns the admission path the server reported.
-    pub fn reconnect(&mut self) -> Result<AdmitPath, ClientError> {
-        let mut last: ClientError = ClientError::Busy { hint_ms: 0 };
-        let attempts = self.cfg.max_attempts.max(1);
-        for attempt in 0..attempts {
-            let resume = Frame::Resume {
-                process: self.process,
-                session: self.session,
-                token: self.token,
-            };
-            match dial_and_bind(&self.addr, &self.cfg, resume) {
-                Ok((link, session, token, path)) => {
-                    self.link = link;
-                    self.session = session;
-                    self.token = token;
-                    self.path = path;
-                    return Ok(path);
+            Err(e) => {
+                if matches!(e, ClientError::Busy { .. }) {
+                    *busy_retries += 1;
                 }
-                // The server has not detached the dead connection yet —
-                // transient: back off and resume again.
-                Err(ClientError::Rejected(code)) if code == REJECT_ALREADY_BOUND => {
-                    last = ClientError::Rejected(code);
-                }
-                // The session is gone server-side: rebind fresh.
-                Err(ClientError::Rejected(_)) => {
-                    match dial_and_bind(
-                        &self.addr,
-                        &self.cfg,
-                        Frame::Hello {
-                            process: self.process,
-                        },
-                    ) {
-                        Ok((link, session, token, path)) => {
-                            self.link = link;
-                            self.session = session;
-                            self.token = token;
-                            self.path = path;
-                            return Ok(path);
-                        }
-                        Err(ClientError::Rejected(code)) if code == REJECT_ALREADY_BOUND => {
-                            last = ClientError::Rejected(code);
-                        }
-                        Err(ClientError::Rejected(code)) => {
-                            return Err(ClientError::Rejected(code))
-                        }
-                        Err(e) => {
-                            if matches!(e, ClientError::Busy { .. }) {
-                                self.busy_retries += 1;
-                            }
-                            last = e;
-                        }
-                    }
-                }
-                Err(e) => {
-                    if matches!(e, ClientError::Busy { .. }) {
-                        self.busy_retries += 1;
-                    }
-                    last = e;
-                }
-            }
-            sleep_before_retry(&self.cfg, &mut self.rng, attempt, attempts, &last);
-        }
-        Err(last)
-    }
-
-    /// The dining process this session is bound to.
-    pub fn process(&self) -> u32 {
-        self.process
-    }
-
-    /// The admission path of the most recent (re)connect.
-    pub fn admit_path(&self) -> AdmitPath {
-        self.path
-    }
-
-    /// Requests to eat: sends `Hungry`.
-    pub fn hungry(&mut self) -> Result<(), ClientError> {
-        self.link.send(&Frame::Hungry {
-            process: self.process,
-        })
-    }
-
-    /// Waits until the daemon grants the table (`Granted`), answering
-    /// heartbeats along the way. Returns the server-side grant time.
-    pub fn wait_granted(&mut self, timeout: Duration) -> Result<u64, ClientError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.link.read_frame(deadline)? {
-                Frame::Granted { process, at_ms } if process == self.process => return Ok(at_ms),
-                // A release from a previous cycle may still be in
-                // flight; another process's event is never ours to act
-                // on (single-process client, but tolerate it).
-                Frame::Released { .. } | Frame::Granted { .. } => {}
-                frame => return Err(unexpected(frame)),
+                last = e;
+                sleep_before_retry(cfg, rng, attempt, attempts, &last);
             }
         }
     }
-
-    /// Waits until the grant is released (`Released`), answering
-    /// heartbeats along the way. Returns the server-side release time.
-    pub fn wait_released(&mut self, timeout: Duration) -> Result<u64, ClientError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.link.read_frame(deadline)? {
-                Frame::Released { process, at_ms } if process == self.process => return Ok(at_ms),
-                // A duplicate grant (re-sent hungry) is not an error.
-                Frame::Granted { .. } | Frame::Released { .. } => {}
-                frame => return Err(unexpected(frame)),
-            }
-        }
-    }
-
-    /// Simulates an abrupt client death: hard-closes the socket without
-    /// `Bye`. The server crashes the bound process and keeps the session
-    /// detached; [`reconnect`](Self::reconnect) revives it.
-    pub fn kill(&mut self) {
-        self.link.kill();
-    }
-
-    /// Graceful goodbye: the server detaches the session without
-    /// crashing the process.
-    pub fn bye(mut self) {
-        let _ = self.link.send(&Frame::Bye);
-        self.link.kill();
-    }
+    Err(last)
 }
 
 /// One demultiplexed table event from a [`MuxClient`] connection.
@@ -461,10 +324,9 @@ pub enum MuxEvent {
 
 /// A multiplexed session: one socket fronting many dining processes.
 ///
-/// The connection authenticates a *primary* process (whose credentials
-/// also anchor [`reconnect`](Self::reconnect)), then binds secondaries
-/// with [`bind`](Self::bind). All event frames arrive process-tagged on
-/// the one socket; drive the whole fleet with
+/// [`connect`](Self::connect) binds a first, *primary* process; further
+/// processes are bound with [`bind`](Self::bind). All event frames arrive
+/// process-tagged on the one socket; drive the whole fleet with
 /// [`hungry`](Self::hungry) / [`next_event`](Self::next_event).
 ///
 /// # When a request reaches the wire
@@ -483,21 +345,15 @@ pub enum MuxEvent {
 pub struct MuxClient {
     addr: ServerAddr,
     cfg: ClientConfig,
-    primary: u32,
     link: Link,
-    session: u64,
-    token: u64,
     path: AdmitPath,
     rng: u64,
-    /// Secondary processes currently bound (primary excluded), in bind
-    /// order.
+    /// Every process bound here, primary first, then in bind order.
     bound: Vec<u32>,
-    /// `member[p]`: whether `p` is bound here, primary included — what
+    /// `member[p]`: whether `p` is bound here — what
     /// [`hungry`](Self::hungry) validates against, once per request.
     member: Vec<bool>,
-    /// Events decoded while waiting for a control answer.
-    pending: VecDeque<MuxEvent>,
-    /// `Busy` sheds absorbed by this client's retry loops so far.
+    /// Busy refusals absorbed by this client's retry loops so far.
     pub busy_retries: u64,
 }
 
@@ -509,16 +365,15 @@ const WRITE_AT: usize = 16 * 1024;
 impl fmt::Debug for MuxClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MuxClient")
-            .field("primary", &self.primary)
-            .field("session", &self.session)
             .field("bound", &self.bound)
+            .field("path", &self.path)
             .finish_non_exhaustive()
     }
 }
 
 impl MuxClient {
-    /// Dials `addr` and authenticates `primary` with a fresh `Hello`,
-    /// retrying through `Busy` sheds with jittered backoff.
+    /// Dials `addr` and binds `primary`, retrying through busy refusals
+    /// and dial failures with jittered backoff.
     pub fn connect(
         addr: &ServerAddr,
         primary: u32,
@@ -526,56 +381,35 @@ impl MuxClient {
     ) -> Result<Self, ClientError> {
         let mut rng = cfg.seed ^ (u64::from(primary) << 32) ^ 0x3A7E_11E5;
         let mut busy_retries = 0;
-        let mut last: ClientError = ClientError::Busy { hint_ms: 0 };
-        let attempts = cfg.max_attempts.max(1);
-        for attempt in 0..attempts {
-            match dial_and_bind(addr, &cfg, Frame::Hello { process: primary }) {
-                Ok((link, session, token, path)) => {
-                    let mut client = MuxClient {
-                        addr: addr.clone(),
-                        cfg,
-                        primary,
-                        link,
-                        session,
-                        token,
-                        path,
-                        rng,
-                        bound: Vec::new(),
-                        member: Vec::new(),
-                        pending: VecDeque::new(),
-                        busy_retries,
-                    };
-                    client.set_member(primary, true);
-                    return Ok(client);
-                }
-                Err(ClientError::Rejected(code)) => return Err(ClientError::Rejected(code)),
-                Err(e) => {
-                    if matches!(e, ClientError::Busy { .. }) {
-                        busy_retries += 1;
-                    }
-                    last = e;
-                    sleep_before_retry(&cfg, &mut rng, attempt, attempts, &last);
-                }
-            }
-        }
-        Err(last)
+        let (link, path) =
+            dial_until_bound(addr, &cfg, &mut rng, &mut busy_retries, primary, false)?;
+        let mut client = MuxClient {
+            addr: addr.clone(),
+            cfg,
+            link,
+            path,
+            rng,
+            bound: vec![primary],
+            member: Vec::new(),
+            busy_retries,
+        };
+        client.set_member(primary, true);
+        Ok(client)
     }
 
-    /// The primary process anchoring this connection.
+    /// The primary process: the one [`connect`](Self::connect) bound.
     pub fn primary(&self) -> u32 {
-        self.primary
+        self.bound[0]
     }
 
-    /// The admission path of the most recent (re)connect.
+    /// The primary's admission path at the most recent (re)connect.
     pub fn admit_path(&self) -> AdmitPath {
         self.path
     }
 
     /// Every process currently bound on this connection, primary first.
     pub fn processes(&self) -> Vec<u32> {
-        let mut all = vec![self.primary];
-        all.extend_from_slice(&self.bound);
-        all
+        self.bound.clone()
     }
 
     fn is_member(&self, process: u32) -> bool {
@@ -594,64 +428,28 @@ impl MuxClient {
         }
     }
 
-    /// Waits (5 s at most) for the control answer `pick` recognizes.
-    /// Table events that arrive meanwhile are queued for
-    /// [`next_event`](Self::next_event); answers to other binds and
-    /// stray unbinds are dropped.
-    fn await_answer<T>(
-        &mut self,
-        mut pick: impl FnMut(&Frame) -> Option<T>,
-    ) -> Result<T, ClientError> {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let frame = self.link.read_frame(deadline)?;
-            if let Some(answer) = pick(&frame) {
-                return Ok(answer);
-            }
-            match frame {
-                Frame::Bound { .. } | Frame::BindReject { .. } | Frame::Unbound { .. } => {}
-                frame => match table_event(&frame) {
-                    Some(event) => self.pending.push_back(event),
-                    None => return Err(unexpected(frame)),
-                },
-            }
-        }
-    }
-
-    /// Binds a secondary `process` onto this connection, returning the
-    /// admission path the server reported for it. Requests buffered by
+    /// Binds `process` onto this connection, returning the admission path
+    /// the server reported for it. Requests buffered by
     /// [`hungry`](Self::hungry) are written ahead of the `Bind`, in the
-    /// same `write`.
+    /// same `write`. Past the server's admission cap this is
+    /// [`ClientError::Busy`] with the server's retry hint; it is not
+    /// retried here.
     pub fn bind(&mut self, process: u32) -> Result<AdmitPath, ClientError> {
-        self.link.send(&Frame::Bind { process })?;
-        let answer = self.await_answer(|frame| match *frame {
-            Frame::Bound { process: p, path } if p == process => Some(Ok(path)),
-            Frame::BindReject { process: p, code } if p == process => Some(Err(code)),
-            _ => None,
-        })?;
-        match answer {
-            Ok(path) => {
-                self.bound.push(process);
-                self.set_member(process, true);
-                Ok(path)
-            }
-            Err(crate::wire::REJECT_BUSY) => Err(ClientError::Busy {
-                hint_ms: self.cfg.base_backoff_ms as u32,
-            }),
-            Err(code) => Err(ClientError::Rejected(code)),
-        }
+        let path = self.link.bind(process)?;
+        self.bound.push(process);
+        self.set_member(process, true);
+        Ok(path)
     }
 
-    /// Gracefully detaches a secondary (or the primary's entry in the
-    /// event stream stays — the primary itself cannot be unbound).
-    /// Buffered requests are written ahead of the `Unbind`, as in
-    /// [`bind`](Self::bind).
+    /// Gracefully detaches a process bound with [`bind`](Self::bind); the
+    /// primary cannot be unbound. Buffered requests are written ahead of
+    /// the `Unbind`, as in [`bind`](Self::bind).
     pub fn unbind(&mut self, process: u32) -> Result<(), ClientError> {
-        if process == self.primary || !self.is_member(process) {
-            return Err(ClientError::Rejected(crate::wire::REJECT_BAD_PROCESS));
+        if process == self.primary() || !self.is_member(process) {
+            return Err(ClientError::Rejected(REJECT_BAD_PROCESS));
         }
         self.link.send(&Frame::Unbind { process })?;
-        self.await_answer(|frame| {
+        self.link.await_answer(|frame| {
             matches!(*frame, Frame::Unbound { process: p } if p == process).then_some(())
         })?;
         self.bound.retain(|&b| b != process);
@@ -666,7 +464,7 @@ impl MuxClient {
     /// the last case.
     pub fn hungry(&mut self, process: u32) -> Result<(), ClientError> {
         if !self.is_member(process) {
-            return Err(ClientError::Rejected(crate::wire::REJECT_BAD_PROCESS));
+            return Err(ClientError::Rejected(REJECT_BAD_PROCESS));
         }
         self.link.push(&Frame::Hungry { process });
         if self.link.out.len() >= WRITE_AT {
@@ -687,7 +485,7 @@ impl MuxClient {
     /// buffered requests are written once none is left and before the
     /// socket is read.
     pub fn next_event(&mut self, timeout: Duration) -> Result<MuxEvent, ClientError> {
-        if let Some(e) = self.pending.pop_front() {
+        if let Some(e) = self.link.pending.pop_front() {
             return Ok(e);
         }
         let deadline = Instant::now() + timeout;
@@ -701,83 +499,36 @@ impl MuxClient {
     }
 
     /// Re-establishes the whole multiplexed session after a dead
-    /// connection: resumes the primary under its credentials (falling
-    /// back to `Hello` if the server reaped the session), then re-binds
-    /// every secondary. Returns each process with the admission path the
-    /// server reported for it, primary first. Requests still buffered
-    /// for the old connection, and events queued from it, are dropped.
+    /// connection: dials and binds every process of
+    /// [`processes`](Self::processes) again, in order. The primary's
+    /// `ALREADY_BOUND` is transient — the server may not have noticed the
+    /// old connection die — and is retried with backoff. Returns each
+    /// process with the admission path the server reported for it,
+    /// primary first; a process that cannot be bound again (claimed by
+    /// someone else meanwhile) is dropped from the connection. Requests
+    /// still buffered for the old connection, and events queued from it,
+    /// are dropped.
     pub fn reconnect(&mut self) -> Result<Vec<(u32, AdmitPath)>, ClientError> {
-        let mut last: ClientError = ClientError::Busy { hint_ms: 0 };
-        let attempts = self.cfg.max_attempts.max(1);
-        for attempt in 0..attempts {
-            let resume = Frame::Resume {
-                process: self.primary,
-                session: self.session,
-                token: self.token,
-            };
-            let dialed = match dial_and_bind(&self.addr, &self.cfg, resume) {
-                Ok(ok) => Some(ok),
-                Err(ClientError::Rejected(code)) if code == REJECT_ALREADY_BOUND => {
-                    last = ClientError::Rejected(code);
-                    None
-                }
-                Err(ClientError::Rejected(_)) => {
-                    // Session reaped server-side: start the fleet over.
-                    match dial_and_bind(
-                        &self.addr,
-                        &self.cfg,
-                        Frame::Hello {
-                            process: self.primary,
-                        },
-                    ) {
-                        Ok(ok) => Some(ok),
-                        Err(ClientError::Rejected(code)) if code == REJECT_ALREADY_BOUND => {
-                            last = ClientError::Rejected(code);
-                            None
-                        }
-                        Err(ClientError::Rejected(code)) => {
-                            return Err(ClientError::Rejected(code))
-                        }
-                        Err(e) => {
-                            if matches!(e, ClientError::Busy { .. }) {
-                                self.busy_retries += 1;
-                            }
-                            last = e;
-                            None
-                        }
-                    }
-                }
-                Err(e) => {
-                    if matches!(e, ClientError::Busy { .. }) {
-                        self.busy_retries += 1;
-                    }
-                    last = e;
-                    None
-                }
-            };
-            if let Some((link, session, token, path)) = dialed {
-                // The old link goes, and its unwritten requests with it.
-                self.link = link;
-                self.session = session;
-                self.token = token;
-                self.path = path;
-                self.pending.clear();
-                let secondaries = std::mem::take(&mut self.bound);
-                let mut paths = vec![(self.primary, path)];
-                for p in secondaries {
-                    // A secondary that cannot rebind (e.g. claimed by
-                    // someone else meanwhile) is dropped from the fleet,
-                    // not fatal to the connection.
-                    self.set_member(p, false);
-                    if let Ok(bp) = self.bind(p) {
-                        paths.push((p, bp));
-                    }
-                }
-                return Ok(paths);
+        let primary = self.primary();
+        let (link, path) = dial_until_bound(
+            &self.addr,
+            &self.cfg,
+            &mut self.rng,
+            &mut self.busy_retries,
+            primary,
+            true,
+        )?;
+        // The old link goes, and its unwritten requests with it.
+        self.link = link;
+        self.path = path;
+        let mut paths = vec![(primary, path)];
+        for p in self.bound.split_off(1) {
+            self.set_member(p, false);
+            if let Ok(bp) = self.bind(p) {
+                paths.push((p, bp));
             }
-            sleep_before_retry(&self.cfg, &mut self.rng, attempt, attempts, &last);
         }
-        Err(last)
+        Ok(paths)
     }
 
     /// Simulates an abrupt client death: hard-closes the socket without

@@ -200,7 +200,7 @@ impl Listener {
 }
 
 /// `splitmix64` step — the workspace's stock seedable generator, used
-/// here for session tokens and client-side backoff jitter.
+/// here for client-side backoff jitter.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

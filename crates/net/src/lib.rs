@@ -12,12 +12,14 @@
 //! * a dead connection **crashes** the bound process — the daemon treats
 //!   a vanished client exactly like a crashed philosopher, so its
 //!   neighbors keep eating (wait-freedom under real packet loss);
-//! * a reconnect **recovers** it — presenting the session credentials
-//!   rides the journal fast-resume path when stable storage has a valid
-//!   snapshot, and degrades to the blank rejoin handshake otherwise,
-//!   with the taken path reported honestly in the `Welcome` frame;
+//! * a reconnect **recovers** it — binding the process again, from any
+//!   connection, rides the journal fast-resume path when stable storage
+//!   has a valid snapshot, and degrades to the blank rejoin handshake
+//!   otherwise, with the taken path reported honestly in the `Bound`
+//!   frame. A process is named by its id and nothing else, and a `Bind`
+//!   is the one way to admit it;
 //! * overload is **shed, not queued**: admissions past the session cap
-//!   get a clean `Busy` with a retry hint, slow readers are disconnected
+//!   are refused with a retry hint, slow readers are disconnected
 //!   when their bounded send queue fills, and silent connections are
 //!   culled by a strike-gated heartbeat (suspicion, then conviction —
 //!   the ◇P₁ idiom applied to sockets).
@@ -30,8 +32,8 @@
 //! those threads directly, the threaded runtime's events reach them
 //! through one pump thread, and blocking recovery waits run on
 //! short-lived admission workers. One connection can multiplex many
-//! dining processes (`Bind`/`Unbind` — the gateway shape, see
-//! [`MuxClient`]), and the server can front either the full threaded
+//! dining processes (`Bind`/`Unbind` — the gateway shape, served by the
+//! one client, [`MuxClient`]), and the server can front either the full threaded
 //! runtime or the bit-packed scale-tier kernel
 //! ([`server::BackendSpec`]). See `docs/NET.md` for the wire protocol
 //! and operational guidance, and experiments E20/E21 for the measured
@@ -39,8 +41,8 @@
 //!
 //! ## Quick tour
 //!
-//! ```no_run
-//! use ekbd_net::{ClientConfig, DaemonClient, DaemonServer, ServerAddr, ServerConfig};
+//! ```
+//! use ekbd_net::{ClientConfig, DaemonServer, MuxClient, MuxEvent, ServerAddr, ServerConfig};
 //! use ekbd_graph::topology;
 //! use std::time::Duration;
 //!
@@ -52,14 +54,21 @@
 //! .unwrap();
 //! let addr = server.local_addr().clone();
 //!
-//! let mut client = DaemonClient::connect(&addr, 0, ClientConfig::default()).unwrap();
-//! client.hungry().unwrap();
-//! client.wait_granted(Duration::from_secs(2)).unwrap();
-//! client.wait_released(Duration::from_secs(2)).unwrap();
+//! // Process 0 on one connection, and process 2 behind it.
+//! let mut client = MuxClient::connect(&addr, 0, ClientConfig::default()).unwrap();
+//! client.bind(2).unwrap();
+//! client.hungry(0).unwrap();
+//! client.hungry(2).unwrap();
+//! let mut released = 0;
+//! while released < 2 {
+//!     if let MuxEvent::Released { .. } = client.next_event(Duration::from_secs(5)).unwrap() {
+//!         released += 1;
+//!     }
+//! }
 //! client.bye();
 //!
 //! let run = server.shutdown();
-//! assert!(run.stats.fresh >= 1);
+//! assert_eq!(run.stats.fresh, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,7 +82,7 @@ pub mod loadgen;
 pub mod server;
 pub mod wire;
 
-pub use client::{ClientConfig, ClientError, DaemonClient, MuxClient, MuxEvent};
+pub use client::{ClientConfig, ClientError, MuxClient, MuxEvent};
 pub use conn::ServerAddr;
 pub use loadgen::{kill_set, run_load, LoadPlan, LoadReport, Readmission};
 pub use server::{BackendSpec, DaemonServer, ServerConfig, ServerRun, ServerStats};

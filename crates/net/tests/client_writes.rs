@@ -23,8 +23,7 @@ use std::time::Duration;
 const HUNGRY_LEN: usize = 15;
 
 /// A `MuxClient` with `processes` bound, and the server's end of its
-/// socket: `Hello` answered with `Welcome` and each `Bind` with `Bound`,
-/// by hand.
+/// socket: each `Bind` answered with `Bound`, by hand.
 fn admitted(processes: &[u32]) -> (MuxClient, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = ServerAddr::Tcp(listener.local_addr().unwrap().to_string());
@@ -43,11 +42,6 @@ fn admitted(processes: &[u32]) -> (MuxClient, TcpStream) {
         let mut answered = 0;
         while answered < processes.len() {
             let answer = match reader.next_frame().expect("the client frames correctly") {
-                Some(Frame::Hello { .. }) => Frame::Welcome {
-                    session: 1,
-                    token: 2,
-                    path: AdmitPath::Fresh,
-                },
                 Some(Frame::Bind { process }) => Frame::Bound {
                     process,
                     path: AdmitPath::Fresh,

@@ -99,8 +99,8 @@ fn a_reader_that_never_reads_is_shed_and_its_neighbours_keep_eating() {
         let path = path.clone();
         move || {
             let mut raw = std::os::unix::net::UnixStream::connect(path).unwrap();
-            let mut block = encode_frame(&Frame::Hello { process: 0 });
-            for process in 1..GREEDY {
+            let mut block = Vec::new();
+            for process in 0..GREEDY {
                 block.extend_from_slice(&encode_frame(&Frame::Bind { process }));
             }
             raw.write_all(&block).unwrap();

@@ -13,55 +13,41 @@ use proptest::prelude::*;
 /// fields from full-width ranges.
 fn frame() -> impl Strategy<Value = Frame> {
     (
-        0u8..16,
+        0u8..11,
         0u32..u32::MAX,
         0u64..u64::MAX,
-        0u64..u64::MAX,
+        0u32..u32::MAX,
         0u8..3,
     )
-        .prop_map(|(variant, small, wide_a, wide_b, path)| {
+        .prop_map(|(variant, small, wide, hint, path)| {
             let admit = match path {
                 0 => AdmitPath::Fresh,
                 1 => AdmitPath::Resumed,
                 _ => AdmitPath::Rejoined,
             };
             match variant {
-                0 => Frame::Hello { process: small },
-                1 => Frame::Resume {
+                0 => Frame::Hungry { process: small },
+                1 => Frame::Granted {
                     process: small,
-                    session: wide_a,
-                    token: wide_b,
+                    at_ms: wide,
                 },
-                2 => Frame::Welcome {
-                    session: wide_a,
-                    token: wide_b,
-                    path: admit,
-                },
-                3 => Frame::Busy {
-                    retry_after_ms: small,
-                },
-                4 => Frame::Reject { code: path },
-                5 => Frame::Hungry { process: small },
-                6 => Frame::Granted {
+                2 => Frame::Released {
                     process: small,
-                    at_ms: wide_a,
+                    at_ms: wide,
                 },
-                7 => Frame::Released {
-                    process: small,
-                    at_ms: wide_a,
-                },
-                8 => Frame::Ping { nonce: small },
-                9 => Frame::Pong { nonce: small },
-                10 => Frame::Bye,
-                11 => Frame::Bind { process: small },
-                12 => Frame::Unbind { process: small },
-                13 => Frame::Bound {
+                3 => Frame::Ping { nonce: small },
+                4 => Frame::Pong { nonce: small },
+                5 => Frame::Bye,
+                6 => Frame::Bind { process: small },
+                7 => Frame::Unbind { process: small },
+                8 => Frame::Bound {
                     process: small,
                     path: admit,
                 },
-                14 => Frame::BindReject {
+                9 => Frame::BindReject {
                     process: small,
                     code: path,
+                    retry_after_ms: hint,
                 },
                 _ => Frame::Unbound { process: small },
             }
