@@ -273,6 +273,129 @@ fn crash_recovery_trace_matches_the_committed_digest() {
     );
 }
 
+/// One line over the report columns filled from the observation stream
+/// beside `events`: the suspicion history, the dining sends, the sends to
+/// crashed processes, the channel high-water mark and the measured
+/// detector convergence.
+fn column_digest(r: &RunReport) -> String {
+    format!(
+        "suspicions={}#{:016x} dining_sends={}#{:016x} to_crashed={}#{:016x} high_water={} convergence={}",
+        r.suspicions.len(),
+        debug_hash(&r.suspicions),
+        r.dining_sends.len(),
+        debug_hash(&r.dining_sends),
+        r.sends_to_crashed.len(),
+        debug_hash(&r.sends_to_crashed),
+        r.max_channel_high_water,
+        r.detector_convergence().0,
+    )
+}
+
+/// Literal [`column_digest`]s of the [`ALGORITHM1_DIGESTS`] runs, the
+/// [`crash_recovery_scenario`] and [`churn_scenario`].
+const COLUMN_DIGESTS: [(&str, &str); 14] = [
+    (
+        "ring-8/reliable",
+        "suspicions=800#6af47b6649aec2bd dining_sends=138#697f2c1c0e8d23ba to_crashed=0#cbf29ce484222325 high_water=8 convergence=1960",
+    ),
+    (
+        "ring-8/loss",
+        "suspicions=800#6af47b6649aec2bd dining_sends=132#591427789514114a to_crashed=0#cbf29ce484222325 high_water=9 convergence=1960",
+    ),
+    (
+        "ring-8/duplication",
+        "suspicions=800#6af47b6649aec2bd dining_sends=148#70bbe9e02096b156 to_crashed=0#cbf29ce484222325 high_water=11 convergence=1960",
+    ),
+    (
+        "ring-8/reorder",
+        "suspicions=800#6af47b6649aec2bd dining_sends=142#caeff20a05dfd4a6 to_crashed=0#cbf29ce484222325 high_water=10 convergence=1960",
+    ),
+    (
+        "ring-8/partition",
+        "suspicions=800#6af47b6649aec2bd dining_sends=134#cf76ca96d98ce9fa to_crashed=0#cbf29ce484222325 high_water=10 convergence=1960",
+    ),
+    (
+        "ring-8/loss+dup+reorder",
+        "suspicions=800#6af47b6649aec2bd dining_sends=150#2386233a9a792858 to_crashed=0#cbf29ce484222325 high_water=14 convergence=1960",
+    ),
+    (
+        "clique-6/reliable",
+        "suspicions=1500#6d38e8711d825c7b dining_sends=246#a6c359080e6a0976 to_crashed=0#cbf29ce484222325 high_water=12 convergence=1960",
+    ),
+    (
+        "clique-6/loss",
+        "suspicions=1500#6d38e8711d825c7b dining_sends=238#0a6f98987dea623e to_crashed=0#cbf29ce484222325 high_water=8 convergence=1960",
+    ),
+    (
+        "clique-6/duplication",
+        "suspicions=1500#6d38e8711d825c7b dining_sends=246#a8d3656fe52cc966 to_crashed=0#cbf29ce484222325 high_water=12 convergence=1960",
+    ),
+    (
+        "clique-6/reorder",
+        "suspicions=1500#6d38e8711d825c7b dining_sends=224#8f28ded66be65d33 to_crashed=0#cbf29ce484222325 high_water=10 convergence=1960",
+    ),
+    (
+        "clique-6/partition",
+        "suspicions=1500#6d38e8711d825c7b dining_sends=232#16d6f282a515bd84 to_crashed=0#cbf29ce484222325 high_water=10 convergence=1960",
+    ),
+    (
+        "clique-6/loss+dup+reorder",
+        "suspicions=1500#6d38e8711d825c7b dining_sends=224#a956a4baba309d59 to_crashed=0#cbf29ce484222325 high_water=10 convergence=1960",
+    ),
+    (
+        "crash-recovery",
+        "suspicions=804#2193c390ee30598d dining_sends=14210#9dd895b7de4243f2 to_crashed=0#cbf29ce484222325 high_water=11 convergence=60000",
+    ),
+    (
+        "churn",
+        "suspicions=600#45261d2d00cf8405 dining_sends=12013#c0276986464ce8fa to_crashed=1#c5935ddb68de87ff high_water=12 convergence=60000",
+    ),
+];
+
+/// Seeded churn (a membership event about every 4 000 ticks) on ring-8
+/// under `run_recoverable`: joins, graceful and crash-stop departures.
+fn churn_scenario() -> Scenario {
+    base_scenario(ekbd::graph::topology::ring(8), 19).churn(4_000)
+}
+
+#[test]
+fn report_columns_match_the_committed_digests() {
+    let mut runs: Vec<(String, RunReport)> = Vec::new();
+    for (prefix, base) in [
+        ("ring-8", base_scenario(ekbd::graph::topology::ring(8), 42)),
+        (
+            "clique-6",
+            base_scenario(ekbd::graph::topology::clique(6), 7),
+        ),
+    ] {
+        for (config, scenario) in fault_configs(base) {
+            runs.push((format!("{prefix}/{config}"), scenario.run_algorithm1()));
+        }
+    }
+    runs.push((
+        "crash-recovery".into(),
+        crash_recovery_scenario().run_recoverable(),
+    ));
+    let churn = churn_scenario().run_recoverable();
+    assert!(
+        !churn.joins.is_empty() && !churn.departures.is_empty(),
+        "the churn run must both admit and lose processes"
+    );
+    runs.push(("churn".into(), churn));
+    assert_rows(
+        runs.into_iter()
+            .filter_map(|(label, report)| {
+                let (_, want) = COLUMN_DIGESTS
+                    .iter()
+                    .find(|(l, _)| *l == label)
+                    .expect("a committed row");
+                let got = column_digest(&report);
+                (got != *want).then(|| format!("(\"{label}\", \"{got}\"),"))
+            })
+            .collect(),
+    );
+}
+
 /// Literal digests at high degree, taken from the per-slot `DiningProcess`
 /// before its edge flags became S1 words. Six bits a slot and ten slots a
 /// 60-bit guard chunk: clique-12 (δ = 11) puts slot 10 at bits 60–65, in a

@@ -9,6 +9,53 @@ use ekbd_graph::{topology, ConflictGraph, ProcessId};
 use ekbd_harness::{Scenario, StreamingRunReport, Workload};
 use ekbd_sim::Time;
 
+/// FNV-1a over the debug rendering of each item, newline-separated.
+fn debug_hash<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
+    items.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, item| {
+        format!("{item:?}\n")
+            .bytes()
+            .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    })
+}
+
+/// One line over everything a streaming run reports.
+fn digest(r: &StreamingRunReport) -> String {
+    format!(
+        "mistakes={} eats={:?} latency[{}] convergence={} starving={:?} dining_sends={} excerpts#{:016x}",
+        r.mistakes,
+        r.eats,
+        r.latency.brief(),
+        r.convergence.0,
+        r.starving,
+        r.dining_sends,
+        debug_hash(&r.excerpts),
+    )
+}
+
+/// Literal [`digest`]s of the five streaming runs below, keyed by label.
+const DIGESTS: [(&str, &str); 5] = [
+    (
+        "ring-8",
+        "mistakes=0 eats=[6, 6, 6, 6, 6, 6, 6, 6] latency[n=48 min=5 p50=29 p99=53 max=53 mean=29.6] convergence=0 starving=[] dining_sends=364 excerpts#143dfc360b36f7a6",
+    ),
+    (
+        "clique-6",
+        "mistakes=0 eats=[6, 6, 6, 6, 6, 6] latency[n=36 min=19 p50=52 p99=116 max=116 mean=54.1] convergence=0 starving=[] dining_sends=642 excerpts#e1a9d836b6f177d0",
+    ),
+    (
+        "grid-3x4",
+        "mistakes=0 eats=[6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6] latency[n=72 min=8 p50=29 p99=48 max=48 mean=29.3] convergence=0 starving=[] dining_sends=760 excerpts#d3809886cc0503d8",
+    ),
+    (
+        "ring-8-adversarial",
+        "mistakes=12 eats=[6, 6, 6, 6, 6, 6, 6, 6] latency[n=48 min=0 p50=0 p99=42 max=42 mean=7.6] convergence=9000 starving=[] dining_sends=314 excerpts#96387b26605e1137",
+    ),
+    (
+        "clique-5-adversarial",
+        "mistakes=71 eats=[8, 8, 8, 8, 8] latency[n=40 min=0 p50=0 p99=34 max=34 mean=6.3] convergence=11960 starving=[] dining_sends=424 excerpts#698a4025bd9e5e3b",
+    ),
+];
+
 fn scenario(g: ConflictGraph, seed: u64) -> Scenario {
     Scenario::new(g)
         .seed(seed)
@@ -21,7 +68,7 @@ fn scenario(g: ConflictGraph, seed: u64) -> Scenario {
 }
 
 /// Asserts the streaming report matches the dense analyses of the same
-/// scenario, claim by claim.
+/// scenario, claim by claim, and its committed digest.
 fn assert_equivalent(s: &Scenario, label: &str) -> StreamingRunReport {
     let dense = s.run_algorithm1();
     let streaming = s.run_algorithm1_streaming();
@@ -86,6 +133,15 @@ fn assert_equivalent(s: &Scenario, label: &str) -> StreamingRunReport {
         streaming.dining_sends,
         dense.dining_sends.len() as u64,
         "{label}: dining-send counts diverged"
+    );
+    let (_, want) = DIGESTS
+        .iter()
+        .find(|(l, _)| *l == label)
+        .expect("a committed digest");
+    let got = digest(&streaming);
+    assert_eq!(
+        got, *want,
+        "{label}: digest moved; the run now reads:\n{got}"
     );
     streaming
 }
