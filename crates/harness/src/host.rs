@@ -602,7 +602,7 @@ mod tests {
     use ekbd_detector::{HeartbeatConfig, HeartbeatDetector, SuspicionView};
     use ekbd_dining::RecoverableDining;
     use ekbd_graph::{coloring, topology};
-    use ekbd_sim::{ObsSink, Observation, Time};
+    use ekbd_sim::{Observation, Time};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -626,7 +626,7 @@ mod tests {
             &mut rng,
             Vec::new(),
             Vec::new(),
-            ObsSink::Direct(&mut log),
+            &mut log,
         );
         host.handle(NodeEvent::Join { incarnation: 1 }, &mut ctx);
         let (sends, _) = ctx.into_buffers();

@@ -1,9 +1,9 @@
 use crate::host::{DinerHost, HostCmd, HostObs};
-use crate::report::RunReport;
+use crate::report::{ReportSink, RunReport};
 use crate::scenario::Scenario;
 use ekbd_dining::DiningAlgorithm;
 use ekbd_graph::ProcessId;
-use ekbd_sim::{Observation, SimConfig, Simulator, Time};
+use ekbd_sim::{Observation, Simulator, StreamSink, Time};
 
 /// A scenario being executed step by step under external control.
 ///
@@ -20,33 +20,11 @@ pub struct LiveRun<A: DiningAlgorithm> {
 }
 
 impl<A: DiningAlgorithm> LiveRun<A> {
-    /// Starts a live run; crashes and manual hunger from the scenario are
-    /// pre-scheduled exactly as in [`Scenario::run_with`].
-    pub fn new(scenario: Scenario, mut factory: impl FnMut(&Scenario, ProcessId) -> A) -> Self {
-        let cfg = SimConfig::default()
-            .n(scenario.graph.len())
-            .seed(scenario.seed)
-            .delay(scenario.delay.clone())
-            .faults(scenario.faults.clone());
-        let workload = crate::host::HostWorkload {
-            sessions: scenario.workload.sessions,
-            think: scenario.workload.think,
-            eat: scenario.workload.eat,
-        };
-        let mut sim = Simulator::new(cfg, |p, _| {
-            let host = DinerHost::new(factory(&scenario, p), scenario.detector_for(p), workload)
-                .with_audit_period(scenario.audit_period);
-            match scenario.link {
-                Some(link_cfg) => host.with_link(link_cfg),
-                None => host,
-            }
-        });
-        for &(p, t) in &scenario.crashes {
-            sim.schedule_crash(p, t);
-        }
-        for &(p, t) in &scenario.manual_hunger {
-            sim.schedule_external(p, t, HostCmd::BecomeHungry);
-        }
+    /// Starts a live run, built exactly as [`Scenario::run_with`] builds
+    /// its run: crashes, manual hunger, the membership plan and trace
+    /// recording all come from the scenario.
+    pub fn new(scenario: Scenario, factory: impl FnMut(&Scenario, ProcessId) -> A) -> Self {
+        let sim = scenario.simulator(factory, Vec::new());
         LiveRun {
             scenario,
             sim,
@@ -123,7 +101,11 @@ impl<A: DiningAlgorithm> LiveRun<A> {
     /// final report.
     pub fn finish(mut self) -> RunReport {
         self.sim.run_until(self.scenario.horizon);
-        RunReport::collect(&self.scenario, &mut self.sim)
+        let mut columns = ReportSink::sized(&self.scenario);
+        for o in self.sim.observations() {
+            columns.record(o.time, o.process, o.obs);
+        }
+        RunReport::assemble(&self.scenario, &self.sim, columns)
     }
 }
 
@@ -131,7 +113,7 @@ impl<A: DiningAlgorithm> LiveRun<A> {
 mod tests {
     use super::*;
     use crate::{Scenario, Workload};
-    use ekbd_dining::{DiningObs, DiningProcess};
+    use ekbd_dining::{DiningObs, DiningProcess, RecoverableDining};
     use ekbd_graph::topology;
 
     #[test]
@@ -158,6 +140,38 @@ mod tests {
             seen,
             report.events.len() + report.suspicions.len() + report.dining_sends.len()
         );
+    }
+
+    #[test]
+    fn a_live_run_follows_the_membership_plan_and_records_the_trace() {
+        let scenario = Scenario::new(topology::ring(5))
+            .seed(8)
+            .adversarial_oracle(Time(1_500), 40)
+            .workload(Workload {
+                sessions: 4,
+                think: (1, 20),
+                eat: (1, 10),
+            })
+            .horizon(Time(30_000))
+            .membership(
+                ekbd_sim::MembershipPlan::new()
+                    .join(ProcessId(2), Time(400))
+                    .leave(ProcessId(4), Time(900)),
+            )
+            .record_trace(true);
+        let batch = scenario.run_recoverable();
+        let mut live = LiveRun::new(scenario, |s, p| {
+            RecoverableDining::from_graph(&s.graph, &s.colors, p).with_strikes(s.audit_strikes)
+        });
+        while live.step() {}
+        let report = live.finish();
+        assert!(!batch.kernel_trace.is_empty(), "trace recording must be on");
+        assert_eq!(report.incarnations, batch.incarnations);
+        assert_eq!(report.incarnations[2], 1, "the joiner booted");
+        assert_eq!(report.events, batch.events);
+        assert_eq!(report.suspicions, batch.suspicions);
+        assert_eq!(report.dining_sends, batch.dining_sends);
+        assert_eq!(report.kernel_trace, batch.kernel_trace);
     }
 
     #[test]

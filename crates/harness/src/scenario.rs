@@ -1,6 +1,6 @@
 use crate::detector::AnyDetector;
-use crate::host::{DinerHost, HostCmd, HostWorkload};
-use crate::report::RunReport;
+use crate::host::{DinerHost, HostCmd, HostObs, HostWorkload};
+use crate::report::{ReportSink, RunReport};
 use ekbd_detector::{
     HeartbeatConfig, HeartbeatDetector, ProbeConfig, ProbeDetector, ScriptedOracle,
 };
@@ -10,7 +10,7 @@ use ekbd_graph::{ConflictGraph, Membership, ProcessId};
 use ekbd_journal::StorageFaultPlan;
 use ekbd_link::LinkConfig;
 use ekbd_sim::{
-    DelayModel, FaultPlan, MembershipEvent, MembershipPlan, SimConfig, Simulator, Time,
+    DelayModel, FaultPlan, MembershipEvent, MembershipPlan, SimConfig, Simulator, StreamSink, Time,
 };
 
 /// Which failure detector each process runs.
@@ -364,9 +364,29 @@ impl Scenario {
     }
 
     /// Runs the scenario with a custom dining-algorithm factory.
-    pub fn run_with<A>(&self, mut factory: impl FnMut(&Scenario, ProcessId) -> A) -> RunReport
+    pub fn run_with<A>(&self, factory: impl FnMut(&Scenario, ProcessId) -> A) -> RunReport
     where
         A: DiningAlgorithm,
+    {
+        let mut sim = self.simulator(factory, ReportSink::sized(self));
+        sim.run_until(self.horizon);
+        let columns = std::mem::take(sim.sink_mut());
+        RunReport::assemble(self, &sim, columns)
+    }
+
+    /// Builds this scenario's run, handing every observation to `sink`:
+    /// one [`DinerHost`] per process around `factory`'s algorithm (built
+    /// from the process's [`construction_view`](Self::construction_view)
+    /// under a membership plan), with the crashes, the manual hunger and
+    /// the membership plan scheduled. Every run of a scenario starts here.
+    pub(crate) fn simulator<A, S>(
+        &self,
+        mut factory: impl FnMut(&Scenario, ProcessId) -> A,
+        sink: S,
+    ) -> Simulator<DinerHost<A>, S>
+    where
+        A: DiningAlgorithm,
+        S: StreamSink<HostObs>,
     {
         let cfg = SimConfig::default()
             .n(self.graph.len())
@@ -379,7 +399,7 @@ impl Scenario {
             think: self.workload.think,
             eat: self.workload.eat,
         };
-        let mut sim = Simulator::new(cfg, |p, _| {
+        let mut sim = Simulator::with_sink(cfg, sink, |p, _| {
             let alg = if self.membership.is_inert() {
                 factory(self, p)
             } else {
@@ -406,17 +426,7 @@ impl Scenario {
             sim.schedule_external(p, t, HostCmd::BecomeHungry);
         }
         self.schedule_membership(&mut sim);
-        // Workload-shaped estimate: 5 scheduling observations per eat
-        // session plus ~3 dining sends per session-edge, with 20% slack for
-        // suspicion churn. An overrun just resumes normal growth.
-        let n = self.graph.len();
-        let deg_sum: usize = (0..n)
-            .map(|i| self.graph.neighbors(ProcessId::from(i)).len())
-            .sum();
-        let est = self.workload.sessions as usize * (5 * n + 3 * deg_sum) * 6 / 5;
-        sim.reserve_observations(est);
-        sim.run_until(self.horizon);
-        RunReport::collect(self, &mut sim)
+        sim
     }
 
     /// The scenario a process is *constructed* from under the membership
@@ -499,7 +509,11 @@ impl Scenario {
     /// boot, so the notice cannot race the `Join` event and be dropped
     /// while it is still absent. Notices to a crashed neighbor are
     /// deferred until it recovers (see [`Self::notice_time`]).
-    fn schedule_membership<A: DiningAlgorithm>(&self, sim: &mut Simulator<DinerHost<A>>) {
+    fn schedule_membership<A, S>(&self, sim: &mut Simulator<DinerHost<A>, S>)
+    where
+        A: DiningAlgorithm,
+        S: StreamSink<HostObs>,
+    {
         if self.membership.is_inert() {
             return;
         }

@@ -1,11 +1,12 @@
 //! Streaming scenario metrics: the scale tier's O(processes)-memory
 //! counterpart to [`RunReport`](crate::RunReport).
 //!
-//! The dense pipeline stores every observation and analyzes afterwards —
-//! perfect for the paper-scale experiments, hopeless at 10⁵ processes where
-//! the event stream dwarfs memory. This module consumes the same
-//! [`HostObs`] stream *online* through the simulator's
-//! [`StreamSink`](ekbd_sim::StreamSink) hook and keeps only aggregates:
+//! The dense pipeline keeps every scheduling event, suspicion and dining
+//! send in the report's columns and analyzes afterwards — perfect for the
+//! paper-scale experiments, hopeless at 10⁵ processes where the event
+//! stream dwarfs memory. Here the run's simulator owns a different sink:
+//! an aggregator that consumes the same [`HostObs`] stream *online*
+//! through [`StreamSink`] and keeps only aggregates:
 //!
 //! * hungry→eat latencies in a [`LatencyHistogram`] (exact nearest-rank
 //!   quantiles below the fine-bin cap, log₂ bins above);
@@ -16,9 +17,9 @@
 //!   exactly, because two eating intervals overlap iff the later one opens
 //!   while the earlier is still open;
 //! * detector convergence from the *last* suspicion verdict per
-//!   (observer, target) pair — all
+//!   (observer, target) pair, by the rule
 //!   [`detector_convergence`](crate::RunReport::detector_convergence)
-//!   needs;
+//!   applies to the same verdicts;
 //! * per-process completed-session counts, starvation witnesses, and a
 //!   seeded reservoir of session excerpts for spot-checking.
 //!
@@ -35,14 +36,12 @@
 //!
 //! [`sanitize_interrupted`]: crate::RunReport::events
 
-use crate::host::{DinerHost, HostCmd, HostObs, HostWorkload};
+use crate::host::HostObs;
+use crate::report::{cut_time, detector_convergence, LastVerdicts};
 use crate::scenario::Scenario;
 use ekbd_dining::{DiningObs, DiningProcess};
 use ekbd_graph::{ConflictGraph, ProcessId};
-use ekbd_sim::{EatExcerpt, LatencyHistogram, Reservoir, SimConfig, Simulator, StreamSink, Time};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use ekbd_sim::{EatExcerpt, LatencyHistogram, Reservoir, StreamSink, Time};
 
 /// Excerpts kept per run (deterministic reservoir sample).
 const EXCERPT_CAP: usize = 16;
@@ -86,15 +85,14 @@ impl StreamingRunReport {
     }
 }
 
-/// The live aggregator behind a streaming run. Owns O(n + edges) state:
-/// per-process open-interval markers plus one last-verdict entry per
-/// reporting (observer, target) pair.
+/// The live aggregator behind a streaming run: the sink its simulator
+/// owns. Owns O(n + edges) state: per-process open-interval markers plus
+/// one last-verdict entry per reporting (observer, target) pair.
 struct StreamingReport {
     graph: ConflictGraph,
     horizon: Time,
-    /// Per-process permanent-crash instant (crash-stop: any scheduled
-    /// crash within the horizon), mirroring
-    /// [`crash_time`](crate::RunReport::crash_time).
+    /// Per-process permanent-crash instant, by the dense report's
+    /// [`cut_time`](crate::RunReport::cut_time) rule.
     cut: Vec<Option<Time>>,
     crashes: Vec<(ProcessId, Time)>,
     // Current tick and its buffered eating transitions.
@@ -110,21 +108,23 @@ struct StreamingReport {
     mistakes: u64,
     latency: LatencyHistogram,
     excerpts: Reservoir<EatExcerpt>,
-    last_verdict: BTreeMap<(ProcessId, ProcessId), (Time, bool)>,
+    last_verdict: LastVerdicts,
     dining_sends: u64,
 }
 
 impl StreamingReport {
     fn new(scenario: &Scenario) -> Self {
         let n = scenario.graph.len();
+        // Crash-stop: no recoveries and no departures (checked by the run).
         let cut = (0..n)
             .map(|i| {
-                scenario
-                    .crashes
-                    .iter()
-                    .filter(|&&(q, t)| q.index() == i && t <= scenario.horizon)
-                    .map(|&(_, t)| t)
-                    .max()
+                cut_time(
+                    ProcessId::from(i),
+                    scenario.horizon,
+                    &scenario.crashes,
+                    &[],
+                    &[],
+                )
             })
             .collect();
         StreamingReport {
@@ -142,7 +142,7 @@ impl StreamingReport {
             mistakes: 0,
             latency: LatencyHistogram::new(),
             excerpts: Reservoir::new(scenario.seed ^ 0x0b5e_ec5e, EXCERPT_CAP),
-            last_verdict: BTreeMap::new(),
+            last_verdict: LastVerdicts::new(),
             dining_sends: 0,
         }
     }
@@ -197,6 +197,34 @@ impl StreamingReport {
         }
     }
 
+    fn finish(mut self) -> StreamingRunReport {
+        self.flush();
+        let starving = (0..self.graph.len())
+            .map(ProcessId::from)
+            .filter(|&p| self.hungry_since[p.index()].is_some() && self.is_correct(p))
+            .collect();
+        let convergence = detector_convergence(
+            &self.graph,
+            self.horizon,
+            &self.crashes,
+            &self.last_verdict,
+            |p| self.is_correct(p),
+        );
+        StreamingRunReport {
+            n: self.graph.len(),
+            horizon: self.horizon,
+            mistakes: self.mistakes,
+            latency: self.latency,
+            eats: self.eats,
+            starving,
+            convergence,
+            dining_sends: self.dining_sends,
+            excerpts: self.excerpts.items().cloned().collect(),
+        }
+    }
+}
+
+impl StreamSink<HostObs> for StreamingReport {
     fn record(&mut self, time: Time, process: ProcessId, obs: HostObs) {
         if time > self.cur {
             self.flush();
@@ -215,63 +243,6 @@ impl StreamingReport {
             }
             HostObs::DiningSend { .. } => self.dining_sends += 1,
         }
-    }
-
-    /// Mirrors [`detector_convergence`](crate::RunReport::detector_convergence)
-    /// from the per-pair last verdicts.
-    fn convergence(&self) -> Time {
-        let mut conv = Time::ZERO;
-        for (&(observer, target), &(t, suspected)) in &self.last_verdict {
-            if !self.is_correct(observer) {
-                continue;
-            }
-            if self.is_correct(target) {
-                conv = conv.max(if suspected { self.horizon } else { t });
-            } else {
-                conv = conv.max(if suspected { t } else { self.horizon });
-            }
-        }
-        for &(q, t) in &self.crashes {
-            if t > self.horizon || self.is_correct(q) {
-                continue;
-            }
-            for &i in self.graph.neighbors(q) {
-                if self.is_correct(i) && !self.last_verdict.contains_key(&(i, q)) {
-                    conv = self.horizon;
-                }
-            }
-        }
-        conv
-    }
-
-    fn finish(mut self) -> StreamingRunReport {
-        self.flush();
-        let starving = (0..self.graph.len())
-            .map(ProcessId::from)
-            .filter(|&p| self.hungry_since[p.index()].is_some() && self.is_correct(p))
-            .collect();
-        let convergence = self.convergence();
-        StreamingRunReport {
-            n: self.graph.len(),
-            horizon: self.horizon,
-            mistakes: self.mistakes,
-            latency: self.latency,
-            eats: self.eats,
-            starving,
-            convergence,
-            dining_sends: self.dining_sends,
-            excerpts: self.excerpts.items().cloned().collect(),
-        }
-    }
-}
-
-/// [`StreamSink`] adapter sharing the aggregator with the caller, so the
-/// results survive the simulator that owned the boxed sink.
-struct SharedSink(Rc<RefCell<StreamingReport>>);
-
-impl StreamSink<HostObs> for SharedSink {
-    fn record(&mut self, time: Time, process: ProcessId, obs: HostObs) {
-        self.0.borrow_mut().record(time, process, obs);
     }
 }
 
@@ -297,40 +268,12 @@ impl Scenario {
             self.membership.is_inert(),
             "streaming runs require a fixed population"
         );
-        let cfg = SimConfig::default()
-            .n(self.graph.len())
-            .seed(self.seed)
-            .delay(self.delay.clone())
-            .faults(self.faults.clone());
-        let workload = HostWorkload {
-            sessions: self.workload.sessions,
-            think: self.workload.think,
-            eat: self.workload.eat,
-        };
-        let mut sim = Simulator::new(cfg, |p, _| {
-            let alg = DiningProcess::from_graph(&self.graph, &self.colors, p);
-            let host = DinerHost::new(alg, self.detector_for(p), workload)
-                .with_audit_period(self.audit_period);
-            match self.link {
-                Some(link_cfg) => host.with_link(link_cfg),
-                None => host,
-            }
-        });
-        for &(p, t) in &self.crashes {
-            sim.schedule_crash(p, t);
-        }
-        for &(p, t) in &self.manual_hunger {
-            sim.schedule_external(p, t, HostCmd::BecomeHungry);
-        }
-        let shared = Rc::new(RefCell::new(StreamingReport::new(self)));
-        sim.set_streaming(Box::new(SharedSink(Rc::clone(&shared))));
+        let mut sim = self.simulator(
+            |s, p| DiningProcess::from_graph(&s.graph, &s.colors, p),
+            StreamingReport::new(self),
+        );
         sim.run_until(self.horizon);
-        drop(sim);
-        Rc::try_unwrap(shared)
-            .ok()
-            .expect("the simulator's sink handle was dropped with it")
-            .into_inner()
-            .finish()
+        sim.into_sink().finish()
     }
 }
 

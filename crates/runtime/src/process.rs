@@ -6,7 +6,7 @@ use ekbd_dining::{DiningAlgorithm, DiningObs};
 use ekbd_graph::ProcessId;
 use ekbd_harness::{AnyDetector, DinerHost, Envelope, HostCmd, HostObs, HostWorkload};
 use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
-use ekbd_sim::{Context, Node, NodeEvent, ObsSink, Observation, Time};
+use ekbd_sim::{Context, Node, NodeEvent, Observation, Time};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -182,7 +182,7 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
             &mut self.rng,
             std::mem::take(&mut self.sends),
             std::mem::take(&mut self.timers),
-            ObsSink::Direct(&mut self.observations),
+            &mut self.observations,
         );
         self.host.handle(ev, &mut ctx);
         let (mut sends, mut timers) = ctx.into_buffers();

@@ -45,7 +45,7 @@
 //! # Example
 //!
 //! ```
-//! use ekbd_sim::{Simulator, SimConfig, Node, NodeEvent, Context, ProcessId};
+//! use ekbd_sim::{Simulator, SimConfig, Node, NodeEvent, Context, ProcessId, StreamSink, Time};
 //!
 //! /// A node that greets its successor once and notes the echo it gets back.
 //! struct Echo { n: usize }
@@ -70,6 +70,17 @@
 //! let mut sim = Simulator::new(SimConfig::default().seed(7), |_, _| Echo { n: 3 });
 //! sim.run();
 //! assert_eq!(sim.observations().len(), 3);
+//!
+//! // Any `StreamSink` can take the log's place; this one only counts.
+//! struct Count(usize);
+//! impl StreamSink<String> for Count {
+//!     fn record(&mut self, _: Time, _: ProcessId, _: String) {
+//!         self.0 += 1;
+//!     }
+//! }
+//! let mut sim = Simulator::with_sink(SimConfig::default().seed(7), Count(0), |_, _| Echo { n: 3 });
+//! sim.run();
+//! assert_eq!(sim.into_sink().0, 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -92,7 +103,7 @@ pub use ekbd_graph::ProcessId;
 pub use fault::{CorruptionSpec, FaultPlan, FaultPlanError, LinkFault, Partition, RecoverySpec};
 pub use membership::{MembershipEvent, MembershipPlan, MembershipPlanError};
 pub use network::{ChannelStats, DelayModel};
-pub use node::{Context, Node, NodeEvent, ObsSink};
+pub use node::{Context, Node, NodeEvent};
 pub use obs::{LatencyHistogram, Reservoir, StreamSink};
 pub use packed::{EatExcerpt, EatObs, InteractiveScale, PackedKernel, ScaleConfig};
 pub use shard::{run_sharded, ScaleRunReport};

@@ -1,6 +1,5 @@
 use crate::obs::StreamSink;
 use crate::time::{Duration, Time};
-use crate::trace::Observation;
 use crate::ProcessId;
 use rand::rngs::StdRng;
 
@@ -89,17 +88,6 @@ pub trait Node {
     );
 }
 
-/// Where [`Context::observe`] writes.
-pub enum ObsSink<'a, O> {
-    /// An observation log (the simulator's, or a host loop's per-event
-    /// buffer), written in place: each observation is stamped and stored
-    /// exactly once.
-    Direct(&'a mut Vec<Observation<O>>),
-    /// A streaming aggregator (the scale tier): each observation is
-    /// consumed immediately and never stored densely.
-    Stream(&'a mut dyn StreamSink<O>),
-}
-
 /// Messages a handler sent, as `(destination, message)`, in send order.
 type Sends<M> = Vec<(ProcessId, M)>;
 /// Timers a handler armed, as `(delay, tag)`, in arming order.
@@ -116,20 +104,22 @@ pub struct Context<'a, M, O> {
     pub(crate) rng: &'a mut StdRng,
     pub(crate) sends: Sends<M>,
     pub(crate) timers: Timers,
-    pub(crate) observations: ObsSink<'a, O>,
+    pub(crate) observations: &'a mut dyn StreamSink<O>,
 }
 
 impl<'a, M, O> Context<'a, M, O> {
     /// Builds a context around caller-owned effect buffers, so a host loop
     /// (the simulator, or the threaded runtime's process threads) can
     /// recycle them across events instead of allocating per dispatch.
+    /// Observations go straight into `observations`, stamped with `id` and
+    /// `now`.
     pub fn with_buffers(
         id: ProcessId,
         now: Time,
         rng: &'a mut StdRng,
         sends: Sends<M>,
         timers: Timers,
-        observations: ObsSink<'a, O>,
+        observations: &'a mut dyn StreamSink<O>,
     ) -> Self {
         Context {
             id,
@@ -170,14 +160,7 @@ impl<'a, M, O> Context<'a, M, O> {
 
     /// Emits an observation for the metrics layer.
     pub fn observe(&mut self, obs: O) {
-        match &mut self.observations {
-            ObsSink::Direct(out) => out.push(Observation {
-                time: self.now,
-                process: self.id,
-                obs,
-            }),
-            ObsSink::Stream(sink) => sink.record(self.now, self.id, obs),
-        }
+        self.observations.record(self.now, self.id, obs);
     }
 
     /// Deterministic per-simulation random source.
@@ -189,6 +172,7 @@ impl<'a, M, O> Context<'a, M, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Observation;
     use rand::SeedableRng;
 
     #[test]
@@ -201,7 +185,7 @@ mod tests {
             &mut rng,
             Vec::new(),
             Vec::new(),
-            ObsSink::Direct(&mut log),
+            &mut log,
         );
         assert_eq!(ctx.id(), ProcessId(2));
         assert_eq!(ctx.now(), Time(7));

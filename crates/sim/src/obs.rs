@@ -1,10 +1,13 @@
-//! Streaming observation aggregators for the scale tier.
+//! Observation sinks and the streaming building blocks.
 //!
-//! Dense observation logs are `O(events)` memory — fine up to a few
-//! thousand processes, fatal at 10⁵–10⁶. A [`StreamSink`] consumes each
-//! observation the instant it is emitted and keeps only `O(processes)`
-//! aggregate state. The building blocks here are deliberately exact where
-//! the metrics layer is exact:
+//! Every observation a node emits through
+//! [`Context::observe`](crate::Context::observe) goes to one
+//! [`StreamSink`], the one its [`Simulator`](crate::Simulator) owns. The
+//! default sink is a dense `Vec<Observation<O>>` log: `O(events)` memory,
+//! fine up to a few thousand processes, fatal at 10⁵–10⁶. A sink that
+//! aggregates instead consumes each observation the instant it is emitted
+//! and keeps only `O(processes)` state. The building blocks for such sinks
+//! are deliberately exact where the metrics layer is exact:
 //!
 //! * [`LatencyHistogram`] stores a precise count per tick below
 //!   [`LatencyHistogram::EXACT_CAP`] and log₂ bins above, so nearest-rank
@@ -16,17 +19,26 @@
 //!   identical runs keep identical excerpts.
 
 use crate::time::Time;
+use crate::trace::Observation;
 use crate::ProcessId;
 
-/// A consumer of observations emitted through
-/// [`Context::observe`](crate::Context::observe) when the simulator runs
-/// with a streaming sink instead of a dense log.
+/// A consumer of the observations emitted through
+/// [`Context::observe`](crate::Context::observe): the simulator's dense
+/// log, a report's columns, or a streaming aggregator.
 pub trait StreamSink<O> {
     /// Consumes one observation, stamped with its emission time and the
     /// emitting process. Called synchronously from inside the event loop —
     /// implementations must be `O(1)`-ish and must not re-enter the
     /// simulator.
     fn record(&mut self, time: Time, process: ProcessId, obs: O);
+}
+
+/// The dense log: each observation is stamped and stored once, in
+/// emission order.
+impl<O> StreamSink<O> for Vec<Observation<O>> {
+    fn record(&mut self, time: Time, process: ProcessId, obs: O) {
+        self.push(Observation { time, process, obs });
+    }
 }
 
 /// A latency histogram that is exact below [`Self::EXACT_CAP`] ticks and

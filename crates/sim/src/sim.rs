@@ -1,7 +1,7 @@
 use crate::event::{EventKind, WheelQueue};
 use crate::fault::FaultPlan;
 use crate::network::{ChannelStats, DelayModel, Network};
-use crate::node::{Context, Node, NodeEvent, ObsSink};
+use crate::node::{Context, Node, NodeEvent};
 use crate::obs::StreamSink;
 use crate::time::{Duration, Time};
 use crate::trace::{Observation, TraceEvent, TraceKind};
@@ -91,7 +91,7 @@ impl SimConfig {
 
 /// Reusable effect buffers swapped into each [`Context`], so the steady
 /// state dispatches events without heap allocation. (Observations need no
-/// scratch: they go straight into the simulator's log or streaming sink.)
+/// scratch: they go straight into the simulator's sink.)
 struct Scratch<N: Node> {
     sends: Vec<(ProcessId, N::Msg)>,
     timers: Vec<(Duration, u64)>,
@@ -106,17 +106,22 @@ impl<N: Node> Scratch<N> {
     }
 }
 
-/// A deterministic discrete-event simulator over `n` [`Node`]s.
+/// A deterministic discrete-event simulator over `n` [`Node`]s, handing
+/// every observation to one sink `S`: by default the dense log
+/// [`observations`](Self::observations) reads.
 ///
 /// The life of a run:
 ///
-/// 1. construct with a per-process node factory,
+/// 1. construct with a per-process node factory ([`new`](Self::new), or
+///    [`with_sink`](Self::with_sink) for a sink other than the log),
 /// 2. schedule workload ([`schedule_external`](Self::schedule_external)) and
 ///    faults ([`schedule_crash`](Self::schedule_crash)),
 /// 3. drive with [`run_until`](Self::run_until) (or [`run`](Self::run) for
 ///    workloads that quiesce),
-/// 4. inspect [`observations`](Self::observations), nodes, channel stats.
-pub struct Simulator<N: Node> {
+/// 4. inspect the sink ([`observations`](Self::observations),
+///    [`sink_mut`](Self::sink_mut), [`into_sink`](Self::into_sink)), nodes,
+///    channel stats.
+pub struct Simulator<N: Node, S = Vec<Observation<<N as Node>::Obs>>> {
     config: SimConfig,
     time: Time,
     queue: WheelQueue<N::Msg, N::Ext>,
@@ -134,17 +139,30 @@ pub struct Simulator<N: Node> {
     started: bool,
     events_processed: u64,
     trace: Vec<TraceEvent>,
-    observations: Vec<Observation<N::Obs>>,
-    /// When set, observations stream into this sink instead of the dense
-    /// log — the scale tier's `O(processes)` memory mode.
-    streaming: Option<Box<dyn StreamSink<N::Obs>>>,
+    sink: S,
     scratch: Scratch<N>,
 }
 
 impl<N: Node> Simulator<N> {
-    /// Creates a simulator; `factory(id, rng)` builds the node for each
-    /// process id in order.
-    pub fn new(config: SimConfig, mut factory: impl FnMut(ProcessId, &mut StdRng) -> N) -> Self {
+    /// Creates a simulator that logs every observation; `factory(id, rng)`
+    /// builds the node for each process id in order.
+    pub fn new(config: SimConfig, factory: impl FnMut(ProcessId, &mut StdRng) -> N) -> Self {
+        Self::with_sink(config, Vec::new(), factory)
+    }
+
+    /// All observations emitted so far, in emission order.
+    pub fn observations(&self) -> &[Observation<N::Obs>] {
+        &self.sink
+    }
+}
+
+impl<N: Node, S: StreamSink<N::Obs>> Simulator<N, S> {
+    /// Creates a simulator that hands every observation to `sink`.
+    pub fn with_sink(
+        config: SimConfig,
+        sink: S,
+        mut factory: impl FnMut(ProcessId, &mut StdRng) -> N,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let nodes: Vec<N> = (0..config.n)
             .map(|i| factory(ProcessId::from(i), &mut rng))
@@ -175,23 +193,19 @@ impl<N: Node> Simulator<N> {
             started: false,
             events_processed: 0,
             trace: Vec::new(),
-            observations: Vec::new(),
-            streaming: None,
+            sink,
             scratch: Scratch::new(),
         }
     }
 
-    /// Routes all subsequent observations into `sink` instead of the dense
-    /// log. Dense entries already collected stay where they are; the
-    /// streaming sink sees only what is emitted after this call (so install
-    /// it before the first [`step`](Self::step)).
-    pub fn set_streaming(&mut self, sink: Box<dyn StreamSink<N::Obs>>) {
-        self.streaming = Some(sink);
+    /// The observation sink.
+    pub fn sink_mut(&mut self) -> &mut S {
+        &mut self.sink
     }
 
-    /// Removes and returns the streaming sink, if one was installed.
-    pub fn take_streaming(&mut self) -> Option<Box<dyn StreamSink<N::Obs>>> {
-        self.streaming.take()
+    /// Ends the run, returning the observation sink.
+    pub fn into_sink(self) -> S {
+        self.sink
     }
 
     /// Current virtual time.
@@ -311,24 +325,6 @@ impl<N: Node> Simulator<N> {
         self.events_processed
     }
 
-    /// All observations emitted so far, in emission order.
-    pub fn observations(&self) -> &[Observation<N::Obs>] {
-        &self.observations
-    }
-
-    /// Drains and returns the observations buffered so far.
-    pub fn take_observations(&mut self) -> Vec<Observation<N::Obs>> {
-        std::mem::take(&mut self.observations)
-    }
-
-    /// Pre-sizes the observation log for roughly `expected` entries, so a
-    /// caller that can estimate its workload's observation volume (e.g. a
-    /// scenario harness) avoids the growth re-copies of a cold `Vec`.
-    pub fn reserve_observations(&mut self, expected: usize) {
-        let have = self.observations.capacity() - self.observations.len();
-        self.observations.reserve(expected.saturating_sub(have));
-    }
-
     /// The kernel trace (empty unless [`SimConfig::record_trace`] was set).
     pub fn trace(&self) -> &[TraceEvent] {
         &self.trace
@@ -370,17 +366,13 @@ impl<N: Node> Simulator<N> {
     }
 
     fn dispatch(&mut self, target: ProcessId, ev: NodeEvent<N::Msg, N::Ext>) {
-        let sink = match &mut self.streaming {
-            Some(s) => ObsSink::Stream(s.as_mut()),
-            None => ObsSink::Direct(&mut self.observations),
-        };
         let mut ctx = Context::with_buffers(
             target,
             self.time,
             &mut self.rng,
             mem::take(&mut self.scratch.sends),
             mem::take(&mut self.scratch.timers),
-            sink,
+            &mut self.sink,
         );
         self.nodes[target.index()].handle(ev, &mut ctx);
         let Context {
