@@ -14,6 +14,9 @@
 //!
 //! * events/s for shard counts 1 / 2 / 4 / 8 (graph built once per
 //!   case, so the curve isolates kernel + barrier cost);
+//! * bytes per process: the S1 state (`state_bytes()`) and, beside it,
+//!   what the event queues held at the end (`queue_bytes`, the wheels'
+//!   pending high-water mark);
 //! * shard-count invariance — every shard count must produce the same
 //!   report fingerprint (verdict, eat counts, latency, excerpts);
 //! * rerun byte-identity at the largest case;
@@ -156,6 +159,7 @@ fn main() {
         "shards",
         "cut",
         "state B/proc",
+        "queue B/proc",
         "events",
         "events/s",
         "wall s",
@@ -170,6 +174,7 @@ fn main() {
             m.shards.to_string(),
             m.cut_edges.to_string(),
             format!("{:.1}", m.state_bytes as f64 / m.n as f64),
+            format!("{:.1}", m.report.queue_bytes as f64 / m.n as f64),
             m.report.events.to_string(),
             format!("{:.0}", m.events_per_s()),
             format!("{:.3}", m.wall_s),
@@ -246,8 +251,8 @@ fn main() {
         let _ = write!(
             json,
             "\n    {{\"family\": \"{}\", \"n\": {}, \"edges\": {}, \"max_degree\": {}, \
-             \"shards\": {}, \"cut_edges\": {}, \"state_bytes\": {}, \"events\": {}, \
-             \"messages\": {}, \"final_tick\": {}, \"events_per_s\": {:.0}, \
+             \"shards\": {}, \"cut_edges\": {}, \"state_bytes\": {}, \"queue_bytes\": {}, \
+             \"events\": {}, \"messages\": {}, \"final_tick\": {}, \"events_per_s\": {:.0}, \
              \"wall_s\": {:.6}, \"verdict\": {}}}",
             m.family,
             m.n,
@@ -256,6 +261,7 @@ fn main() {
             m.shards,
             m.cut_edges,
             m.state_bytes,
+            m.report.queue_bytes,
             m.report.events,
             m.report.messages,
             m.report.final_tick,

@@ -523,6 +523,11 @@ fn cmd_run_scale(parsed: &Parsed, shards: usize) -> Result<(), ArgError> {
         state_bytes as f64 / report.n as f64
     );
     println!(
+        "event queues ................ {} bytes ({:.1} per process)",
+        report.queue_bytes,
+        report.queue_bytes as f64 / report.n as f64
+    );
+    println!(
         "events processed ............ {} ({:.0} events/s)",
         report.events,
         report.events_per_sec()

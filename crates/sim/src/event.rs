@@ -1,7 +1,7 @@
+use crate::slots::SlotStore;
 use crate::time::Time;
 use crate::ProcessId;
 use std::collections::BTreeMap;
-use std::mem;
 
 /// What happens when a queued event fires.
 #[derive(Debug)]
@@ -53,17 +53,19 @@ const WHEEL_BITS: usize = 12;
 const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
 const SLOT_MASK: u64 = (WHEEL_SLOTS - 1) as u64;
 const WORDS: usize = WHEEL_SLOTS / 64;
-/// Retained scratch buffers (drained slot vectors, overflow buckets).
-const POOL_CAP: usize = 64;
+/// Events per chunk of the slot store: a tick's usual burst (one event, or
+/// one process's fan-out) fits one chunk.
+const CHUNK: usize = 8;
 
 /// A timer-wheel event queue indexed by absolute tick.
 ///
 /// The wheel covers the moving window `[cursor, cursor + WHEEL_SLOTS)`;
 /// slot `t & SLOT_MASK` holds all events at tick `t`, in push (= `seq`)
-/// order. A two-level occupancy bitmap (64-bit summary over 64 words) finds
-/// the next non-empty slot in a handful of word operations. Events outside
-/// the window — far-future pushes, and the rare push behind the cursor —
-/// live in a sorted `BTreeMap` overflow keyed by tick.
+/// order, in a [`SlotStore`] list that holds memory only while the slot
+/// holds events. A two-level occupancy bitmap (64-bit summary over 64
+/// words) finds the next non-empty slot in a handful of word operations.
+/// Events outside the window — far-future pushes, and the rare push behind
+/// the cursor — live in a sorted `BTreeMap` overflow keyed by tick.
 ///
 /// `cursor` only advances when a batch is *popped*, never on peek, so
 /// callers may interleave `peek_time` with external event injection (the
@@ -71,7 +73,7 @@ const POOL_CAP: usize = 64;
 /// the wheel and the overflow are merged by `seq`, so events pop in global
 /// `(time, seq)` order exactly.
 pub(crate) struct WheelQueue<M, E> {
-    slots: Box<[Vec<Scheduled<M, E>>]>,
+    slots: SlotStore<Option<Scheduled<M, E>>, CHUNK>,
     /// Bit `i % 64` of word `i / 64` set iff slot `i` is non-empty.
     occupied: [u64; WORDS],
     /// Bit `w` set iff `occupied[w] != 0`.
@@ -79,14 +81,13 @@ pub(crate) struct WheelQueue<M, E> {
     /// Wheel window anchor: every wheel-resident event has
     /// `time ∈ [cursor, cursor + WHEEL_SLOTS)`.
     cursor: u64,
-    /// The batch currently being popped, reversed so `pop` is `Vec::pop`.
-    draining: Vec<Scheduled<M, E>>,
+    /// The batch currently being popped, reversed so `pop` is `Vec::pop`
+    /// (every entry is `Some`: the slot store's own item type).
+    draining: Vec<Option<Scheduled<M, E>>>,
     /// Tick of the draining batch (meaningful iff `draining` is non-empty).
     draining_time: u64,
     /// Out-of-window events, keyed by tick, in push order per bucket.
     overflow: BTreeMap<u64, Vec<Scheduled<M, E>>>,
-    /// Recycled empty vectors, so steady-state operation does not allocate.
-    pool: Vec<Vec<Scheduled<M, E>>>,
     /// Cached `(next wheel tick, next overflow tick)` from the last scan,
     /// invalidated by any push or batch staging. With the driver's
     /// peek-then-pop loop this halves the occupancy-bitmap scans.
@@ -98,14 +99,13 @@ pub(crate) struct WheelQueue<M, E> {
 impl<M, E> WheelQueue<M, E> {
     pub fn new() -> Self {
         WheelQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            slots: SlotStore::new(WHEEL_SLOTS),
             occupied: [0; WORDS],
             summary: 0,
             cursor: 0,
             draining: Vec::new(),
             draining_time: 0,
             overflow: BTreeMap::new(),
-            pool: Vec::new(),
             scan_cache: None,
             len: 0,
             next_seq: 0,
@@ -132,13 +132,7 @@ impl<M, E> WheelQueue<M, E> {
                 }
             }
             let idx = (t & SLOT_MASK) as usize;
-            let slot = &mut self.slots[idx];
-            if slot.capacity() == 0 {
-                if let Some(buf) = self.pool.pop() {
-                    *slot = buf;
-                }
-            }
-            slot.push(ev);
+            self.slots.push(idx, Some(ev));
             self.mark(idx);
         } else {
             if let Some((_, over_next)) = self.scan_cache.as_mut() {
@@ -146,11 +140,7 @@ impl<M, E> WheelQueue<M, E> {
                     *over_next = Some(t);
                 }
             }
-            let bucket = self
-                .overflow
-                .entry(t)
-                .or_insert_with(|| self.pool.pop().unwrap_or_default());
-            bucket.push(ev);
+            self.overflow.entry(t).or_default().push(ev);
         }
         seq
     }
@@ -158,19 +148,18 @@ impl<M, E> WheelQueue<M, E> {
     pub fn pop(&mut self) -> Option<Scheduled<M, E>> {
         if let Some(ev) = self.draining.pop() {
             self.len -= 1;
-            return Some(ev);
+            return ev;
         }
         if self.len == 0 {
             return None;
         }
         // Fast path: the steady state is a lone event in a wheel slot, which
-        // needs none of the batch-staging machinery (take/reverse/recycle).
+        // needs none of the batch-staging machinery (drain into `draining`).
         let (wheel_next, over_next) = self.scan();
         if let Some(w) = wheel_next {
             if over_next.is_none_or(|o| w < o) {
                 let idx = (w & SLOT_MASK) as usize;
-                if self.slots[idx].len() == 1 {
-                    let ev = self.slots[idx].pop().expect("slot length checked");
+                if let Some(ev) = self.slots.take_single(idx).flatten() {
                     self.unmark(idx);
                     if w > self.cursor {
                         self.cursor = w;
@@ -182,9 +171,8 @@ impl<M, E> WheelQueue<M, E> {
             }
         }
         self.stage_next_batch();
-        let ev = self.draining.pop().expect("staged batch is non-empty");
         self.len -= 1;
-        Some(ev)
+        self.draining.pop().expect("staged batch is non-empty")
     }
 
     #[cfg(test)]
@@ -238,18 +226,6 @@ impl<M, E> WheelQueue<M, E> {
             (None, Some(o)) => o,
             (None, None) => unreachable!("len > 0 but no events staged"),
         };
-        let from_overflow = if over_next == Some(t) {
-            self.overflow.remove(&t)
-        } else {
-            None
-        };
-        let from_wheel = if wheel_next == Some(t) {
-            let idx = (t & SLOT_MASK) as usize;
-            self.unmark(idx);
-            Some(mem::take(&mut self.slots[idx]))
-        } else {
-            None
-        };
         // Keep the window anchored at the tick being drained so subsequent
         // near-future pushes stay O(1) even after a long idle jump. Safe:
         // `t` is the global minimum, so every wheel event is ≥ t and the
@@ -257,20 +233,38 @@ impl<M, E> WheelQueue<M, E> {
         if t > self.cursor {
             self.cursor = t;
         }
-        let mut batch = match (from_overflow, from_wheel) {
-            // Rare: the same tick reached both containers (a far-future
-            // bucket whose tick later entered the window while new pushes at
-            // that tick went to the wheel). Merge by `seq` to preserve order.
-            (Some(a), Some(b)) => merge_by_seq(a, b, self.pool.pop().unwrap_or_default()),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => unreachable!(),
-        };
-        batch.reverse();
         debug_assert!(self.draining.is_empty());
-        let spent = mem::replace(&mut self.draining, batch);
+        if wheel_next == Some(t) {
+            let idx = (t & SLOT_MASK) as usize;
+            self.unmark(idx);
+            self.slots.drain_newest_first(idx, &mut self.draining);
+        }
+        if over_next == Some(t) {
+            let mut bucket = self.overflow.remove(&t).expect("scanned overflow tick");
+            if !self.draining.is_empty() {
+                // Rare: the same tick reached both containers (a far-future
+                // bucket whose tick later entered the window while new
+                // pushes at that tick went to the wheel). Merge by `seq`.
+                let wheel = self.draining.drain(..).rev().flatten().collect();
+                bucket = merge_by_seq(bucket, wheel);
+            }
+            self.draining.extend(bucket.into_iter().rev().map(Some));
+        }
         self.draining_time = t;
-        self.recycle(spent);
+    }
+
+    /// Bytes the queue holds for events: the slot store, the draining
+    /// batch's buffer and the overflow buckets.
+    #[cfg(test)]
+    pub fn retained_bytes(&self) -> usize {
+        let event = size_of::<Option<Scheduled<M, E>>>();
+        self.slots.retained_bytes()
+            + self.draining.capacity() * event
+            + self
+                .overflow
+                .values()
+                .map(|b| b.capacity() * event)
+                .sum::<usize>()
     }
 
     #[inline]
@@ -322,22 +316,11 @@ impl<M, E> WheelQueue<M, E> {
             self.summary &= !(1 << word);
         }
     }
-
-    fn recycle(&mut self, mut v: Vec<Scheduled<M, E>>) {
-        if self.pool.len() < POOL_CAP && v.capacity() > 0 {
-            v.clear();
-            self.pool.push(v);
-        }
-    }
 }
 
 /// Merges two same-tick batches, each already sorted by `seq`, into one.
-fn merge_by_seq<M, E>(
-    a: Vec<Scheduled<M, E>>,
-    b: Vec<Scheduled<M, E>>,
-    mut out: Vec<Scheduled<M, E>>,
-) -> Vec<Scheduled<M, E>> {
-    out.reserve(a.len() + b.len());
+fn merge_by_seq<M, E>(a: Vec<Scheduled<M, E>>, b: Vec<Scheduled<M, E>>) -> Vec<Scheduled<M, E>> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
     let mut ia = a.into_iter().peekable();
     let mut ib = b.into_iter().peekable();
     loop {
@@ -463,6 +446,20 @@ mod tests {
             _ => unreachable!("only timers are pushed"),
         };
         let mut clock = 0u64;
+        // The slot store's retention bound: chunks never exceed what the
+        // fullest moment of the wheel needed.
+        let (mut pending_hw, mut occupied_hw) = (0usize, 0usize);
+        let mut check_retention = |wheel: &WheelQueue<u64, ()>, round: usize| {
+            let occupied = wheel.occupied.iter().map(|w| w.count_ones() as usize).sum();
+            pending_hw = pending_hw.max(wheel.slots.len());
+            occupied_hw = occupied_hw.max(occupied);
+            assert!(
+                wheel.slots.retained_chunks() <= pending_hw.div_ceil(CHUNK) + occupied_hw,
+                "round {round}: {} chunks for a high-water of {pending_hw} events in \
+                 {occupied_hw} slots",
+                wheel.slots.retained_chunks()
+            );
+        };
         for round in 0..5_000 {
             let burst = (next() % 4) as usize;
             for _ in 0..burst {
@@ -477,6 +474,7 @@ mod tests {
                 let seq = wheel.push(Time(t), p(0), EventKind::Timer { tag });
                 model.insert((t, seq), tag);
             }
+            check_retention(&wheel, round);
             if round % 3 != 0 {
                 let got = wheel.pop().map(popped);
                 assert_eq!(got, model.pop_first(), "round {round}");
@@ -486,6 +484,7 @@ mod tests {
             }
             let want = model.keys().next().map(|&(t, _)| Time(t));
             assert_eq!(wheel.peek_time(), want, "round {round}");
+            check_retention(&wheel, round);
         }
         while let Some(want) = model.pop_first() {
             assert_eq!(wheel.pop().map(popped), Some(want));

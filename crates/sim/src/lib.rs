@@ -96,6 +96,7 @@ pub mod obs;
 pub mod packed;
 pub mod shard;
 mod sim;
+mod slots;
 mod time;
 mod trace;
 

@@ -657,6 +657,7 @@ fn fault_entropy(seed: u64, p: ProcessId, t: Time) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::from(i)
@@ -1188,5 +1189,53 @@ mod tests {
         assert_eq!(s.in_transit, 0, "all delivered after run");
         assert_eq!(sim.max_channel_high_water(), 5);
         assert_eq!(sim.total_messages(), 5);
+    }
+
+    /// Twelve processes whose 50-tick timers all fire on the same ticks,
+    /// each firing a message to every other process: bursts of 12 timers
+    /// and 132 messages that sweep the whole wheel every 4 096 ticks.
+    /// Twelve processes whose 50-tick timers all fire on the same ticks.
+    /// Each firing sends a message to every other process and sets one
+    /// stray timer up to 4 000 ticks out: bursts of 12 timers and 132
+    /// messages, and lone events scattered over the whole wheel.
+    struct Fanout;
+
+    impl Node for Fanout {
+        type Msg = ();
+        type Ext = ();
+        type Obs = ();
+        fn handle(&mut self, ev: NodeEvent<(), ()>, ctx: &mut Context<'_, (), ()>) {
+            match ev {
+                NodeEvent::Start => ctx.set_timer(50, 0),
+                NodeEvent::Timer { tag: 0 } => {
+                    ctx.set_timer(50, 0);
+                    let stray = ctx.rng().gen_range(1..=4_000);
+                    ctx.set_timer(stray, 1);
+                    let me = ctx.id().index();
+                    for q in (0..12).filter(|&q| q != me) {
+                        ctx.send(ProcessId::from(q), ());
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_bursty_run_keeps_only_its_pending_events_queued() {
+        let mut sim = Simulator::new(SimConfig::default().n(12).seed(35), |_, _| Fanout);
+        let mut pending_hw = 0;
+        while sim.peek_next_time().is_some_and(|t| t <= Time(60_000)) {
+            sim.step();
+            pending_hw = pending_hw.max(sim.queue.len());
+        }
+        // A queue whose slots kept their largest burst held 2.7 MB here;
+        // one that holds only what is pending needs its 32 KiB slot table,
+        // a chunk per occupied slot and the draining batch.
+        let retained = sim.queue.retained_bytes();
+        assert!(
+            retained <= 256 << 10,
+            "{retained} B retained for a pending high-water of {pending_hw} events"
+        );
     }
 }
