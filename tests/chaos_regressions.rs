@@ -4,7 +4,10 @@
 //! Two kinds of artifact live there: schedules that must *keep failing*
 //! the same way (they pin the watchdog's classification), and shrunk
 //! repros of fixed bugs tagged `expect wait-free` (they pin the fix).
-//! Either drifting is a regression.
+//! Either drifting is a regression. A known defect that is not yet fixed
+//! is committed with the class it has today and a comment saying so
+//! (`clique-6-seed505-mistake.chaos`, `clique-6-seed753-mistake.chaos`);
+//! its fix flips the artifact to `expect wait-free`.
 
 use ekbd_chaos::codec;
 use ekbd_harness::run_chaos;
