@@ -4,11 +4,12 @@
 //! This is the harness half of the chaos engine. `ekbd-chaos` owns the
 //! schedule model (it is a leaf crate and cannot run anything);
 //! [`Scenario::chaos`] compiles a schedule into a full scenario, and
-//! [`run_chaos`] executes it *twice* — the second, byte-identical rerun
-//! is itself an invariant — then classifies the outcome into a
-//! [`RunClass`]:
+//! [`run_chaos`] executes it *twice*, the rerun as a twin on a second
+//! thread — that the twin reproduces the run is itself an invariant —
+//! then classifies the outcome into a [`RunClass`]:
 //!
-//! * [`RunClass::NonDeterministic`] — the rerun's event trace diverged;
+//! * [`RunClass::NonDeterministic`] — the twin's scheduling events, its
+//!   simulator event count or its journals differ from the run's;
 //! * [`RunClass::ExclusionMistake`] — live neighbors overlapped eating
 //!   after the stabilization point (detector convergence or the last
 //!   scheduled disturbance plus a ten-audit grace window, whichever is
@@ -49,7 +50,8 @@ pub struct ChaosOutcome {
     pub mistakes_after: usize,
     /// Live processes still starving at the horizon.
     pub starving: Vec<ProcessId>,
-    /// Whether the rerun was byte-identical.
+    /// Whether the rerun reproduced the run: the same scheduling events,
+    /// the same number of simulator events and the same journal bytes.
     pub deterministic: bool,
     /// The first run's full report.
     pub report: RunReport,
@@ -103,9 +105,17 @@ impl Scenario {
 /// [`ChaosOutcome`] with a failure class.
 pub fn run_chaos(schedule: &FaultSchedule) -> Result<ChaosOutcome, ScheduleError> {
     let scenario = Scenario::chaos(schedule)?;
-    let report = scenario.run_recoverable();
-    let rerun = scenario.run_recoverable();
-    let deterministic = report.events == rerun.events;
+    // The rerun is a twin on a second thread. Each run builds its own
+    // simulator and journal stores, so the two share only the scenario.
+    let (report, rerun) = std::thread::scope(|s| {
+        let twin = s.spawn(|| scenario.run_recoverable());
+        let report = scenario.run_recoverable();
+        let rerun = twin.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        (report, rerun)
+    });
+    let deterministic = report.events == rerun.events
+        && report.events_processed == rerun.events_processed
+        && report.journals == rerun.journals;
 
     // Judge mistakes only after both the detector has converged and the
     // last scheduled disturbance has had ten audit periods to be

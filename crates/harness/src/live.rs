@@ -138,7 +138,7 @@ mod tests {
         assert_eq!(report.events, batch.events);
         assert_eq!(
             seen,
-            report.events.len() + report.suspicions.len() + report.dining_sends.len()
+            report.events.len() + report.suspicions.len() + report.dining_sends as usize
         );
     }
 
@@ -171,6 +171,7 @@ mod tests {
         assert_eq!(report.events, batch.events);
         assert_eq!(report.suspicions, batch.suspicions);
         assert_eq!(report.dining_sends, batch.dining_sends);
+        assert_eq!(report.dining_sends_to_cut, batch.dining_sends_to_cut);
         assert_eq!(report.kernel_trace, batch.kernel_trace);
     }
 

@@ -198,4 +198,5 @@ fn golden_replay_ring3_seed42() {
         .run_algorithm1();
     assert_eq!(report.events, report2.events);
     assert_eq!(report.dining_sends, report2.dining_sends);
+    assert_eq!(report.dining_sends_to_cut, report2.dining_sends_to_cut);
 }

@@ -130,8 +130,7 @@ fn assert_equivalent(s: &Scenario, label: &str) -> StreamingRunReport {
         "{label}: starvation witnesses diverged"
     );
     assert_eq!(
-        streaming.dining_sends,
-        dense.dining_sends.len() as u64,
+        streaming.dining_sends, dense.dining_sends,
         "{label}: dining-send counts diverged"
     );
     let (_, want) = DIGESTS
