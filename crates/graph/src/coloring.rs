@@ -78,17 +78,20 @@ pub fn validate(g: &ConflictGraph, colors: &[Color]) -> Result<(), ColoringError
 
 /// Greedy coloring in process-id order; uses at most `δ + 1` colors.
 pub fn greedy(g: &ConflictGraph) -> Vec<Color> {
-    let mut colors: Vec<Option<Color>> = vec![None; g.len()];
+    let mut colors: Vec<Color> = vec![0; g.len()];
+    // `taken[c] == p + 1` while `p` is being colored iff a smaller-id
+    // neighbor (one already colored) holds `c`; one array serves every
+    // vertex. No color exceeds `δ`, so `δ + 1` entries suffice.
+    let mut taken = vec![0usize; g.max_degree() + 1];
     for p in g.processes() {
-        let used: Vec<Color> = g
-            .neighbors(p)
-            .iter()
-            .filter_map(|&q| colors[q.index()])
-            .collect();
-        let c = (0..).find(|c| !used.contains(c)).expect("finite palette");
-        colors[p.index()] = Some(c);
+        let mark = p.index() + 1;
+        for &q in g.neighbors(p).iter().take_while(|&&q| q < p) {
+            taken[colors[q.index()] as usize] = mark;
+        }
+        let c = taken.iter().position(|&t| t != mark).expect("δ + 1 colors");
+        colors[p.index()] = Color::try_from(c).expect("palette fits u32");
     }
-    colors.into_iter().map(|c| c.unwrap_or(0)).collect()
+    colors
 }
 
 /// DSATUR coloring (Brélaz 1979): repeatedly colors the uncolored vertex

@@ -106,10 +106,16 @@ impl std::error::Error for GraphError {}
 /// Neighbor lists are kept sorted, and edges are deduplicated and
 /// validated at construction, so downstream code can rely on canonical
 /// iteration order — essential for deterministic simulation.
+///
+/// The lists live in one compressed-sparse-row array: `p`'s neighbors
+/// are `adj[offsets[p]..offsets[p + 1]]`, so a graph is three allocations
+/// whatever its size, and walking every list walks memory in order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConflictGraph {
-    n: usize,
-    adjacency: Vec<Vec<ProcessId>>,
+    /// `n + 1` list boundaries into `adj`; `offsets[n] == adj.len()`.
+    offsets: Vec<u32>,
+    /// Every neighbor list, concatenated in process order.
+    adj: Vec<ProcessId>,
     edges: Vec<Edge>,
 }
 
@@ -122,11 +128,17 @@ impl ConflictGraph {
     ///
     /// Returns [`GraphError`] if an edge is out of range, a self-loop, or
     /// a duplicate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has `2^31` or more edges (list offsets are
+    /// `u32`).
     pub fn new(
         n: usize,
         edge_list: impl IntoIterator<Item = (ProcessId, ProcessId)>,
     ) -> Result<Self, GraphError> {
-        let mut edges = Vec::new();
+        let edge_list = edge_list.into_iter();
+        let mut edges = Vec::with_capacity(edge_list.size_hint().0);
         for (a, b) in edge_list {
             if a == b {
                 return Err(GraphError::SelfLoop(a));
@@ -142,17 +154,37 @@ impl ConflictGraph {
         if let Some(w) = edges.windows(2).find(|w| w[0] == w[1]) {
             return Err(GraphError::DuplicateEdge(w[0]));
         }
-        let mut adjacency = vec![Vec::new(); n];
+        let total = u32::try_from(2 * edges.len()).expect("list offsets are u32");
+        // Pass 1 counts the degree of `v` into `offsets[v + 2]`, so after
+        // the prefix sum `offsets[p + 1]` is where `p`'s list starts. Pass
+        // 2 uses it as `p`'s write cursor and leaves it at the list's end,
+        // which is where `p + 1`'s list starts: the finished offsets.
+        let mut offsets = vec![0u32; n + 1];
         for e in &edges {
-            adjacency[e.lo.index()].push(e.hi);
-            adjacency[e.hi.index()].push(e.lo);
+            for v in [e.lo, e.hi] {
+                if let Some(d) = offsets.get_mut(v.index() + 2) {
+                    *d += 1;
+                }
+            }
         }
-        for nbrs in &mut adjacency {
-            nbrs.sort_unstable();
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
+        // Pass 2: in sorted edge order, `v`'s list receives its smaller
+        // neighbors (edges `(lo, v)`, by `lo`) before its larger ones
+        // (edges `(v, hi)`, by `hi`), so every list comes out sorted.
+        let mut adj = vec![ProcessId(0); 2 * edges.len()];
+        for e in &edges {
+            for (v, w) in [(e.lo, e.hi), (e.hi, e.lo)] {
+                let cursor = &mut offsets[v.index() + 1];
+                adj[*cursor as usize] = w;
+                *cursor += 1;
+            }
+        }
+        debug_assert_eq!(offsets[n], total);
         Ok(ConflictGraph {
-            n,
-            adjacency,
+            offsets,
+            adj,
             edges,
         })
     }
@@ -175,12 +207,12 @@ impl ConflictGraph {
 
     /// Number of vertices (processes).
     pub fn len(&self) -> usize {
-        self.n
+        self.offsets.len() - 1
     }
 
     /// Whether the graph has no vertices.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
     /// Number of undirected edges.
@@ -198,36 +230,45 @@ impl ConflictGraph {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn neighbors(&self, p: ProcessId) -> &[ProcessId] {
-        &self.adjacency[p.index()]
+        let i = p.index();
+        &self.adj[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Degree of `p`.
+    #[inline]
     pub fn degree(&self, p: ProcessId) -> usize {
-        self.adjacency[p.index()].len()
+        let i = p.index();
+        (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
     /// Maximum degree `δ` of the graph (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
+        self.offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Whether `a` and `b` are neighbors.
     pub fn are_neighbors(&self, a: ProcessId, b: ProcessId) -> bool {
-        self.adjacency[a.index()].binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Iterator over all process ids `0..n`.
     pub fn processes(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        (0..self.n).map(ProcessId::from)
+        (0..self.len()).map(ProcessId::from)
     }
 
     /// Whether the graph is connected (the empty graph counts as connected).
     pub fn is_connected(&self) -> bool {
-        if self.n <= 1 {
+        let n = self.len();
+        if n <= 1 {
             return true;
         }
-        let mut seen = vec![false; self.n];
+        let mut seen = vec![false; n];
         let mut stack = vec![ProcessId(0)];
         seen[0] = true;
         let mut count = 1;
@@ -240,7 +281,7 @@ impl ConflictGraph {
                 }
             }
         }
-        count == self.n
+        count == n
     }
 }
 
@@ -333,6 +374,26 @@ mod tests {
                 Edge::new(p(2), p(3)),
             ]
         );
+    }
+
+    /// The lists are one exact-size array: no per-list slack, no spare
+    /// capacity, one boundary per process plus the end.
+    #[test]
+    fn csr_layout_has_no_slack() {
+        let graphs = [
+            ConflictGraph::from_pairs(0, &[]),
+            ConflictGraph::from_pairs(3, &[]),
+            ConflictGraph::from_pairs(5, &[(4, 0), (2, 1), (0, 1), (3, 4)]),
+            crate::random::sparse_gnp(2_000, 3.0 / 1_999.0, 4),
+            crate::random::powerlaw(1_000, 3, 5),
+            crate::topology::clique(9),
+        ];
+        for g in &graphs {
+            assert_eq!(g.adj.len(), 2 * g.edge_count());
+            assert_eq!(g.adj.capacity(), g.adj.len());
+            assert_eq!(g.offsets.len(), g.len() + 1);
+            assert_eq!(g.offsets[g.len()] as usize, g.adj.len());
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! which is what makes the greedy score informative.
 
 use crate::{ConflictGraph, ProcessId};
-use std::collections::VecDeque;
 
 /// A placement of every process onto one of `shards` shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,20 +62,30 @@ impl Partition {
 pub fn greedy_edge_cut(g: &ConflictGraph, shards: usize) -> Partition {
     assert!(shards > 0, "shard count must be positive");
     let n = g.len();
-    let capacity = n.div_ceil(shards.max(1)).max(1);
+    if shards == 1 {
+        // One shard of capacity `n`: every vertex lands on it.
+        return Partition {
+            assignment: vec![0; n],
+            shards,
+        };
+    }
+    let capacity = n.div_ceil(shards).max(1);
     let mut assignment: Vec<u32> = vec![u32::MAX; n];
     let mut loads: Vec<usize> = vec![0; shards];
     let mut score: Vec<i64> = vec![0; shards];
-    let mut queue = VecDeque::new();
+    // The BFS order itself: each vertex is queued once, when first
+    // reached, and placed when its turn comes.
+    let mut queued = vec![false; n];
+    let mut order: Vec<ProcessId> = Vec::with_capacity(n);
+    let mut head = 0;
     for start in 0..n {
-        if assignment[start] != u32::MAX {
+        if queued[start] {
             continue;
         }
-        queue.push_back(ProcessId::from(start));
-        while let Some(p) = queue.pop_front() {
-            if assignment[p.index()] != u32::MAX {
-                continue;
-            }
+        queued[start] = true;
+        order.push(ProcessId::from(start));
+        while let Some(&p) = order.get(head) {
+            head += 1;
             // Score = placed neighbors on the shard, minus a fullness
             // penalty so early vertices spread instead of piling onto
             // shard 0 (the classic LDG balance term).
@@ -110,8 +119,9 @@ pub fn greedy_edge_cut(g: &ConflictGraph, shards: usize) -> Partition {
             assignment[p.index()] = chosen as u32;
             loads[chosen] += 1;
             for &q in g.neighbors(p) {
-                if assignment[q.index()] == u32::MAX {
-                    queue.push_back(q);
+                if !queued[q.index()] {
+                    queued[q.index()] = true;
+                    order.push(q);
                 }
             }
         }

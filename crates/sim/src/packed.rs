@@ -44,7 +44,7 @@ use crate::alg1::{self, Msg, FORK};
 use crate::obs::{splitmix, LatencyHistogram, Reservoir};
 use crate::slots::SlotStore;
 use ekbd_graph::partition::Partition;
-use ekbd_graph::{ConflictGraph, ProcessId};
+use ekbd_graph::ConflictGraph;
 use std::sync::Arc;
 
 /// Phase values in the 2-bit header field.
@@ -236,6 +236,29 @@ pub(crate) struct ShardState {
     /// for the batch workload paths.
     record_obs: bool,
     obs: Vec<(u64, u32, bool)>,
+}
+
+/// One shard's slice of the graph, gathered by [`PackedKernel::new`]'s
+/// single pass before the shard is built: its members (ascending) and
+/// their slots, in local CSR form.
+struct LocalCsr {
+    members: Vec<u32>,
+    loff: Vec<u32>,
+    ladj: Vec<u32>,
+    rev_slot: Vec<u32>,
+}
+
+impl LocalCsr {
+    fn with_sizes(members: usize, slots: usize) -> Self {
+        let mut loff = Vec::with_capacity(members + 1);
+        loff.push(0);
+        LocalCsr {
+            members: Vec::with_capacity(members),
+            loff,
+            ladj: Vec::with_capacity(slots),
+            rev_slot: Vec::with_capacity(slots),
+        }
+    }
 }
 
 /// A shard's outgoing side: where each local slot leads, the per-channel
@@ -753,46 +776,55 @@ impl PackedKernel {
             "packed event words index at most 2^22 neighbors"
         );
         let owner: Vec<u8> = partition.assignment.iter().map(|&s| s as u8).collect();
-        // `Partition::members` lists each shard's processes in ascending
-        // id order, so a process's index there is the number of smaller
-        // ids its shard owns: one counting pass.
-        let mut shard_sizes = vec![0u32; partition.shards];
-        let local_index: Arc<Vec<u32>> = Arc::new(
-            partition
-                .assignment
-                .iter()
-                .map(|&s| {
-                    let l = shard_sizes[s as usize];
-                    shard_sizes[s as usize] += 1;
-                    l
-                })
-                .collect(),
-        );
+        // Each shard's members and slots are counted first, so every
+        // array of its local CSR is allocated once, at its final size.
+        let mut sizes = vec![(0, 0); partition.shards];
+        for p in graph.processes() {
+            let (members, slots) = &mut sizes[owner[p.index()] as usize];
+            *members += 1;
+            *slots += graph.degree(p);
+        }
+        let mut csr: Vec<LocalCsr> = sizes
+            .into_iter()
+            .map(|(members, slots)| LocalCsr::with_sizes(members, slots))
+            .collect();
+        // Then one ascending pass over the graph. Each shard receives its
+        // members in ascending id order, as `Partition::members` lists
+        // them, so a process's local index is its shard's count so far.
+        // And `p`'s slot in `q`'s sorted list is the number of `q`'s
+        // neighbors below `p`, all of which came before `p`: one cursor
+        // per process, advanced each time a neighbor reaches it.
+        let mut local_index = Vec::with_capacity(n);
+        let mut cursor = vec![0u32; n];
+        for p in graph.processes() {
+            let part = &mut csr[owner[p.index()] as usize];
+            local_index.push(u32::try_from(part.members.len()).expect("shard size fits u32"));
+            part.members.push(p.0);
+            for &q in graph.neighbors(p) {
+                assert_ne!(
+                    colors[p.index()],
+                    colors[q.index()],
+                    "coloring must be proper"
+                );
+                part.ladj.push(q.0);
+                let back = &mut cursor[q.index()];
+                debug_assert_eq!(graph.neighbors(q)[*back as usize], p);
+                part.rev_slot.push(*back);
+                *back += 1;
+            }
+            part.loff
+                .push(u32::try_from(part.ladj.len()).expect("slot count fits u32"));
+        }
+        let local_index = Arc::new(local_index);
         let wheel_len = config.wheel_len();
         let mut shards = Vec::with_capacity(partition.shards);
-        for (sid, members) in partition.members().into_iter().enumerate() {
-            let members: Vec<u32> = members.iter().map(|p| p.index() as u32).collect();
-            let mut loff = Vec::with_capacity(members.len() + 1);
-            let mut ladj = Vec::new();
-            let mut rev_slot = Vec::new();
-            loff.push(0u32);
-            for &m in &members {
-                let p = ProcessId::from(m as usize);
-                for &q in graph.neighbors(p) {
-                    assert_ne!(
-                        colors[m as usize],
-                        colors[q.index()],
-                        "coloring must be proper"
-                    );
-                    ladj.push(q.index() as u32);
-                    let back = graph
-                        .neighbors(q)
-                        .binary_search(&p)
-                        .expect("adjacency is symmetric");
-                    rev_slot.push(back as u32);
-                }
-                loff.push(ladj.len() as u32);
-            }
+        for (sid, part) in csr.into_iter().enumerate() {
+            let LocalCsr {
+                members,
+                loff,
+                ladj,
+                rev_slot,
+            } = part;
             let slots = ladj.len();
             let mut shard = ShardState {
                 loff,
@@ -1134,7 +1166,7 @@ mod wheel_tests {
 mod lookup_tests {
     use super::*;
     use ekbd_graph::partition::greedy_edge_cut;
-    use ekbd_graph::{coloring, random, topology};
+    use ekbd_graph::{coloring, random, topology, ProcessId};
 
     #[test]
     fn local_index_table_equals_binary_search_of_members() {
@@ -1154,6 +1186,42 @@ mod lookup_tests {
                         shard.members.binary_search(&p),
                         "{name}, {shards} shards, process {p}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Every slot of `p` toward `q` carries `p`'s position in `q`'s
+    /// neighbor list: followed on `q`'s shard it leads back to `p`, and
+    /// it is what a search of `q`'s list for `p` finds.
+    #[test]
+    fn every_reverse_slot_leads_back() {
+        let graphs = [
+            ("sparse_gnp", random::sparse_gnp(3_000, 6.0 / 2_999.0, 12)),
+            ("powerlaw", random::powerlaw(2_000, 3, 13)),
+        ];
+        for (name, g) in &graphs {
+            let colors = coloring::greedy(g);
+            for shards in [1, 2, 4] {
+                let part = greedy_edge_cut(g, shards);
+                let kernel = PackedKernel::new(g, &colors, &part, ScaleConfig::default());
+                for shard in &kernel.shards {
+                    for (l, &p) in shard.members.iter().enumerate() {
+                        for slot in shard.slots(l) {
+                            let (q, back) = (shard.wire.ladj[slot], shard.wire.rev_slot[slot]);
+                            let there = &kernel.shards[kernel.owner[q as usize] as usize];
+                            let first = there.slots(there.local_of(q)).start;
+                            assert_eq!(
+                                there.wire.ladj[first + back as usize],
+                                p,
+                                "{name}, {shards} shards, slot {slot} of p{p} toward p{q}"
+                            );
+                            assert_eq!(
+                                g.neighbors(ProcessId(q)).binary_search(&ProcessId(p)),
+                                Ok(back as usize)
+                            );
+                        }
+                    }
                 }
             }
         }
