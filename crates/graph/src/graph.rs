@@ -108,21 +108,23 @@ impl std::error::Error for GraphError {}
 /// iteration order — essential for deterministic simulation.
 ///
 /// The lists live in one compressed-sparse-row array: `p`'s neighbors
-/// are `adj[offsets[p]..offsets[p + 1]]`, so a graph is three allocations
-/// whatever its size, and walking every list walks memory in order.
+/// are `adj[offsets[p]..offsets[p + 1]]`, so a graph is two allocations
+/// whatever its size, and walking every list walks memory in order. The
+/// lists are also the only edge list: each edge is read off its lower
+/// endpoint's list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConflictGraph {
     /// `n + 1` list boundaries into `adj`; `offsets[n] == adj.len()`.
     offsets: Vec<u32>,
     /// Every neighbor list, concatenated in process order.
     adj: Vec<ProcessId>,
-    edges: Vec<Edge>,
 }
 
 impl ConflictGraph {
     /// Builds a conflict graph over `n` vertices from an edge list.
     ///
     /// Edges may be given in either orientation; they are canonicalized.
+    /// The sorted list that validates them is dropped on return.
     ///
     /// # Errors
     ///
@@ -182,11 +184,7 @@ impl ConflictGraph {
             }
         }
         debug_assert_eq!(offsets[n], total);
-        Ok(ConflictGraph {
-            offsets,
-            adj,
-            edges,
-        })
+        Ok(ConflictGraph { offsets, adj })
     }
 
     /// Builds a graph from `usize` pairs; convenience for literals.
@@ -217,12 +215,18 @@ impl ConflictGraph {
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.adj.len() / 2
     }
 
-    /// All canonical edges in sorted order.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+    /// All canonical edges in sorted order: each process's neighbors
+    /// above itself, process by process.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.processes().flat_map(move |lo| {
+            let list = self.neighbors(lo);
+            list[list.partition_point(|&q| q < lo)..]
+                .iter()
+                .map(move |&hi| Edge { lo, hi })
+        })
     }
 
     /// Sorted neighbor list of `p`.
@@ -367,8 +371,8 @@ mod tests {
     fn edges_sorted_canonically() {
         let g = ConflictGraph::from_pairs(4, &[(3, 2), (1, 0), (2, 0)]);
         assert_eq!(
-            g.edges(),
-            &[
+            g.edges().collect::<Vec<_>>(),
+            [
                 Edge::new(p(0), p(1)),
                 Edge::new(p(0), p(2)),
                 Edge::new(p(2), p(3)),
@@ -377,7 +381,8 @@ mod tests {
     }
 
     /// The lists are one exact-size array: no per-list slack, no spare
-    /// capacity, one boundary per process plus the end.
+    /// capacity, one boundary per process plus the end. They are the
+    /// graph's only heap, and its only edge list.
     #[test]
     fn csr_layout_has_no_slack() {
         let graphs = [
@@ -393,6 +398,10 @@ mod tests {
             assert_eq!(g.adj.capacity(), g.adj.len());
             assert_eq!(g.offsets.len(), g.len() + 1);
             assert_eq!(g.offsets[g.len()] as usize, g.adj.len());
+            assert_eq!(g.edge_count(), g.edges().count());
+            // Exhaustive, so a third field stops this test compiling.
+            let ConflictGraph { offsets, adj: _ } = g;
+            assert_eq!(offsets.capacity(), offsets.len());
         }
     }
 

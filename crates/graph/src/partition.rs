@@ -45,7 +45,6 @@ impl Partition {
     /// Number of conflict edges whose endpoints are on different shards.
     pub fn cut_edges(&self, g: &ConflictGraph) -> usize {
         g.edges()
-            .iter()
             .filter(|e| self.assignment[e.lo.index()] != self.assignment[e.hi.index()])
             .count()
     }

@@ -84,7 +84,7 @@ fn row(name: &'static str, g: &ConflictGraph) -> Row {
     for p in g.processes() {
         adjacency = fnv_u32s(adjacency, g.neighbors(p).iter().map(|q| q.0));
     }
-    adjacency = fnv_u32s(adjacency, g.edges().iter().flat_map(|e| [e.lo.0, e.hi.0]));
+    adjacency = fnv_u32s(adjacency, g.edges().flat_map(|e| [e.lo.0, e.hi.0]));
     let max_degree = u32::try_from(g.max_degree()).expect("degree fits u32");
     adjacency = fnv_u32s(adjacency, [max_degree]);
     let greedy = fnv_u32s(FNV_SEED, coloring::greedy(g));

@@ -187,7 +187,7 @@ proptest! {
             (Err(e), Err(want)) => prop_assert_eq!(e, want),
             (Ok(g), Ok((adjacency, edges))) => {
                 prop_assert_eq!(g.len(), n);
-                prop_assert_eq!(g.edges(), &edges[..]);
+                prop_assert_eq!(g.edges().collect::<Vec<_>>(), edges.clone());
                 prop_assert_eq!(g.edge_count(), edges.len());
                 for p in g.processes() {
                     let want: Vec<ProcessId> = adjacency[p.index()].iter().copied().collect();

@@ -444,7 +444,6 @@ impl Scenario {
         let pairs: Vec<(usize, usize)> = self
             .graph
             .edges()
-            .iter()
             .filter(|e| match e.other(p) {
                 None => true,
                 Some(q) => {

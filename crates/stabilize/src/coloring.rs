@@ -79,7 +79,6 @@ impl Protocol for ColoringProtocol {
         // live process can always escape a conflict (δ+1 colors), even one
         // with a frozen crashed neighbor.
         g.edges()
-            .iter()
             .all(|e| (!alive(e.lo) && !alive(e.hi)) || states[e.lo.index()] != states[e.hi.index()])
     }
 }
