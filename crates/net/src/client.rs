@@ -127,6 +127,25 @@ fn sleep_before_retry(
     std::thread::sleep(delay);
 }
 
+/// A wait's deadline, `timeout` after the wait first has to go to the
+/// socket. A wait that an already decoded frame answers never reads the
+/// clock.
+struct Deadline {
+    timeout: Duration,
+    at: Option<Instant>,
+}
+
+impl Deadline {
+    fn after(timeout: Duration) -> Self {
+        Deadline { timeout, at: None }
+    }
+
+    /// The deadline, fixed by the first call.
+    fn at(&mut self) -> Instant {
+        *self.at.get_or_insert_with(|| Instant::now() + self.timeout)
+    }
+}
+
 /// One dialed connection: the socket, the frames read from it and the
 /// requests not yet written to it. Everything the client reads comes
 /// through [`read_frame`](Self::read_frame); everything it writes leaves
@@ -185,13 +204,14 @@ impl Link {
     /// `Ping`s through the request buffer so that any blocked wait keeps
     /// the session alive. Frames already read come first, and nothing is
     /// written while one remains — that is what lets a caller's answers
-    /// to a batch of events leave in one write. Once they are exhausted
-    /// the buffer is written and then the socket is read — at least once
+    /// to a batch of events leave in one write, and the clock is not read
+    /// either. Once they are exhausted the `deadline` is fixed, the buffer
+    /// is written and then the socket is read — at least once
     /// even when `deadline` has already passed, so a caller that polls
     /// with a zero timeout still sends what it asked and drains what the
     /// server pushed (one read blocks for
     /// [`ClientConfig::read_timeout_ms`] at most).
-    fn read_frame(&mut self, deadline: Instant) -> Result<Frame, ClientError> {
+    fn read_frame(&mut self, deadline: &mut Deadline) -> Result<Frame, ClientError> {
         let mut read_once = false;
         loop {
             while let Some(frame) = self.reader.next_frame().map_err(ClientError::Protocol)? {
@@ -201,6 +221,7 @@ impl Link {
                     other => return Ok(other),
                 }
             }
+            let deadline = deadline.at();
             self.flush()?;
             if read_once && Instant::now() >= deadline {
                 return Err(ClientError::Timeout);
@@ -227,9 +248,9 @@ impl Link {
         &mut self,
         mut pick: impl FnMut(&Frame) -> Option<T>,
     ) -> Result<T, ClientError> {
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut deadline = Deadline::after(Duration::from_secs(5));
         loop {
-            let frame = self.read_frame(deadline)?;
+            let frame = self.read_frame(&mut deadline)?;
             if let Some(answer) = pick(&frame) {
                 return Ok(answer);
             }
@@ -488,9 +509,9 @@ impl MuxClient {
         if let Some(e) = self.link.pending.pop_front() {
             return Ok(e);
         }
-        let deadline = Instant::now() + timeout;
+        let mut deadline = Deadline::after(timeout);
         loop {
-            match self.link.read_frame(deadline)? {
+            match self.link.read_frame(&mut deadline)? {
                 // Stale control answers are dropped, not errors.
                 Frame::Bound { .. } | Frame::BindReject { .. } | Frame::Unbound { .. } => {}
                 frame => return table_event(&frame).ok_or_else(|| unexpected(frame)),
