@@ -17,7 +17,7 @@ use ekbd_net::{
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Encoded size of one `Hungry`.
 const HUNGRY_LEN: usize = 15;
@@ -129,6 +129,43 @@ fn a_wait_writes_the_requests_and_then_its_pong() {
     let mut expected = hungry_frames([6, 4, 5]);
     expected.extend_from_slice(&encode_frame(&Frame::Pong { nonce: 77 }));
     assert_eq!(seen, expected);
+}
+
+/// A wait's timeout counts from the call even when decoded frames are
+/// waiting: the second wait below first answers the `Ping`s the first
+/// one read past its `Granted`, then meets a silent socket, and times
+/// out no sooner than its timeout and not long after.
+#[test]
+fn a_wait_behind_buffered_pings_times_out_after_its_timeout() {
+    let (mut mux, mut peer) = admitted(&[1]);
+    let mut bytes = encode_frame(&Frame::Granted {
+        process: 1,
+        at_ms: 0,
+    });
+    for nonce in 0..64 {
+        bytes.extend_from_slice(&encode_frame(&Frame::Ping { nonce }));
+    }
+    peer.write_all(&bytes).unwrap();
+    assert!(matches!(
+        mux.next_event(Duration::from_secs(5)),
+        Ok(MuxEvent::Granted { process: 1, .. })
+    ));
+    let timeout = Duration::from_millis(150);
+    let started = Instant::now();
+    assert!(matches!(mux.next_event(timeout), Err(ClientError::Timeout)));
+    let waited = started.elapsed();
+    assert!(
+        waited >= timeout && waited < timeout + Duration::from_secs(2),
+        "a {timeout:?} wait took {waited:?}"
+    );
+    let mut seen = Vec::new();
+    while let Some(bytes) = read_once(&mut peer) {
+        seen.extend_from_slice(&bytes);
+    }
+    let pongs: Vec<u8> = (0..64)
+        .flat_map(|nonce| encode_frame(&Frame::Pong { nonce }))
+        .collect();
+    assert_eq!(seen, pongs, "every Ping answered, once");
 }
 
 /// Test (ii): a caller that fires without ever waiting is written out
