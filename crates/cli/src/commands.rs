@@ -467,8 +467,8 @@ fn cmd_run_scale(parsed: &Parsed, shards: usize) -> Result<(), ArgError> {
         (
             "--eat",
             eat,
-            8191,
-            "lo:hi ticks with 1 <= lo <= hi <= 8191 (the packed event word's aux field)",
+            65_535,
+            "lo:hi ticks with 1 <= lo <= hi <= 65535 (the timer wheel keeps one slot per tick)",
         ),
         (
             "--think",
@@ -1688,7 +1688,7 @@ mod tests {
             ),
             ("--eat 0:5", "--eat"),
             ("--eat 9:3", "--eat"),
-            ("--eat 1:8192", "--eat"),
+            ("--eat 1:65536", "--eat"),
             ("--sessions 0", "--sessions"),
         ] {
             let err = cmd_run(&parsed(&format!("run --topology ring:8 --shards 1 {args}")))
@@ -1697,7 +1697,7 @@ mod tests {
             assert!(err.contains(flag), "{args}: {err}");
         }
         cmd_run(&parsed(
-            "run --topology ring:8 --shards 1 --think 65535:65535 --eat 8191:8191",
+            "run --topology ring:8 --shards 1 --think 65535:65535 --eat 65535:65535",
         ))
         .unwrap();
     }

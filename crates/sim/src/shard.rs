@@ -12,8 +12,11 @@
 //!    cross-shard events (with their delivery ticks) to per-destination
 //!    outboxes — the "batched event horizon" exchange;
 //! 2. **barrier A** — all outboxes complete;
-//! 3. each worker drains the inboxes addressed to it into its timer wheel
-//!    and publishes the earliest tick it now has scheduled;
+//! 3. each worker checks the sessions it started at `t` against their
+//!    neighbours' shared `since` words, which no shard writes until the
+//!    next tick (see [`packed`](crate::packed)), drains the inboxes
+//!    addressed to it into its timer wheel and publishes the earliest tick
+//!    it now has scheduled;
 //! 4. **barrier B** — all published; every worker independently computes
 //!    the same global minimum and jumps there (empty ticks are skipped
 //!    entirely, so quiescing runs cost no idle barriers).
@@ -22,11 +25,13 @@
 //!
 //! Each event is processed by the one shard owning its target, at the same
 //! tick, in the same canonical intra-tick order (packed words sort by
-//! `(to, kind, slot, aux)` regardless of which shard produced them), with
+//! `(to, kind, slot)` regardless of which shard produced them), with
 //! delays that are stateless hashes of per-channel history. By induction
 //! over populated ticks, the global state sequence — and hence the merged
 //! report — is identical for every shard count, and trivially identical
-//! across reruns. [`ScaleRunReport::fingerprint`] is the gate.
+//! across reruns. The exclusion check reads only that state, at each
+//! tick's end, so its count is invariant too.
+//! [`ScaleRunReport::fingerprint`] is the gate.
 
 use crate::packed::PackedKernel;
 pub use crate::packed::{EatExcerpt, ScaleConfig, ScaleRunReport};
@@ -100,7 +105,11 @@ pub fn run_sharded(kernel: PackedKernel) -> ScaleRunReport {
                                 .append(batch);
                         }
                     }
-                    barrier.wait(); // A: all outboxes complete
+                    // A: all outboxes complete. No shard writes process state
+                    // until B, so the check reads each `since` word as `now`
+                    // left it.
+                    barrier.wait();
+                    shard.check_starts(now);
                     for row in mailboxes.iter() {
                         let mut inbox = row[sid].lock().expect("mailbox lock");
                         shard.accept(now, &mut inbox);
