@@ -5,7 +5,7 @@
 # every run listed. Reads perfbench's printed output only.
 #
 #   tools/ab.sh [--seconds N] [--trace 0|1] [--idle SECS | --warm] [--logs DIR] \
-#               PARENT_EXE CHANGE_EXE WORKLOAD SEED...
+#               [--record DIR] PARENT_EXE CHANGE_EXE WORKLOAD SEED...
 #
 #   --seconds N   measured window handed to perfbench (default 10)
 #   --trace 1     traced runs; adds a table of every per-layer metric printed
@@ -13,17 +13,24 @@
 #   --warm        before each run, a throw-away `net-saturated --seconds 1`
 #                 of the *other* side's executable (the host's warm state)
 #   --logs DIR    keep each run's output there (default: a fresh temp dir)
+#   --record DIR  also write DIR/rows.tsv: a `#` header (both commits, the
+#                 workload, the window, the host state, whether it is an
+#                 A/A) over every run's metrics, one `side pair seed first
+#                 metric value` row each; the printed tables do not change
 #
 # Build each tree once into its own target directory
 # (`CARGO_TARGET_DIR=… cargo build --release --offline --manifest-path
-# perfbench/Cargo.toml`) and copy `release/perfbench` out first.
+# perfbench/Cargo.toml`) and copy `release/perfbench` out first. For
+# --record, put the tree's commit beside each copy, in EXE.commit
+# (`git -C TREE rev-parse HEAD > EXE.commit`); without it the header names
+# the executable's SHA-256 instead.
 # For an A/A row — what this host makes of two sides that do not differ —
 # pass the same executable (or two copies of it) as both PARENT_EXE and
 # CHANGE_EXE; a claimed ratio has to stand clear of the one that prints.
 # Exits 1 if any run failed an operation or a check.
 set -euo pipefail
 
-seconds=10 trace=0 idle=0 warm=0 logs=
+seconds=10 trace=0 idle=0 warm=0 logs= record=
 while [[ $# -gt 0 && $1 == --* ]]; do
     case $1 in
         --seconds) seconds=$2; shift 2 ;;
@@ -31,11 +38,12 @@ while [[ $# -gt 0 && $1 == --* ]]; do
         --idle) idle=$2; shift 2 ;;
         --warm) warm=1; shift ;;
         --logs) logs=$2; shift 2 ;;
+        --record) record=$2; shift 2 ;;
         *) echo "ab.sh: unknown option $1" >&2; exit 2 ;;
     esac
 done
 if [[ $# -lt 4 ]]; then
-    sed -n '2,23p' "$0" >&2
+    sed -n '2,29p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3
@@ -82,6 +90,23 @@ state="neither slept nor warmed before a run"
 [[ $warm == 0 ]] || state="each run right after a throw-away net-saturated run of the other side"
 echo "\`$workload --seconds $seconds --trace $trace\`, seeds $*; $state; logs in $logs"
 echo
+
+# What built EXE: its EXE.commit, else its SHA-256.
+built_from() {
+    if [[ -s $1.commit ]]; then head -c 40 "$1.commit"; else echo "sha256:$(sha256sum <"$1" | cut -c1-16)"; fi
+}
+if [[ -n $record ]]; then
+    mkdir -p "$record"
+    aa=no
+    [[ $(sha256sum <"$parent") != $(sha256sum <"$change") ]] || aa=yes
+    {
+        printf '# parent\t%s\n# change\t%s\n' "$(built_from "$parent")" "$(built_from "$change")"
+        printf '# workload\t%s\n# seconds\t%s\n# trace\t%s\n' "$workload" "$seconds" "$trace"
+        printf '# host state\t%s\n# A/A\t%s\n' "$state" "$aa"
+        printf 'side\tpair\tseed\tfirst\tmetric\tvalue\n'
+        cat "$rows"
+    } >"$record/rows.tsv"
+fi
 
 awk -F'\t' -v trace="$trace" '
 function fmt(v) {
