@@ -51,7 +51,6 @@ pub fn run_sharded(kernel: PackedKernel) -> ScaleRunReport {
         return report;
     }
     let cfg = kernel.config.clone();
-    let colors = kernel.colors();
     let horizon = cfg.horizon;
     let mut kernel = kernel;
     let owner = std::mem::take(&mut kernel.owner);
@@ -75,7 +74,6 @@ pub fn run_sharded(kernel: PackedKernel) -> ScaleRunReport {
     std::thread::scope(|scope| {
         for (sid, mut shard) in shard_states.into_iter().enumerate() {
             let cfg = &cfg;
-            let colors = &colors;
             let owner = &owner;
             let mailboxes = &mailboxes;
             let next_at = &next_at;
@@ -96,7 +94,7 @@ pub fn run_sharded(kernel: PackedKernel) -> ScaleRunReport {
                         break;
                     }
                     now = next;
-                    shard.process_tick(cfg, colors, owner, now, &mut out);
+                    shard.process_tick(cfg, owner, now, &mut out);
                     for (dst, batch) in out.iter_mut().enumerate() {
                         if !batch.is_empty() {
                             mailboxes[sid][dst]
