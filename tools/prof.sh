@@ -21,13 +21,14 @@
 # A PC below an object's first exported symbol (the vDSO's clock code,
 # for one) is named after the object itself, `[vdso]` or `[libc.so.6]`.
 #
-# Prints the samples taken and the top shares by function and by file.
+# Prints the samples taken and the top shares by function, by file and
+# by layer, the last from the module → layer map tools/prof/layers.tsv.
 # The build touches only target/prof; perfbench/Cargo.lock is put back as
 # it was.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
-    sed -n '2,25p' "$0" >&2
+    sed -n '2,26p' "$0" >&2
     exit 2
 fi
 workload=$1 seconds=$2
@@ -143,3 +144,27 @@ share 2 25
 echo
 echo "By source file (top 15):"
 share 3 15
+echo
+echo "By layer (tools/prof/layers.tsv):"
+awk -v total="$total" '
+FNR == NR {
+    if ($0 ~ /^#/ || index($0, "\t") == 0) next
+    n++; split($0, f, "\t"); pat[n] = f[1]; layer[n] = f[2]
+    next
+}
+{
+    name = ""
+    fn = $2
+    sub(/@.*/, "", fn)
+    for (i = 1; i <= n && name == ""; i++) {
+        if (substr(pat[i], 1, 3) == "fn:") { if (fn == substr(pat[i], 4)) name = layer[i] }
+        else if (index($3, pat[i]) == 1) name = layer[i]
+    }
+    if (name == "") {
+        k = split($3, part, "/")
+        name = "other: " (k > 1 ? part[1] "/" part[2] : $3)
+    }
+    s[name] += $1
+}
+END { for (k in s) printf "%d\t%5.1f %%\t%s\n", s[k], 100 * s[k] / total, k }' \
+    "$root/tools/prof/layers.tsv" "$run/named" | sort -rn | cut -f2-
