@@ -28,15 +28,13 @@
 //! (`available_parallelism`): on a single-core container the barrier
 //! protocol serializes and the ratio is reported informationally.
 //!
-//! Results go to stdout **and** `BENCH_e19.json` (override the path via
-//! `E19_JSON`). Set `E19_QUICK=1` for the CI smoke run (drops the
-//! 100k-node case and the 8-shard column).
+//! Results go to stdout only. Set `E19_QUICK=1` for the CI smoke run
+//! (drops the 100k-node case and the 8-shard column).
 
 use ekbd_bench::{banner, conclude, verdict, Table};
 use ekbd_graph::partition::greedy_edge_cut;
 use ekbd_graph::{coloring, random, ConflictGraph};
 use ekbd_sim::{run_sharded, PackedKernel, ScaleConfig, ScaleRunReport};
-use std::fmt::Write as _;
 
 /// One `(family, n, shards)` measurement.
 struct Measure {
@@ -189,7 +187,6 @@ fn main() {
     let n_top = *node_counts.last().expect("node counts non-empty");
     println!("\nShard speedup at n={n_top} (host has {cores} core(s)):\n");
     let mut su_table = Table::new(&["family", "1-shard events/s", "4-shard events/s", "ratio"]);
-    let mut speedups: Vec<(&'static str, f64, f64, f64)> = Vec::new();
     let mut speedup_ok = true;
     for (family, _) in &families {
         let at = |shards: usize| {
@@ -210,7 +207,6 @@ fn main() {
             format!("{four:.0}"),
             format!("{ratio:.2}x"),
         ]);
-        speedups.push((family, one, four, ratio));
     }
     su_table.print();
     if cores < 4 {
@@ -237,65 +233,6 @@ fn main() {
         "peak RSS .................... {:.1} MiB",
         rss_kb as f64 / 1024.0
     );
-
-    // JSON artifact.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E19\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    json.push_str("  \"runs\": [");
-    for (i, m) in measures.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n    {{\"family\": \"{}\", \"n\": {}, \"edges\": {}, \"max_degree\": {}, \
-             \"shards\": {}, \"cut_edges\": {}, \"state_bytes\": {}, \"queue_bytes\": {}, \
-             \"events\": {}, \"messages\": {}, \"final_tick\": {}, \"events_per_s\": {:.0}, \
-             \"wall_s\": {:.6}, \"verdict\": {}}}",
-            m.family,
-            m.n,
-            m.edges,
-            m.max_degree,
-            m.shards,
-            m.cut_edges,
-            m.state_bytes,
-            m.report.queue_bytes,
-            m.report.events,
-            m.report.messages,
-            m.report.final_tick,
-            m.events_per_s(),
-            m.wall_s,
-            m.report.verdict()
-        );
-    }
-    json.push_str("\n  ],\n  \"speedup\": [");
-    for (i, (family, one, four, ratio)) in speedups.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n    {{\"family\": \"{family}\", \"n\": {n_top}, \
-             \"one_shard_events_per_s\": {one:.0}, \"four_shard_events_per_s\": {four:.0}, \
-             \"ratio\": {ratio:.3}, \"gated\": {}}}",
-            cores >= 4
-        );
-    }
-    json.push_str("\n  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"shard_invariant\": {shard_invariant},\n  \"rerun_identical\": {rerun_identical},"
-    );
-    let _ = writeln!(json, "  \"peak_rss_kb\": {rss_kb}");
-    json.push('}');
-    json.push('\n');
-    let json_path = std::env::var("E19_JSON").unwrap_or_else(|_| "BENCH_e19.json".to_string());
-    match std::fs::write(&json_path, &json) {
-        Ok(()) => println!("\nJSON artifact ............... {json_path}"),
-        Err(e) => println!("\nJSON artifact ............... FAILED to write {json_path}: {e}"),
-    }
 
     conclude(
         "E19",

@@ -21,9 +21,8 @@
 //!   while every *accepted* session completes all cycles with bounded
 //!   p99 latency: shedding protects the admitted.
 //!
-//! Results go to stdout **and** `BENCH_e20.json` (override the path via
-//! `E20_JSON`). Set `E20_QUICK=1` for the CI smoke run (smaller fleet,
-//! fewer cycles; every gate still enforced).
+//! Results go to stdout only. Set `E20_QUICK=1` for the CI smoke run
+//! (smaller fleet, fewer cycles; every gate still enforced).
 
 use ekbd_bench::{banner, conclude, verdict, Table};
 use ekbd_graph::topology;
@@ -33,9 +32,8 @@ use ekbd_net::{
 };
 use ekbd_runtime::RuntimeConfig;
 use ekbd_sim::Time;
-use std::fmt::Write as _;
 
-/// One phase's measurements, ready for the table and the JSON artifact.
+/// One phase's measurements, ready for the table.
 struct Phase {
     name: &'static str,
     clients: usize,
@@ -226,7 +224,6 @@ fn main() {
         ]);
     }
     readmit_table.print();
-    let readmit = Summary::of(churn.report.readmissions.iter().map(|r| r.ms));
 
     println!(
         "\nkill quota (≥25%) .......... {} ({}/{} killed, {} required)",
@@ -266,85 +263,6 @@ fn main() {
         overload.latency.p99,
         P99_BOUND_MS
     );
-
-    // ---- JSON artifact. ----
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E20\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    json.push_str("  \"phases\": [");
-    for (i, p) in [&churn, &overload].into_iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n    {{\"phase\": \"{}\", \"clients\": {}, \"cap\": {}, \"admitted\": {}, \
-             \"planned_sessions\": {}, \"completed_sessions\": {}, \"killed\": {}, \
-             \"reconnected\": {}, \"shed_busy\": {}, \"busy_retries\": {}, \
-             \"latency_ms\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \
-             \"max\": {}}}, \"wall_s\": {:.6}, \"pass\": {}}}",
-            p.name,
-            p.clients,
-            p.cap,
-            p.admitted,
-            p.report.planned_sessions,
-            p.report.completed_sessions,
-            p.report.killed,
-            p.report.reconnected,
-            p.shed_busy,
-            p.report.busy_retries,
-            p.latency.count,
-            p.latency.p50,
-            p.latency.p99,
-            p.latency.p999,
-            p.latency.max,
-            p.wall_s,
-            p.pass
-        );
-    }
-    json.push_str("\n  ],\n  \"readmissions\": [");
-    for (i, r) in churn.report.readmissions.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n    {{\"process\": {}, \"path\": \"{}\", \"ms\": {}}}",
-            r.process, r.path, r.ms
-        );
-    }
-    json.push_str("\n  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"readmission_ms\": {{\"count\": {}, \"p50\": {}, \"max\": {}}},",
-        readmit.count, readmit.p50, readmit.max
-    );
-    let _ = writeln!(
-        json,
-        "  \"exclusion\": {{\"total\": {}, \"after_last_disturbance\": {}, \
-         \"last_disturbance_ms\": {last_disturbance_ms}}},",
-        exclusion.total(),
-        mistakes_after
-    );
-    let _ = writeln!(
-        json,
-        "  \"server\": {{\"accepted\": {}, \"fresh\": {}, \"resumed\": {}, \"rejoined\": {}, \
-         \"shed_slow\": {}, \"heartbeat_drops\": {}, \"protocol_errors\": {}}}",
-        run.stats.accepted,
-        run.stats.fresh,
-        run.stats.resumed,
-        run.stats.rejoined,
-        run.stats.shed_slow,
-        run.stats.heartbeat_drops,
-        run.stats.protocol_errors
-    );
-    json.push('}');
-    json.push('\n');
-    let json_path = std::env::var("E20_JSON").unwrap_or_else(|_| "BENCH_e20.json".to_string());
-    match std::fs::write(&json_path, &json) {
-        Ok(()) => println!("\nJSON artifact ............... {json_path}"),
-        Err(e) => println!("\nJSON artifact ............... FAILED to write {json_path}: {e}"),
-    }
 
     conclude("E20", churn.pass && overload.pass);
 }

@@ -25,9 +25,9 @@
 //!   with `Busy` (never queued) while every accepted session completes
 //!   with p99 under the bound: shedding protects the admitted.
 //!
-//! Results go to stdout **and** `BENCH_e21.json` (override via
-//! `E21_JSON`). Set `E21_QUICK=1` for the CI smoke run (smaller fleet;
-//! every gate still enforced, with the session floor scaled down).
+//! Results go to stdout only. Set `E21_QUICK=1` for the CI smoke run
+//! (smaller fleet; every gate still enforced, with the session floor
+//! scaled down).
 
 use ekbd_bench::{banner, conclude, verdict, Table};
 use ekbd_graph::topology;
@@ -38,13 +38,11 @@ use ekbd_net::{
 };
 use ekbd_runtime::RuntimeConfig;
 use ekbd_sim::Time;
-use std::fmt::Write as _;
 
 struct Phase {
     name: &'static str,
     conns: usize,
     multiplex: usize,
-    cap: usize,
     report: LoadReport,
     latency: Summary,
     shed_busy: u64,
@@ -105,7 +103,6 @@ fn main() {
         name: "capacity",
         conns: cap_conns,
         multiplex: cap_mux,
-        cap: cap_n,
         latency: Summary::of(capacity_report.latencies_ms.iter().copied()),
         shed_busy: capacity_run.stats.shed_busy,
         admitted: capacity_run.stats.fresh,
@@ -181,7 +178,6 @@ fn main() {
         name: "churn",
         conns: churn_conns,
         multiplex: churn_mux,
-        cap: churn_n,
         latency: Summary::of(churn_report.latencies_ms.iter().copied()),
         shed_busy: churn_run.stats.shed_busy,
         admitted: churn_run.stats.fresh,
@@ -232,7 +228,6 @@ fn main() {
         name: "overload",
         conns: over_clients,
         multiplex: 1,
-        cap: over_cap,
         latency: overload_latency,
         shed_busy: overload_run.stats.shed_busy,
         admitted,
@@ -334,94 +329,6 @@ fn main() {
         overload.latency.p99,
         P99_BOUND_MS
     );
-
-    // ---- JSON artifact. ----
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E21\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(
-        json,
-        "  \"reactor_threads\": {},",
-        ServerConfig::default().reactor_threads
-    );
-    json.push_str("  \"phases\": [");
-    for (i, p) in [&capacity, &churn, &overload].into_iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n    {{\"phase\": \"{}\", \"connections\": {}, \"multiplex\": {}, \
-             \"sessions\": {}, \"cap\": {}, \"admitted\": {}, \"planned_cycles\": {}, \
-             \"completed_cycles\": {}, \"killed\": {}, \"readmissions\": {}, \
-             \"shed_busy\": {}, \"busy_retries\": {}, \
-             \"latency_ms\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \
-             \"max\": {}}}, \"wall_s\": {:.6}, \"pass\": {}}}",
-            p.name,
-            p.conns,
-            p.multiplex,
-            p.conns * p.multiplex,
-            p.cap,
-            p.admitted,
-            p.report.planned_sessions,
-            p.report.completed_sessions,
-            p.report.killed,
-            p.report.readmissions.len(),
-            p.shed_busy,
-            p.report.busy_retries,
-            p.latency.count,
-            p.latency.p50,
-            p.latency.p99,
-            p.latency.p999,
-            p.latency.max,
-            p.wall_s,
-            p.pass
-        );
-    }
-    json.push_str("\n  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"scale_kernel\": {{\"n\": {}, \"eats\": {}, \"mistakes\": {}, \"final_tick\": {}}},",
-        scale.n,
-        scale.eats.iter().map(|&e| u64::from(e)).sum::<u64>(),
-        scale.mistakes,
-        scale.final_tick
-    );
-    let readmit = Summary::of(churn.report.readmissions.iter().map(|r| r.ms));
-    let _ = writeln!(
-        json,
-        "  \"readmission_ms\": {{\"count\": {}, \"p50\": {}, \"max\": {}}},",
-        readmit.count, readmit.p50, readmit.max
-    );
-    let _ = writeln!(
-        json,
-        "  \"exclusion\": {{\"total\": {}, \"after_last_disturbance\": {}, \
-         \"last_disturbance_ms\": {last_disturbance_ms}}},",
-        exclusion.total(),
-        mistakes_after
-    );
-    let _ = writeln!(
-        json,
-        "  \"churn_server\": {{\"accepted\": {}, \"fresh\": {}, \"resumed\": {}, \
-         \"rejoined\": {}, \"shed_slow\": {}, \"heartbeat_drops\": {}, \
-         \"protocol_errors\": {}, \"handshake_timeouts\": {}, \"reaped\": {}}}",
-        churn_run.stats.accepted,
-        churn_run.stats.fresh,
-        churn_run.stats.resumed,
-        churn_run.stats.rejoined,
-        churn_run.stats.shed_slow,
-        churn_run.stats.heartbeat_drops,
-        churn_run.stats.protocol_errors,
-        churn_run.stats.handshake_timeouts,
-        churn_run.stats.reaped
-    );
-    json.push('}');
-    json.push('\n');
-    let json_path = std::env::var("E21_JSON").unwrap_or_else(|_| "BENCH_e21.json".to_string());
-    match std::fs::write(&json_path, &json) {
-        Ok(()) => println!("\nJSON artifact ............... {json_path}"),
-        Err(e) => println!("\nJSON artifact ............... FAILED to write {json_path}: {e}"),
-    }
 
     conclude("E21", capacity.pass && churn.pass && overload.pass);
 }

@@ -16,7 +16,6 @@
 //! | `e6_quiescence` | §7 — communication with the crashed ceases |
 //! | `e7_stabilization` | §1 — daemon-scheduled self-stabilization under crashes |
 //! | `e8_oracle_sensitivity` | §1 — mistakes shrink with oracle quality; perpetual WX needs `P` |
-//! | `e9_perf` | throughput/scaling characterization (sim + threaded runtime) |
 //! | `e10_ack_budget` | ablation — the ack budget m is the "k": ◇(m+1)-BW |
 //! | `e11_detector_quality` | §2 — ◇P₁ implementability: heartbeat & probe tuning sweep |
 //! | `e12_message_cost` | engineering context — doorway cost vs. baselines |
@@ -29,7 +28,6 @@
 //! | `e19_scale` | beyond the paper — packed S1-state kernel sharded over 10⁵-node graphs |
 //! | `e20_net` | beyond the paper — networked sessions survive connection churn |
 //! | `e21_reactor` | beyond the paper — readiness reactor: 1024 multiplexed sessions, blast-radius kills |
-//! | `criterion_perf` | statistical micro-benchmarks (Criterion) |
 //!
 //! This library crate holds the plain-text table writer and small helpers
 //! the experiment binaries share.

@@ -45,15 +45,16 @@ struct Rows {
 }
 
 impl Rows {
-    fn load(relative: &str) -> Rows {
-        let path = claims_dir().join(relative);
+    /// Reads `file`, relative to `docs/claims/` or absolute.
+    fn load(file: &str) -> Rows {
+        let path = claims_dir().join(file);
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let mut header = BTreeMap::new();
         let mut runs = Vec::new();
         let mut columns = false;
         for (i, line) in text.lines().enumerate() {
-            let at = || format!("{relative}:{}", i + 1);
+            let at = || format!("{file}:{}", i + 1);
             if let Some(rest) = line.strip_prefix("# ") {
                 let (key, value) = rest.split_once('\t').unwrap_or_else(|| panic!("{}", at()));
                 header.insert(key.to_string(), value.to_string());
@@ -73,7 +74,7 @@ impl Rows {
                 });
             }
         }
-        assert!(columns && !runs.is_empty(), "{relative}: no runs");
+        assert!(columns && !runs.is_empty(), "{file}: no runs");
         Rows { header, runs }
     }
 
@@ -382,6 +383,104 @@ fn a_bound_past_what_the_rows_support_fails() {
         };
         assert!(verify(&tighter, &rows, &aa).is_err(), "{}", claim.rows);
     }
+}
+
+/// `tools/ab.sh` on two stand-ins for perfbench whose figures are known:
+/// the tables it prints are the same bytes with and without `--record`,
+/// the rows it records give back the stubs' median ratio and pair wins,
+/// and one stub on both sides is recorded as an A/A.
+#[cfg(unix)]
+#[test]
+fn ab_sh_records_what_it_prints_on_stub_executables() {
+    use std::os::unix::fs::PermissionsExt;
+    use std::process::Command;
+
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("ab-stubs");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // A stub prints perfbench's result lines, its `cycles_per_s` an
+    // arithmetic expression in the `--seed` it was handed.
+    let stub = |name: &str, cycles: &str| {
+        let path = dir.join(name);
+        let script = format!(
+            "#!/usr/bin/env bash\n\
+             while [[ $# -gt 0 ]]; do [[ $1 == --seed ]] && seed=$2; shift; done\n\
+             echo \"setup_s = 0.0$seed s\"\n\
+             echo \"cycles_per_s = $(({cycles})) 1/s\"\n\
+             echo \"peak_rss_kb = $((1000 + seed)) kB\"\n\
+             echo \"check exclusion: ok (stub)\"\n\
+             echo \"failed_ratio = 0 (0 of 1), checks_failed = 0\"\n"
+        );
+        std::fs::write(&path, script).unwrap();
+        std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    // Seeds 1–4: the parent reads 1000, 2000, 3000, 4000 (median 2500,
+    // q1–q3 1750–3250); the change 2000, 4000, 2900, 8000 (median 3450),
+    // ahead in every pair but the third.
+    let parent = stub("parent", "1000 * seed");
+    let change = stub("change", "seed == 3 ? 2900 : 2000 * seed");
+    let commit = "0123456789abcdef0123456789abcdef01234567";
+    std::fs::write(format!("{parent}.commit"), commit).unwrap();
+
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (logs, record, aa_record) = (path("logs"), path("record"), path("aa"));
+    // `ab.sh --seconds 1 --logs LOGS [--record DIR] PARENT CHANGE sim-packed 1 2 3 4`,
+    // its stdout.
+    let ab = |record: Option<&str>, change: &str| {
+        let mut cmd = Command::new("bash");
+        cmd.arg(Path::new(env!("CARGO_MANIFEST_DIR")).join("tools/ab.sh"))
+            .args(["--seconds", "1", "--logs", &logs]);
+        if let Some(dir) = record {
+            cmd.args(["--record", dir]);
+        }
+        let out = cmd
+            .args([&parent, change, "sim-packed", "1", "2", "3", "4"])
+            .output()
+            .expect("run tools/ab.sh");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "ab.sh: {stderr}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let plain = ab(None, &change);
+    assert_eq!(
+        plain,
+        ab(Some(&record), &change),
+        "--record changed the printed tables"
+    );
+    let row = "| 3 | 3 | parent | 3000 | 2900 | 0.97 |";
+    assert!(plain.contains(row), "{plain}");
+
+    let rows = Rows::load(&format!("{record}/rows.tsv"));
+    assert_eq!(rows.get("parent"), commit);
+    assert!(rows.get("change").starts_with("sha256:"), "{rows:?}");
+    assert_eq!(rows.get("workload"), "sim-packed");
+    assert_eq!(rows.get("seconds"), "1");
+    assert_eq!(rows.get("A/A"), "no");
+    let claim = Claim {
+        pr: "stub".to_string(),
+        workload: "sim-packed".to_string(),
+        metric: "cycles_per_s".to_string(),
+        lower_is_better: false,
+        bound: 1.0,
+        rows: format!("{record}/rows.tsv"),
+        aa_rows: format!("{aa_record}/rows.tsv"),
+    };
+    let d = derive(&rows, &claim);
+    assert_eq!((d.pairs, d.wins), (4, 3), "{d:?}");
+    assert_eq!((d.parent_median, d.change_median), (2500.0, 3450.0));
+    assert_eq!((d.parent_q1, d.parent_q3), (1750.0, 3250.0));
+    assert_eq!(d.ratio, 1.38);
+
+    ab(Some(&aa_record), &parent);
+    let aa = Rows::load(&claim.aa_rows);
+    assert_eq!(aa.get("A/A"), "yes");
+    assert_eq!((aa.get("parent"), aa.get("change")), (commit, commit));
+    assert_eq!(derive(&aa, &claim).ratio, 1.0);
+    // Four pairs carry no claim: the rows go through the same check as an
+    // indexed claim's and are refused for it.
+    let err = verify(&claim, &rows, &aa).expect_err("four pairs");
+    assert!(err.contains("4 pairs, rule (ii) asks for ten"), "{err}");
 }
 
 #[test]

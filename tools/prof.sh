@@ -18,8 +18,10 @@
 #     (`nm -D`);
 #   * in the vDSO, by the dynamic symbols of the image the sampler saved.
 #
-# A PC below an object's first exported symbol (the vDSO's clock code,
-# for one) is named after the object itself, `[vdso]` or `[libc.so.6]`.
+# A name taken from the nearest dynamic symbol is marked with a trailing
+# `~` (`memmove~`): the PC may lie in an unexported neighbour. A PC below
+# an object's first exported symbol (the vDSO's clock code, for one) is
+# named after the object itself, `[vdso]` or `[libc.so.6]`.
 #
 # Prints the samples taken and the top shares by function, by file and
 # by layer, the last from the module → layer map tools/prof/layers.tsv.
@@ -28,7 +30,7 @@
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
-    sed -n '2,26p' "$0" >&2
+    sed -n '2,29p' "$0" >&2
     exit 2
 fi
 workload=$1 seconds=$2
@@ -130,7 +132,7 @@ for object in $(awk -v exe="$exe" '$2 != exe { print $2 }' "$run/located" | sort
         awk -v o="$object" '$2 == o { print $3, "P", $1 }' "$run/located"
     } | sort -n -k1,1 -k2,2r | awk -v label="$label" '
         $2 == "S" { name = $3; next }
-        { print $3, (name != "" ? name : label ~ /^\[/ ? label : "[" label "]"), label }' >>"$run/named"
+        { print $3, (name != "" ? name "~" : label ~ /^\[/ ? label : "[" label "]"), label }' >>"$run/named"
 done
 
 share() {
@@ -141,6 +143,7 @@ share() {
 echo
 echo "By function (top 25):"
 share 2 25
+echo "(~: the nearest exported symbol at or below the PC; it may be an unexported neighbour)"
 echo
 echo "By source file (top 15):"
 share 3 15
@@ -155,6 +158,7 @@ FNR == NR {
 {
     name = ""
     fn = $2
+    sub(/~$/, "", fn)
     sub(/@.*/, "", fn)
     for (i = 1; i <= n && name == ""; i++) {
         if (substr(pat[i], 1, 3) == "fn:") { if (fn == substr(pat[i], 4)) name = layer[i] }
