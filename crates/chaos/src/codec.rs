@@ -71,7 +71,7 @@ pub fn encode(schedule: &FaultSchedule) -> String {
                 let _ = writeln!(out, "corrupt {} {}", process.0, at.0);
             }
             ChaosEvent::Storage { process, mode } => {
-                let _ = writeln!(out, "storage {} {}", process.0, storage_name(*mode));
+                let _ = writeln!(out, "storage {} {}", process.0, mode.name());
             }
             ChaosEvent::Join { process, at } => {
                 let _ = writeln!(out, "join {} {}", process.0, at.0);
@@ -89,23 +89,80 @@ pub fn encode(schedule: &FaultSchedule) -> String {
     out
 }
 
-fn storage_name(mode: StorageFault) -> &'static str {
-    match mode {
-        StorageFault::TornWrite => "torn",
-        StorageFault::BitRot => "rot",
-        StorageFault::StaleSnapshot => "stale",
-        StorageFault::DroppedSync => "dropped",
-    }
-}
-
-fn storage_mode(name: &str) -> Option<StorageFault> {
-    match name {
-        "torn" => Some(StorageFault::TornWrite),
-        "rot" => Some(StorageFault::BitRot),
-        "stale" => Some(StorageFault::StaleSnapshot),
-        "dropped" => Some(StorageFault::DroppedSync),
-        _ => None,
-    }
+/// Parses one fault directive from its fields: the words after the
+/// directive on a schedule line, or an `ekbd run` fault flag's value split
+/// on `:`. The directives and their fields are the grammar's; a field too
+/// many is refused like a field too few.
+///
+/// Like [`parse`], this only checks shape: whether the event fits a
+/// schedule is [`FaultSchedule::validate`]'s question.
+pub fn parse_event(directive: &str, fields: &[&str]) -> Result<ChaosEvent, &'static str> {
+    let time = |f: &str| f.parse().map(Time).map_err(|_| "expected a number");
+    let process = |f: &str| {
+        f.parse()
+            .map(ProcessId)
+            .map_err(|_| "expected a process id")
+    };
+    Ok(match (directive, fields) {
+        ("noise", fields) => {
+            let mut noise = ChannelNoise::inert();
+            for field in fields {
+                let (k, v) = field.split_once('=').ok_or("noise fields are key=value")?;
+                match k {
+                    "loss" => noise.loss = v.parse().map_err(|_| "bad loss")?,
+                    "dup" => noise.dup = v.parse().map_err(|_| "bad dup")?,
+                    "reorder" => noise.reorder = v.parse().map_err(|_| "bad reorder")?,
+                    "window" => noise.reorder_window = v.parse().map_err(|_| "bad window")?,
+                    _ => return Err("unknown noise field"),
+                }
+            }
+            ChaosEvent::Noise(noise)
+        }
+        ("partition", [side, start, heal]) => ChaosEvent::Partition {
+            side: side
+                .split(',')
+                .map(process)
+                .collect::<Result<_, _>>()
+                .map_err(|_| "bad partition side")?,
+            start: time(start)?,
+            heal: time(heal)?,
+        },
+        ("crash", [p, at]) => ChaosEvent::Crash {
+            process: process(p)?,
+            at: time(at)?,
+        },
+        ("recover", [p, at, tail @ ..]) => ChaosEvent::Recover {
+            process: process(p)?,
+            at: time(at)?,
+            corrupt: match tail {
+                [] => false,
+                ["corrupt"] => true,
+                _ => return Err("trailing field must be `corrupt`"),
+            },
+        },
+        ("corrupt", [p, at]) => ChaosEvent::Corrupt {
+            process: process(p)?,
+            at: time(at)?,
+        },
+        ("storage", [p, mode]) => ChaosEvent::Storage {
+            process: process(p)?,
+            mode: StorageFault::from_name(mode).ok_or("storage mode is torn|rot|stale|dropped")?,
+        },
+        ("join", [p, at]) => ChaosEvent::Join {
+            process: process(p)?,
+            at: time(at)?,
+        },
+        ("leave", [p, at, kind]) => ChaosEvent::Leave {
+            process: process(p)?,
+            at: time(at)?,
+            graceful: match *kind {
+                "graceful" => true,
+                "crash" => false,
+                _ => return Err("leave kind is graceful|crash"),
+            },
+        },
+        _ => return Err("unknown directive, or the wrong number of fields for it"),
+    })
 }
 
 /// Parse the canonical text form back into a schedule.
@@ -144,7 +201,6 @@ pub fn parse(text: &str) -> Result<FaultSchedule, ScheduleError> {
         let num = |i: usize| -> Result<u64, ScheduleError> {
             one(i)?.parse().map_err(|_| err(no, "expected a number"))
         };
-        let proc = |i: usize| -> Result<ProcessId, ScheduleError> { Ok(ProcessId(num(i)? as u32)) };
         match key {
             "topology" => topology = Some(one(0)?.to_string()),
             "seed" => seed = Some(num(0)?),
@@ -152,87 +208,7 @@ pub fn parse(text: &str) -> Result<FaultSchedule, ScheduleError> {
             "expect" => {
                 expect = Some(RunClass::parse(one(0)?).ok_or_else(|| err(no, "unknown run class"))?)
             }
-            "noise" => {
-                let mut noise = ChannelNoise::inert();
-                for field in &rest {
-                    let (k, v) = field
-                        .split_once('=')
-                        .ok_or_else(|| err(no, "noise fields are key=value"))?;
-                    match k {
-                        "loss" => {
-                            noise.loss = v.parse().map_err(|_| err(no, "bad loss"))?;
-                        }
-                        "dup" => {
-                            noise.dup = v.parse().map_err(|_| err(no, "bad dup"))?;
-                        }
-                        "reorder" => {
-                            noise.reorder = v.parse().map_err(|_| err(no, "bad reorder"))?;
-                        }
-                        "window" => {
-                            noise.reorder_window = v.parse().map_err(|_| err(no, "bad window"))?;
-                        }
-                        _ => return Err(err(no, "unknown noise field")),
-                    }
-                }
-                events.push(ChaosEvent::Noise(noise));
-            }
-            "partition" => {
-                let side: Result<Vec<ProcessId>, _> = one(0)?
-                    .split(',')
-                    .map(|s| {
-                        s.parse::<u32>()
-                            .map(ProcessId)
-                            .map_err(|_| err(no, "bad partition side"))
-                    })
-                    .collect();
-                events.push(ChaosEvent::Partition {
-                    side: side?,
-                    start: Time(num(1)?),
-                    heal: Time(num(2)?),
-                });
-            }
-            "crash" => events.push(ChaosEvent::Crash {
-                process: proc(0)?,
-                at: Time(num(1)?),
-            }),
-            "recover" => {
-                let corrupt = match rest.get(2) {
-                    None => false,
-                    Some(&"corrupt") => true,
-                    Some(_) => return Err(err(no, "trailing field must be `corrupt`")),
-                };
-                events.push(ChaosEvent::Recover {
-                    process: proc(0)?,
-                    at: Time(num(1)?),
-                    corrupt,
-                });
-            }
-            "corrupt" => events.push(ChaosEvent::Corrupt {
-                process: proc(0)?,
-                at: Time(num(1)?),
-            }),
-            "storage" => events.push(ChaosEvent::Storage {
-                process: proc(0)?,
-                mode: storage_mode(one(1)?)
-                    .ok_or_else(|| err(no, "storage mode is torn|rot|stale|dropped"))?,
-            }),
-            "join" => events.push(ChaosEvent::Join {
-                process: proc(0)?,
-                at: Time(num(1)?),
-            }),
-            "leave" => {
-                let graceful = match one(2)? {
-                    "graceful" => true,
-                    "crash" => false,
-                    _ => return Err(err(no, "leave kind is graceful|crash")),
-                };
-                events.push(ChaosEvent::Leave {
-                    process: proc(0)?,
-                    at: Time(num(1)?),
-                    graceful,
-                });
-            }
-            _ => return Err(err(no, "unknown directive")),
+            directive => events.push(parse_event(directive, &rest).map_err(|msg| err(no, msg))?),
         }
     }
 
@@ -351,6 +327,34 @@ crash 1 700   # take one down
         assert!(parse("not-a-header\n").is_err());
         let no_seed = "ekbd-chaos v1\ntopology ring-8\nhorizon 100\n";
         assert!(matches!(parse(no_seed), Err(ScheduleError::Parse { .. })));
+    }
+
+    #[test]
+    fn directives_take_exactly_their_fields() {
+        assert_eq!(
+            parse_event("recover", &["2", "1400", "corrupt"]),
+            Ok(ChaosEvent::Recover {
+                process: ProcessId(2),
+                at: Time(1_400),
+                corrupt: true,
+            })
+        );
+        for (directive, fields) in [
+            ("crash", &["1", "700", "9"][..]),
+            ("crash", &["1"][..]),
+            ("recover", &["2", "1400", "blank"][..]),
+            ("recover", &["2", "1400", "corrupt", "x"][..]),
+            ("storage", &["2", "melted"][..]),
+            ("leave", &["6", "1200"][..]),
+            ("partition", &["", "500", "3000"][..]),
+            ("noise", &["loss"][..]),
+            ("frobnicate", &["1"][..]),
+        ] {
+            assert!(
+                parse_event(directive, fields).is_err(),
+                "{directive} {fields:?} must be refused"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! proptest pins this).
 
 use crate::schedule::{Axis, ChannelNoise, ChaosEvent, FaultSchedule, ScheduleError};
+use ekbd_graph::random::splitmix64;
 use ekbd_journal::StorageFault;
 use ekbd_sim::{ProcessId, Time};
 
@@ -105,11 +106,7 @@ impl Rng {
     }
 
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     /// Uniform in `[lo, hi)`.
@@ -150,8 +147,7 @@ impl FaultSchedule {
         seed: u64,
         intensity: &Intensity,
     ) -> Result<FaultSchedule, ScheduleError> {
-        let graph = crate::schedule::parse_topology(topology)?;
-        let n = graph.len();
+        let n = crate::schedule::build_topology(topology)?.len();
         let mut rng = Rng::new(seed);
         let horizon = GEN_HORIZON;
         let window_end = GEN_WINDOW.0;
@@ -233,15 +229,9 @@ impl FaultSchedule {
                 // Damage the first victim's storage so the axis always
                 // fires when selected; later victims roll for it.
                 if storage && (i == 0 || rng.chance(0.4)) {
-                    let mode = match rng.range(0, 4) {
-                        0 => StorageFault::TornWrite,
-                        1 => StorageFault::BitRot,
-                        2 => StorageFault::StaleSnapshot,
-                        _ => StorageFault::DroppedSync,
-                    };
                     events.push(ChaosEvent::Storage {
                         process: victim,
-                        mode,
+                        mode: StorageFault::ALL[rng.range(0, 4) as usize],
                     });
                 }
             }

@@ -39,7 +39,6 @@ pub mod shrink;
 pub use coverage::{combo_name, Coverage};
 pub use gen::{Intensity, GEN_HORIZON, GEN_WINDOW};
 pub use schedule::{
-    parse_topology, Axis, ChannelNoise, ChaosEvent, FaultSchedule, RunClass, ScheduleError,
-    ScheduleParts,
+    Axis, ChannelNoise, ChaosEvent, FaultSchedule, RunClass, ScheduleError, ScheduleParts,
 };
 pub use shrink::{is_subsequence, shrink, ShrinkStats};

@@ -9,7 +9,7 @@
 //! already understands — [`FaultPlan`], a crash list,
 //! [`StorageFaultPlan`], and [`MembershipPlan`] — via [`FaultSchedule::parts`].
 
-use ekbd_graph::{random, topology, ConflictGraph};
+use ekbd_graph::{topology, ConflictGraph};
 use ekbd_journal::{StorageFault, StorageFaultPlan};
 use ekbd_sim::{FaultPlan, FaultPlanError, MembershipPlan, MembershipPlanError, ProcessId, Time};
 use std::fmt;
@@ -306,7 +306,7 @@ impl From<MembershipPlanError> for ScheduleError {
 
 /// The per-axis plans a schedule compiles down to, in exactly the form
 /// `ekbd-harness`'s `Scenario` consumes them.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScheduleParts {
     /// Channel faults, partitions, recoveries, corruptions.
     pub faults: FaultPlan,
@@ -321,7 +321,8 @@ pub struct ScheduleParts {
 /// A complete, serializable, replayable chaos schedule.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultSchedule {
-    /// Topology spec, e.g. `ring-8`, `grid-3x4`, `gnp-12-0.3`.
+    /// Topology spec in either spelling of [`topology::from_spec`], e.g.
+    /// `ring-8`, `grid:3x4`, `gnp-12-0.3`.
     pub topology: String,
     /// Master seed: drives the simulator, the storage-fault entropy,
     /// and (for generated schedules) the generator itself.
@@ -369,7 +370,7 @@ impl FaultSchedule {
 
     /// Build the conflict graph named by the topology spec.
     pub fn build_topology(&self) -> Result<ConflictGraph, ScheduleError> {
-        parse_topology(&self.topology)
+        build_topology(&self.topology)
     }
 
     /// Compile the flat event list into per-axis plans.
@@ -545,51 +546,11 @@ impl FaultSchedule {
     }
 }
 
-/// Parse a dash-separated topology spec into a conflict graph.
-///
-/// Accepted families (sizes are decimal): `ring-N`, `path-N`, `star-N`,
-/// `clique-N`, `wheel-N`, `tree-N`, `hypercube-D`, `grid-RxC`,
-/// `torus-RxC`, and `gnp-N-P[-SEED]` (seed defaults to 9, matching the
-/// experiment suite's canonical random graph).
-pub fn parse_topology(spec: &str) -> Result<ConflictGraph, ScheduleError> {
-    let bad = || ScheduleError::BadTopology {
+/// Build the conflict graph `spec` names.
+pub(crate) fn build_topology(spec: &str) -> Result<ConflictGraph, ScheduleError> {
+    topology::from_spec(spec).ok_or_else(|| ScheduleError::BadTopology {
         spec: spec.to_string(),
-    };
-    let (family, rest) = spec.split_once('-').ok_or_else(bad)?;
-    let size = |s: &str| s.parse::<usize>().map_err(|_| bad());
-    let dims = |s: &str| -> Result<(usize, usize), ScheduleError> {
-        let (r, c) = s.split_once('x').ok_or_else(bad)?;
-        Ok((size(r)?, size(c)?))
-    };
-    let graph = match family {
-        "ring" => topology::ring(size(rest)?),
-        "path" => topology::path(size(rest)?),
-        "star" => topology::star(size(rest)?),
-        "clique" => topology::clique(size(rest)?),
-        "wheel" => topology::wheel(size(rest)?),
-        "tree" => topology::binary_tree(size(rest)?),
-        "hypercube" => topology::hypercube(size(rest)?.try_into().map_err(|_| bad())?),
-        "grid" => {
-            let (r, c) = dims(rest)?;
-            topology::grid(r, c)
-        }
-        "torus" => {
-            let (r, c) = dims(rest)?;
-            topology::torus(r, c)
-        }
-        "gnp" => {
-            let mut it = rest.splitn(3, '-');
-            let n = size(it.next().ok_or_else(bad)?)?;
-            let p: f64 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            let seed: u64 = match it.next() {
-                Some(s) => s.parse().map_err(|_| bad())?,
-                None => 9,
-            };
-            random::connected_gnp(n, p, seed)
-        }
-        _ => return Err(bad()),
-    };
-    Ok(graph)
+    })
 }
 
 #[cfg(test)]
@@ -602,15 +563,17 @@ mod tests {
 
     #[test]
     fn topology_specs_parse() {
-        assert_eq!(parse_topology("ring-8").unwrap().len(), 8);
-        assert_eq!(parse_topology("clique-6").unwrap().len(), 6);
-        assert_eq!(parse_topology("grid-3x4").unwrap().len(), 12);
-        assert_eq!(parse_topology("torus-3x4").unwrap().len(), 12);
-        assert_eq!(parse_topology("gnp-12-0.3").unwrap().len(), 12);
-        assert_eq!(parse_topology("gnp-12-0.3-9").unwrap().len(), 12);
-        assert!(parse_topology("moebius-8").is_err());
-        assert!(parse_topology("ring").is_err());
-        assert!(parse_topology("grid-3").is_err());
+        assert_eq!(build_topology("ring-8").unwrap().len(), 8);
+        assert_eq!(build_topology("ring:8").unwrap().len(), 8);
+        assert_eq!(build_topology("grid-3x4").unwrap().len(), 12);
+        assert_eq!(build_topology("gnp-12-0.3").unwrap().len(), 12);
+        assert_eq!(
+            build_topology("moebius-8").unwrap_err(),
+            ScheduleError::BadTopology {
+                spec: "moebius-8".into()
+            }
+        );
+        assert!(build_topology("grid-3").is_err());
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub mod commands;
 pub mod spec;
 
 pub use args::{ArgError, Parsed};
-pub use spec::{AlgorithmSpec, OracleArg, ProtocolSpec, TopologySpec};
+pub use spec::{AlgorithmSpec, OracleArg, ProtocolSpec};

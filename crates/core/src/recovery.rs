@@ -72,6 +72,7 @@ use crate::process::DiningProcess;
 use crate::traits::{DinerState, DiningAlgorithm, DiningInput};
 use ekbd_detector::SuspicionView;
 use ekbd_graph::coloring::Color;
+use ekbd_graph::random::splitmix64;
 use ekbd_graph::{ConflictGraph, ProcessId};
 use ekbd_journal::{BootPath, EdgeRecord, JournalHandle, JournalRecord, ResyncPath};
 
@@ -391,14 +392,6 @@ impl SuspicionView for WithDeparted<'_> {
     }
 }
 
-fn splitmix(z: &mut u64) -> u64 {
-    *z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut r = *z;
-    r = (r ^ (r >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    r = (r ^ (r >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    r ^ (r >> 31)
-}
-
 impl RecoverableDining {
     /// Creates the recoverable process `id`; arguments as in
     /// [`DiningProcess::new`].
@@ -486,11 +479,6 @@ impl RecoverableDining {
         &self.restarts
     }
 
-    /// Whether stable storage is attached.
-    pub fn has_journal(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// The wrapped Algorithm 1 state machine (read-only).
     pub fn inner(&self) -> &DiningProcess {
         &self.inner
@@ -505,12 +493,6 @@ impl RecoverableDining {
     /// Whether `q` is marked as permanently departed (crash-stop leave).
     pub fn peer_is_departed(&self, q: ProcessId) -> bool {
         self.departed.binary_search(&q).is_ok()
-    }
-
-    /// Current sorted `(neighbor, color)` configuration — shrinks and grows
-    /// with membership notices.
-    pub fn peer_list(&self) -> &[(ProcessId, Color)] {
-        &self.peers
     }
 
     /// Whether this process holds the fork shared with `q`.
@@ -1596,7 +1578,7 @@ impl RecoverableDining {
         let mut any = false;
         for i in 0..self.peers.len() {
             let q = self.peers[i].0;
-            let r = splitmix(&mut z);
+            let r = splitmix64(&mut z);
             if r & 0b11 == 0 {
                 continue;
             }

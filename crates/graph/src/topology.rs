@@ -5,7 +5,70 @@
 //! suite sweeps over the families below to exercise low-degree, high-degree,
 //! and irregular instances.
 
-use crate::{ConflictGraph, ProcessId};
+use crate::{random, ConflictGraph, ProcessId};
+
+/// The topology spec grammar [`from_spec`] reads, for error messages.
+pub const SPEC_GRAMMAR: &str = "ring:n | path:n | star:n | clique:n | grid:RxC | torus:RxC | \
+     tree:n | wheel:n | hypercube:d | gnp:n:p:seed | powerlaw:n:m:seed, or the dash form \
+     (ring-8, grid-3x4, gnp-n-p[-seed], whose seed defaults to 9)";
+
+/// Node count above which a `gnp` spec builds through
+/// [`random::sparse_gnp`] instead of the O(n²) coin-flip walk of
+/// [`random::connected_gnp`]. The two samplers draw different RNG streams,
+/// so the threshold keeps every paper-scale graph — and with it every
+/// golden trace — byte-identical while making 10⁵-node specs tractable.
+const SPARSE_GNP_THRESHOLD: usize = 2_048;
+
+/// Builds the graph a topology spec names, or `None` if the spec is not
+/// in [`SPEC_GRAMMAR`].
+///
+/// The separator is the character right after the family name: `:` (the
+/// `ekbd run` spelling, `ring:8`, `gnp:100:1e-3:7`) or `-` (the chaos
+/// schedules' spelling, `ring-8`, `gnp-12-0.3`). Only the dash form of
+/// `gnp` may omit its seed, and `powerlaw` has only the colon form.
+pub fn from_spec(spec: &str) -> Option<ConflictGraph> {
+    let split = spec.find([':', '-'])?;
+    let (family, rest) = spec.split_at(split);
+    let dash = rest.starts_with('-');
+    let fields: Vec<&str> = rest[1..].split(if dash { '-' } else { ':' }).collect();
+    let size = |s: &str| s.parse::<usize>().ok();
+    let dims = |s: &str| {
+        let (r, c) = s.split_once('x')?;
+        Some((size(r)?, size(c)?))
+    };
+    let gnp = |n: &str, p: &str, seed: u64| {
+        let (n, p) = (size(n)?, p.parse().ok()?);
+        Some(if n <= SPARSE_GNP_THRESHOLD {
+            random::connected_gnp(n, p, seed)
+        } else {
+            random::sparse_gnp(n, p, seed)
+        })
+    };
+    Some(match (family, fields.as_slice()) {
+        ("ring", [n]) => ring(size(n)?),
+        ("path", [n]) => path(size(n)?),
+        ("star", [n]) => star(size(n)?),
+        ("clique", [n]) => clique(size(n)?),
+        ("tree", [n]) => binary_tree(size(n)?),
+        ("wheel", [n]) => wheel(size(n)?),
+        ("hypercube", [d]) => hypercube(d.parse().ok()?),
+        ("grid", [d]) => {
+            let (r, c) = dims(d)?;
+            grid(r, c)
+        }
+        ("torus", [d]) => {
+            let (r, c) = dims(d)?;
+            torus(r, c)
+        }
+        ("gnp", [n, p, seed]) => gnp(n, p, seed.parse().ok()?)?,
+        ("gnp", [n, p]) if dash => gnp(n, p, 9)?,
+        ("powerlaw", [n, m, seed]) if !dash => {
+            let m = size(m).filter(|&m| m > 0)?;
+            random::powerlaw(size(n)?, m, seed.parse().ok()?)
+        }
+        _ => return None,
+    })
+}
 
 /// A cycle `p0 - p1 - … - p(n-1) - p0` (Dijkstra's classic table).
 ///
@@ -151,6 +214,64 @@ pub fn complete_bipartite(a: usize, b: usize) -> ConflictGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn specs_parse_in_either_spelling() {
+        for (colon, dash) in [
+            ("ring:8", "ring-8"),
+            ("grid:3x4", "grid-3x4"),
+            ("hypercube:3", "hypercube-3"),
+            ("gnp:12:0.3:9", "gnp-12-0.3-9"),
+        ] {
+            let (a, b) = (from_spec(colon).unwrap(), from_spec(dash).unwrap());
+            assert!(a.edges().eq(b.edges()), "{colon} and {dash} differ");
+        }
+        assert!(from_spec("gnp-12-0.3")
+            .unwrap()
+            .edges()
+            .eq(random::connected_gnp(12, 0.3, 9).edges()));
+        assert_eq!(from_spec("gnp:100:1e-3:7").unwrap().len(), 100);
+        assert_eq!(from_spec("torus:3x4").unwrap().len(), 12);
+        assert_eq!(from_spec("tree-7").unwrap().edge_count(), 6);
+        assert_eq!(from_spec("powerlaw:100:2:5").unwrap().len(), 100);
+    }
+
+    #[test]
+    fn specs_outside_the_grammar_are_refused() {
+        for spec in [
+            "blob:3",
+            "ring",
+            "ring:",
+            "ring:8:9",
+            "ring-8-9",
+            "grid:3",
+            "grid-3x4x5",
+            "gnp:12:0.3",
+            "gnp-12-0.3-9-1",
+            "gnp:12-0.3:9",
+            "powerlaw:100:0:5",
+            "powerlaw:100:2",
+            "powerlaw-100-2-5",
+        ] {
+            assert!(from_spec(spec).is_none(), "{spec} must be refused");
+        }
+    }
+
+    #[test]
+    fn gnp_specs_keep_the_legacy_sampler_at_paper_scale() {
+        // The golden traces pin the small-graph RNG stream: up to the
+        // sparse threshold a spec must keep building via connected_gnp.
+        let direct = random::connected_gnp(60, 0.08, 3);
+        assert!(from_spec("gnp:60:0.08:3")
+            .unwrap()
+            .edges()
+            .eq(direct.edges()));
+        let sparse = random::sparse_gnp(3_000, 0.001, 4);
+        assert!(from_spec("gnp:3000:0.001:4")
+            .unwrap()
+            .edges()
+            .eq(sparse.edges()));
+    }
 
     #[test]
     fn ring_shape() {

@@ -92,11 +92,6 @@ impl<A: DiningAlgorithm> LiveRun<A> {
         self.sim.schedule_external(p, t, HostCmd::BecomeHungry);
     }
 
-    /// Injects a stop-eating command for `p` at `t`.
-    pub fn inject_stop(&mut self, p: ProcessId, t: Time) {
-        self.sim.schedule_external(p, t, HostCmd::StopEating);
-    }
-
     /// Drains any remaining events up to the horizon and produces the
     /// final report.
     pub fn finish(mut self) -> RunReport {

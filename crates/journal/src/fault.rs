@@ -13,6 +13,7 @@
 //! non-journaling run of the same seed.
 
 use crate::store::{JournalHandle, JournalStore, MemJournal, MEM_HISTORY};
+use ekbd_graph::random::mix64;
 use ekbd_graph::ProcessId;
 
 /// One way the stable storage can betray a process at restart.
@@ -32,6 +33,32 @@ pub enum StorageFault {
     /// oldest retained record, or nothing at all if the history window
     /// is too short.
     DroppedSync,
+}
+
+impl StorageFault {
+    /// Every storage fault, in declaration order.
+    pub const ALL: [StorageFault; 4] = [
+        StorageFault::TornWrite,
+        StorageFault::BitRot,
+        StorageFault::StaleSnapshot,
+        StorageFault::DroppedSync,
+    ];
+
+    /// The fault's name in `ekbd run --storage-fault` and in chaos
+    /// schedules: `torn`, `rot`, `stale` or `dropped`.
+    pub fn name(self) -> &'static str {
+        match self {
+            StorageFault::TornWrite => "torn",
+            StorageFault::BitRot => "rot",
+            StorageFault::StaleSnapshot => "stale",
+            StorageFault::DroppedSync => "dropped",
+        }
+    }
+
+    /// The fault [`name`](Self::name) names, if any.
+    pub fn from_name(name: &str) -> Option<StorageFault> {
+        Self::ALL.into_iter().find(|f| f.name() == name)
+    }
 }
 
 /// How far back a [`StorageFault::StaleSnapshot`] rolls the journal:
@@ -119,13 +146,11 @@ impl StorageFaultPlan {
 
 /// splitmix64-derived corruption entropy for one process.
 fn entropy(seed: u64, p: ProcessId) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(p.0 as u64)
-        .wrapping_add(0x6a09_e667_f3bc_c909);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(
+        seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(p.0 as u64)
+            .wrapping_add(0x6a09_e667_f3bc_c909),
+    )
 }
 
 /// A [`MemJournal`] whose loads pass through one [`StorageFault`].
@@ -151,12 +176,10 @@ impl FaultyJournal {
     }
 
     fn draw(&self) -> u64 {
-        let mut z = self
-            .entropy
-            .wrapping_add(self.inner.writes().wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix64(
+            self.entropy
+                .wrapping_add(self.inner.writes().wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        )
     }
 }
 
@@ -219,6 +242,14 @@ impl JournalStore for FaultyJournal {
 mod tests {
     use super::*;
     use crate::codec::{BootPath, EdgeRecord, JournalRecord, ResyncPath};
+
+    #[test]
+    fn every_fault_is_found_by_its_name() {
+        for f in StorageFault::ALL {
+            assert_eq!(StorageFault::from_name(f.name()), Some(f));
+        }
+        assert_eq!(StorageFault::from_name("melted"), None);
+    }
 
     fn record(inc: u64) -> Vec<u8> {
         JournalRecord {

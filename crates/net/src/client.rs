@@ -24,11 +24,12 @@
 //! the client is next about to block in `read` (see there), so a
 //! closed-loop caller pays one `write` per wake-up, not one per request.
 
-use crate::conn::{splitmix64, Conn, ServerAddr};
+use crate::conn::{Conn, ServerAddr};
 use crate::wire::{
     encode_frame_into, AdmitPath, Frame, FrameReader, WireError, REJECT_ALREADY_BOUND,
     REJECT_BAD_PROCESS, REJECT_BUSY,
 };
+use ekbd_graph::random::splitmix64;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};

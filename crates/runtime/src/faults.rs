@@ -80,12 +80,10 @@ impl ChannelFaults {
 /// entropy, with an explicit `nonce` (incarnation or injection counter)
 /// standing in for virtual time, which the threaded runtime does not have.
 pub fn state_entropy(seed: u64, p: ProcessId, nonce: u64) -> u64 {
-    let mut z = seed
-        ^ (p.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ nonce.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    ekbd_graph::random::mix64(
+        seed ^ (p.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ nonce.wrapping_mul(0xbf58_476d_1ce4_e5b9),
+    )
 }
 
 /// A process's outgoing channels, wrapped with fault injection.

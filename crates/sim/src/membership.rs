@@ -185,13 +185,7 @@ impl MembershipPlan {
             return plan;
         }
         let mut z = seed ^ 0xc84b_7a1e_55d1_9c3d;
-        let mut next = move || {
-            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut x = z;
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
-        };
+        let mut next = move || ekbd_graph::random::splitmix64(&mut z);
         // Deterministic shuffle; the first quarter joins, the second leaves.
         let mut ids: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {

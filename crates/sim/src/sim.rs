@@ -646,12 +646,10 @@ impl<N: Node, S: StreamSink<N::Obs>> Simulator<N, S> {
 /// splitmix64-style mix of `(seed, process, time)`, so corrupted runs are
 /// exactly as replayable per seed as clean ones.
 fn fault_entropy(seed: u64, p: ProcessId, t: Time) -> u64 {
-    let mut z = seed
-        ^ (p.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ t.ticks().wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    ekbd_graph::random::mix64(
+        seed ^ (p.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ t.ticks().wrapping_mul(0xbf58_476d_1ce4_e5b9),
+    )
 }
 
 #[cfg(test)]
