@@ -36,7 +36,11 @@
 //!    deterministically chosen endpoint: the lower color drops a duplicate
 //!    fork and recreates a missing token, the higher color recreates a
 //!    missing fork and drops a duplicate token. Hysteresis keeps the audit
-//!    from "repairing" a fork that is merely in flight.
+//!    from "repairing" a fork that is merely in flight. The process reports
+//!    whether a pass was clean ([`DiningAlgorithm::audit_clean`]) and counts
+//!    the inputs that should wake a quiet audit
+//!    ([`DiningAlgorithm::wakes`]); the host backs its timer off on the
+//!    first and snaps it back on the second.
 //!
 //! A fourth, optional mechanism makes restarts *cheap*:
 //!
@@ -235,6 +239,12 @@ impl EdgeState {
         self.missing_token = 0;
         self.stuck_ping = 0;
     }
+
+    /// Whether any strike counter is pending on this edge.
+    fn has_strikes(&self) -> bool {
+        (self.dup_fork | self.missing_fork | self.dup_token | self.missing_token | self.stuck_ping)
+            != 0
+    }
 }
 
 /// Counters exposed for the metrics layer and experiment E15.
@@ -366,6 +376,11 @@ pub struct RecoverableDining {
     journal: Option<JournalHandle>,
     /// One entry per restart, tagged with the path it took.
     restarts: Vec<RestartEvent>,
+    /// Whether the last audit pass was clean (see
+    /// [`DiningAlgorithm::audit_clean`]).
+    audit_clean: bool,
+    /// Observable wakes so far (see [`DiningAlgorithm::wakes`]).
+    wakes: u64,
     /// Working buffers reused across entry points, never protocol state:
     /// the inner machine's sends before [`forward`](Self::forward) wraps
     /// them, and the journal record's edges and encoding.
@@ -422,6 +437,8 @@ impl RecoverableDining {
             strikes: DEFAULT_STRIKES,
             journal: None,
             restarts: Vec::new(),
+            audit_clean: false,
+            wakes: 0,
             raw: Vec::new(),
             edge_records: Vec::new(),
             record_bytes: Vec::new(),
@@ -1074,6 +1091,12 @@ impl RecoverableDining {
             self.stats.repairs += 1;
             self.poke(suspicion, sends);
         }
+        // A snapshot that leaves a strike pending or repaired something
+        // wakes this side's audit: the next observations must come at the
+        // base period for the repair bound to hold.
+        if changed || self.edges[i].has_strikes() {
+            self.wakes += 1;
+        }
     }
 
     fn dispatch(
@@ -1082,6 +1105,17 @@ impl RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
+        // Every input but an audit snapshot is an observable wake; a
+        // snapshot decides for itself in `on_audit_msg`.
+        if !matches!(
+            input,
+            DiningInput::Message {
+                msg: RecoveryMsg::Audit { .. },
+                ..
+            }
+        ) {
+            self.wakes += 1;
+        }
         match input {
             DiningInput::Message { from, msg } => {
                 let Some(i) = self.find(from) else {
@@ -1208,8 +1242,9 @@ impl DiningAlgorithm for RecoverableDining {
     /// per edge, the peer incarnation, the synced bit, the departed mark,
     /// the optional pending-resume incarnation (1 + 64 bits), the peer's
     /// last-seen commit seq, the 2-bit resync tag and five 8-bit strike
-    /// counters. Restart-log entries and the commit-time tick are
-    /// diagnostics, not protocol state, and are excluded.
+    /// counters. Restart-log entries, the commit-time tick and the audit
+    /// timer's hints (the clean bit and the wake count) are diagnostics or
+    /// host scheduling, not protocol state, and are excluded.
     fn state_bits(&self) -> usize {
         self.inner.state_bits() + 3 * 64 + self.peers.len() * (64 + 1 + 1 + 65 + 64 + 2 + 5 * 8)
     }
@@ -1417,7 +1452,18 @@ impl DiningAlgorithm for RecoverableDining {
         if changed {
             self.poke(suspicion, sends);
         }
+        self.audit_clean = !changed
+            && self.inner.state() == DinerState::Thinking
+            && self.edges.iter().all(|e| e.synced && !e.has_strikes());
         self.journal_commit();
+    }
+
+    fn audit_clean(&self) -> bool {
+        self.audit_clean
+    }
+
+    fn wakes(&self) -> u64 {
+        self.wakes
     }
 
     fn supports_membership(&self) -> bool {
@@ -1511,6 +1557,7 @@ impl DiningAlgorithm for RecoverableDining {
             self.edges.insert(i, EdgeState::fresh(true));
         }
         self.forget_departure(q);
+        self.wakes += 1;
         self.poke(suspicion, sends);
         self.journal_commit();
     }
@@ -1531,6 +1578,7 @@ impl DiningAlgorithm for RecoverableDining {
         self.edges.remove(i);
         self.inner.remove_neighbor(q);
         self.forget_departure(q);
+        self.wakes += 1;
         self.poke(suspicion, sends);
         self.journal_commit();
     }
@@ -1556,6 +1604,7 @@ impl DiningAlgorithm for RecoverableDining {
         if let Err(j) = self.departed.binary_search(&q) {
             self.departed.insert(j, q);
         }
+        self.wakes += 1;
         self.poke(suspicion, sends);
         self.journal_commit();
     }
@@ -1906,6 +1955,53 @@ mod tests {
         // Whatever the scramble did to the edge bits, the RejoinAck is
         // authoritative.
         assert_edge_canonical(&hi, &lo);
+    }
+
+    /// Pins today's behaviour: without a journal, the rejoin handshake
+    /// rewrites all six bits of every edge the scramble can reach, so a
+    /// corrupt blank restart ends it in exactly the state a clean one does.
+    #[test]
+    fn corrupt_blank_restart_ends_the_handshake_like_a_clean_one() {
+        // p1 is the middle of a path p0 – p1 – p2 (colors 0, 1, 0).
+        let fresh = |i: usize, peers: &[(usize, Color)]| {
+            RecoverableDining::new(p(i), [0, 1, 0][i], peers.iter().map(|&(q, c)| (p(q), c)))
+        };
+        let rejoin = |corruption: Option<u64>| {
+            let mut left = fresh(0, &[(1, 1)]);
+            let mut mid = fresh(1, &[(0, 0), (2, 0)]);
+            let mut right = fresh(2, &[(1, 1)]);
+            // A meal first, so the edges are off their initial placement.
+            let mut m = Vec::new();
+            left.handle(DiningInput::Hungry, &none(), &mut m);
+            let m = deliver(&mut mid, p(0), &m, &none());
+            let m = deliver(&mut left, p(1), &m, &none());
+            let m = deliver(&mut mid, p(0), &m, &none());
+            deliver(&mut left, p(1), &m, &none());
+            assert_eq!(left.state(), DinerState::Eating);
+            let mut rejoins = Vec::new();
+            mid.restart(1, corruption, &none(), &mut rejoins);
+            for (q, msg) in rejoins {
+                let peer = if q == p(0) { &mut left } else { &mut right };
+                let acks = deliver(peer, p(1), &[(q, msg)], &none());
+                deliver(&mut mid, q, &acks, &none());
+            }
+            assert!(mid.edge_synced(p(0)) && mid.edge_synced(p(2)));
+            (left, mid, right)
+        };
+        let (left, mid, right) = rejoin(None);
+        for entropy in 0..64 {
+            let (l, m, r) = rejoin(Some(entropy));
+            assert_eq!(
+                m.inner(),
+                mid.inner(),
+                "entropy {entropy}: restarted process"
+            );
+            assert_eq!(
+                (l.inner(), r.inner()),
+                (left.inner(), right.inner()),
+                "entropy {entropy}: its neighbours"
+            );
+        }
     }
 
     #[test]

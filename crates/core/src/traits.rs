@@ -120,8 +120,9 @@ pub trait DiningAlgorithm {
     // ----- crash-recovery extension (default: crash-stop, no-ops) -------
 
     /// Whether this algorithm implements the crash-recovery protocol
-    /// (rejoin handshake + periodic audit). Hosts only arm the audit timer
-    /// and deliver restart/corruption events when this returns `true`.
+    /// (rejoin handshake + periodic audit). Hosts only arm the audit timer,
+    /// check for [`wakes`](Self::wakes) and deliver restart/corruption
+    /// events when this returns `true`.
     fn supports_recovery(&self) -> bool {
         false
     }
@@ -158,6 +159,24 @@ pub trait DiningAlgorithm {
     /// snapshots with live peers.
     fn audit(&mut self, suspicion: &dyn SuspicionView, sends: &mut Vec<(ProcessId, Self::Msg)>) {
         let _ = (suspicion, sends);
+    }
+
+    /// Whether the last [`audit`](Self::audit) found nothing to do: it
+    /// repaired nothing, the process is thinking, every edge is synced and
+    /// no strike is pending. Hosts back the audit timer off while this
+    /// holds.
+    fn audit_clean(&self) -> bool {
+        false
+    }
+
+    /// How many inputs so far were observable wakes: anything that may
+    /// need an audit soon (dining traffic, a handshake, hunger, a
+    /// suspicion change, a membership notice, or an audit snapshot that
+    /// left a strike pending or repaired something). Hosts compare it
+    /// across each step and snap a backed-off audit timer back. Monotone
+    /// over the process's lifetime; a transient corruption is not a wake.
+    fn wakes(&self) -> u64 {
+        0
     }
 
     /// Recovery-layer counters, when the algorithm keeps them (`None` for

@@ -10,7 +10,8 @@ use crate::{random, ConflictGraph, ProcessId};
 /// The topology spec grammar [`from_spec`] reads, for error messages.
 pub const SPEC_GRAMMAR: &str = "ring:n | path:n | star:n | clique:n | grid:RxC | torus:RxC | \
      tree:n | wheel:n | hypercube:d | gnp:n:p:seed | powerlaw:n:m:seed, or the dash form \
-     (ring-8, grid-3x4, gnp-n-p[-seed], whose seed defaults to 9)";
+     (ring-8, grid-3x4, gnp-n-p[-seed], whose seed defaults to 9); a ring needs n ≥ 3, a star \
+     n ≥ 1, a wheel n ≥ 4, a torus R, C ≥ 3 and a hypercube d ≤ 16";
 
 /// Node count above which a `gnp` spec builds through
 /// [`random::sparse_gnp`] instead of the O(n²) coin-flip walk of
@@ -20,7 +21,9 @@ pub const SPEC_GRAMMAR: &str = "ring:n | path:n | star:n | clique:n | grid:RxC |
 const SPARSE_GNP_THRESHOLD: usize = 2_048;
 
 /// Builds the graph a topology spec names, or `None` if the spec is not
-/// in [`SPEC_GRAMMAR`].
+/// in [`SPEC_GRAMMAR`] or names a size its family cannot build (a ring
+/// under 3, a star of 0, a wheel under 4, a torus under 3×3, a hypercube
+/// over dimension 16).
 ///
 /// The separator is the character right after the family name: `:` (the
 /// `ekbd run` spelling, `ring:8`, `gnp:100:1e-3:7`) or `-` (the chaos
@@ -45,19 +48,20 @@ pub fn from_spec(spec: &str) -> Option<ConflictGraph> {
         })
     };
     Some(match (family, fields.as_slice()) {
-        ("ring", [n]) => ring(size(n)?),
+        // The sizes each constructor asserts on are refused here instead.
+        ("ring", [n]) => ring(size(n).filter(|&n| n >= 3)?),
         ("path", [n]) => path(size(n)?),
-        ("star", [n]) => star(size(n)?),
+        ("star", [n]) => star(size(n).filter(|&n| n >= 1)?),
         ("clique", [n]) => clique(size(n)?),
         ("tree", [n]) => binary_tree(size(n)?),
-        ("wheel", [n]) => wheel(size(n)?),
-        ("hypercube", [d]) => hypercube(d.parse().ok()?),
+        ("wheel", [n]) => wheel(size(n).filter(|&n| n >= 4)?),
+        ("hypercube", [d]) => hypercube(d.parse().ok().filter(|&d| d <= 16)?),
         ("grid", [d]) => {
             let (r, c) = dims(d)?;
             grid(r, c)
         }
         ("torus", [d]) => {
-            let (r, c) = dims(d)?;
+            let (r, c) = dims(d).filter(|&(r, c)| r >= 3 && c >= 3)?;
             torus(r, c)
         }
         ("gnp", [n, p, seed]) => gnp(n, p, seed.parse().ok()?)?,
@@ -252,6 +256,14 @@ mod tests {
             "powerlaw:100:0:5",
             "powerlaw:100:2",
             "powerlaw-100-2-5",
+            // Sizes the constructors assert on.
+            "ring:2",
+            "ring-0",
+            "star:0",
+            "wheel:3",
+            "torus:2x3",
+            "torus-3x2",
+            "hypercube:17",
         ] {
             assert!(from_spec(spec).is_none(), "{spec} must be refused");
         }

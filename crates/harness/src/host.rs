@@ -113,10 +113,11 @@ impl HostWorkload {
 const HOST_TAG_BASE: u64 = 1 << 40;
 const EAT_TAG: u64 = HOST_TAG_BASE;
 const HUNGER_TAG: u64 = HOST_TAG_BASE + 1;
-/// Audit timers are stamped with the incarnation that armed them
-/// (`AUDIT_TAG_BASE + incarnation`), so a pre-crash audit chain whose tick
-/// survives the crash in the event queue dies silently instead of doubling
-/// the audit frequency of the recovered process.
+/// Audit timers are stamped with the generation of the chain that armed
+/// them (`AUDIT_TAG_BASE + generation`). The generation bumps on every
+/// restart, join and snap-back, so a superseded chain — a pre-crash tick
+/// that survived the crash in the event queue, or a backed-off tick a wake
+/// replaced — dies silently instead of doubling the audit frequency.
 const AUDIT_TAG_BASE: u64 = HOST_TAG_BASE + 2;
 
 /// Default period of the recovery layer's audit-and-repair timer, in
@@ -125,6 +126,36 @@ const AUDIT_TAG_BASE: u64 = HOST_TAG_BASE + 2;
 /// per host with [`DinerHost::with_audit_period`].
 pub const AUDIT_PERIOD: u64 = 50;
 
+/// Cap `K` of the audit timer's backoff exponent. After a clean audit
+/// ([`DiningAlgorithm::audit_clean`]) the next one comes `period << k`
+/// later and `k` grows by one, up to `K`; an audit that is not clean, a
+/// wake ([`DiningAlgorithm::wakes`]), a restart or a join puts `k` back
+/// to 0 and the next audit at most one period away. So a busy process
+/// audits every `period` as before, the delays of a process that stays
+/// quiet run `period, 2·period, 4·period, …`, and from then on it audits
+/// every `period · 2^K` ticks. Damage to it is repaired within
+/// [`quiet_repair_bound`].
+pub const AUDIT_BACKOFF_CAP: u32 = 3;
+
+/// Worst-case ticks from damage to repair for a process whose audit has
+/// backed off to the cap: a duplicate or missing fork or token on one of
+/// its edges, with channels that deliver within `max_delay` ticks and an
+/// oracle that suspects neither endpoint.
+///
+/// The bound is `period · (2^K + strikes) + 3 · max_delay`. Both
+/// endpoints' next audits are at most `period · 2^K` away, so the first
+/// snapshot that sees the damage lands within `period · 2^K + max_delay`.
+/// Its receiver keeps a strike pending, which wakes it; its next snapshot
+/// wakes the other side within `period + max_delay`. From then on both
+/// audit every `period` and the repairing endpoint gains a strike per
+/// period, so its `strikes`-th lands within `strikes · period + 2 ·
+/// max_delay` of the first. A damaged thinking process holding a fork and
+/// its token together discharges them at its own next audit, well inside
+/// the bound.
+pub const fn quiet_repair_bound(period: u64, strikes: u8, max_delay: u64) -> u64 {
+    period * ((1 << AUDIT_BACKOFF_CAP) + strikes as u64) + 3 * max_delay
+}
+
 /// Degree-derived audit-and-repair period: the default a
 /// [`Scenario`](crate::Scenario) uses when the operator does not pick one.
 ///
@@ -132,13 +163,14 @@ pub const AUDIT_PERIOD: u64 = 50;
 /// useful cadence scales with the densest neighborhood: a high-degree
 /// process needs a longer window for all replies to land (the probe
 /// round-trip is bounded by twice the max message delay, default 8, per
-/// neighbor wave), while auditing a sparse graph more often is nearly
-/// free. `10·(δ+3)` gives each neighbor wave a generous round-trip
-/// budget plus three waves of slack; the clamp keeps pathological graphs
-/// (isolated nodes, hubs with hundreds of edges) inside the regime E15's
-/// sensitivity sweep validated. At δ = 2 — every ring, the topology the
-/// fixed [`AUDIT_PERIOD`] was tuned on — the formula reproduces exactly
-/// the historical constant 50.
+/// neighbor wave), while auditing a sparse graph more often is cheap,
+/// and costs little once the system is quiet (the timer backs off to
+/// `period · 2^K`, [`AUDIT_BACKOFF_CAP`]). `10·(δ+3)` gives each neighbor
+/// wave a generous round-trip budget plus three waves of slack; the clamp
+/// keeps pathological graphs (isolated nodes, hubs with hundreds of edges)
+/// inside the regime E15's sensitivity sweep validated. At δ = 2 — every
+/// ring, the topology the fixed [`AUDIT_PERIOD`] was tuned on — the
+/// formula reproduces exactly the historical constant 50.
 pub fn derived_audit_period(max_degree: usize) -> u64 {
     (10 * (max_degree as u64 + 3)).clamp(30, 240)
 }
@@ -163,11 +195,16 @@ pub struct DinerHost<A: DiningAlgorithm> {
     /// [`Envelope::Dining`] frames (the seed behavior, correct over
     /// reliable channels).
     link: Option<LinkEndpoint<A::Msg>>,
-    /// This process's incarnation as last told by its driver (0 until the
-    /// first restart or join). Stamps the audit timer chain.
-    inc: u64,
     /// Audit-and-repair period ([`AUDIT_PERIOD`] unless overridden).
     audit_period: u64,
+    /// Generation of the live audit chain; stamps its timer tag.
+    audit_gen: u64,
+    /// Backoff exponent of the live audit chain: a clean audit re-arms it
+    /// `audit_period << audit_backoff` ahead, then bumps the exponent.
+    audit_backoff: u32,
+    /// The algorithm's [`wakes`](DiningAlgorithm::wakes) count at the last
+    /// check.
+    wakes_seen: u64,
     /// Pooled detector-effect buffers, reused across events.
     det_out: DetectorOutput,
     /// Host-side mirror of the detector's suspect set, maintained across
@@ -189,8 +226,10 @@ impl<A: DiningAlgorithm> DinerHost<A> {
             workload,
             sessions_left,
             link: None,
-            inc: 0,
             audit_period: AUDIT_PERIOD,
+            audit_gen: 0,
+            audit_backoff: 0,
+            wakes_seen: 0,
             det_out: DetectorOutput::new(),
             suspects_mirror: std::collections::BTreeSet::new(),
             sends_buf: Vec::new(),
@@ -208,8 +247,10 @@ impl<A: DiningAlgorithm> DinerHost<A> {
 
     /// Overrides the audit-and-repair period (minimum 1 tick). Shorter
     /// periods repair corruption and retry lost rejoins sooner at the cost
-    /// of proportionally more audit traffic; E15's sensitivity sub-table
-    /// quantifies the trade-off.
+    /// of more audit traffic while anything happens; once the process is
+    /// quiet the timer backs off to `period · 2^K` ([`AUDIT_BACKOFF_CAP`])
+    /// whatever the period. E15's sensitivity sub-table quantifies the
+    /// trade-off.
     pub fn with_audit_period(mut self, period: u64) -> Self {
         self.audit_period = period.max(1);
         self
@@ -349,6 +390,14 @@ impl<A: DiningAlgorithm> DinerHost<A> {
         f(&mut self.alg, &self.det, &mut sends);
         self.send_dining(&mut sends, ctx);
         self.sends_buf = sends;
+        // `false` for Algorithm 1, so the check compiles away there.
+        if self.alg.supports_recovery() {
+            let wakes = self.alg.wakes();
+            if wakes != self.wakes_seen {
+                self.wakes_seen = wakes;
+                self.wake_audit(ctx);
+            }
+        }
         let state_after = self.alg.state();
         let inside_after = self.alg.inside_doorway();
 
@@ -395,12 +444,29 @@ impl<A: DiningAlgorithm> DinerHost<A> {
         ctx.set_timer(delay, HUNGER_TAG);
     }
 
-    /// Arms the periodic audit timer for the current incarnation, for
-    /// algorithms that implement the recovery protocol.
+    /// Arms the live audit chain at the base period, for algorithms that
+    /// implement the recovery protocol.
     fn arm_audit(&mut self, ctx: &mut Context<'_, Envelope<A::Msg>, HostObs>) {
         if self.alg.supports_recovery() {
-            ctx.set_timer(self.audit_period, AUDIT_TAG_BASE + self.inc);
+            self.audit_backoff = 0;
+            ctx.set_timer(self.audit_period, AUDIT_TAG_BASE + self.audit_gen);
         }
+    }
+
+    /// Starts a new audit chain at the base period; every earlier chain
+    /// dies.
+    fn restart_audit(&mut self, ctx: &mut Context<'_, Envelope<A::Msg>, HostObs>) {
+        self.audit_gen += 1;
+        self.arm_audit(ctx);
+    }
+
+    /// Snaps the audit chain back to the base period. Only a chain armed
+    /// more than one period ahead (`audit_backoff > 1`) needs a new timer.
+    fn wake_audit(&mut self, ctx: &mut Context<'_, Envelope<A::Msg>, HostObs>) {
+        if self.audit_backoff > 1 {
+            self.restart_audit(ctx);
+        }
+        self.audit_backoff = 0;
     }
 }
 
@@ -449,11 +515,20 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
                 self.link_call(ctx, |link, out| link.on_timer(peer, epoch, out));
             }
             NodeEvent::Timer { tag } if tag >= AUDIT_TAG_BASE => {
-                // A tick from a previous incarnation's chain is stale noise;
-                // only the current chain audits and re-arms.
-                if tag == AUDIT_TAG_BASE + self.inc {
+                // A tick from a superseded chain is stale noise; only the
+                // live chain audits and re-arms, backing off while the
+                // audits come back clean.
+                if tag == AUDIT_TAG_BASE + self.audit_gen {
                     self.step_alg(ctx, |alg, det, sends| alg.audit(det, sends));
-                    ctx.set_timer(self.audit_period, tag);
+                    let delay = if self.alg.audit_clean() {
+                        let d = self.audit_period << self.audit_backoff;
+                        self.audit_backoff = (self.audit_backoff + 1).min(AUDIT_BACKOFF_CAP);
+                        d
+                    } else {
+                        self.audit_backoff = 0;
+                        self.audit_period
+                    };
+                    ctx.set_timer(delay, tag);
                 }
             }
             NodeEvent::Timer { tag } => debug_assert!(false, "unknown timer tag {tag}"),
@@ -521,7 +596,6 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
                     self.alg.supports_recovery(),
                     "recovery scheduled for a crash-stop algorithm"
                 );
-                self.inc = incarnation;
                 // Order matters: the link layer resets its sequence state
                 // first so the rejoin handshake below rides clean channels,
                 // then the algorithm rebuilds itself, then the detector
@@ -544,10 +618,10 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
                     ctx,
                 );
                 // The new life gets a fresh workload allocation and its own
-                // incarnation-stamped audit chain.
+                // audit chain.
                 self.sessions_left = self.workload.sessions;
                 self.schedule_appetite(ctx);
-                self.arm_audit(ctx);
+                self.restart_audit(ctx);
             }
             NodeEvent::Corrupt { entropy } => {
                 self.step_alg(ctx, |alg, det, sends| {
@@ -559,7 +633,6 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
                     self.alg.supports_membership(),
                     "join scheduled for a fixed-graph algorithm"
                 );
-                self.inc = incarnation;
                 // Same ordering as a crash-recovery restart: clean link
                 // channels first, then the algorithm introduces itself via
                 // the rejoin handshake, then the detector opens the
@@ -584,7 +657,7 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
                 );
                 self.sessions_left = self.workload.sessions;
                 self.schedule_appetite(ctx);
-                self.arm_audit(ctx);
+                self.restart_audit(ctx);
             }
             NodeEvent::Leave => {
                 // The last event this node will ever handle: discharge held

@@ -54,7 +54,8 @@ pub use chaos::{
 };
 pub use detector::AnyDetector;
 pub use host::{
-    derived_audit_period, DinerHost, Envelope, HostCmd, HostObs, HostWorkload, AUDIT_PERIOD,
+    derived_audit_period, quiet_repair_bound, DinerHost, Envelope, HostCmd, HostObs, HostWorkload,
+    AUDIT_BACKOFF_CAP, AUDIT_PERIOD,
 };
 pub use live::LiveRun;
 pub use report::{Admission, MembershipTag, Readmission, RunReport};

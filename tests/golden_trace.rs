@@ -165,7 +165,7 @@ const ALGORITHM1_DIGESTS: [(&str, &str); 12] = [
 
 /// The literal digest of [`crash_recovery_scenario`] under
 /// `run_recoverable`, committed alongside [`ALGORITHM1_DIGESTS`].
-const CRASH_RECOVERY_DIGEST: &str = "events=55085 messages=31119 sched#fe458a2503681721 states#7c52f49c7bfdc2a5 incarnations#3cf935f3f47c1dc9 trace=86202#ef6730941a80a269";
+const CRASH_RECOVERY_DIGEST: &str = "events=9403 messages=5129 sched#af77353781c9cf5a states#7c52f49c7bfdc2a5 incarnations#3cf935f3f47c1dc9 trace=14530#82c27d09cc638da1";
 
 fn committed_digest(label: &str) -> &'static str {
     ALGORITHM1_DIGESTS
@@ -348,11 +348,11 @@ const COLUMN_DIGESTS: [(&str, &str); 14] = [
     ),
     (
         "crash-recovery",
-        "suspicions=804#2193c390ee30598d dining_sends=14210 to_cut=0#cbf29ce484222325 quiescence#26fbeb94983f607a to_crashed=0#cbf29ce484222325 high_water=11 convergence=60000",
+        "suspicions=804#2193c390ee30598d dining_sends=2317 to_cut=0#cbf29ce484222325 quiescence#26fbeb94983f607a to_crashed=0#cbf29ce484222325 high_water=11 convergence=60000",
     ),
     (
         "churn",
-        "suspicions=600#45261d2d00cf8405 dining_sends=12013 to_cut=0#cbf29ce484222325 quiescence#cbf29ce484222325 to_crashed=1#c5935ddb68de87ff high_water=12 convergence=60000",
+        "suspicions=600#45261d2d00cf8405 dining_sends=1803 to_cut=0#cbf29ce484222325 quiescence#cbf29ce484222325 to_crashed=1#2c3d0ca63655ce12 high_water=12 convergence=60000",
     ),
 ];
 
@@ -421,7 +421,7 @@ const HIGH_DEGREE_DIGESTS: [(&str, &str); 2] = [
 /// [`chaos_digest`]: every journal byte is in it, so the edge flags a
 /// restart snapshots, restores and corrupts are pinned past the first
 /// chunk.
-const HIGH_DEGREE_RECOVERY_DIGEST: &str = "events=150420 eats=70 sched#4a8fde585b6a4e14 link#7d5a76a240059a76 recovery#f26491d7c10e8564 restarts#065b1ff9163140c6 readmit#9a4d3cc085c2e1dc journals=94#0d80b2ed0f30e3cb trace=247346#f7a57f9957c03be9";
+const HIGH_DEGREE_RECOVERY_DIGEST: &str = "events=34208 eats=70 sched#926e7029cde0ef09 link#724ceb2f68766be2 recovery#6965c02935dc3a5f restarts#065b1ff9163140c6 readmit#063c2bdf9dccda0e journals=162#9b2b1729b2efc012 trace=56256#1f61772e00613572";
 
 #[test]
 fn high_degree_traces_match_the_committed_digests() {
@@ -550,22 +550,22 @@ fn chaos_digest(r: &RunReport) -> String {
 #[test]
 fn chaos_stack_matches_the_committed_digests() {
     let table: [(&str, u64, &str); 16] = [
-        ("ring-8", 1, "events=58720 eats=64 sched#b05609f8774293ac link#995803ca6796db2c recovery#701383188d30334b restarts#1d4a2d25a372bfe5 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=93576#106a034c0ec849df"),
-        ("clique-6", 1, "events=90480 eats=44 sched#b73e0bc1760a64a7 link#5a8ec0f77987ebda recovery#8fc283196589c5f0 restarts#c967a39f2826ef35 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=149588#95672a50d4e20d03"),
-        ("grid-3x4", 1, "events=130620 eats=95 sched#c862d9fafba26960 link#69e60727e2ce4267 recovery#74693b77beb38a28 restarts#fe165f1569416d85 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=212045#e4c9e6853c0ac750"),
-        ("gnp-12-0.3", 1, "events=239392 eats=94 sched#122f5f19ad5fa8ac link#7634609f7be2b96a recovery#be0b957c20fb5156 restarts#fe165f1569416d85 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=396704#b9bb6e90fd3fa6f7"),
-        ("ring-8", 2, "events=56616 eats=80 sched#f8624faf570472a1 link#c2b15e682312307c recovery#321978ded376165d restarts#bf5a2821a4c02dd5 readmit#d7426bab37496552 journals=0#cbf29ce484222325 trace=89803#e314e1cabb5ba430"),
-        ("clique-6", 2, "events=86327 eats=64 sched#949baebe24b65c40 link#2a8189454f51be93 recovery#0db9e55a5d9ed9d4 restarts#218feb01b336ac03 readmit#9428cf2541c0686f journals=0#cbf29ce484222325 trace=141671#8f2af65012e85c37"),
-        ("grid-3x4", 2, "events=132940 eats=112 sched#e00a9cba0aa6e2af link#76acbcac205d5bfb recovery#a3e5affae01d28b9 restarts#f810831f7ce88ed3 readmit#7b52ceb435033e5d journals=0#cbf29ce484222325 trace=215358#4aab3a388ccd7234"),
-        ("gnp-12-0.3", 2, "events=222457 eats=112 sched#2e4f83098799814b link#d5d5e3051f864af2 recovery#bd35d0742c58a3b5 restarts#f810831f7ce88ed3 readmit#e9efacd0b21782cc journals=0#cbf29ce484222325 trace=366644#13318d325d961c8c"),
-        ("ring-8", 3, "events=60322 eats=76 sched#d9515bb4665181d4 link#0c0a7a2510bfe576 recovery#6fa1ec94046ddf05 restarts#93202689b12dc397 readmit#55e946e1c80ffd27 journals=0#cbf29ce484222325 trace=96966#10d5115680cc6323"),
-        ("clique-6", 3, "events=93144 eats=64 sched#e4fda8c46fa06307 link#acf7b0efdb5b36f3 recovery#fec3bd2381f63704 restarts#17b7ea825fb87565 readmit#e522ced5aa4dd422 journals=0#cbf29ce484222325 trace=154089#3979ddb1ae71b6ee"),
-        ("grid-3x4", 3, "events=134898 eats=105 sched#4f4e1fc65ef62742 link#3e35abb2bad5281c recovery#dc6bfed3f11e78f1 restarts#037be2c94947e22f readmit#ff42ad76ad241443 journals=0#cbf29ce484222325 trace=220836#d1cf37650ec3a608"),
-        ("gnp-12-0.3", 3, "events=247418 eats=98 sched#6135e7134417a1c6 link#4bd27af69bce3545 recovery#3a6bf2cb142b6f5e restarts#037be2c94947e22f readmit#f85ee5c2d831e9ac journals=0#cbf29ce484222325 trace=413139#b26fdc9c34d17cbe"),
-        ("ring-8", 4, "events=57731 eats=80 sched#5a67fe9c5481702c link#2e3137a64c624806 recovery#d7adc032524c97fd restarts#e3d6fe48865bd7f4 readmit#af1e73b54f0397da journals=90#622f077090c05149 trace=91399#919d1c20bf5e3b0b"),
-        ("clique-6", 4, "events=88321 eats=64 sched#767553646838e951 link#e994fddf5293c747 recovery#aff0154169b425f0 restarts#a84d2a5c893505c7 readmit#86b24b7c653f431a journals=77#ae9fd3c4aaad9447 trace=144562#21cdd94fc370ca8b"),
-        ("grid-3x4", 4, "events=134711 eats=112 sched#beb5b82a37a1fb84 link#daff7b3a940f2c3b recovery#e4ff176979969525 restarts#83c5f48cd3ab94c1 readmit#5811d4bb747d447d journals=121#a6ee93227fee5504 trace=217686#02dc0b78a67da7fa"),
-        ("gnp-12-0.3", 4, "events=217714 eats=112 sched#9654538c376ea408 link#96d0c6a56c60e5ef recovery#8eb786455ca20f60 restarts#9a1742e7505a6da2 readmit#3587348f46b3e7ee journals=135#f1a4c2bc1d82479c trace=357495#6b6a173331420578"),
+        ("ring-8", 1, "events=10286 eats=64 sched#9669ad8d081b9192 link#e890f127361acee2 recovery#ac32582954c5318a restarts#1d4a2d25a372bfe5 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=16775#c505b30113cb0f49"),
+        ("clique-6", 1, "events=18027 eats=44 sched#b73e0bc1760a64a7 link#8f4edca6716efa66 recovery#8fc283196589c5f0 restarts#c967a39f2826ef35 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=30774#c7b1e03143b659ff"),
+        ("grid-3x4", 1, "events=24583 eats=94 sched#1651781a115b7c31 link#1e1d87b64f1da66d recovery#a480a693089cf2d8 restarts#fe165f1569416d85 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=40807#56775151de34d26b"),
+        ("gnp-12-0.3", 1, "events=46346 eats=93 sched#3d2e8887a0afe46a link#f78881e334bfa44e recovery#f704451de9be482d restarts#fe165f1569416d85 readmit#cbf29ce484222325 journals=0#cbf29ce484222325 trace=78426#2d02a31443d84261"),
+        ("ring-8", 2, "events=9589 eats=80 sched#bf20c68e4289f075 link#f6449025bdae5771 recovery#f945307d8bbdaf77 restarts#bf5a2821a4c02dd5 readmit#78273727210d2b0a journals=0#cbf29ce484222325 trace=15441#13950eff9148548c"),
+        ("clique-6", 2, "events=15554 eats=64 sched#fdee44d94ccc365d link#e89ad31cbc22d3af recovery#38f26db9f52e7954 restarts#218feb01b336ac03 readmit#94f00d4869cbe402 journals=0#cbf29ce484222325 trace=25872#628116dc68e8e771"),
+        ("grid-3x4", 2, "events=21680 eats=112 sched#76c45a9e38869b63 link#2016e6ca2feee423 recovery#f3911df5702bd900 restarts#f810831f7ce88ed3 readmit#d87c6b940f9f7ddd journals=0#cbf29ce484222325 trace=35588#63a32c5e33302029"),
+        ("gnp-12-0.3", 2, "events=39193 eats=112 sched#36b5ad86aa9b29b4 link#fbcfdd357e940923 recovery#37db5639c3d53029 restarts#f810831f7ce88ed3 readmit#44da5b7929e4e237 journals=0#cbf29ce484222325 trace=65430#5b68d750ff7fdffb"),
+        ("ring-8", 3, "events=11659 eats=76 sched#7e3c1d997507b1e4 link#d24cf5824dbf756f recovery#5c5678a8d5ae9664 restarts#93202689b12dc397 readmit#19b88b8c4c59afeb journals=0#cbf29ce484222325 trace=19318#2ff4c93b39540d3a"),
+        ("clique-6", 3, "events=18015 eats=64 sched#fde9ef350ec79c1f link#6b8f1feba94616d1 recovery#3d762681b32c8297 restarts#17b7ea825fb87565 readmit#33cd7f564dde816d journals=0#cbf29ce484222325 trace=30248#70d5a227c70774be"),
+        ("grid-3x4", 3, "events=25089 eats=104 sched#e7cb05c344ab5945 link#b6a7f0346438f449 recovery#ee9890312e8953bf restarts#037be2c94947e22f readmit#e69773039ee6c5ed journals=0#cbf29ce484222325 trace=42387#f1095392d44f30fa"),
+        ("gnp-12-0.3", 3, "events=54119 eats=98 sched#16eb9d4daf6c9686 link#dfac28dc04602c3d recovery#2b8f53975f4dd8f5 restarts#037be2c94947e22f readmit#f85ee5c2d831e9ac journals=0#cbf29ce484222325 trace=92959#ae302c44dcecaa1f"),
+        ("ring-8", 4, "events=9849 eats=80 sched#6cbbec50a5161abc link#7614bbc5e2c913ac recovery#8af64e2be16e5293 restarts#e3d6fe48865bd7f4 readmit#8f3b2367275e65fb journals=69#bd4e90f0b407f167 trace=15839#09d12a465663998e"),
+        ("clique-6", 4, "events=16950 eats=64 sched#13ff5562dda9ff2e link#fe01115a398764cf recovery#62257a537b1cf54a restarts#a84d2a5c893505c7 readmit#5d9502fe7ca3fab1 journals=83#7ed41189c4148373 trace=28078#19c4062a48d9a241"),
+        ("grid-3x4", 4, "events=22096 eats=112 sched#2506696adbb10de3 link#ee96b960210f88e6 recovery#d4e6f1e4f1109081 restarts#83c5f48cd3ab94c1 readmit#25ac239abaee11bf journals=161#025f378f0ae1f8a4 trace=36190#3f1871001c2fd0ae"),
+        ("gnp-12-0.3", 4, "events=38894 eats=112 sched#2346b71fe709afb7 link#45746b6dedcd5316 recovery#4545f83ec6c06b78 restarts#9a1742e7505a6da2 readmit#8b7c89e929fdb888 journals=146#906e3fbc06de93e1 trace=64654#04df07a4d7ec7105"),
     ];
     let mut wrong = Vec::new();
     for (topology, seed, want) in table {
