@@ -528,13 +528,25 @@ impl FaultSchedule {
             .collect()
     }
 
+    /// The schedule's channel noise, when any of its probabilities is
+    /// nonzero: messages may then be lost, duplicated or overtaken, which
+    /// Algorithm 1's reliable FIFO channels rule out unless the link layer
+    /// masks them.
+    pub fn channel_noise(&self) -> Option<&ChannelNoise> {
+        self.events.iter().find_map(|ev| match ev {
+            ChaosEvent::Noise(n) if n.loss > 0.0 || n.dup > 0.0 || n.reorder > 0.0 => Some(n),
+            _ => None,
+        })
+    }
+
     /// True when the schedule injects channel noise or partitions, i.e.
     /// when the run needs the retransmitting link layer to stay live.
     pub fn needs_link(&self) -> bool {
-        self.events.iter().any(|ev| {
-            matches!(ev, ChaosEvent::Noise(n) if n.loss > 0.0 || n.dup > 0.0 || n.reorder > 0.0)
-                || matches!(ev, ChaosEvent::Partition { .. })
-        })
+        self.channel_noise().is_some()
+            || self
+                .events
+                .iter()
+                .any(|ev| matches!(ev, ChaosEvent::Partition { .. }))
     }
 
     /// True when the schedule damages stable storage, i.e. when the run

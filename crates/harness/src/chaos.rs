@@ -112,6 +112,25 @@ impl Scenario {
     }
 }
 
+/// Ticks after a schedule's last disturbance before [`run_chaos`] counts
+/// an exclusion mistake against the run.
+///
+/// It is shorter than the worst repair of damage to a quiet process
+/// ([`quiet_repair_bound`](crate::quiet_repair_bound): 524 ticks on a
+/// ring, up to 1 124 on gnp-12-0.3 with its longer derived period, more
+/// again while the link retransmits), because the audit backs off while a
+/// process is quiet. The gap cannot hide a fault: a shorter grace judges more of the
+/// run, not less. What it can do is misjudge: damage on an edge whose
+/// endpoints both stay quiet past the grace is still there when one of
+/// them grows hungry. Hunger wakes its audit back to the period, but
+/// both endpoints can eat on a duplicated fork before the repair lands,
+/// and the run then reads `exclusion-mistake` for a mistake the repair
+/// bound allows.
+/// No committed schedule reads so: E18's 64 and `sim-chaos`'s 16 stay
+/// wait-free and the `.chaos` artifacts keep their classes. A unit test
+/// pins the grace against the bound on every generator topology.
+const STABILIZATION_GRACE: u64 = 10 * AUDIT_PERIOD;
+
 /// Run `schedule` (twice) and classify the outcome.
 ///
 /// Errors only on invalid schedules; a failing *run* is a normal
@@ -131,9 +150,9 @@ pub fn run_chaos(schedule: &FaultSchedule) -> Result<ChaosOutcome, ScheduleError
         && report.journals == rerun.journals;
 
     // Judge mistakes only after both the detector has converged and the
-    // last scheduled disturbance has had ten audit periods to be
-    // repaired; everything before is legal ◇WX turbulence.
-    let grace = Time(schedule.last_disturbance().0 + 10 * AUDIT_PERIOD);
+    // last scheduled disturbance is `STABILIZATION_GRACE` behind;
+    // everything before is legal ◇WX turbulence.
+    let grace = Time(schedule.last_disturbance().0 + STABILIZATION_GRACE);
     let stabilized_at = report.detector_convergence().max(grace);
     let mistakes_total = report.exclusion().total();
     let mistakes_after = report.exclusion().after(stabilized_at);
@@ -201,7 +220,38 @@ pub fn emit_repro_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{derived_audit_period, quiet_repair_bound};
     use ekbd_chaos::{ChannelNoise, ChaosEvent, Intensity};
+
+    #[test]
+    fn the_grace_is_pinned_against_the_quiet_repair_bound() {
+        // See `STABILIZATION_GRACE`: the grace is shorter than the worst
+        // repair of damage to a quiet process on every generator
+        // topology. A change to the grace, the period, the backoff cap or
+        // the strikes moves this table and must revisit that note.
+        let max_delay = 8;
+        let bounds: Vec<(&str, u64, u64)> = ["ring-8", "clique-6", "grid-3x4", "gnp-12-0.3"]
+            .into_iter()
+            .map(|topo| {
+                let graph = FaultSchedule::new(topo, 0, Time(1))
+                    .build_topology()
+                    .unwrap();
+                let period = derived_audit_period(graph.max_degree());
+                let bound = quiet_repair_bound(period, ekbd_dining::DEFAULT_STRIKES, max_delay);
+                (topo, period, bound)
+            })
+            .collect();
+        assert_eq!(STABILIZATION_GRACE, 500);
+        assert_eq!(
+            bounds,
+            [
+                ("ring-8", 50, 524),
+                ("clique-6", 80, 824),
+                ("grid-3x4", 70, 724),
+                ("gnp-12-0.3", 110, 1124),
+            ]
+        );
+    }
 
     #[test]
     fn empty_schedule_is_wait_free() {

@@ -39,7 +39,7 @@ pub use fairness::{FairnessReport, Overtake};
 pub use link::LinkSummary;
 pub use progress::{ProgressReport, SessionStats};
 pub use quiescence::QuiescenceReport;
-pub use readmission::ReadmissionBreakdown;
+pub use readmission::{ReadmissionBreakdown, SAVING_SIGNIFICANCE};
 pub use stats::Summary;
 pub use timeline::Timeline;
 
