@@ -333,7 +333,16 @@ fn run_with_algorithm(s: &Scenario, alg: &AlgorithmSpec) -> Result<RunReport, Ar
     })
 }
 
-fn print_report(report: &RunReport) {
+/// The `state faults` headline: the restarts, how many of them were
+/// scheduled `:corrupt`, and the live corruptions (`--corrupt-state`).
+fn state_faults_line(s: &Scenario) -> String {
+    let restarts = &s.faults.recoveries;
+    let corrupt = restarts.iter().filter(|r| r.corrupt).count();
+    let (n, live) = (restarts.len(), s.faults.corruptions.len());
+    format!("state faults ................ recoveries={n} (corrupt {corrupt}) corruptions={live}")
+}
+
+fn print_report(report: &RunReport, s: &Scenario) {
     let progress = report.progress();
     let exclusion = report.exclusion();
     let conv = report.detector_convergence();
@@ -404,11 +413,7 @@ fn print_report(report: &RunReport) {
         );
     }
     if !report.recoveries.is_empty() || !report.corruptions.is_empty() {
-        println!(
-            "state faults ................ recoveries={} corruptions={}",
-            report.recoveries.len(),
-            report.corruptions.len()
-        );
+        println!("{}", state_faults_line(s));
         let readmissions = report.readmissions();
         for r in &readmissions {
             let path = match r.path {
@@ -722,7 +727,7 @@ pub fn cmd_run(parsed: &Parsed) -> Result<(), ArgError> {
     let alg = AlgorithmSpec::parse(parsed.get("algorithm").unwrap_or("alg1"))?;
     let report = run_with_algorithm(&s, &alg)?;
     println!("== ekbd run: {alg:?} ==\n");
-    print_report(&report);
+    print_report(&report, &s);
     if let Some(dir) = parsed.get("dump-journal") {
         let dir = std::path::PathBuf::from(dir);
         report.dump_journals(&dir).map_err(|e| ArgError::BadValue {
@@ -1456,6 +1461,22 @@ mod tests {
         assert_eq!(s.workload.think, (1, 9));
         assert_eq!(s.crashes, vec![(ProcessId(4), Time(100))]);
         assert_eq!(s.horizon, Time(9999));
+    }
+
+    #[test]
+    fn state_faults_count_the_corrupt_restarts() {
+        let line = |flags: &str| state_faults_line(&scenario_from(&parsed(flags)).unwrap());
+        assert_eq!(
+            line("run --crash 2:700 --recover 2:2000:corrupt"),
+            "state faults ................ recoveries=1 (corrupt 1) corruptions=0"
+        );
+        assert_eq!(
+            line(
+                "run --crash 2:700 --recover 2:2000 --crash 3:900 --recover 3:2500:corrupt \
+                 --corrupt-state 1:1300"
+            ),
+            "state faults ................ recoveries=2 (corrupt 1) corruptions=1"
+        );
     }
 
     #[test]

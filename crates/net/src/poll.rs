@@ -1,6 +1,6 @@
-//! Readiness polling for the reactor: a thin, safe facade over the
-//! vendored [`rawpoll`] epoll shim, plus an eventfd-backed [`Waker`] for
-//! cross-thread wakeups.
+//! Cross-thread wakeups for the reactor: an eventfd-backed [`Waker`].
+//! The reactor and the acceptor poll through the vendored [`rawpoll`]
+//! epoll shim directly.
 //!
 //! All `unsafe` lives in `rawpoll` (three `extern "C"` declarations); this
 //! module — and the whole crate — stays `#![forbid(unsafe_code)]`.
@@ -9,52 +9,9 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 
-pub(crate) use rawpoll::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-
-/// One epoll instance, owned by exactly one reactor thread.
-pub(crate) struct Poller {
-    ep: rawpoll::Epoll,
-}
-
-impl Poller {
-    pub(crate) fn new() -> io::Result<Poller> {
-        Ok(Poller {
-            ep: rawpoll::Epoll::new()?,
-        })
-    }
-
-    /// Registers `fd` under `token` for the `events` readiness mask.
-    pub(crate) fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        self.ep.add(fd, events, token)
-    }
-
-    /// Re-arms `fd` with a new readiness mask (token unchanged by
-    /// convention — the slot index is stable for a connection's life).
-    pub(crate) fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        self.ep.modify(fd, events, token)
-    }
-
-    /// Drops `fd` from the interest set. Harmless if already gone (the
-    /// kernel also auto-deregisters on close).
-    pub(crate) fn delete(&self, fd: RawFd) {
-        let _ = self.ep.delete(fd);
-    }
-
-    /// Blocks up to `timeout_ms` and appends `(token, readiness)` pairs
-    /// to `out`. Returns how many events arrived this call.
-    pub(crate) fn wait(
-        &mut self,
-        out: &mut Vec<(u64, u32)>,
-        max: usize,
-        timeout_ms: i32,
-    ) -> io::Result<usize> {
-        self.ep.wait(out, max, timeout_ms)
-    }
-}
-
-/// Cross-thread wakeup for a blocked [`Poller::wait`]: an eventfd
-/// registered in the poller under a reserved token. Any thread may
-/// [`wake`](Self::wake); the owning reactor [`drain`](Self::drain)s.
+/// Cross-thread wakeup for a blocked `epoll_wait`: an eventfd registered
+/// in the poller under a reserved token. Any thread may
+/// [`wake`](Self::wake); the owning thread [`drain`](Self::drain)s.
 pub(crate) struct Waker {
     file: File,
 }

@@ -107,9 +107,15 @@
 //! a retry hint, and nothing is allocated server-side. Established
 //! sessions are never shed by admission pressure — only by their own
 //! slow reading or heartbeat silence.
+//!
+//! # Fail-stop
+//!
+//! A panic on any server thread stops the whole server ([`FailStop`]):
+//! every connection closes, which is `crash(p)` for every bound process,
+//! and nothing is served from state the panic may have left half-updated.
 
 use crate::conn::{Conn, Listener, ServerAddr};
-use crate::poll::{Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::poll::Waker;
 use crate::wire::{
     encode_frame_into, AdmitPath, Frame, FrameReader, OVERHEAD, REJECT_ALREADY_BOUND,
     REJECT_BAD_PROCESS, REJECT_BUSY,
@@ -120,11 +126,12 @@ use ekbd_graph::{coloring, ConflictGraph, ProcessId};
 use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
 use ekbd_runtime::{RestartNotice, RestartWatch, RuntimeConfig, ThreadedDining};
 use ekbd_sim::{EatObs, InteractiveScale, ScaleConfig, ScaleRunReport, Time};
-use parking_lot::Mutex;
+use rawpoll::{Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use std::any::Any;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -474,8 +481,18 @@ struct ServerInner {
     /// workers and one another. Set once at startup (reactors need the
     /// inner first).
     reactors: OnceLock<Vec<Arc<ReactorShared>>>,
+    /// Wakes the acceptor out of its poll to exit: at shutdown, or when
+    /// the server fails.
+    stop_accepting: Waker,
+    /// The name of the first server thread that panicked; set once, and
+    /// from then on the server serves nothing (see [`FailStop`]).
+    failed: OnceLock<String>,
     next_generation: AtomicU32,
     stats: AtomicStats,
+    /// Makes the next reactor to hold the backend lock for `Hungry`
+    /// requests panic there, after it injected them and before it steps.
+    #[cfg(test)]
+    plant_panic: std::sync::atomic::AtomicBool,
 }
 
 impl ServerInner {
@@ -486,13 +503,19 @@ impl ServerInner {
         if self.restarts.is_none() {
             return;
         }
-        if let Some(Backend::Threaded(sys)) = self.backend.lock().as_ref() {
+        let backend = self.backend.lock().expect("backend lock poisoned");
+        if let Some(Backend::Threaded(sys)) = backend.as_ref() {
             f(sys);
         }
     }
 
     fn reactors(&self) -> &[Arc<ReactorShared>] {
         self.reactors.get().expect("reactors are set at startup")
+    }
+
+    /// Whether a server thread panicked: then nothing is served again.
+    fn failed(&self) -> bool {
+        self.failed.get().is_some()
     }
 
     /// The connection `process` is bound to, if any. `Acquire` pairs with
@@ -524,7 +547,7 @@ impl ServerInner {
         if process as usize >= self.owners.len() {
             return Err(REJECT_BAD_PROCESS);
         }
-        let mut sessions = self.sessions.lock();
+        let mut sessions = self.sessions.lock().expect("sessions lock poisoned");
         if self.owner(process).is_some() {
             return Err(REJECT_ALREADY_BOUND);
         }
@@ -547,7 +570,7 @@ impl ServerInner {
                 AdmitPath::Fresh
             }
         };
-        let crashed = self.crashed.lock()[process as usize];
+        let crashed = self.crashed.lock().expect("crashed flags poisoned")[process as usize];
         Ok((!crashed).then_some(path))
     }
 
@@ -555,7 +578,7 @@ impl ServerInner {
     /// process's owner.
     fn complete_admission(&self, process: u32, path: AdmitPath, conn: ConnRef) {
         {
-            let mut sessions = self.sessions.lock();
+            let mut sessions = self.sessions.lock().expect("sessions lock poisoned");
             let slot = sessions.get_mut(&process).expect("claimed binding exists");
             slot.binding = false;
             slot.detached_at = None;
@@ -567,7 +590,7 @@ impl ServerInner {
     /// Unwinds a claimed binding whose connection died before it
     /// completed: the slot detaches and no admission is counted.
     fn release_claim(&self, process: u32) {
-        let mut sessions = self.sessions.lock();
+        let mut sessions = self.sessions.lock().expect("sessions lock poisoned");
         if let Some(slot) = sessions.get_mut(&process) {
             slot.binding = false;
             slot.detached_at = Some(Instant::now());
@@ -580,7 +603,7 @@ impl ServerInner {
     /// when the backend can recover it.
     fn detach_process(&self, process: u32, gen: u32, graceful: bool) -> bool {
         {
-            let mut sessions = self.sessions.lock();
+            let mut sessions = self.sessions.lock().expect("sessions lock poisoned");
             let Some(slot) = sessions.get_mut(&process) else {
                 return false;
             };
@@ -591,7 +614,7 @@ impl ServerInner {
             slot.detached_at = Some(Instant::now());
         }
         if !graceful && self.restarts.is_some() {
-            self.crashed.lock()[process as usize] = true;
+            self.crashed.lock().expect("crashed flags poisoned")[process as usize] = true;
         }
         true
     }
@@ -602,7 +625,7 @@ impl ServerInner {
     /// backend until some future `Bind` revives it.
     fn reap_detached(&self) {
         let ttl = Duration::from_millis(self.cfg.detach_ttl_ms.max(1));
-        let mut sessions = self.sessions.lock();
+        let mut sessions = self.sessions.lock().expect("sessions lock poisoned");
         let before = sessions.len();
         sessions.retain(|&p, s| {
             self.owner(p).is_some() || s.binding || s.detached_at.is_none_or(|t| t.elapsed() < ttl)
@@ -620,16 +643,16 @@ impl ServerInner {
     /// every other admission off `p` meanwhile.
     fn recover_and_classify(&self, p: u32) -> AdmitPath {
         let pid = ProcessId(p);
-        let seen = self.restarts_seen.lock()[p as usize];
+        let seen = self.restarts_seen.lock().expect("restart counts poisoned")[p as usize];
         self.with_runtime(|sys| sys.recover(pid));
         let noticed = self
             .restarts
             .as_ref()
             .and_then(|watch| watch.wait_past(pid, seen, Duration::from_secs(3)));
-        self.crashed.lock()[p as usize] = false;
+        self.crashed.lock().expect("crashed flags poisoned")[p as usize] = false;
         match noticed {
             Some((count, notice)) => {
-                self.restarts_seen.lock()[p as usize] = count;
+                self.restarts_seen.lock().expect("restart counts poisoned")[p as usize] = count;
                 match notice.event.path {
                     RestartPath::Journal { .. } => AdmitPath::Resumed,
                     RestartPath::Blank { .. } => AdmitPath::Rejoined,
@@ -647,6 +670,31 @@ impl ServerInner {
             AdmitPath::Resumed => self.stats.resumed.fetch_add(1, Ordering::Relaxed),
             AdmitPath::Rejoined => self.stats.rejoined.fetch_add(1, Ordering::Relaxed),
         };
+    }
+}
+
+/// Marks the server failed when a panic unwinds it; the acceptor then
+/// stops, and each reactor closes its connections without calling the
+/// backend and exits. Every server thread holds one for its whole life.
+/// A reactor holds a second one over the backend lock, dropped before the
+/// lock's guard: the server is marked failed before the lock is released
+/// poisoned, so a thread that finds the poison is never named the first to
+/// fail. A thread that finds a lock poisoned panics in turn.
+struct FailStop<'a>(&'a ServerInner);
+
+impl Drop for FailStop<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let (inner, me) = (self.0, std::thread::current());
+        let name = me.name().unwrap_or("an unnamed server thread");
+        if inner.failed.set(name.to_string()).is_ok() {
+            inner.stop_accepting.wake();
+            for shared in inner.reactors.get().into_iter().flatten() {
+                shared.waker.wake();
+            }
+        }
     }
 }
 
@@ -698,7 +746,7 @@ struct ReactorShared {
 impl ReactorShared {
     fn post(&self, cmd: Cmd, stats: &AtomicStats) {
         let was_empty = {
-            let mut cmds = self.cmds.lock();
+            let mut cmds = self.cmds.lock().expect("command queue poisoned");
             cmds.push(cmd);
             cmds.len() == 1
         };
@@ -710,7 +758,7 @@ impl ReactorShared {
     /// Moves `batch` into the frame queue, leaving it empty.
     fn post_frames(&self, batch: &mut Vec<Outbound>, stats: &AtomicStats) {
         let was_empty = {
-            let mut frames = self.frames.lock();
+            let mut frames = self.frames.lock().expect("frame queue poisoned");
             let was_empty = frames.is_empty();
             frames.append(batch);
             was_empty
@@ -814,7 +862,7 @@ struct Reactor {
     inner: Arc<ServerInner>,
     shared: Arc<ReactorShared>,
     index: usize,
-    poller: Poller,
+    poller: Epoll,
     slab: Vec<Option<ConnEntry>>,
     free: Vec<usize>,
     nonce: u32,
@@ -842,7 +890,7 @@ impl Reactor {
         index: usize,
         reactors: usize,
     ) -> io::Result<Reactor> {
-        let poller = Poller::new()?;
+        let poller = Epoll::new()?;
         poller.add(shared.waker.raw_fd(), EPOLLIN, WAKER_TOKEN)?;
         Ok(Reactor {
             inner,
@@ -863,11 +911,20 @@ impl Reactor {
     }
 
     fn run(mut self) {
+        let inner = Arc::clone(&self.inner);
+        let _fail = FailStop(&inner);
         let beat = Duration::from_millis(self.inner.cfg.heartbeat_ms.max(1));
         let reap_every = Duration::from_millis((self.inner.cfg.detach_ttl_ms / 4).clamp(5, 250));
         let mut next_beat = Instant::now() + beat;
         let mut events: Vec<(u64, u32)> = Vec::new();
         while !(self.shutting_down && self.slab.iter().all(Option::is_none)) {
+            if inner.failed() {
+                // Returning drops the slab, which closes every connection
+                // without a call into the backend; sockets queued for
+                // adoption close with the queue.
+                let mut cmds = self.shared.cmds.lock().expect("command queue poisoned");
+                return cmds.clear();
+            }
             let now = Instant::now();
             let mut wake_at = next_beat;
             let deadlines = self.slab.iter().flatten().filter_map(|e| e.deadline);
@@ -917,7 +974,7 @@ impl Reactor {
     }
 
     fn drain_cmds(&mut self) {
-        let cmds = std::mem::take(&mut *self.shared.cmds.lock());
+        let cmds = std::mem::take(&mut *self.shared.cmds.lock().expect("command queue poisoned"));
         for cmd in cmds {
             match cmd {
                 Cmd::Adopt(conn) => self.adopt(conn),
@@ -942,7 +999,7 @@ impl Reactor {
     /// this is safe under the kernel lock — where the lock-order rule of
     /// the module docs needs it.
     fn take_frames(&mut self) {
-        let batch = std::mem::take(&mut *self.shared.frames.lock());
+        let batch = std::mem::take(&mut *self.shared.frames.lock().expect("frame queue poisoned"));
         for out in batch {
             if let Some(wbuf) = self.writable(out.slot, out.gen) {
                 wbuf.extend_from_slice(&out.bytes);
@@ -984,7 +1041,10 @@ impl Reactor {
             return;
         }
         let inner = Arc::clone(&self.inner);
-        let mut backend = inner.backend.lock();
+        let mut backend = inner.backend.lock().expect("backend lock poisoned");
+        // Dropped before `backend`: a panic below marks the server failed
+        // before it poisons the lock (see `FailStop`).
+        let _fail = FailStop(&inner);
         let scale = match backend.as_mut() {
             Some(Backend::Scale(scale)) => scale,
             Some(Backend::Threaded(sys)) => {
@@ -1001,6 +1061,10 @@ impl Reactor {
         self.take_frames();
         for p in self.hungry.drain(..) {
             scale.kernel.inject_hungry(p);
+        }
+        #[cfg(test)]
+        if inner.plant_panic.swap(false, Ordering::SeqCst) {
+            panic!("planted under the backend lock");
         }
         scale.obs.clear();
         while scale.kernel.has_pending() {
@@ -1210,6 +1274,7 @@ impl Reactor {
         let spawned = std::thread::Builder::new()
             .name("ekbd-net-admit".into())
             .spawn(move || {
+                let _fail = FailStop(&inner);
                 let path = inner.recover_and_classify(process);
                 shared.post(
                     Cmd::AdmissionDone {
@@ -1456,7 +1521,8 @@ impl Reactor {
                 return;
             }
             entry.dead = true;
-            self.poller.delete(entry.conn.raw_fd());
+            // Harmless if it fails: closing the socket deregisters it too.
+            let _ = self.poller.delete(entry.conn.raw_fd());
             entry.conn.kill();
             entry.wbuf = Vec::new();
             entry.reader = FrameReader::new();
@@ -1548,6 +1614,48 @@ fn pump_events(inner: &ServerInner, tap: &Receiver<SchedEvent>) -> Tally {
     tally
 }
 
+/// The acceptor: hands each accepted socket to the reactors in turn until
+/// its waker fires, at shutdown or when the server fails.
+fn accept_loop(inner: &ServerInner, listener: &Listener, mut poller: Epoll) {
+    let _fail = FailStop(inner);
+    let reactors = inner.reactors();
+    let mut events: Vec<(u64, u32)> = Vec::new();
+    let mut next = 0usize;
+    loop {
+        events.clear();
+        poller
+            .wait(&mut events, 8, -1)
+            .expect("wait on the acceptor's own poller");
+        if events.iter().any(|&(token, _)| token == WAKER_TOKEN) {
+            return;
+        }
+        while let Ok(conn) = listener.accept() {
+            inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
+            let to = &reactors[next % reactors.len()];
+            to.post(Cmd::Adopt(conn), &inner.stats);
+            next = next.wrapping_add(1);
+            if inner.failed() {
+                // The reactor may have abandoned its queue before the
+                // post: closing the socket is left to nobody else.
+                to.cmds.lock().expect("command queue poisoned").clear();
+                return;
+            }
+        }
+    }
+}
+
+/// A panicked server thread's name and payload.
+type Panic = (Option<String>, Box<dyn Any + Send>);
+
+/// Joins a server thread, keeping its panic with the thread's name.
+fn join<T>(handle: JoinHandle<T>, panics: &mut Vec<Panic>) -> Option<T> {
+    let name = handle.thread().name().map(String::from);
+    handle
+        .join()
+        .map_err(|payload| panics.push((name, payload)))
+        .ok()
+}
+
 // ---------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------
@@ -1557,8 +1665,6 @@ fn pump_events(inner: &ServerInner, tap: &Receiver<SchedEvent>) -> Tally {
 pub struct DaemonServer {
     inner: Arc<ServerInner>,
     acceptor: JoinHandle<()>,
-    /// Wakes the acceptor out of its poll to exit.
-    stop_accepting: Arc<Waker>,
     reactors: Vec<JoinHandle<()>>,
     /// The threaded backend's event pump; the scale backend has none.
     pump: Option<JoinHandle<Tally>>,
@@ -1593,8 +1699,12 @@ impl DaemonServer {
             crashed: Mutex::new(vec![false; graph.len()]),
             restarts_seen: Mutex::new(vec![0; graph.len()]),
             reactors: OnceLock::new(),
+            stop_accepting: Waker::new()?,
+            failed: OnceLock::new(),
             next_generation: AtomicU32::new(1),
             stats: AtomicStats::default(),
+            #[cfg(test)]
+            plant_panic: Default::default(),
         });
 
         let mut shareds = Vec::with_capacity(n_reactors);
@@ -1619,42 +1729,17 @@ impl DaemonServer {
             .set(shareds)
             .unwrap_or_else(|_| unreachable!("reactors set once"));
 
-        let stop_accepting = Arc::new(Waker::new()?);
         let acceptor = {
             let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop_accepting);
-            let poller = {
-                let mut p = Poller::new()?;
-                p.add(listener.raw_fd(), EPOLLIN, 0)?;
-                p.add(stop.raw_fd(), EPOLLIN, WAKER_TOKEN)?;
-                // Probe once so a broken poller fails startup, not the
-                // accept loop.
-                let mut scratch = Vec::new();
-                let _ = p.wait(&mut scratch, 1, 0)?;
-                p
-            };
+            let mut poller = Epoll::new()?;
+            poller.add(listener.raw_fd(), EPOLLIN, 0)?;
+            poller.add(inner.stop_accepting.raw_fd(), EPOLLIN, WAKER_TOKEN)?;
+            // Probe once so a broken poller fails startup, not the accept
+            // loop.
+            poller.wait(&mut Vec::new(), 1, 0)?;
             std::thread::Builder::new()
                 .name("ekbd-net-accept".into())
-                .spawn(move || {
-                    let mut poller = poller;
-                    let mut events: Vec<(u64, u32)> = Vec::new();
-                    let mut next = 0usize;
-                    loop {
-                        events.clear();
-                        poller
-                            .wait(&mut events, 8, -1)
-                            .expect("wait on the acceptor's own poller");
-                        if events.iter().any(|&(token, _)| token == WAKER_TOKEN) {
-                            break;
-                        }
-                        while let Ok(conn) = listener.accept() {
-                            inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                            let reactors = inner.reactors();
-                            reactors[next % reactors.len()].post(Cmd::Adopt(conn), &inner.stats);
-                            next = next.wrapping_add(1);
-                        }
-                    }
-                })
+                .spawn(move || accept_loop(&inner, &listener, poller))
                 .expect("spawn acceptor thread")
         };
 
@@ -1662,14 +1747,16 @@ impl DaemonServer {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("ekbd-net-pump".into())
-                .spawn(move || pump_events(&inner, &tap))
+                .spawn(move || {
+                    let _fail = FailStop(&inner);
+                    pump_events(&inner, &tap)
+                })
                 .expect("spawn pump thread")
         });
 
         Ok(DaemonServer {
             inner,
             acceptor,
-            stop_accepting,
             reactors,
             pump,
             local_addr,
@@ -1695,25 +1782,39 @@ impl DaemonServer {
     ///
     /// # Panics
     ///
-    /// Re-raises the panic of an acceptor, reactor or pump thread, after
-    /// the teardown: a server whose inside broke does not hand back a
-    /// run record as if it had not.
+    /// Re-raises the panic of a server thread, after the teardown: a
+    /// server whose inside broke does not hand back a run record as if it
+    /// had not. The payload is that of the first thread to fail; a
+    /// detached admission worker's is lost, and its thread is named
+    /// instead.
     pub fn shutdown(self) -> ServerRun {
-        self.stop_accepting.wake();
-        let mut panicked = self.acceptor.join().err();
+        self.inner.stop_accepting.wake();
+        let mut panics = Vec::new();
+        join(self.acceptor, &mut panics);
         for shared in self.inner.reactors() {
             shared.post(Cmd::Shutdown, &self.inner.stats);
         }
         for handle in self.reactors {
-            panicked = panicked.or(handle.join().err());
+            join(handle, &mut panics);
         }
-        let backend = self.inner.backend.lock().take();
+        // A panic may have poisoned the backend. It is taken only to be
+        // torn down: the runtime's threads must be joined.
+        #[allow(clippy::disallowed_methods)]
+        let backend = self
+            .inner
+            .backend
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
         let mut tally = Tally::default();
         let (events, events_total, link, restarts, scale) = match backend {
             Some(Backend::Threaded(sys)) => {
                 let run = sys.shutdown_complete(Duration::ZERO);
                 (run.events, run.events_total, run.link, run.restarts, None)
             }
+            // A kernel a panic may have left half-stepped is dropped, not
+            // finished.
+            Some(Backend::Scale(_)) if self.inner.failed() => Default::default(),
             Some(Backend::Scale(scale)) => {
                 let report = scale.kernel.finish();
                 tally = scale.tally;
@@ -1731,14 +1832,17 @@ impl DaemonServer {
         };
         // The runtime is gone and with it the tap's senders: the pump has
         // seen the disconnect.
-        if let Some(pump) = self.pump {
-            match pump.join() {
-                Ok(pumped) => tally = pumped,
-                Err(payload) => panicked = panicked.or(Some(payload)),
-            }
+        if let Some(pumped) = self.pump.and_then(|pump| join(pump, &mut panics)) {
+            tally = pumped;
         }
-        if let Some(payload) = panicked {
+        // The first thread to fail goes first; the rest keep join order.
+        let first = self.inner.failed.get();
+        panics.sort_by_key(|(name, _)| first.is_some() && name.as_ref() != first);
+        if let Some((_, payload)) = panics.into_iter().next() {
             std::panic::resume_unwind(payload);
+        }
+        if let Some(first) = first {
+            panic!("{first} panicked, and the server stopped");
         }
         ServerRun {
             events,
@@ -1796,5 +1900,94 @@ mod tests {
         let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.shutdown()));
         let payload = raised.err().expect("shutdown re-raises the panic");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"reactor broke"));
+    }
+
+    /// A reactor panics while it holds the backend lock, between injecting
+    /// a `Hungry` and stepping the kernel. Every connection must then read
+    /// EOF within a second, a new dialer must not be served, and
+    /// `shutdown` must hand back the planted payload.
+    #[test]
+    fn a_panic_under_the_backend_lock_stops_the_whole_server() {
+        use crate::{ClientConfig, ClientError, MuxClient, MuxEvent};
+        let cfg = ServerConfig {
+            backend: BackendSpec::Scale { seed: 1 },
+            ..ServerConfig::default()
+        };
+        let addr = ServerAddr::Tcp("127.0.0.1:0".into());
+        let server = DaemonServer::start(topology::ring(8), &addr, cfg).unwrap();
+        let addr = server.local_addr().clone();
+        let wait = Duration::from_secs(5);
+        // Four connections, dealt to the two reactors in turn; 0, 2, 4
+        // and 6 share no edge, so each eats once at once.
+        let mut clients: Vec<(u32, MuxClient)> = (0..4)
+            .map(|i| {
+                let p = 2 * i;
+                (
+                    p,
+                    MuxClient::connect(&addr, p, ClientConfig::default()).unwrap(),
+                )
+            })
+            .collect();
+        for (p, c) in &mut clients {
+            c.hungry(*p).unwrap();
+            while !matches!(c.next_event(wait).unwrap(), MuxEvent::Released { .. }) {}
+        }
+        // What one connection sees next: a grant, or a closed socket.
+        fn outcome(c: &mut MuxClient, until: Instant) -> &'static str {
+            loop {
+                let left = until.saturating_duration_since(Instant::now());
+                match c.next_event(left) {
+                    Ok(MuxEvent::Granted { .. }) => return "granted",
+                    Ok(MuxEvent::Released { .. }) => {}
+                    Err(ClientError::Closed | ClientError::Io(_)) => return "closed",
+                    Err(ClientError::Timeout) => return "open and silent",
+                    Err(e) => panic!("unexpected client error: {e}"),
+                }
+            }
+        }
+        server.inner.plant_panic.store(true, Ordering::SeqCst);
+        let planted = Instant::now();
+        let deadline = planted + Duration::from_secs(1);
+        let (_, first) = &mut clients[0];
+        first.hungry(0).unwrap();
+        let mut seen = vec![(0, outcome(first, deadline))];
+        for (p, c) in clients.iter_mut().skip(1) {
+            // A write into a closed socket is a closed socket too.
+            let asked = c.hungry(*p).and_then(|()| c.flush());
+            let got = if asked.is_err() {
+                "closed"
+            } else {
+                outcome(c, deadline)
+            };
+            seen.push((*p, got));
+        }
+        let late = planted.elapsed();
+        let dial = ClientConfig {
+            max_attempts: 1,
+            ..ClientConfig::default()
+        };
+        let redial = match MuxClient::connect(&addr, 1, dial) {
+            Ok(_) => "served",
+            Err(ClientError::Closed | ClientError::Io(_)) => "closed",
+            Err(ClientError::Timeout) => "open and silent",
+            Err(_) => "refused by frame",
+        };
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.shutdown()));
+        let payload = raised.err().map(|p| {
+            p.downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_else(|| "a non-str payload".into())
+        });
+        let report = format!(
+            "after the panic: {seen:?} in {late:?}; a new dialer: {redial}; shutdown: {payload:?}"
+        );
+        assert!(seen.iter().all(|&(_, got)| got == "closed"), "{report}");
+        assert!(late < Duration::from_secs(1), "{report}");
+        assert_eq!(redial, "closed", "{report}");
+        assert_eq!(
+            payload.as_deref(),
+            Some("planted under the backend lock"),
+            "{report}"
+        );
     }
 }

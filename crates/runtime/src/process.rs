@@ -7,10 +7,9 @@ use ekbd_graph::ProcessId;
 use ekbd_harness::{AnyDetector, DinerHost, Envelope, HostCmd, HostObs, HostWorkload};
 use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
 use ekbd_sim::{Context, Node, NodeEvent, Observation, Time};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Messages delivered to a process thread.
@@ -67,24 +66,32 @@ pub(crate) enum ThreadMsg<M> {
     Shutdown,
 }
 
+/// What the process threads of one system record for its run, behind one
+/// lock: a scheduling event takes it once, and every tap sees the tail's
+/// order.
+#[derive(Default)]
+pub(crate) struct RunLog {
+    pub events: EventTail,
+    /// Live event taps (see [`ThreadedDining::tap_events`]); a tap whose
+    /// receiver was dropped is pruned on the next event.
+    ///
+    /// [`ThreadedDining::tap_events`]: crate::ThreadedDining::tap_events
+    pub taps: Vec<Sender<SchedEvent>>,
+    /// System-wide link counters, folded into at thread exit.
+    pub link: LinkSummary,
+}
+
 /// What every process thread of one system shares with its handle.
 #[derive(Clone)]
 pub(crate) struct Shared {
     /// Time origin of the system: event times and restart notices are
     /// milliseconds since it, so cross-thread stamps are comparable.
     pub epoch: Instant,
-    pub events: Arc<Mutex<EventTail>>,
-    /// Live event taps (see [`ThreadedDining::tap_events`]); a tap whose
-    /// receiver was dropped is pruned on the next event.
-    ///
-    /// [`ThreadedDining::tap_events`]: crate::ThreadedDining::tap_events
-    pub tap: Arc<Mutex<Vec<Sender<SchedEvent>>>>,
+    pub log: Arc<Mutex<RunLog>>,
     /// Restart notices (see [`ThreadedDining::restart_paths`]).
     ///
     /// [`ThreadedDining::restart_paths`]: crate::ThreadedDining::restart_paths
     pub restart_log: RestartWatch,
-    /// System-wide link counters, folded into at thread exit.
-    pub link_stats: Arc<Mutex<LinkSummary>>,
     /// Seed of the state-fault entropy stream (restart corruption).
     pub entropy_seed: u64,
 }
@@ -196,8 +203,9 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
             ) = o.obs
             {
                 let e = SchedEvent::new(o.time, self.id, obs);
-                self.shared.events.lock().push(e);
-                self.shared.tap.lock().retain(|tx| tx.send(e).is_ok());
+                let mut log = self.shared.log.lock().expect("run log poisoned");
+                log.events.push(e);
+                log.taps.retain(|tx| tx.send(e).is_ok());
             }
         }
         if restart {
@@ -227,7 +235,8 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
     pub fn run(mut self) {
         self.event_loop();
         if let Some(stats) = self.host.link_stats() {
-            self.shared.link_stats.lock().absorb(&stats);
+            let mut log = self.shared.log.lock().expect("run log poisoned");
+            log.link.absorb(&stats);
         }
     }
 
@@ -343,7 +352,7 @@ mod tests {
         tx: Sender<Msg>,
         /// Receivers standing in for p0 and p2.
         peers: Vec<(ProcessId, Receiver<Msg>)>,
-        events: Arc<Mutex<EventTail>>,
+        log: Arc<Mutex<RunLog>>,
         restarts: RestartWatch,
     }
 
@@ -381,16 +390,14 @@ mod tests {
         };
         let shared = Shared {
             epoch: Instant::now(),
-            events: Arc::default(),
-            tap: Arc::default(),
+            log: Arc::default(),
             restart_log: RestartWatch::default(),
-            link_stats: Arc::default(),
             entropy_seed: 7,
         };
         let probe = Probe {
             tx,
             peers,
-            events: Arc::clone(&shared.events),
+            log: Arc::clone(&shared.log),
             restarts: shared.restart_log.clone(),
         };
         let links = LossyLinks::new(txs, ChannelFaults::default(), id.index());
@@ -423,9 +430,9 @@ mod tests {
         for (q, rx) in &probe.peers {
             lines.extend(rx.try_iter().map(|m| format!("{q:?} {}", wire(&m))));
         }
-        let events = probe.events.lock();
+        let log = probe.log.lock().expect("run log poisoned");
         lines.extend(
-            events
+            log.events
                 .iter()
                 .map(|e| format!("{:?} {:?}", e.process, e.obs)),
         );

@@ -1,5 +1,5 @@
 use crate::faults::{state_entropy, ChannelFaults, LossyLinks};
-use crate::process::{ProcessThread, Shared, ThreadMsg};
+use crate::process::{ProcessThread, RunLog, Shared, ThreadMsg};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use ekbd_detector::HeartbeatConfig;
 use ekbd_dining::{
@@ -9,12 +9,13 @@ use ekbd_graph::coloring::{self, Color};
 use ekbd_graph::{ConflictGraph, Membership, ProcessId};
 use ekbd_journal::{FileJournal, JournalHandle};
 use ekbd_link::LinkConfig;
-use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
-use parking_lot::Mutex;
+#[cfg(doc)]
+use ekbd_metrics::EventTail;
+use ekbd_metrics::{LinkSummary, SchedEvent};
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,17 +84,16 @@ pub struct RestartNotice {
 /// after the system shut down; it just never grows again.
 #[derive(Clone, Default)]
 pub struct RestartWatch {
-    shared: Arc<(std::sync::Mutex<Vec<RestartNotice>>, Condvar)>,
+    shared: Arc<(Mutex<Vec<RestartNotice>>, Condvar)>,
 }
 
+// A push leaves the vector valid at every step, so a publisher that
+// panicked mid-restart poisons nothing worth refusing: `notices` and
+// `wait_past` read through the poison.
+#[allow(clippy::disallowed_methods)]
 impl RestartWatch {
-    /// A push leaves the vector valid at every step, so a publisher that
-    /// panicked mid-restart poisons nothing worth refusing.
-    fn notices(&self) -> std::sync::MutexGuard<'_, Vec<RestartNotice>> {
-        self.shared
-            .0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn notices(&self) -> MutexGuard<'_, Vec<RestartNotice>> {
+        self.shared.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub(crate) fn publish(&self, notice: RestartNotice) {
@@ -136,7 +136,7 @@ impl RestartWatch {
                 .shared
                 .1
                 .wait_timeout(notices, left)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
     }
@@ -154,9 +154,9 @@ impl RestartWatch {
 pub struct ThreadedDining<M: Clone + Send + 'static = DiningMsg> {
     txs: Vec<Sender<ThreadMsg<M>>>,
     handles: Vec<JoinHandle<()>>,
-    /// The epoch, the event tail (the last [`EventTail::CAPACITY`] events
-    /// and their count), the taps, the restart notices and the link
-    /// counters every process thread writes to.
+    /// The epoch, the run log (the last [`EventTail::CAPACITY`] events and
+    /// their count, the taps and the link counters) and the restart
+    /// notices every process thread writes to.
     shared: Shared,
     corrupt_nonce: AtomicU64,
     graph: ConflictGraph,
@@ -198,10 +198,8 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     {
         let shared = Shared {
             epoch: Instant::now(),
-            events: Arc::default(),
-            tap: Arc::default(),
+            log: Arc::default(),
             restart_log: RestartWatch::default(),
-            link_stats: Arc::default(),
             entropy_seed: config.faults.seed,
         };
         let channels: Vec<_> = (0..graph.len())
@@ -283,7 +281,8 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
 
     /// Snapshot of the last [`EventTail::CAPACITY`] events recorded so far.
     pub fn events_so_far(&self) -> Vec<SchedEvent> {
-        self.shared.events.lock().iter().copied().collect()
+        let log = self.shared.log.lock().expect("run log poisoned");
+        log.events.iter().copied().collect()
     }
 
     /// Installs a live event tap and returns its receiving end: every
@@ -295,7 +294,8 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     /// uninstalls itself on the next event.
     pub fn tap_events(&self) -> Receiver<SchedEvent> {
         let (tx, rx) = unbounded();
-        self.shared.tap.lock().push(tx);
+        let mut log = self.shared.log.lock().expect("run log poisoned");
+        log.taps.push(tx);
         rx
     }
 
@@ -317,6 +317,12 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
 
     /// Lets the system run for `window`, then shuts every thread down and
     /// returns the last [`EventTail::CAPACITY`] recorded scheduling events.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a process thread once every thread has
+    /// joined; so do [`shutdown_with_link`](Self::shutdown_with_link) and
+    /// [`shutdown_complete`](Self::shutdown_complete).
     pub fn shutdown_after(self, window: Duration) -> Vec<SchedEvent> {
         self.shutdown_with_link(window).0
     }
@@ -324,23 +330,28 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     /// Like [`shutdown_after`](Self::shutdown_after), but also returns the
     /// system-wide link-layer counters (all zeros when the link is off).
     pub fn shutdown_with_link(self, window: Duration) -> (Vec<SchedEvent>, LinkSummary) {
-        let (events, link) = self.join_all(window);
-        (events.into_vec(), link)
+        let log = self.join_all(window);
+        (log.events.into_vec(), log.link)
     }
 
-    fn join_all(self, window: Duration) -> (EventTail, LinkSummary) {
+    /// Stops and joins every process thread. A thread's panic is
+    /// re-raised once all of them are joined: a system whose inside broke
+    /// does not hand back a run record as if it had not.
+    fn join_all(self, window: Duration) -> RunLog {
         std::thread::sleep(window);
         for tx in &self.txs {
             let _ = tx.send(ThreadMsg::Shutdown);
         }
+        let mut panicked = None;
         for h in self.handles {
-            let _ = h.join();
+            if let Err(payload) = h.join() {
+                panicked = panicked.or(Some(payload));
+            }
         }
-        let events = Arc::try_unwrap(self.shared.events)
-            .map(|m| m.into_inner())
-            .unwrap_or_default();
-        let link = *self.shared.link_stats.lock();
-        (events, link)
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        std::mem::take(&mut *self.shared.log.lock().expect("run log poisoned"))
     }
 
     /// Like [`shutdown_with_link`](Self::shutdown_with_link), but also
@@ -352,13 +363,12 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     /// post-join snapshot is the only one guaranteed to be complete.
     pub fn shutdown_complete(self, window: Duration) -> RuntimeRun {
         let restart_log = self.shared.restart_log.clone();
-        let (events, link) = self.join_all(window);
-        let restarts = restart_log.snapshot();
+        let log = self.join_all(window);
         RuntimeRun {
-            events_total: events.total(),
-            events: events.into_vec(),
-            link,
-            restarts,
+            events_total: log.events.total(),
+            events: log.events.into_vec(),
+            link: log.link,
+            restarts: restart_log.snapshot(),
         }
     }
 }
@@ -467,7 +477,7 @@ impl ThreadedDining<RecoveryMsg> {
     /// co-present neighbor (canonical fork placement on both sides, by
     /// color order). No-op if `p` is already a member.
     pub fn join(&self, p: ProcessId) {
-        let mut present = self.present.lock();
+        let mut present = self.present.lock().expect("membership ledger poisoned");
         if present[p.index()] {
             return;
         }
@@ -495,7 +505,7 @@ impl ThreadedDining<RecoveryMsg> {
     /// false`) parks `p` mid-whatever, and the survivors' periodic audit
     /// reclaims any fork it held. No-op if `p` is not a member.
     pub fn leave(&self, p: ProcessId, graceful: bool) {
-        let mut present = self.present.lock();
+        let mut present = self.present.lock().expect("membership ledger poisoned");
         if !present[p.index()] {
             return;
         }
@@ -516,6 +526,22 @@ mod tests {
     use ekbd_graph::topology;
     use ekbd_metrics::ExclusionReport;
     use ekbd_sim::Time;
+
+    /// A system whose inside broke does not hand back a run record as if
+    /// it had not: a process thread's panic comes out of the shutdown,
+    /// after every other thread has joined.
+    #[test]
+    fn shutdown_re_raises_the_panic_of_a_process_thread() {
+        let mut sys = ThreadedDining::spawn(topology::ring(3), RuntimeConfig::default());
+        // Stands in for a process thread that hit a bug.
+        sys.handles
+            .push(std::thread::spawn(|| panic!("diner broke")));
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.shutdown_after(Duration::ZERO)
+        }));
+        let payload = raised.expect_err("shutdown re-raises the panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"diner broke"));
+    }
 
     #[test]
     fn everyone_eats_on_a_ring() {
