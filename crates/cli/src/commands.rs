@@ -301,14 +301,8 @@ fn scenario_from(parsed: &Parsed) -> Result<Scenario, ArgError> {
 }
 
 fn run_with_algorithm(s: &Scenario, alg: &AlgorithmSpec) -> Result<RunReport, ArgError> {
-    let has_state_faults = !s.recoveries().is_empty()
-        || !s.corruptions().is_empty()
-        || s.journal
-        || !s.storage_faults.is_inert();
-    // Membership churn rides the same recovery machinery: joins reuse the
-    // rejoin handshake, so a non-inert plan also needs the recoverable run.
-    let has_membership = !s.membership.is_inert();
-    if (has_state_faults || has_membership) && *alg != AlgorithmSpec::Algorithm1 {
+    let hardened = s.needs_recoverable();
+    if hardened && *alg != AlgorithmSpec::Algorithm1 {
         return Err(ArgError::BadValue {
             flag: "--algorithm".into(),
             value: format!("{alg:?}"),
@@ -318,7 +312,7 @@ fn run_with_algorithm(s: &Scenario, alg: &AlgorithmSpec) -> Result<RunReport, Ar
         });
     }
     Ok(match alg {
-        AlgorithmSpec::Algorithm1 if has_state_faults || has_membership => s.run_recoverable(),
+        AlgorithmSpec::Algorithm1 if hardened => s.run_recoverable(),
         AlgorithmSpec::Algorithm1 => s.run_algorithm1(),
         AlgorithmSpec::ChoySingh => {
             s.run_with(|sc, p| ChoySinghProcess::from_graph(&sc.graph, &sc.colors, p))
@@ -656,14 +650,6 @@ fn cmd_run_streaming(parsed: &Parsed) -> Result<(), ArgError> {
             flag: "--algorithm".into(),
             value: parsed.get("algorithm").unwrap_or_default().to_string(),
             expected: "alg1 (--obs streaming aggregates Algorithm 1 runs)",
-        });
-    }
-    if !s.recoveries().is_empty() || !s.corruptions().is_empty() || !s.membership.is_inert() {
-        return Err(ArgError::BadValue {
-            flag: "--obs".into(),
-            value: "streaming with recovery or membership faults".into(),
-            expected: "crash-stop scenarios only (dense observation can \
-                       sanitize interrupted lives; a streaming pass cannot)",
         });
     }
     let report = s.run_algorithm1_streaming();

@@ -17,9 +17,8 @@ use std::time::{Duration, Instant};
 /// Which dining algorithm a campaign job runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CampaignAlgorithm {
-    /// Algorithm 1 normally; the crash-recovery-hardened variant
-    /// automatically when the scenario schedules recoveries or state
-    /// corruption (the same rule the CLI applies).
+    /// Algorithm 1 normally; the crash-recovery-hardened variant when the
+    /// scenario [`needs_recoverable`](Scenario::needs_recoverable).
     #[default]
     Auto,
     /// The paper's Algorithm 1.
@@ -33,11 +32,7 @@ impl CampaignAlgorithm {
         match self {
             CampaignAlgorithm::Algorithm1 => false,
             CampaignAlgorithm::Recoverable => true,
-            CampaignAlgorithm::Auto => {
-                !scenario.faults.recoveries.is_empty()
-                    || !scenario.faults.corruptions.is_empty()
-                    || !scenario.membership.is_inert()
-            }
+            CampaignAlgorithm::Auto => scenario.needs_recoverable(),
         }
     }
 }

@@ -44,6 +44,7 @@ mod chaos;
 mod detector;
 mod host;
 mod live;
+mod lives;
 mod report;
 mod scenario;
 mod streaming;

@@ -580,33 +580,55 @@ impl Scenario {
         self.run_with(|s, p| DiningProcess::from_graph(&s.graph, &s.colors, p))
     }
 
+    /// Whether the scenario needs Algorithm 1's hardened variant
+    /// ([`RecoverableDining`], what [`run_recoverable`](Self::run_recoverable)
+    /// runs): it restarts or corrupts a process, journals, damages stable
+    /// storage, or changes membership — joins reuse the rejoin handshake.
+    pub fn needs_recoverable(&self) -> bool {
+        !self.faults.recoveries.is_empty()
+            || !self.faults.corruptions.is_empty()
+            || self.journal
+            || !self.storage_faults.is_inert()
+            || !self.membership.is_inert()
+    }
+
     /// Runs the scenario with Algorithm 1 hardened for the crash-recovery
     /// fault model ([`RecoverableDining`]): required whenever the scenario
-    /// schedules [`recover`](Self::recover) /
-    /// [`corrupt_state`](Self::corrupt_state) faults.
+    /// [`needs_recoverable`](Self::needs_recoverable).
     pub fn run_recoverable(&self) -> RunReport {
-        let journal_on = self.journal || !self.storage_faults.is_inert();
-        // The stores are created up front and kept (cloned handles share
-        // the backing store) so the finished run can capture each
-        // process's retained records for the post-mortem replay.
-        let handles: Vec<ekbd_journal::JournalHandle> = if journal_on {
-            (0..self.graph.len())
-                .map(|i| self.storage_faults.store_for(ProcessId::from(i)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut report = self.run_with(|s, p| {
-            let alg =
-                RecoverableDining::from_graph(&s.graph, &s.colors, p).with_strikes(s.audit_strikes);
-            if journal_on {
-                alg.with_journal(handles[p.index()].clone())
-            } else {
-                alg
-            }
-        });
-        report.journals = handles.iter().map(|h| h.dump()).collect();
+        let stores = self.journal_stores();
+        let mut report = self.run_with(|s, p| s.hardened(p, &stores));
+        report.journals = stores.iter().map(|h| h.dump()).collect();
         report
+    }
+
+    /// One stable-storage journal per process when journaling is on (a
+    /// non-inert storage-fault plan implies it), none otherwise. The
+    /// stores are created up front and kept (cloned handles share the
+    /// backing store) so a finished run can capture each process's
+    /// retained records.
+    pub(crate) fn journal_stores(&self) -> Vec<ekbd_journal::JournalHandle> {
+        if !self.journal && self.storage_faults.is_inert() {
+            return Vec::new();
+        }
+        (0..self.graph.len())
+            .map(|i| self.storage_faults.store_for(ProcessId::from(i)))
+            .collect()
+    }
+
+    /// Algorithm 1's hardened variant for process `p` of this scenario (or
+    /// of its construction view), journaling into `stores[p]` if any.
+    pub(crate) fn hardened(
+        &self,
+        p: ProcessId,
+        stores: &[ekbd_journal::JournalHandle],
+    ) -> RecoverableDining {
+        let alg = RecoverableDining::from_graph(&self.graph, &self.colors, p)
+            .with_strikes(self.audit_strikes);
+        match stores.get(p.index()) {
+            Some(store) => alg.with_journal(store.clone()),
+            None => alg,
+        }
     }
 }
 

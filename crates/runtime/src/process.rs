@@ -9,7 +9,7 @@ use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
 use ekbd_sim::{Context, Node, NodeEvent, Observation, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Messages delivered to a process thread.
@@ -79,6 +79,23 @@ pub(crate) struct RunLog {
     pub taps: Vec<Sender<SchedEvent>>,
     /// System-wide link counters, folded into at thread exit.
     pub link: LinkSummary,
+}
+
+/// Closes every event tap when a process thread unwinds, so a reader
+/// blocked on a tap (the net server's pump) sees the system fail instead
+/// of waiting for events no one will record.
+struct CloseTapsOnPanic(Arc<Mutex<RunLog>>);
+
+impl Drop for CloseTapsOnPanic {
+    // The unwinding may have poisoned the log; dropping its senders reads
+    // nothing of it.
+    #[allow(clippy::disallowed_methods)]
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut log = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            log.taps.clear();
+        }
+    }
 }
 
 /// What every process thread of one system shares with its handle.
@@ -233,6 +250,7 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
     /// The thread body: runs the event loop, then folds this process's
     /// link counters into the system-wide summary.
     pub fn run(mut self) {
+        let _taps = CloseTapsOnPanic(Arc::clone(&self.shared.log));
         self.event_loop();
         if let Some(stats) = self.host.link_stats() {
             let mut log = self.shared.log.lock().expect("run log poisoned");

@@ -543,6 +543,51 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"diner broke"));
     }
 
+    /// A diner that breaks the moment it is asked to eat.
+    struct Breaks(ProcessId);
+
+    impl DiningAlgorithm for Breaks {
+        type Msg = DiningMsg;
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+        fn handle(
+            &mut self,
+            input: ekbd_dining::DiningInput<DiningMsg>,
+            _: &dyn ekbd_dining::SuspicionView,
+            _: &mut Vec<(ProcessId, DiningMsg)>,
+        ) {
+            assert!(
+                !matches!(input, ekbd_dining::DiningInput::Hungry),
+                "diner broke"
+            );
+        }
+        fn state(&self) -> ekbd_dining::DinerState {
+            ekbd_dining::DinerState::Thinking
+        }
+        fn state_bits(&self) -> usize {
+            0
+        }
+    }
+
+    /// A process thread that unwinds closes every event tap, so a reader
+    /// blocked on one sees the system fail instead of waiting for events
+    /// no one will record.
+    #[test]
+    fn a_process_thread_that_dies_closes_every_tap() {
+        let config = RuntimeConfig::default();
+        let sys = ThreadedDining::spawn_with(topology::ring(3), config, |_, _, p| Breaks(p));
+        let tap = sys.tap_events();
+        sys.make_hungry(ProcessId(1));
+        let read = tap.recv_timeout(Duration::from_secs(1));
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.shutdown_after(Duration::ZERO)
+        }));
+        assert_eq!(read, Err(crossbeam_channel::RecvTimeoutError::Disconnected));
+        let payload = raised.expect_err("shutdown re-raises the panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"diner broke"));
+    }
+
     #[test]
     fn everyone_eats_on_a_ring() {
         let sys = ThreadedDining::spawn(topology::ring(5), RuntimeConfig::default());

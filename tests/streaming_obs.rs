@@ -3,7 +3,9 @@
 //! The streaming aggregator (`Scenario::run_algorithm1_streaming`) must
 //! report *exactly* the dense pipeline's headline numbers — latency
 //! median, mistake count, convergence tick — on the reference topologies,
-//! including a scenario adversarial enough to produce non-zero mistakes.
+//! including a scenario adversarial enough to produce non-zero mistakes,
+//! and on runs that interrupt lives: a crash-recovery ring and a churn
+//! ring, where the streaming run hosts the hardened variant.
 
 use ekbd_graph::{topology, ConflictGraph, ProcessId};
 use ekbd_harness::{Scenario, StreamingRunReport, Workload};
@@ -32,8 +34,8 @@ fn digest(r: &StreamingRunReport) -> String {
     )
 }
 
-/// Literal [`digest`]s of the five streaming runs below, keyed by label.
-const DIGESTS: [(&str, &str); 5] = [
+/// Literal [`digest`]s of the seven streaming runs below, keyed by label.
+const DIGESTS: [(&str, &str); 7] = [
     (
         "ring-8",
         "mistakes=0 eats=[6, 6, 6, 6, 6, 6, 6, 6] latency[n=48 min=5 p50=29 p99=53 max=53 mean=29.6] convergence=0 starving=[] dining_sends=364 excerpts#143dfc360b36f7a6",
@@ -54,6 +56,14 @@ const DIGESTS: [(&str, &str); 5] = [
         "clique-5-adversarial",
         "mistakes=71 eats=[8, 8, 8, 8, 8] latency[n=40 min=0 p50=0 p99=34 max=34 mean=6.3] convergence=11960 starving=[] dining_sends=424 excerpts#698a4025bd9e5e3b",
     ),
+    (
+        "ring-8-recovery",
+        "mistakes=0 eats=[6, 6, 6, 8, 6, 6, 8, 6] latency[n=52 min=3 p50=18 p99=44 max=44 mean=20.5] convergence=900 starving=[] dining_sends=2838 excerpts#b2232a6d1ae1658e",
+    ),
+    (
+        "ring-8-churn",
+        "mistakes=0 eats=[40, 40, 14, 40, 40, 40, 40, 27] latency[n=281 min=3 p50=23 p99=47 max=52 mean=23.5] convergence=0 starving=[] dining_sends=2267 excerpts#1b749a527b06a9f4",
+    ),
 ];
 
 fn scenario(g: ConflictGraph, seed: u64) -> Scenario {
@@ -70,7 +80,11 @@ fn scenario(g: ConflictGraph, seed: u64) -> Scenario {
 /// Asserts the streaming report matches the dense analyses of the same
 /// scenario, claim by claim, and its committed digest.
 fn assert_equivalent(s: &Scenario, label: &str) -> StreamingRunReport {
-    let dense = s.run_algorithm1();
+    let dense = if s.needs_recoverable() {
+        s.run_recoverable()
+    } else {
+        s.run_algorithm1()
+    };
     let streaming = s.run_algorithm1_streaming();
 
     let exclusion = dense.exclusion();
@@ -203,4 +217,35 @@ fn naive_baseline_mistakes_match_too() {
         r.mistakes > 0,
         "this scenario must exercise the non-zero-mistake path"
     );
+}
+
+#[test]
+fn crash_recovery_ring_matches() {
+    // p3 crashes while eating and restarts corrupt; p6 crashes in the
+    // doorway and restarts blank. The streaming run hosts the hardened
+    // variant and closes both interrupted lives as the dense column does.
+    let s = scenario(topology::ring(8), 53)
+        .perfect_oracle()
+        .crash(ProcessId(3), Time(95))
+        .recover_corrupted(ProcessId(3), Time(600))
+        .crash(ProcessId(6), Time(175))
+        .recover(ProcessId(6), Time(900));
+    let r = assert_equivalent(&s, "ring-8-recovery");
+    assert!(r.wait_free());
+}
+
+#[test]
+fn churn_ring_matches() {
+    // Two joins and two departures while every process still has sessions
+    // to run; p7 crash-leaves mid-session at t=1482.
+    let s = scenario(topology::ring(8), 54)
+        .workload(Workload {
+            sessions: 40,
+            think: (1, 40),
+            eat: (1, 12),
+        })
+        .horizon(Time(8_000))
+        .churn(300);
+    let r = assert_equivalent(&s, "ring-8-churn");
+    assert!(r.wait_free());
 }
