@@ -2,9 +2,10 @@
 //!
 //! `RUN_DIGESTS` pins the run each flag line produces through
 //! `scenario_from`: every fault flag alone and combined, `--churn-plan`
-//! with all four verbs, `--churn-rate`, one `stabilize` and one `campaign`
-//! line. A row holds the events processed, a digest of the scheduling
-//! events and the `COLUMN_DIGESTS` columns of `tests/golden_trace.rs`.
+//! with all four verbs, `--churn-rate`, both baselines `--algorithm` can
+//! select, one `stabilize` and one `campaign` line. A row holds the events
+//! processed, a digest of the scheduling events and the `COLUMN_DIGESTS`
+//! columns of `tests/golden_trace.rs`.
 //! `TOPOLOGY_DIGESTS` pins the graph each topology spec builds, in both
 //! spellings of every family, as the adjacency column of `GRAPH_DIGESTS`
 //! in `crates/graph/tests/graph_golden.rs`. On a mismatch each test prints
@@ -125,6 +126,8 @@ const RUN_DIGESTS: &[(&str, &str)] = &[
      "events=1990 sched#4b05322f6fef9f31 suspicions=908#d6a2d918d10da9f5 dining_sends=1344 to_cut=0#cbf29ce484222325 quiescence#93937cf420e92f30 to_crashed=25#a4b3892accfd0d5b high_water=3 convergence=30000"),
     ("run --topology ring:6 --seed 3 --sessions 6 --horizon 30000 --algorithm choy-singh --oracle perfect --crash 2:700 --loss 0.05 --link on",
      "events=927 sched#b6c13eeae451eac5 suspicions=2#e268b1b74332d67d dining_sends=268 to_cut=0#cbf29ce484222325 quiescence#48ff45e72ee8112e to_crashed=0#cbf29ce484222325 high_water=7 convergence=700"),
+    ("run --topology ring:6 --seed 3 --sessions 6 --horizon 30000 --algorithm naive --oracle perfect --crash 2:700 --loss 0.05 --link on",
+     "events=460 sched#e05266a48f8428b5 suspicions=2#e268b1b74332d67d dining_sends=124 to_cut=0#cbf29ce484222325 quiescence#48ff45e72ee8112e to_crashed=0#cbf29ce484222325 high_water=5 convergence=700"),
     ("stabilize --topology ring:6 --seed 3 --sessions 6 --horizon 20000 --oracle perfect --crash 2:1000",
      "steps=3 converged=Some(t2426) events=51 sched#07952f7bda18a3a3 suspicions=2#25b9ebbc081d8d2b dining_sends=36 to_cut=2#41730bd85a22ede8 quiescence#ff0e0bae2af79b67 to_crashed=2#41730bd85a22ede8 high_water=2 convergence=1000"),
     ("campaign --topology ring:5 --seed 11 --sessions 5 --horizon 20000 --oracle perfect --crash 1:500 --loss 0.05 --link on",

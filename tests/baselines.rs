@@ -1,7 +1,7 @@
 //! Cross-crate behavior of the baseline algorithms, establishing the
 //! contrasts the experiments measure.
 
-use ekbd::baselines::{ChoySinghProcess, NaivePriorityProcess};
+use ekbd::baselines::{ChoySinghProcess, HierarchicalProcess, NaivePriorityProcess};
 use ekbd::graph::{topology, ProcessId};
 use ekbd::harness::{Scenario, Workload};
 use ekbd::sim::Time;
@@ -155,5 +155,42 @@ fn algorithm1_outperforms_baseline_under_identical_crash_schedule() {
         "{} vs {}",
         ours.progress().total_sessions(),
         theirs.progress().total_sessions()
+    );
+}
+
+/// FNV-1a over the debug rendering of each item, newline-separated.
+fn debug_hash<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
+    items.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, item| {
+        format!("{item:?}\n")
+            .bytes()
+            .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    })
+}
+
+#[test]
+fn hierarchical_run_matches_its_literal_digest() {
+    // The CLI cannot select this algorithm, so no flag-line table pins it:
+    // one run on a grid with a crash in the middle, under ◇P₁.
+    let report = Scenario::new(topology::grid(3, 3))
+        .seed(6)
+        .perfect_oracle()
+        .crash(p(4), Time(700))
+        .workload(Workload {
+            sessions: 12,
+            think: (1, 30),
+            eat: (1, 10),
+        })
+        .horizon(Time(200_000))
+        .run_with(|s, q| HierarchicalProcess::from_graph(&s.graph, &s.colors, q));
+    let got = format!(
+        "events={} sched#{:016x} dining_sends={} high_water={}",
+        report.events_processed,
+        debug_hash(&report.events),
+        report.dining_sends,
+        report.max_channel_high_water,
+    );
+    assert_eq!(
+        got,
+        "events=609 sched#78710894b6dd5ca5 dining_sends=388 high_water=2"
     );
 }
