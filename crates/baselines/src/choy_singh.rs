@@ -3,15 +3,13 @@ use ekbd_dining::{DinerState, DiningAlgorithm, DiningInput, DiningMsg};
 use ekbd_graph::coloring::Color;
 use ekbd_graph::{ConflictGraph, ProcessId};
 
-/// Per-neighbor flags (no `replied`: the original doorway grants acks
-/// without a per-session limit).
-mod flag {
-    pub const PINGED: u8 = 1 << 0;
-    pub const ACK: u8 = 1 << 1;
-    pub const DEFERRED: u8 = 1 << 2;
-    pub const FORK: u8 = 1 << 3;
-    pub const TOKEN: u8 = 1 << 4;
-}
+use crate::table::{neighbors_in, Table, FORK, TOKEN};
+
+/// Per-neighbor flags beside the fork and token (no `replied`: the
+/// original doorway grants acks without a per-session limit).
+const PINGED: u8 = 1 << 2;
+const ACK: u8 = 1 << 3;
+const DEFERRED: u8 = 1 << 4;
 
 /// The original Choy–Singh asynchronous-doorway dining algorithm, as
 /// described in §3 of Song & Pike before their two modifications.
@@ -30,12 +28,9 @@ mod flag {
 /// ◇P₁ and of the revised doorway in the experiments.
 #[derive(Clone, Debug)]
 pub struct ChoySinghProcess {
-    id: ProcessId,
-    color: Color,
-    neighbors: Vec<ProcessId>,
+    table: Table,
     state: DinerState,
     inside: bool,
-    vars: Vec<u8>,
 }
 
 impl ChoySinghProcess {
@@ -46,84 +41,42 @@ impl ChoySinghProcess {
         color: Color,
         neighbors: impl IntoIterator<Item = (ProcessId, Color)>,
     ) -> Self {
-        let mut pairs: Vec<(ProcessId, Color)> = neighbors.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(q, _)| q);
-        let mut ids = Vec::with_capacity(pairs.len());
-        let mut vars = Vec::with_capacity(pairs.len());
-        for (q, qcolor) in pairs {
-            assert!(q != id, "a process is not its own neighbor");
-            assert!(qcolor != color, "coloring must be proper");
-            ids.push(q);
-            vars.push(if color > qcolor {
-                flag::FORK
-            } else {
-                flag::TOKEN
-            });
-        }
         ChoySinghProcess {
-            id,
-            color,
-            neighbors: ids,
+            table: Table::new(id, color, neighbors),
             state: DinerState::Thinking,
             inside: false,
-            vars,
         }
     }
 
     /// Creates the process from a colored conflict graph.
     pub fn from_graph(g: &ConflictGraph, colors: &[Color], id: ProcessId) -> Self {
-        Self::new(
-            id,
-            colors[id.index()],
-            g.neighbors(id).iter().map(|&q| (q, colors[q.index()])),
-        )
-    }
-
-    fn idx(&self, q: ProcessId) -> usize {
-        self.neighbors
-            .binary_search(&q)
-            .unwrap_or_else(|_| panic!("{q} is not a neighbor of {}", self.id))
-    }
-
-    fn get(&self, j: usize, f: u8) -> bool {
-        self.vars[j] & f != 0
-    }
-
-    fn set(&mut self, j: usize, f: u8, v: bool) {
-        if v {
-            self.vars[j] |= f;
-        } else {
-            self.vars[j] &= !f;
-        }
+        Self::new(id, colors[id.index()], neighbors_in(g, colors, id))
     }
 
     fn internal_actions(&mut self, sends: &mut Vec<(ProcessId, DiningMsg)>) {
         // Request acks (outside the doorway).
         if self.state == DinerState::Hungry && !self.inside {
-            for j in 0..self.neighbors.len() {
-                if !self.get(j, flag::PINGED) && !self.get(j, flag::ACK) {
-                    sends.push((self.neighbors[j], DiningMsg::Ping));
-                    self.set(j, flag::PINGED, true);
+            for j in 0..self.table.len() {
+                if !self.table.get(j, PINGED) && !self.table.get(j, ACK) {
+                    sends.push((self.table.at(j), DiningMsg::Ping));
+                    self.table.set(j, PINGED, true);
                 }
             }
             // Enter the doorway: ALL acks required — no oracle substitute.
-            if (0..self.neighbors.len()).all(|j| self.get(j, flag::ACK)) {
+            if (0..self.table.len()).all(|j| self.table.get(j, ACK)) {
                 self.inside = true;
-                for j in 0..self.neighbors.len() {
-                    self.set(j, flag::ACK, false);
+                for j in 0..self.table.len() {
+                    self.table.set(j, ACK, false);
                 }
             }
         }
         // Request forks (inside the doorway).
         if self.state == DinerState::Hungry && self.inside {
-            for j in 0..self.neighbors.len() {
-                if self.get(j, flag::TOKEN) && !self.get(j, flag::FORK) {
-                    sends.push((self.neighbors[j], DiningMsg::Request { color: self.color }));
-                    self.set(j, flag::TOKEN, false);
-                }
+            for j in 0..self.table.len() {
+                self.table.request(j, sends);
             }
             // Eat: ALL forks required.
-            if (0..self.neighbors.len()).all(|j| self.get(j, flag::FORK)) {
+            if (0..self.table.len()).all(|j| self.table.get(j, FORK)) {
                 self.state = DinerState::Eating;
             }
         }
@@ -134,7 +87,7 @@ impl DiningAlgorithm for ChoySinghProcess {
     type Msg = DiningMsg;
 
     fn id(&self) -> ProcessId {
-        self.id
+        self.table.id
     }
 
     fn handle(
@@ -153,48 +106,42 @@ impl DiningAlgorithm for ChoySinghProcess {
                 if self.state == DinerState::Eating {
                     self.inside = false;
                     self.state = DinerState::Thinking;
-                    for j in 0..self.neighbors.len() {
-                        if self.get(j, flag::TOKEN) && self.get(j, flag::FORK) {
-                            sends.push((self.neighbors[j], DiningMsg::Fork));
-                            self.set(j, flag::FORK, false);
+                    for j in 0..self.table.len() {
+                        if self.table.get(j, TOKEN) && self.table.get(j, FORK) {
+                            self.table.give_fork(j, sends);
                         }
-                        if self.get(j, flag::DEFERRED) {
-                            sends.push((self.neighbors[j], DiningMsg::Ack));
-                            self.set(j, flag::DEFERRED, false);
+                        if self.table.get(j, DEFERRED) {
+                            sends.push((self.table.at(j), DiningMsg::Ack));
+                            self.table.set(j, DEFERRED, false);
                         }
                     }
                 }
             }
             DiningInput::Message { from, msg } => {
-                let j = self.idx(from);
+                let j = self.table.idx(from);
                 match msg {
                     DiningMsg::Ping => {
                         // Original rule: defer only while inside the doorway.
                         if self.inside {
-                            self.set(j, flag::DEFERRED, true);
+                            self.table.set(j, DEFERRED, true);
                         } else {
                             sends.push((from, DiningMsg::Ack));
                         }
                     }
                     DiningMsg::Ack => {
                         let useful = self.state == DinerState::Hungry && !self.inside;
-                        self.set(j, flag::ACK, useful);
-                        self.set(j, flag::PINGED, false);
+                        self.table.set(j, ACK, useful);
+                        self.table.set(j, PINGED, false);
                     }
                     DiningMsg::Request { color } => {
-                        debug_assert!(self.get(j, flag::FORK), "request without fork");
-                        self.set(j, flag::TOKEN, true);
+                        self.table.take_token(j);
                         let grant = !self.inside
-                            || (self.state == DinerState::Hungry && self.color < color);
+                            || (self.state == DinerState::Hungry && self.table.color < color);
                         if grant {
-                            sends.push((from, DiningMsg::Fork));
-                            self.set(j, flag::FORK, false);
+                            self.table.give_fork(j, sends);
                         }
                     }
-                    DiningMsg::Fork => {
-                        debug_assert!(!self.get(j, flag::FORK), "duplicate fork");
-                        self.set(j, flag::FORK, true);
-                    }
+                    DiningMsg::Fork => self.table.take_fork(j),
                 }
             }
             DiningInput::SuspicionChange => {}
@@ -213,9 +160,7 @@ impl DiningAlgorithm for ChoySinghProcess {
     /// 2 (state) + 1 (inside) + ⌈log₂(δ+1)⌉ (color) + 5δ (one flag fewer
     /// than Algorithm 1: no `replied`).
     fn state_bits(&self) -> usize {
-        let delta = self.neighbors.len();
-        let color_bits = (usize::BITS - delta.max(1).leading_zeros()) as usize;
-        2 + 1 + color_bits + 5 * delta
+        2 + 1 + self.table.width() + 5 * self.table.len()
     }
 }
 

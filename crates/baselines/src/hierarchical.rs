@@ -3,11 +3,10 @@ use ekbd_dining::{DinerState, DiningAlgorithm, DiningInput, DiningMsg};
 use ekbd_graph::coloring::Color;
 use ekbd_graph::{ConflictGraph, ProcessId};
 
-mod flag {
-    pub const FORK: u8 = 1 << 0;
-    pub const TOKEN: u8 = 1 << 1;
-    pub const DEFERRED: u8 = 1 << 2;
-}
+use crate::table::{neighbors_in, Table, FORK};
+
+/// Set on a neighbor whose fork request waits until this process has eaten.
+const DEFERRED: u8 = 1 << 2;
 
 /// Dijkstra's resource-hierarchy dining: forks are acquired **one at a
 /// time in a global order** (here: neighbor id order), and a held fork is
@@ -26,11 +25,8 @@ mod flag {
 ///   latency and lower throughput in E12.
 #[derive(Clone, Debug)]
 pub struct HierarchicalProcess {
-    id: ProcessId,
-    color: Color,
-    neighbors: Vec<ProcessId>,
+    table: Table,
     state: DinerState,
-    vars: Vec<u8>,
     /// Index of the next fork to acquire (in sorted-neighbor order).
     cursor: usize,
 }
@@ -43,55 +39,16 @@ impl HierarchicalProcess {
         color: Color,
         neighbors: impl IntoIterator<Item = (ProcessId, Color)>,
     ) -> Self {
-        let mut pairs: Vec<(ProcessId, Color)> = neighbors.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(q, _)| q);
-        let mut ids = Vec::with_capacity(pairs.len());
-        let mut vars = Vec::with_capacity(pairs.len());
-        for (q, qcolor) in pairs {
-            assert!(q != id, "a process is not its own neighbor");
-            assert!(qcolor != color, "coloring must be proper");
-            ids.push(q);
-            vars.push(if color > qcolor {
-                flag::FORK
-            } else {
-                flag::TOKEN
-            });
-        }
         HierarchicalProcess {
-            id,
-            color,
-            neighbors: ids,
+            table: Table::new(id, color, neighbors),
             state: DinerState::Thinking,
-            vars,
             cursor: 0,
         }
     }
 
     /// Creates the process from a colored conflict graph.
     pub fn from_graph(g: &ConflictGraph, colors: &[Color], id: ProcessId) -> Self {
-        Self::new(
-            id,
-            colors[id.index()],
-            g.neighbors(id).iter().map(|&q| (q, colors[q.index()])),
-        )
-    }
-
-    fn idx(&self, q: ProcessId) -> usize {
-        self.neighbors
-            .binary_search(&q)
-            .unwrap_or_else(|_| panic!("{q} is not a neighbor of {}", self.id))
-    }
-
-    fn get(&self, j: usize, f: u8) -> bool {
-        self.vars[j] & f != 0
-    }
-
-    fn set(&mut self, j: usize, f: u8, v: bool) {
-        if v {
-            self.vars[j] |= f;
-        } else {
-            self.vars[j] &= !f;
-        }
+        Self::new(id, colors[id.index()], neighbors_in(g, colors, id))
     }
 
     fn internal_actions(
@@ -105,15 +62,12 @@ impl HierarchicalProcess {
         // Advance the cursor over forks already held or owned by suspects,
         // requesting at most ONE outstanding fork at a time (the ordered
         // acquisition that makes the wait-for graph acyclic).
-        while self.cursor < self.neighbors.len() {
+        while self.cursor < self.table.len() {
             let j = self.cursor;
-            if self.get(j, flag::FORK) || suspicion.suspects(self.neighbors[j]) {
+            if self.table.get(j, FORK) || suspicion.suspects(self.table.at(j)) {
                 self.cursor += 1;
             } else {
-                if self.get(j, flag::TOKEN) {
-                    sends.push((self.neighbors[j], DiningMsg::Request { color: self.color }));
-                    self.set(j, flag::TOKEN, false);
-                }
+                self.table.request(j, sends);
                 return; // wait for this fork before touching the next
             }
         }
@@ -125,7 +79,7 @@ impl DiningAlgorithm for HierarchicalProcess {
     type Msg = DiningMsg;
 
     fn id(&self) -> ProcessId {
-        self.id
+        self.table.id
     }
 
     fn handle(
@@ -145,21 +99,19 @@ impl DiningAlgorithm for HierarchicalProcess {
                 if self.state == DinerState::Eating {
                     self.state = DinerState::Thinking;
                     self.cursor = 0;
-                    for j in 0..self.neighbors.len() {
-                        if self.get(j, flag::DEFERRED) && self.get(j, flag::FORK) {
-                            sends.push((self.neighbors[j], DiningMsg::Fork));
-                            self.set(j, flag::FORK, false);
-                            self.set(j, flag::DEFERRED, false);
+                    for j in 0..self.table.len() {
+                        if self.table.get(j, DEFERRED) && self.table.get(j, FORK) {
+                            self.table.give_fork(j, sends);
+                            self.table.set(j, DEFERRED, false);
                         }
                     }
                 }
             }
             DiningInput::Message { from, msg } => {
-                let j = self.idx(from);
+                let j = self.table.idx(from);
                 match msg {
                     DiningMsg::Request { .. } => {
-                        debug_assert!(self.get(j, flag::FORK), "request without fork");
-                        self.set(j, flag::TOKEN, true);
+                        self.table.take_token(j);
                         // A hungry process holding the fork keeps it only
                         // while it has not passed it in acquisition order:
                         // holding lower-order forks while granting
@@ -168,20 +120,16 @@ impl DiningAlgorithm for HierarchicalProcess {
                         // or below the cursor (already "locked in").
                         let locked = match self.state {
                             DinerState::Eating => true,
-                            DinerState::Hungry => j < self.cursor.min(self.neighbors.len()),
+                            DinerState::Hungry => j < self.cursor.min(self.table.len()),
                             DinerState::Thinking => false,
                         };
                         if locked {
-                            self.set(j, flag::DEFERRED, true);
+                            self.table.set(j, DEFERRED, true);
                         } else {
-                            sends.push((from, DiningMsg::Fork));
-                            self.set(j, flag::FORK, false);
+                            self.table.give_fork(j, sends);
                         }
                     }
-                    DiningMsg::Fork => {
-                        debug_assert!(!self.get(j, flag::FORK), "duplicate fork");
-                        self.set(j, flag::FORK, true);
-                    }
+                    DiningMsg::Fork => self.table.take_fork(j),
                     DiningMsg::Ping | DiningMsg::Ack => {
                         debug_assert!(false, "hierarchical dining has no doorway traffic");
                     }
@@ -198,9 +146,7 @@ impl DiningAlgorithm for HierarchicalProcess {
 
     /// 2 (state) + ⌈log₂(δ+1)⌉ (color) + ⌈log₂(δ+1)⌉ (cursor) + 3δ.
     fn state_bits(&self) -> usize {
-        let delta = self.neighbors.len();
-        let width = (usize::BITS - delta.max(1).leading_zeros()) as usize;
-        2 + 2 * width + 3 * delta
+        2 + 2 * self.table.width() + 3 * self.table.len()
     }
 }
 

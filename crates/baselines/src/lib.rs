@@ -29,6 +29,7 @@
 mod choy_singh;
 mod hierarchical;
 mod naive;
+mod table;
 
 pub use choy_singh::ChoySinghProcess;
 pub use hierarchical::HierarchicalProcess;

@@ -3,10 +3,7 @@ use ekbd_dining::{DinerState, DiningAlgorithm, DiningInput, DiningMsg};
 use ekbd_graph::coloring::Color;
 use ekbd_graph::{ConflictGraph, ProcessId};
 
-mod flag {
-    pub const FORK: u8 = 1 << 0;
-    pub const TOKEN: u8 = 1 << 1;
-}
+use crate::table::{neighbors_in, Table, FORK, TOKEN};
 
 /// Fork collection with static color priorities and **no doorway**.
 ///
@@ -22,11 +19,8 @@ mod flag {
 /// paper's ◇2-BW theorem) improves on, measured in experiment E3.
 #[derive(Clone, Debug)]
 pub struct NaivePriorityProcess {
-    id: ProcessId,
-    color: Color,
-    neighbors: Vec<ProcessId>,
+    table: Table,
     state: DinerState,
-    vars: Vec<u8>,
 }
 
 impl NaivePriorityProcess {
@@ -37,54 +31,15 @@ impl NaivePriorityProcess {
         color: Color,
         neighbors: impl IntoIterator<Item = (ProcessId, Color)>,
     ) -> Self {
-        let mut pairs: Vec<(ProcessId, Color)> = neighbors.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(q, _)| q);
-        let mut ids = Vec::with_capacity(pairs.len());
-        let mut vars = Vec::with_capacity(pairs.len());
-        for (q, qcolor) in pairs {
-            assert!(q != id, "a process is not its own neighbor");
-            assert!(qcolor != color, "coloring must be proper");
-            ids.push(q);
-            vars.push(if color > qcolor {
-                flag::FORK
-            } else {
-                flag::TOKEN
-            });
-        }
         NaivePriorityProcess {
-            id,
-            color,
-            neighbors: ids,
+            table: Table::new(id, color, neighbors),
             state: DinerState::Thinking,
-            vars,
         }
     }
 
     /// Creates the process from a colored conflict graph.
     pub fn from_graph(g: &ConflictGraph, colors: &[Color], id: ProcessId) -> Self {
-        Self::new(
-            id,
-            colors[id.index()],
-            g.neighbors(id).iter().map(|&q| (q, colors[q.index()])),
-        )
-    }
-
-    fn idx(&self, q: ProcessId) -> usize {
-        self.neighbors
-            .binary_search(&q)
-            .unwrap_or_else(|_| panic!("{q} is not a neighbor of {}", self.id))
-    }
-
-    fn get(&self, j: usize, f: u8) -> bool {
-        self.vars[j] & f != 0
-    }
-
-    fn set(&mut self, j: usize, f: u8, v: bool) {
-        if v {
-            self.vars[j] |= f;
-        } else {
-            self.vars[j] &= !f;
-        }
+        Self::new(id, colors[id.index()], neighbors_in(g, colors, id))
     }
 
     fn internal_actions(
@@ -95,14 +50,11 @@ impl NaivePriorityProcess {
         if self.state != DinerState::Hungry {
             return;
         }
-        for j in 0..self.neighbors.len() {
-            if self.get(j, flag::TOKEN) && !self.get(j, flag::FORK) {
-                sends.push((self.neighbors[j], DiningMsg::Request { color: self.color }));
-                self.set(j, flag::TOKEN, false);
-            }
+        for j in 0..self.table.len() {
+            self.table.request(j, sends);
         }
-        let all = (0..self.neighbors.len())
-            .all(|j| self.get(j, flag::FORK) || suspicion.suspects(self.neighbors[j]));
+        let all = (0..self.table.len())
+            .all(|j| self.table.get(j, FORK) || suspicion.suspects(self.table.at(j)));
         if all {
             self.state = DinerState::Eating;
         }
@@ -113,7 +65,7 @@ impl DiningAlgorithm for NaivePriorityProcess {
     type Msg = DiningMsg;
 
     fn id(&self) -> ProcessId {
-        self.id
+        self.table.id
     }
 
     fn handle(
@@ -131,36 +83,30 @@ impl DiningAlgorithm for NaivePriorityProcess {
             DiningInput::DoneEating => {
                 if self.state == DinerState::Eating {
                     self.state = DinerState::Thinking;
-                    for j in 0..self.neighbors.len() {
-                        if self.get(j, flag::TOKEN) && self.get(j, flag::FORK) {
-                            sends.push((self.neighbors[j], DiningMsg::Fork));
-                            self.set(j, flag::FORK, false);
+                    for j in 0..self.table.len() {
+                        if self.table.get(j, TOKEN) && self.table.get(j, FORK) {
+                            self.table.give_fork(j, sends);
                         }
                     }
                 }
             }
             DiningInput::Message { from, msg } => {
-                let j = self.idx(from);
+                let j = self.table.idx(from);
                 match msg {
                     DiningMsg::Request { color } => {
-                        debug_assert!(self.get(j, flag::FORK), "request without fork");
-                        self.set(j, flag::TOKEN, true);
+                        self.table.take_token(j);
                         // Defer while eating, or while hungry with the
                         // higher color; grant otherwise.
                         let grant = match self.state {
                             DinerState::Eating => false,
-                            DinerState::Hungry => self.color < color,
+                            DinerState::Hungry => self.table.color < color,
                             DinerState::Thinking => true,
                         };
                         if grant {
-                            sends.push((from, DiningMsg::Fork));
-                            self.set(j, flag::FORK, false);
+                            self.table.give_fork(j, sends);
                         }
                     }
-                    DiningMsg::Fork => {
-                        debug_assert!(!self.get(j, flag::FORK), "duplicate fork");
-                        self.set(j, flag::FORK, true);
-                    }
+                    DiningMsg::Fork => self.table.take_fork(j),
                     DiningMsg::Ping | DiningMsg::Ack => {
                         debug_assert!(false, "naive dining has no doorway traffic");
                     }
@@ -177,9 +123,7 @@ impl DiningAlgorithm for NaivePriorityProcess {
 
     /// 2 (state) + ⌈log₂(δ+1)⌉ (color) + 2δ (fork, token).
     fn state_bits(&self) -> usize {
-        let delta = self.neighbors.len();
-        let color_bits = (usize::BITS - delta.max(1).leading_zeros()) as usize;
-        2 + color_bits + 2 * delta
+        2 + self.table.width() + 2 * self.table.len()
     }
 }
 

@@ -14,30 +14,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Which dining algorithm a campaign job runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CampaignAlgorithm {
-    /// Algorithm 1 normally; the crash-recovery-hardened variant when the
-    /// scenario [`needs_recoverable`](Scenario::needs_recoverable).
-    #[default]
-    Auto,
-    /// The paper's Algorithm 1.
-    Algorithm1,
-    /// [`RecoverableDining`](ekbd_dining::RecoverableDining).
-    Recoverable,
-}
-
-impl CampaignAlgorithm {
-    fn recoverable_for(self, scenario: &Scenario) -> bool {
-        match self {
-            CampaignAlgorithm::Algorithm1 => false,
-            CampaignAlgorithm::Recoverable => true,
-            CampaignAlgorithm::Auto => scenario.needs_recoverable(),
-        }
-    }
-}
-
-/// One unit of campaign work: a labelled scenario plus algorithm choice.
+/// One unit of campaign work: a labelled scenario. It runs Algorithm 1,
+/// or the crash-recovery-hardened variant when the scenario
+/// [`needs_recoverable`](Scenario::needs_recoverable).
 #[derive(Clone, Debug)]
 pub struct CampaignJob {
     /// Display label (topology/fault-plan identity; the seed is tracked
@@ -45,8 +24,6 @@ pub struct CampaignJob {
     pub label: String,
     /// The scenario to run.
     pub scenario: Scenario,
-    /// The algorithm to run it with.
-    pub algorithm: CampaignAlgorithm,
 }
 
 /// One finished campaign run.
@@ -176,22 +153,11 @@ impl Campaign {
         Campaign::default()
     }
 
-    /// Adds one job with the default (auto) algorithm choice.
-    pub fn job(self, label: impl Into<String>, scenario: Scenario) -> Self {
-        self.job_with(label, scenario, CampaignAlgorithm::Auto)
-    }
-
-    /// Adds one job with an explicit algorithm choice.
-    pub fn job_with(
-        mut self,
-        label: impl Into<String>,
-        scenario: Scenario,
-        algorithm: CampaignAlgorithm,
-    ) -> Self {
+    /// Adds one job.
+    pub fn job(mut self, label: impl Into<String>, scenario: Scenario) -> Self {
         self.jobs.push(CampaignJob {
             label: label.into(),
             scenario,
-            algorithm,
         });
         self
     }
@@ -210,7 +176,6 @@ impl Campaign {
             self.jobs.push(CampaignJob {
                 label: label.clone(),
                 scenario: base.clone().seed(seed),
-                algorithm: CampaignAlgorithm::Auto,
             });
         }
         self
@@ -232,7 +197,6 @@ impl Campaign {
             self.jobs.push(CampaignJob {
                 label: label.clone(),
                 scenario: base.clone().seed(seed).churn(period),
-                algorithm: CampaignAlgorithm::Auto,
             });
         }
         self
@@ -302,7 +266,7 @@ impl Campaign {
 }
 
 fn run_job(job: &CampaignJob) -> RunReport {
-    if job.algorithm.recoverable_for(&job.scenario) {
+    if job.scenario.needs_recoverable() {
         job.scenario.run_recoverable()
     } else {
         job.scenario.run_algorithm1()
@@ -353,13 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_algorithm_picks_recoverable_for_recovery_plans() {
+    fn recovery_plans_run_the_recoverable_variant() {
         let scenario = base(4)
             .perfect_oracle()
             .crash(ProcessId(1), Time(100))
             .recover(ProcessId(1), Time(800));
-        assert!(CampaignAlgorithm::Auto.recoverable_for(&scenario));
-        assert!(!CampaignAlgorithm::Algorithm1.recoverable_for(&scenario));
+        assert!(scenario.needs_recoverable());
         let report = Campaign::new().job("rec", scenario).run_serial();
         assert_eq!(report.runs[0].report.incarnations[1], 1);
     }
@@ -367,7 +330,7 @@ mod tests {
     #[test]
     fn churned_campaigns_pick_recoverable_and_tag_the_digest() {
         let scenario = base(8).churn(500);
-        assert!(CampaignAlgorithm::Auto.recoverable_for(&scenario));
+        assert!(scenario.needs_recoverable());
         let report = Campaign::new()
             .churn_seeds("churn", &base(8), 500, 0..2)
             .run_serial();

@@ -49,7 +49,7 @@ mod report;
 mod scenario;
 mod streaming;
 
-pub use campaign::{Campaign, CampaignAlgorithm, CampaignJob, CampaignReport, CampaignRun};
+pub use campaign::{Campaign, CampaignJob, CampaignReport, CampaignRun};
 pub use chaos::{
     emit_repro_artifact, reproduces, run_chaos, shrink_failing, ChaosOutcome, CHAOS_WORKLOAD,
 };

@@ -1141,7 +1141,7 @@ mod tests {
         }
 
         /// Two processes crash at one tick and restart: the closers of a
-        /// tick come in the order the cut processes next act, p3 first.
+        /// tick come by process id, p2 first, though p3 acts again first.
         fn same_tick_cuts() -> (Vec<SchedEvent>, Schedule) {
             let events = vec![
                 ev(1, 2, BecameHungry),
@@ -1227,7 +1227,7 @@ mod tests {
             ("event-at-the-cut", "14#76bd3c3086959b38"),
             ("two-cuts", "16#17745f7a57b623a9"),
             ("departures", "10#faff6024bb37af06"),
-            ("same-tick-cuts", "13#ae946c756dfa5186"),
+            ("same-tick-cuts", "13#8abd847da7b17f2e"),
             ("no-later-event", "10#bb1e80b40e3f7a92"),
             ("random-1", "80#55f96b3e59640649"),
             ("random-2", "81#f4b148881017816f"),

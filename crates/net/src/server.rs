@@ -179,18 +179,9 @@ pub struct ServerConfig {
     /// for its own event stream) is disconnected rather than allowed to
     /// hold memory hostage.
     pub send_queue: usize,
-    /// Heartbeat sweep period in milliseconds.
+    /// Heartbeat sweep period in milliseconds. A session silent for 25
+    /// sweeps in a row (5 s at the default) is declared dead.
     pub heartbeat_ms: u64,
-    /// Suspicion gate: consecutive silent sweeps tolerated before a
-    /// session is declared dead. Any inbound frame resets the count, so a
-    /// session only times out after `heartbeat_strikes × heartbeat_ms` of
-    /// total silence — one missed beat is suspicion, not conviction. The
-    /// default window is 5 s: a client answers `Ping`s only from inside
-    /// its waits, so the window must outlast whatever a live caller does
-    /// between two of them, and a silent client blocks no neighbour
-    /// (meals are timed by the daemon) — conviction only reclaims its
-    /// slot.
-    pub heartbeat_strikes: u32,
     /// Retry hint carried in `REJECT_BUSY` refusals, in milliseconds.
     pub busy_retry_ms: u32,
     /// Handshake deadline in milliseconds: a dialer that has not sent
@@ -213,7 +204,6 @@ impl Default for ServerConfig {
             max_sessions: 64,
             send_queue: 64,
             heartbeat_ms: 200,
-            heartbeat_strikes: 25,
             busy_retry_ms: 100,
             handshake_ms: 2_000,
             detach_ttl_ms: 30_000,
@@ -1427,6 +1417,17 @@ impl Reactor {
         }
     }
 
+    /// Suspicion gate: consecutive silent sweeps tolerated before a
+    /// session is declared dead. Any inbound frame resets the count, so a
+    /// session only times out after `HEARTBEAT_STRIKES × heartbeat_ms` of
+    /// total silence — one missed beat is suspicion, not conviction. The
+    /// window is 5 s at the default 200 ms: a client answers `Ping`s only
+    /// from inside its waits, so the window must outlast whatever a live
+    /// caller does between two of them, and a silent client blocks no
+    /// neighbour (meals are timed by the daemon) — conviction only
+    /// reclaims its slot.
+    const HEARTBEAT_STRIKES: u32 = 25;
+
     /// One heartbeat sweep over this reactor's open connections.
     fn heartbeat(&mut self) {
         self.nonce = self.nonce.wrapping_add(1);
@@ -1439,7 +1440,7 @@ impl Reactor {
                 continue;
             }
             entry.strikes += 1;
-            if entry.strikes > self.inner.cfg.heartbeat_strikes {
+            if entry.strikes > Self::HEARTBEAT_STRIKES {
                 dead.push(slot);
             } else {
                 ping.push(slot);

@@ -279,16 +279,10 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
         let _ = self.txs[p.index()].send(ThreadMsg::Corrupt { entropy });
     }
 
-    /// Snapshot of the last [`EventTail::CAPACITY`] events recorded so far.
-    pub fn events_so_far(&self) -> Vec<SchedEvent> {
-        let log = self.shared.log.lock().expect("run log poisoned");
-        log.events.iter().copied().collect()
-    }
-
     /// Installs a live event tap and returns its receiving end: every
     /// [`SchedEvent`] recorded from now on is also streamed to the
     /// returned channel, letting an observer (the net server's event
-    /// pump) react without polling [`events_so_far`](Self::events_so_far).
+    /// pump) react as each event is recorded.
     /// Taps fan out — installing another one *adds* a subscriber rather
     /// than replacing the previous; a tap whose receiver is dropped
     /// uninstalls itself on the next event.
@@ -321,17 +315,9 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
     /// # Panics
     ///
     /// Re-raises the panic of a process thread once every thread has
-    /// joined; so do [`shutdown_with_link`](Self::shutdown_with_link) and
-    /// [`shutdown_complete`](Self::shutdown_complete).
+    /// joined; so does [`shutdown_complete`](Self::shutdown_complete).
     pub fn shutdown_after(self, window: Duration) -> Vec<SchedEvent> {
-        self.shutdown_with_link(window).0
-    }
-
-    /// Like [`shutdown_after`](Self::shutdown_after), but also returns the
-    /// system-wide link-layer counters (all zeros when the link is off).
-    pub fn shutdown_with_link(self, window: Duration) -> (Vec<SchedEvent>, LinkSummary) {
-        let log = self.join_all(window);
-        (log.events.into_vec(), log.link)
+        self.join_all(window).events.into_vec()
     }
 
     /// Stops and joins every process thread. A thread's panic is
@@ -354,8 +340,9 @@ impl<M: Clone + Send + 'static> ThreadedDining<M> {
         std::mem::take(&mut *self.shared.log.lock().expect("run log poisoned"))
     }
 
-    /// Like [`shutdown_with_link`](Self::shutdown_with_link), but also
-    /// returns the restart notices — snapshotted **after** every thread
+    /// Like [`shutdown_after`](Self::shutdown_after), but also returns the
+    /// system-wide link-layer counters (all zeros when the link is off)
+    /// and the restart notices — snapshotted **after** every thread
     /// has joined. A `Recover` queued just before the shutdown still
     /// completes during teardown (each thread drains its FIFO channel up
     /// to the `Shutdown` marker), and its thread publishes the notice
@@ -648,7 +635,8 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(60 + round * 10));
         }
-        let (events, link) = sys.shutdown_with_link(Duration::from_millis(400));
+        let run = sys.shutdown_complete(Duration::from_millis(400));
+        let (events, link) = (run.events, run.link);
         let mut ate = [false; 3];
         for e in &events {
             if e.obs == DiningObs::StartedEating {

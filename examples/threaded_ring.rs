@@ -17,6 +17,7 @@ fn main() {
     let graph = topology::ring(5);
     println!("Spawning 5 philosopher threads on a ring (heartbeat ◇P₁, 10ms period)…");
     let sys = ThreadedDining::spawn(graph.clone(), RuntimeConfig::default());
+    let tap = sys.tap_events();
 
     // Phase 1: everyone dines politely.
     for round in 0..10 {
@@ -28,7 +29,7 @@ fn main() {
     println!(
         "t={:>4}ms  phase 1 done: {} events so far",
         sys.elapsed_ms(),
-        sys.events_so_far().len()
+        tap.try_iter().count()
     );
 
     // Phase 2: p0's thread crashes for real; its neighbors keep dining.
