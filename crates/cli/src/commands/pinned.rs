@@ -1,9 +1,10 @@
 //! Literal digests of what the fault and topology flags build.
 //!
 //! `RUN_DIGESTS` pins the run each flag line produces through
-//! `scenario_from`: every fault flag alone and combined, `--churn-plan`
-//! with all four verbs, `--churn-rate`, both baselines `--algorithm` can
-//! select, one `stabilize` and one `campaign` line. A row holds the events
+//! `scenario_from`: every fault flag alone and combined, the `heartbeat:`
+//! and `probe:` oracles under a crash, `--churn-plan` with all four verbs,
+//! `--churn-rate`, both baselines `--algorithm` can select, one
+//! `stabilize` and one `campaign` line. A row holds the events
 //! processed, a digest of the scheduling events and the `COLUMN_DIGESTS`
 //! columns of `tests/golden_trace.rs`.
 //! `TOPOLOGY_DIGESTS` pins the graph each topology spec builds, in both
@@ -108,6 +109,10 @@ const RUN_DIGESTS: &[(&str, &str)] = &[
      "events=906 sched#2680b12cab5917ae suspicions=0#cbf29ce484222325 dining_sends=264 to_cut=0#cbf29ce484222325 quiescence#cbf29ce484222325 to_crashed=0#cbf29ce484222325 high_water=6 convergence=0"),
     ("run --topology ring:6 --seed 3 --sessions 6 --horizon 30000 --oracle perfect --crash 2:700",
      "events=347 sched#2f9b1b5fb39f09e0 suspicions=2#e268b1b74332d67d dining_sends=272 to_cut=0#cbf29ce484222325 quiescence#48ff45e72ee8112e to_crashed=0#cbf29ce484222325 high_water=2 convergence=700"),
+    ("run --topology ring:6 --seed 3 --sessions 6 --horizon 30000 --oracle heartbeat:10:15:30 --crash 2:700",
+     "events=45531 sched#802ddad695077fa3 suspicions=2#144f3fb3268fcd4c dining_sends=248 to_cut=0#cbf29ce484222325 quiescence#48ff45e72ee8112e to_crashed=5862#2a9b48451e912ebf high_water=4 convergence=720"),
+    ("run --topology ring:6 --seed 3 --sessions 6 --horizon 30000 --oracle probe:10:15:30 --crash 2:700",
+     "events=69826 sched#5dd06d1203e0bf0c suspicions=22#f16ed0a462b9f1f8 dining_sends=266 to_cut=0#cbf29ce484222325 quiescence#48ff45e72ee8112e to_crashed=5862#2a9b48451e912ebf high_water=6 convergence=2132"),
     ("run --topology ring:6 --seed 3 --sessions 6 --horizon 30000 --oracle perfect --crash 2:700 --recover 2:2000",
      "events=1976 sched#1fdff31187e344db suspicions=4#f2a0aca3dd4dee8d dining_sends=1355 to_cut=0#cbf29ce484222325 quiescence#48ff45e72ee8112e to_crashed=0#cbf29ce484222325 high_water=4 convergence=2000"),
     ("run --topology ring:6 --seed 3 --sessions 6 --horizon 30000 --oracle perfect --crash 2:700 --recover 2:2000:corrupt",
