@@ -11,7 +11,7 @@
 //! unreliable detectors.
 
 use ekbd_bench::{banner, conclude, verdict, Table};
-use ekbd_detector::{HeartbeatConfig, ProbeConfig};
+use ekbd_detector::HeartbeatConfig;
 use ekbd_graph::{topology, ProcessId};
 use ekbd_harness::{Scenario, Workload};
 use ekbd_metrics::DetectorQualityReport;
@@ -53,18 +53,15 @@ fn main() {
         let seeds = 4;
         for seed in 0..seeds {
             let base = Scenario::new(topology::ring(6)).seed(seed);
+            let cfg = HeartbeatConfig {
+                period: 10,
+                initial_timeout,
+                timeout_increment: 30,
+            };
             let base = if kind == "heartbeat" {
-                base.heartbeat_oracle(HeartbeatConfig {
-                    period: 10,
-                    initial_timeout,
-                    timeout_increment: 30,
-                })
+                base.heartbeat_oracle(cfg)
             } else {
-                base.probe_oracle(ProbeConfig {
-                    period: 10,
-                    initial_timeout,
-                    timeout_increment: 30,
-                })
+                base.probe_oracle(cfg)
             };
             let report = base
                 .delay(DelayModel::Gst {

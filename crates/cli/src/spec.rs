@@ -4,7 +4,7 @@
 //! chaos codec's directive parser.
 
 use crate::args::ArgError;
-use ekbd_detector::{HeartbeatConfig, ProbeConfig};
+use ekbd_detector::HeartbeatConfig;
 use ekbd_link::LinkConfig;
 use ekbd_sim::Time;
 
@@ -17,8 +17,9 @@ fn bad(flag: &'static str, value: &str, expected: &'static str) -> ArgError {
 }
 
 /// An oracle specification: `silent`, `perfect`,
-/// `adversarial:<converge>:<burst>`, or
-/// `heartbeat:<period>:<timeout>:<increment>`.
+/// `adversarial:<converge>:<burst>`,
+/// `heartbeat:<period>:<timeout>:<increment>`, or
+/// `probe:<period>:<timeout>:<increment>`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum OracleArg {
     /// Never suspects.
@@ -32,10 +33,10 @@ pub enum OracleArg {
         /// Burst length.
         burst: u64,
     },
-    /// Real heartbeat implementation.
+    /// Real heartbeat implementation, pushing heartbeats.
     Heartbeat(HeartbeatConfig),
-    /// Real pull-based probe/echo implementation.
-    Probe(ProbeConfig),
+    /// The same implementation with probe/echo rounds.
+    Probe(HeartbeatConfig),
 }
 
 impl OracleArg {
@@ -52,16 +53,18 @@ impl OracleArg {
                 converge: Time(c.parse().map_err(|_| err())?),
                 burst: b.parse().map_err(|_| err())?,
             },
-            ["heartbeat", p, t, i] => OracleArg::Heartbeat(HeartbeatConfig {
-                period: p.parse().map_err(|_| err())?,
-                initial_timeout: t.parse().map_err(|_| err())?,
-                timeout_increment: i.parse().map_err(|_| err())?,
-            }),
-            ["probe", p, t, i] => OracleArg::Probe(ProbeConfig {
-                period: p.parse().map_err(|_| err())?,
-                initial_timeout: t.parse().map_err(|_| err())?,
-                timeout_increment: i.parse().map_err(|_| err())?,
-            }),
+            [round @ ("heartbeat" | "probe"), p, t, i] => {
+                let cfg = HeartbeatConfig {
+                    period: p.parse().map_err(|_| err())?,
+                    initial_timeout: t.parse().map_err(|_| err())?,
+                    timeout_increment: i.parse().map_err(|_| err())?,
+                };
+                if *round == "probe" {
+                    OracleArg::Probe(cfg)
+                } else {
+                    OracleArg::Heartbeat(cfg)
+                }
+            }
             _ => return Err(err()),
         })
     }

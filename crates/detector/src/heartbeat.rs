@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Tuning knobs of the [`HeartbeatDetector`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HeartbeatConfig {
-    /// How often heartbeats are sent and timeouts checked.
+    /// How often a round is sent and timeouts checked.
     pub period: Duration,
     /// Initial per-neighbor timeout.
     pub initial_timeout: Duration,
@@ -28,23 +28,35 @@ impl Default for HeartbeatConfig {
 /// The classic heartbeat + adaptive-timeout implementation of ◇P₁
 /// (Chandra & Toueg 1996; Dwork–Lynch–Stockmeyer partial synchrony).
 ///
-/// Every `period` ticks the module sends [`DetectorMsg::Heartbeat`] to each
+/// Every `period` ticks the module sends its round message to each
 /// monitored neighbor and suspects any neighbor not heard from within its
-/// current timeout. When a heartbeat arrives from a suspected neighbor the
+/// current timeout. The round message is fixed when the module is built:
+///
+/// * [`new`](Self::new) pushes [`DetectorMsg::Heartbeat`];
+/// * [`probing`](Self::probing) pulls with [`DetectorMsg::Probe`], which a
+///   live neighbor answers at once with [`DetectorMsg::Echo`]
+///   (Chen–Toueg style). That costs twice the messages per round, and the
+///   timeout covers a full round trip (`period + 2Δ` after GST), so
+///   detection latency and the false-positive/latency trade-off sit at
+///   roughly twice the push figures. Experiment E11 compares both rounds.
+///
+/// Every module answers a `Probe` with an `Echo`, and takes a `Heartbeat`
+/// or an `Echo` as evidence: when one arrives from a suspected neighbor the
 /// suspicion is withdrawn — a false positive — and that neighbor's timeout
 /// is increased by `timeout_increment`.
 ///
 /// Why this is ◇P₁ under the simulator's GST delay model:
 ///
 /// * **Local strong completeness.** A crashed neighbor sends no further
-///   heartbeats, so its silence gap grows without bound, it gets suspected,
-///   and — since no heartbeat can ever withdraw the suspicion — remains
+///   evidence, so its silence gap grows without bound, it gets suspected,
+///   and — since no evidence can ever withdraw the suspicion — remains
 ///   suspected permanently.
 /// * **Local eventual strong accuracy.** After GST every delay is ≤ Δ, so
-///   consecutive heartbeats from a correct neighbor arrive at most
-///   `period + Δ` apart. Each false suspicion grows the timeout by a fixed
-///   increment, so after finitely many mistakes the timeout exceeds
-///   `period + Δ` and no correct neighbor is ever suspected again.
+///   consecutive evidence from a correct neighbor arrives at most
+///   `period + Δ` apart (`period + 2Δ` for a probing round). Each false
+///   suspicion grows the timeout by a fixed increment, so after finitely
+///   many mistakes the timeout exceeds that gap and no correct neighbor is
+///   ever suspected again.
 ///
 /// Under the crash-*recovery* fault model the module additionally handles
 /// restarts on both sides of the monitoring relation:
@@ -62,12 +74,14 @@ impl Default for HeartbeatConfig {
 #[derive(Clone, Debug)]
 pub struct HeartbeatDetector {
     cfg: HeartbeatConfig,
+    /// What each round sends: `Heartbeat` (push) or `Probe` (pull).
+    round: DetectorMsg,
     neighbors: Vec<ProcessId>,
     last_heard: BTreeMap<ProcessId, Time>,
     timeout: BTreeMap<ProcessId, Duration>,
     suspects: BTreeSet<ProcessId>,
-    /// Count of withdrawn suspicions (false positives), per neighbor.
-    false_positives: BTreeMap<ProcessId, u64>,
+    /// Count of withdrawn suspicions (false positives).
+    false_positives: u64,
     /// This process's incarnation epoch (0 until the first recovery).
     epoch: u64,
     /// Highest neighbor epoch whose `Alive` we have already honored.
@@ -78,8 +92,23 @@ pub struct HeartbeatDetector {
 const HB_TIMER_TAG: u64 = 1;
 
 impl HeartbeatDetector {
-    /// Creates a detector monitoring `neighbors`.
+    /// Creates a detector monitoring `neighbors` whose rounds push
+    /// [`DetectorMsg::Heartbeat`].
     pub fn new(cfg: HeartbeatConfig, neighbors: impl IntoIterator<Item = ProcessId>) -> Self {
+        Self::with_round(cfg, neighbors, DetectorMsg::Heartbeat)
+    }
+
+    /// Creates a detector monitoring `neighbors` whose rounds pull with
+    /// [`DetectorMsg::Probe`] and hear back an [`DetectorMsg::Echo`].
+    pub fn probing(cfg: HeartbeatConfig, neighbors: impl IntoIterator<Item = ProcessId>) -> Self {
+        Self::with_round(cfg, neighbors, DetectorMsg::Probe)
+    }
+
+    fn with_round(
+        cfg: HeartbeatConfig,
+        neighbors: impl IntoIterator<Item = ProcessId>,
+        round: DetectorMsg,
+    ) -> Self {
         let neighbors: Vec<ProcessId> = neighbors.into_iter().collect();
         let timeout = neighbors
             .iter()
@@ -87,11 +116,12 @@ impl HeartbeatDetector {
             .collect();
         HeartbeatDetector {
             cfg,
+            round,
             neighbors,
             last_heard: BTreeMap::new(),
             timeout,
             suspects: BTreeSet::new(),
-            false_positives: BTreeMap::new(),
+            false_positives: 0,
             epoch: 0,
             refuted: BTreeMap::new(),
         }
@@ -99,7 +129,7 @@ impl HeartbeatDetector {
 
     /// Total false positives (suspicions later withdrawn) so far.
     pub fn total_false_positives(&self) -> u64 {
-        self.false_positives.values().sum()
+        self.false_positives
     }
 
     /// The current timeout for `q`, if monitored.
@@ -109,7 +139,7 @@ impl HeartbeatDetector {
 
     fn beat(&mut self, out: &mut DetectorOutput) {
         for &q in &self.neighbors {
-            out.sends.push((q, DetectorMsg::Heartbeat));
+            out.sends.push((q, self.round));
         }
         out.timers.push((
             self.cfg.period.max(1),
@@ -157,8 +187,7 @@ impl DetectorModule for HeartbeatDetector {
                 msg: DetectorMsg::Probe,
                 ..
             } => {
-                // A pull-based peer is asking: answer so mixed deployments
-                // stay safe.
+                // A probing neighbor is asking: answer on the monitored side.
                 out.sends.push((from, DetectorMsg::Echo));
             }
             DetectorEvent::Message {
@@ -170,7 +199,7 @@ impl DetectorModule for HeartbeatDetector {
                 if self.suspects.remove(&from) {
                     // False positive: withdraw and adapt.
                     out.changed = true;
-                    *self.false_positives.entry(from).or_insert(0) += 1;
+                    self.false_positives += 1;
                     if let Some(t) = self.timeout.get_mut(&from) {
                         *t = t.saturating_add(self.cfg.timeout_increment);
                     }
@@ -235,88 +264,120 @@ mod tests {
         }
     }
 
+    /// A pushing and a probing detector over `neighbors`, each with the
+    /// message its rounds send.
+    fn rounds(neighbors: &[ProcessId]) -> [(HeartbeatDetector, DetectorMsg); 2] {
+        let nbrs = || neighbors.iter().copied();
+        [
+            (
+                HeartbeatDetector::new(cfg(), nbrs()),
+                DetectorMsg::Heartbeat,
+            ),
+            (
+                HeartbeatDetector::probing(cfg(), nbrs()),
+                DetectorMsg::Probe,
+            ),
+        ]
+    }
+
     #[test]
     fn start_sends_heartbeats_and_sets_timer() {
-        let mut d = HeartbeatDetector::new(cfg(), [p(1), p(2)]);
-        let mut out = DetectorOutput::new();
-        d.handle(DetectorEvent::Start { now: Time::ZERO }, &mut out);
-        assert_eq!(
-            out.sends,
-            vec![
-                (p(1), DetectorMsg::Heartbeat),
-                (p(2), DetectorMsg::Heartbeat)
-            ]
-        );
-        assert_eq!(out.timers, vec![(10, HB_TIMER_TAG)]);
-        assert!(!out.changed);
+        for (mut d, round) in rounds(&[p(1), p(2)]) {
+            let mut out = DetectorOutput::new();
+            d.handle(DetectorEvent::Start { now: Time::ZERO }, &mut out);
+            assert_eq!(out.sends, vec![(p(1), round), (p(2), round)]);
+            assert_eq!(out.timers, vec![(10, HB_TIMER_TAG)]);
+            assert!(!out.changed);
+        }
+    }
+
+    #[test]
+    fn probes_are_echoed() {
+        for (mut d, _) in rounds(&[p(1)]) {
+            let mut out = DetectorOutput::new();
+            d.handle(
+                DetectorEvent::Message {
+                    now: Time(5),
+                    from: p(1),
+                    msg: DetectorMsg::Probe,
+                },
+                &mut out,
+            );
+            assert_eq!(out.sends, vec![(p(1), DetectorMsg::Echo)]);
+        }
     }
 
     #[test]
     fn silence_leads_to_suspicion() {
-        let mut d = HeartbeatDetector::new(cfg(), [p(1)]);
-        let mut out = DetectorOutput::new();
-        d.handle(DetectorEvent::Start { now: Time::ZERO }, &mut out);
-        // Quiet gap of 30 > timeout 25 → suspect.
-        let mut out = DetectorOutput::new();
-        d.handle(
-            DetectorEvent::Timer {
-                now: Time(30),
-                tag: HB_TIMER_TAG,
-            },
-            &mut out,
-        );
-        assert!(out.changed);
-        assert!(d.suspects(p(1)));
+        for (mut d, _) in rounds(&[p(1)]) {
+            let mut out = DetectorOutput::new();
+            d.handle(DetectorEvent::Start { now: Time::ZERO }, &mut out);
+            // Quiet gap of 30 > timeout 25 → suspect.
+            let mut out = DetectorOutput::new();
+            d.handle(
+                DetectorEvent::Timer {
+                    now: Time(30),
+                    tag: HB_TIMER_TAG,
+                },
+                &mut out,
+            );
+            assert!(out.changed);
+            assert!(d.suspects(p(1)));
+        }
     }
 
     #[test]
     fn heartbeat_withdraws_suspicion_and_adapts_timeout() {
-        let mut d = HeartbeatDetector::new(cfg(), [p(1)]);
-        let mut out = DetectorOutput::new();
-        d.handle(DetectorEvent::Start { now: Time::ZERO }, &mut out);
-        d.handle(
-            DetectorEvent::Timer {
-                now: Time(30),
-                tag: HB_TIMER_TAG,
-            },
-            &mut DetectorOutput::new(),
-        );
-        assert!(d.suspects(p(1)));
-        assert_eq!(d.timeout_of(p(1)), Some(25));
-
-        let mut out = DetectorOutput::new();
-        d.handle(
-            DetectorEvent::Message {
-                now: Time(31),
-                from: p(1),
-                msg: DetectorMsg::Heartbeat,
-            },
-            &mut out,
-        );
-        assert!(out.changed);
-        assert!(!d.suspects(p(1)));
-        assert_eq!(d.timeout_of(p(1)), Some(40), "timeout grew by increment");
-        assert_eq!(d.total_false_positives(), 1);
-    }
-
-    #[test]
-    fn crashed_neighbor_stays_suspected() {
-        let mut d = HeartbeatDetector::new(cfg(), [p(1)]);
-        d.handle(
-            DetectorEvent::Start { now: Time::ZERO },
-            &mut DetectorOutput::new(),
-        );
-        for t in (10..500).step_by(10) {
+        // The evidence each round hears back: a heartbeat, or an echo.
+        let [(push, _), (pull, _)] = rounds(&[p(1)]);
+        for (mut d, evidence) in [(push, DetectorMsg::Heartbeat), (pull, DetectorMsg::Echo)] {
+            let mut out = DetectorOutput::new();
+            d.handle(DetectorEvent::Start { now: Time::ZERO }, &mut out);
             d.handle(
                 DetectorEvent::Timer {
-                    now: Time(t),
+                    now: Time(30),
                     tag: HB_TIMER_TAG,
                 },
                 &mut DetectorOutput::new(),
             );
+            assert!(d.suspects(p(1)));
+            assert_eq!(d.timeout_of(p(1)), Some(25));
+
+            let mut out = DetectorOutput::new();
+            d.handle(
+                DetectorEvent::Message {
+                    now: Time(31),
+                    from: p(1),
+                    msg: evidence,
+                },
+                &mut out,
+            );
+            assert!(out.changed);
+            assert!(!d.suspects(p(1)));
+            assert_eq!(d.timeout_of(p(1)), Some(40), "timeout grew by increment");
+            assert_eq!(d.total_false_positives(), 1);
         }
-        assert!(d.suspects(p(1)));
-        assert_eq!(d.total_false_positives(), 0, "never withdrawn");
+    }
+
+    #[test]
+    fn crashed_neighbor_stays_suspected() {
+        for (mut d, _) in rounds(&[p(1)]) {
+            d.handle(
+                DetectorEvent::Start { now: Time::ZERO },
+                &mut DetectorOutput::new(),
+            );
+            for t in (10..500).step_by(10) {
+                d.handle(
+                    DetectorEvent::Timer {
+                        now: Time(t),
+                        tag: HB_TIMER_TAG,
+                    },
+                    &mut DetectorOutput::new(),
+                );
+            }
+            assert!(d.suspects(p(1)));
+            assert_eq!(d.total_false_positives(), 0, "never withdrawn");
+        }
     }
 
     #[test]
@@ -392,33 +453,34 @@ mod tests {
 
     #[test]
     fn alive_refutes_suspicion_without_counting_a_false_positive() {
-        let mut d = HeartbeatDetector::new(cfg(), [p(1)]);
-        d.handle(
-            DetectorEvent::Start { now: Time::ZERO },
-            &mut DetectorOutput::new(),
-        );
-        d.handle(
-            DetectorEvent::Timer {
-                now: Time(30),
-                tag: HB_TIMER_TAG,
-            },
-            &mut DetectorOutput::new(),
-        );
-        assert!(d.suspects(p(1)), "crashed neighbor is suspected");
+        for (mut d, _) in rounds(&[p(1)]) {
+            d.handle(
+                DetectorEvent::Start { now: Time::ZERO },
+                &mut DetectorOutput::new(),
+            );
+            d.handle(
+                DetectorEvent::Timer {
+                    now: Time(30),
+                    tag: HB_TIMER_TAG,
+                },
+                &mut DetectorOutput::new(),
+            );
+            assert!(d.suspects(p(1)), "crashed neighbor is suspected");
 
-        let mut out = DetectorOutput::new();
-        d.handle(
-            DetectorEvent::Message {
-                now: Time(40),
-                from: p(1),
-                msg: DetectorMsg::Alive { epoch: 1 },
-            },
-            &mut out,
-        );
-        assert!(out.changed);
-        assert!(!d.suspects(p(1)), "refutation withdraws the suspicion");
-        assert_eq!(d.total_false_positives(), 0, "it was a correct suspicion");
-        assert_eq!(d.timeout_of(p(1)), Some(25), "no adaptive growth either");
+            let mut out = DetectorOutput::new();
+            d.handle(
+                DetectorEvent::Message {
+                    now: Time(40),
+                    from: p(1),
+                    msg: DetectorMsg::Alive { epoch: 1 },
+                },
+                &mut out,
+            );
+            assert!(out.changed);
+            assert!(!d.suspects(p(1)), "refutation withdraws the suspicion");
+            assert_eq!(d.total_false_positives(), 0, "it was a correct suspicion");
+            assert_eq!(d.timeout_of(p(1)), Some(25), "no adaptive growth either");
+        }
     }
 
     #[test]
@@ -472,62 +534,61 @@ mod tests {
 
     #[test]
     fn recovery_resets_state_broadcasts_alive_and_rearms_epoch_timer() {
-        let mut d = HeartbeatDetector::new(cfg(), [p(1), p(2)]);
-        d.handle(
-            DetectorEvent::Start { now: Time::ZERO },
-            &mut DetectorOutput::new(),
-        );
-        d.handle(
-            DetectorEvent::Timer {
-                now: Time(30),
-                tag: HB_TIMER_TAG,
-            },
-            &mut DetectorOutput::new(),
-        );
-        assert!(d.suspects(p(1)) && d.suspects(p(2)));
+        for (mut d, round) in rounds(&[p(1), p(2)]) {
+            d.handle(
+                DetectorEvent::Start { now: Time::ZERO },
+                &mut DetectorOutput::new(),
+            );
+            d.handle(
+                DetectorEvent::Timer {
+                    now: Time(30),
+                    tag: HB_TIMER_TAG,
+                },
+                &mut DetectorOutput::new(),
+            );
+            assert!(d.suspects(p(1)) && d.suspects(p(2)));
 
-        let mut out = DetectorOutput::new();
-        d.handle(
-            DetectorEvent::Recovered {
-                now: Time(50),
-                epoch: 1,
-            },
-            &mut out,
-        );
-        assert!(out.changed, "pre-crash suspicions were dropped");
-        assert!(d.suspect_set().is_empty(), "fresh grace period");
-        assert!(out
-            .sends
-            .iter()
-            .any(|&(q, m)| q == p(1) && m == DetectorMsg::Alive { epoch: 1 }));
-        assert!(out
-            .sends
-            .iter()
-            .any(|&(q, m)| q == p(2) && m == DetectorMsg::Heartbeat));
-        let new_tag = epoch_timer_tag(HB_TIMER_TAG, 1);
-        assert_eq!(out.timers, vec![(10, new_tag)]);
+            let mut out = DetectorOutput::new();
+            d.handle(
+                DetectorEvent::Recovered {
+                    now: Time(50),
+                    epoch: 1,
+                },
+                &mut out,
+            );
+            assert!(out.changed, "pre-crash suspicions were dropped");
+            assert!(d.suspect_set().is_empty(), "fresh grace period");
+            assert!(out
+                .sends
+                .iter()
+                .any(|&(q, m)| q == p(1) && m == DetectorMsg::Alive { epoch: 1 }));
+            assert!(out.sends.iter().any(|&(q, m)| q == p(2) && m == round));
+            let new_tag = epoch_timer_tag(HB_TIMER_TAG, 1);
+            assert_eq!(out.timers, vec![(10, new_tag)]);
 
-        // The pre-crash timer chain is dead: its epoch-0 tag is ignored.
-        let mut out = DetectorOutput::new();
-        d.handle(
-            DetectorEvent::Timer {
-                now: Time(51),
-                tag: HB_TIMER_TAG,
-            },
-            &mut out,
-        );
-        assert!(out.sends.is_empty() && out.timers.is_empty() && !out.changed);
+            // The pre-crash timer chain is dead: its epoch-0 tag is ignored.
+            let mut out = DetectorOutput::new();
+            d.handle(
+                DetectorEvent::Timer {
+                    now: Time(51),
+                    tag: HB_TIMER_TAG,
+                },
+                &mut out,
+            );
+            assert!(out.sends.is_empty() && out.timers.is_empty() && !out.changed);
 
-        // The new-epoch chain beats and checks as usual.
-        let mut out = DetectorOutput::new();
-        d.handle(
-            DetectorEvent::Timer {
-                now: Time(60),
-                tag: new_tag,
-            },
-            &mut out,
-        );
-        assert!(!out.sends.is_empty() && out.timers == vec![(10, new_tag)]);
-        assert!(d.suspect_set().is_empty(), "grace still covers the silence");
+            // The new-epoch chain sends its round and checks as usual.
+            let mut out = DetectorOutput::new();
+            d.handle(
+                DetectorEvent::Timer {
+                    now: Time(60),
+                    tag: new_tag,
+                },
+                &mut out,
+            );
+            assert_eq!(out.sends, vec![(p(1), round), (p(2), round)]);
+            assert_eq!(out.timers, vec![(10, new_tag)]);
+            assert!(d.suspect_set().is_empty(), "grace still covers the silence");
+        }
     }
 }

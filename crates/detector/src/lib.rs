@@ -16,11 +16,11 @@
 //!   implementation exposes to its host process (runtime-agnostic, like the
 //!   dining layer itself);
 //! * [`HeartbeatDetector`] — the classic Chandra–Toueg construction:
-//!   periodic push heartbeats plus adaptive timeouts. Under the simulator's
-//!   GST delay model this genuinely satisfies ◇P₁;
-//! * [`ProbeDetector`] — the pull-based (Chen–Toueg style) alternative:
-//!   probe/echo round trips with adaptive timeouts, demand-driven
-//!   monitoring at twice the per-round message cost;
+//!   periodic rounds plus adaptive timeouts. A round pushes heartbeats
+//!   ([`HeartbeatDetector::new`]) or pulls probe/echo round trips
+//!   ([`HeartbeatDetector::probing`], Chen–Toueg style, at twice the
+//!   per-round message cost). Under the simulator's GST delay model it
+//!   genuinely satisfies ◇P₁;
 //! * [`ScriptedOracle`] — a deterministic oracle whose suspicion history is
 //!   given up front. Tests use it to drive *worst-case* pre-convergence
 //!   behaviour (mutual false suspicions, late convergence) that an honest
@@ -34,12 +34,10 @@
 
 mod heartbeat;
 mod module;
-mod probe;
 mod scripted;
 
 pub use heartbeat::{HeartbeatConfig, HeartbeatDetector};
 pub use module::{
     epoch_timer_tag, DetectorEvent, DetectorModule, DetectorMsg, DetectorOutput, SuspicionView,
 };
-pub use probe::{ProbeConfig, ProbeDetector};
 pub use scripted::{ScriptedOracle, SuspicionChange};

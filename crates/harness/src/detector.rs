@@ -1,6 +1,5 @@
 use ekbd_detector::{
-    DetectorEvent, DetectorModule, DetectorOutput, HeartbeatDetector, ProbeDetector,
-    ScriptedOracle, SuspicionView,
+    DetectorEvent, DetectorModule, DetectorOutput, HeartbeatDetector, ScriptedOracle, SuspicionView,
 };
 use ekbd_graph::ProcessId;
 use std::collections::BTreeSet;
@@ -11,10 +10,8 @@ use std::collections::BTreeSet;
 pub enum AnyDetector {
     /// A deterministic scripted oracle (silent, perfect, or adversarial).
     Scripted(ScriptedOracle),
-    /// The heartbeat + adaptive timeout implementation.
+    /// The heartbeat + adaptive timeout implementation, pushing or probing.
     Heartbeat(HeartbeatDetector),
-    /// The pull-based probe/echo implementation.
-    Probe(ProbeDetector),
 }
 
 impl SuspicionView for AnyDetector {
@@ -22,7 +19,6 @@ impl SuspicionView for AnyDetector {
         match self {
             AnyDetector::Scripted(d) => d.suspects(q),
             AnyDetector::Heartbeat(d) => d.suspects(q),
-            AnyDetector::Probe(d) => d.suspects(q),
         }
     }
 }
@@ -32,7 +28,6 @@ impl DetectorModule for AnyDetector {
         match self {
             AnyDetector::Scripted(d) => d.handle(ev, out),
             AnyDetector::Heartbeat(d) => d.handle(ev, out),
-            AnyDetector::Probe(d) => d.handle(ev, out),
         }
     }
 
@@ -40,7 +35,6 @@ impl DetectorModule for AnyDetector {
         match self {
             AnyDetector::Scripted(d) => d.suspect_set(),
             AnyDetector::Heartbeat(d) => d.suspect_set(),
-            AnyDetector::Probe(d) => d.suspect_set(),
         }
     }
 }

@@ -1,9 +1,7 @@
 use crate::detector::AnyDetector;
 use crate::host::{DinerHost, HostCmd, HostObs, HostWorkload};
 use crate::report::{ReportSink, RunReport};
-use ekbd_detector::{
-    HeartbeatConfig, HeartbeatDetector, ProbeConfig, ProbeDetector, ScriptedOracle,
-};
+use ekbd_detector::{HeartbeatConfig, HeartbeatDetector, ScriptedOracle};
 use ekbd_dining::{DiningAlgorithm, DiningProcess, RecoverableDining};
 use ekbd_graph::coloring::{self, Color};
 use ekbd_graph::{ConflictGraph, Membership, ProcessId};
@@ -32,8 +30,9 @@ pub enum OracleSpec {
     /// A real heartbeat + adaptive timeout detector; convergence emerges
     /// from the delay model rather than being scripted.
     Heartbeat(HeartbeatConfig),
-    /// A real pull-based probe/echo detector.
-    Probe(ProbeConfig),
+    /// The same detector with probe/echo rounds
+    /// ([`HeartbeatDetector::probing`]).
+    Probe(HeartbeatConfig),
 }
 
 /// The workload every process runs (see
@@ -179,8 +178,8 @@ impl Scenario {
         self
     }
 
-    /// Uses the pull-based probe/echo detector.
-    pub fn probe_oracle(mut self, cfg: ProbeConfig) -> Self {
+    /// Uses the heartbeat detector with probe/echo rounds.
+    pub fn probe_oracle(mut self, cfg: HeartbeatConfig) -> Self {
         self.oracle = OracleSpec::Probe(cfg);
         self
     }
@@ -358,7 +357,7 @@ impl Scenario {
                 AnyDetector::Heartbeat(HeartbeatDetector::new(*cfg, neighbors.iter().copied()))
             }
             OracleSpec::Probe(cfg) => {
-                AnyDetector::Probe(ProbeDetector::new(*cfg, neighbors.iter().copied()))
+                AnyDetector::Heartbeat(HeartbeatDetector::probing(*cfg, neighbors.iter().copied()))
             }
         }
     }

@@ -11,10 +11,9 @@
 //! as the time base, and a live
 //! [`HeartbeatDetector`](ekbd_detector::HeartbeatDetector) as ◇P₁.
 //!
-//! Channels can be made adversarial with [`ChannelFaults`] — a lighter
-//! mirror of the simulator's fault plan that drops or duplicates payload
-//! frames at the sender — and dining traffic can then be wrapped by the
-//! [`ekbd_link`] reliable link layer (`RuntimeConfig::link`).
+//! Dining traffic can be wrapped by the [`ekbd_link`] reliable link layer
+//! (`RuntimeConfig::link`). Channel faults (loss, duplication, reordering)
+//! are modelled on the simulator only, where runs are replayable.
 //!
 //! Crashes are real: under the crash-stop algorithm a crashed process's
 //! thread exits, its channel receivers drop, and from then on it neither
@@ -52,9 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod faults;
 mod process;
 mod system;
 
-pub use faults::ChannelFaults;
 pub use system::{RestartNotice, RestartWatch, RuntimeConfig, RuntimeRun, ThreadedDining};

@@ -1,4 +1,3 @@
-use crate::faults::{state_entropy, LossyLinks};
 use crate::system::{RestartNotice, RestartWatch, RuntimeConfig};
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use ekbd_detector::HeartbeatDetector;
@@ -9,6 +8,7 @@ use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
 use ekbd_sim::{Context, Node, NodeEvent, Observation, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -113,6 +113,17 @@ pub(crate) struct Shared {
     pub entropy_seed: u64,
 }
 
+/// Deterministic entropy for process-state faults (restart corruption and
+/// live bit flips): the threaded mirror of the simulator's per-event fault
+/// entropy, with an explicit `nonce` (incarnation or injection counter)
+/// standing in for virtual time, which the threaded runtime does not have.
+pub(crate) fn state_entropy(seed: u64, p: ProcessId, nonce: u64) -> u64 {
+    ekbd_graph::random::mix64(
+        seed ^ (p.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ nonce.wrapping_mul(0xbf58_476d_1ce4_e5b9),
+    )
+}
+
 /// One process of the threaded runtime: the simulator's [`DinerHost`]
 /// behind a channel, a wall clock and a list of timer deadlines.
 ///
@@ -126,7 +137,9 @@ pub(crate) struct ProcessThread<A: DiningAlgorithm> {
     id: ProcessId,
     host: DinerHost<A>,
     rx: Receiver<ThreadMsg<A::Msg>>,
-    links: LossyLinks<ThreadMsg<A::Msg>>,
+    /// Each neighbour's channel. A send to a thread that has exited fails
+    /// silently, which is the crash model.
+    peers: HashMap<ProcessId, Sender<ThreadMsg<A::Msg>>>,
     shared: Shared,
     /// Armed timers: when each comes due, and the tag the host gave it.
     deadlines: Vec<(Instant, u64)>,
@@ -149,13 +162,13 @@ pub(crate) struct ProcessThread<A: DiningAlgorithm> {
 impl<A: DiningAlgorithm> ProcessThread<A> {
     /// Hosts `alg` with a heartbeat detector over `neighbors`, the
     /// configured eating time, audit period and link layer, sending
-    /// through `links`. An absent process parks dark until its `Join`.
+    /// through `peers`. An absent process parks dark until its `Join`.
     pub fn new(
         alg: A,
         neighbors: &[ProcessId],
         config: &RuntimeConfig,
         rx: Receiver<ThreadMsg<A::Msg>>,
-        links: LossyLinks<ThreadMsg<A::Msg>>,
+        peers: HashMap<ProcessId, Sender<ThreadMsg<A::Msg>>>,
         shared: Shared,
         present: bool,
     ) -> Self {
@@ -174,7 +187,7 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
             id,
             host,
             rx,
-            links,
+            peers,
             shared,
             deadlines: Vec::new(),
             crashed: false,
@@ -237,7 +250,9 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
             }
         }
         for (to, msg) in sends.drain(..) {
-            self.links.send(to, ThreadMsg::Msg(self.id, msg));
+            if let Some(tx) = self.peers.get(&to) {
+                let _ = tx.send(ThreadMsg::Msg(self.id, msg));
+            }
         }
         for (delay_ms, tag) in timers.drain(..) {
             self.deadlines
@@ -350,7 +365,6 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::ChannelFaults;
     use crossbeam_channel::unbounded;
     use ekbd_detector::{DetectorMsg, HeartbeatConfig};
     use ekbd_dining::{DiningMsg, RecoverableDining, RecoveryMsg};
@@ -388,7 +402,7 @@ mod tests {
             }
         }
         let (tx, rx) = unbounded();
-        let mut txs = std::collections::HashMap::new();
+        let mut txs = HashMap::new();
         let mut peers = Vec::new();
         for &q in g.neighbors(id) {
             let (qtx, qrx) = unbounded();
@@ -418,9 +432,8 @@ mod tests {
             log: Arc::clone(&shared.log),
             restarts: shared.restart_log.clone(),
         };
-        let links = LossyLinks::new(txs, ChannelFaults::default(), id.index());
         let neighbors = g.neighbors(id).to_vec();
-        let thread = ProcessThread::new(alg, &neighbors, &config, rx, links, shared, present);
+        let thread = ProcessThread::new(alg, &neighbors, &config, rx, txs, shared, present);
         (thread, probe)
     }
 
@@ -583,5 +596,14 @@ mod tests {
             ],
             "got {got:#x?}"
         );
+    }
+
+    #[test]
+    fn state_entropy_is_deterministic_and_spread() {
+        let a = state_entropy(1, ProcessId(0), 1);
+        assert_eq!(a, state_entropy(1, ProcessId(0), 1));
+        assert_ne!(a, state_entropy(2, ProcessId(0), 1));
+        assert_ne!(a, state_entropy(1, ProcessId(1), 1));
+        assert_ne!(a, state_entropy(1, ProcessId(0), 2));
     }
 }

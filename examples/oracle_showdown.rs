@@ -2,15 +2,15 @@
 //!
 //! The same clique, workload, seed, and crash, scheduled by Algorithm 1
 //! under: the perfect detector `P`, two adversarial ◇P₁ scripts (early
-//! and late convergence), the real heartbeat detector, and the real
-//! probe/echo detector. Compare mistakes, convergence, overtaking, and
-//! detection latency.
+//! and late convergence), and the real heartbeat detector with push
+//! (heartbeat) and pull (probe/echo) rounds. Compare mistakes,
+//! convergence, overtaking, and detection latency.
 //!
 //! ```sh
 //! cargo run --release --example oracle_showdown
 //! ```
 
-use ekbd::detector::{HeartbeatConfig, ProbeConfig};
+use ekbd::detector::HeartbeatConfig;
 use ekbd::graph::{topology, ProcessId};
 use ekbd::harness::{RunReport, Scenario, Workload};
 use ekbd::metrics::DetectorQualityReport;
@@ -80,7 +80,7 @@ fn main() {
     describe(
         "probe/echo (t/o 80)",
         &base()
-            .probe_oracle(ProbeConfig {
+            .probe_oracle(HeartbeatConfig {
                 period: 10,
                 initial_timeout: 80,
                 timeout_increment: 30,

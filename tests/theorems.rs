@@ -198,8 +198,9 @@ fn no_oracle_no_crash_equals_classic_dining() {
 
 #[test]
 fn probe_detector_end_to_end_under_gst() {
-    // The pull-based ◇P₁ implementation drives the same guarantees.
-    let cfg = ekbd::detector::ProbeConfig {
+    // The pull-based (probe/echo) round of the ◇P₁ detector drives the
+    // same guarantees.
+    let cfg = ekbd::detector::HeartbeatConfig {
         period: 10,
         initial_timeout: 60,
         timeout_increment: 30,
