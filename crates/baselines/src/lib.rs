@@ -20,7 +20,7 @@
 //!   ordered chains serialize, which experiment E12 quantifies against
 //!   Algorithm 1's doorway.
 //!
-//! All of them implement [`DiningAlgorithm`], so every harness, metric,
+//! All of them implement [`DiningAlgorithm`](ekbd_dining::DiningAlgorithm), so every harness, metric,
 //! and benchmark in the workspace runs them unchanged.
 
 #![forbid(unsafe_code)]

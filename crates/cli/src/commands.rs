@@ -21,7 +21,8 @@ ekbd — eventually k-bounded wait-free distributed daemons (Song & Pike, DSN 20
 
 USAGE:
   ekbd run       --topology SPEC [--algorithm alg1|choy-singh|naive|budgeted:m]
-                 [--oracle silent|perfect|adversarial:conv:burst|heartbeat:p:t:i]
+                 [--oracle silent|perfect|adversarial:conv:burst|heartbeat:p:t:i
+                           |probe:p:t:i]
                  [--seed N] [--sessions N] [--think lo:hi] [--eat lo:hi]
                  [--crash proc:time]... [--recover proc:time[:corrupt]]...
                  [--corrupt-state proc:time]... [--horizon N] [--timeline N]

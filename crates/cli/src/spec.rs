@@ -39,12 +39,14 @@ pub enum OracleArg {
     Probe(HeartbeatConfig),
 }
 
+/// Every `--oracle` spelling [`OracleArg::parse`] accepts.
+const ORACLE_EXPECT: &str = "silent | perfect | adversarial:converge:burst | \
+     heartbeat:period:timeout:increment | probe:period:timeout:increment";
+
 impl OracleArg {
     /// Parses an oracle spec string.
     pub fn parse(s: &str) -> Result<Self, ArgError> {
-        const EXPECT: &str = "silent | perfect | adversarial:converge:burst | \
-             heartbeat:period:timeout:increment | probe:period:timeout:increment";
-        let err = || bad("--oracle", s, EXPECT);
+        let err = || bad("--oracle", s, ORACLE_EXPECT);
         let parts: Vec<&str> = s.split(':').collect();
         Ok(match parts.as_slice() {
             ["silent"] => OracleArg::Silent,
@@ -154,6 +156,32 @@ pub fn parse_link(s: &str) -> Result<LinkConfig, ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `--help` names every oracle `parse` accepts, each with its number
+    /// of fields.
+    #[test]
+    fn usage_names_every_oracle() {
+        let usage = crate::commands::USAGE;
+        let at = usage
+            .find("[--oracle ")
+            .expect("usage has an --oracle flag");
+        let tail = &usage[at + "[--oracle ".len()..];
+        let listed: Vec<(&str, usize)> = tail[..tail.find(']').unwrap()]
+            .split('|')
+            .map(|alt| {
+                let alt = alt.trim();
+                (alt.split(':').next().unwrap(), alt.split(':').count())
+            })
+            .collect();
+        for spelling in ORACLE_EXPECT.split(" | ") {
+            let name = spelling.split(':').next().unwrap();
+            let fields = spelling.split(':').count();
+            assert!(
+                listed.contains(&(name, fields)),
+                "--help does not list `{spelling}`: {listed:?}"
+            );
+        }
+    }
 
     #[test]
     fn oracle_specs() {

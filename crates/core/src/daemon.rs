@@ -9,7 +9,7 @@
 //!
 //! The contract is deliberately minimal so that any guarded-command-style
 //! protocol — in this workspace, the self-stabilizing protocols of
-//! `ekbd-stabilize` — can be scheduled by any [`DiningAlgorithm`]
+//! `ekbd-stabilize` — can be scheduled by any [`DiningAlgorithm`](crate::DiningAlgorithm)
 //! implementation via a host that:
 //!
 //! 1. issues `Hungry` whenever [`ScheduledClient::wants_step`] holds,

@@ -116,11 +116,6 @@ impl DiningProcess {
         alg1::get(&self.vars, self.slot(q), f)
     }
 
-    fn put(&mut self, q: ProcessId, f: u8, v: bool) {
-        let j = self.slot(q);
-        alg1::set(&mut self.vars, j, f, v);
-    }
-
     /// Whether this process currently holds the fork shared with `q`.
     pub fn holds_fork(&self, q: ProcessId) -> bool {
         self.has(q, FORK)
@@ -225,56 +220,6 @@ impl DiningProcess {
         self.hardened = true;
     }
 
-    /// Whether this process has acked `q`'s doorway entry during the
-    /// current hungry session (`ack_ij`).
-    pub fn acked_by(&self, q: ProcessId) -> bool {
-        self.has(q, ACK)
-    }
-
-    /// Forcibly sets fork possession on the edge to `q` (rejoin handshake
-    /// and audit repairs — never called by Algorithm 1 itself).
-    pub fn set_fork(&mut self, q: ProcessId, held: bool) {
-        self.put(q, FORK, held);
-    }
-
-    /// Forcibly sets token possession on the edge to `q`.
-    pub fn set_token(&mut self, q: ProcessId, held: bool) {
-        self.put(q, TOKEN, held);
-    }
-
-    /// Clears the doorway/session flags (`pinged`, `ack`, `replied`,
-    /// `deferred`) on the edge to `q`, as the rejoin handshake does when an
-    /// edge is re-canonicalized.
-    pub fn reset_edge_session(&mut self, q: ProcessId) {
-        self.put(q, PINGED | ACK | REPLIED | DEFERRED, false);
-    }
-
-    /// Clears only the volatile handshake flags (`pinged`, `ack`,
-    /// `replied`) on the edge to `q`, keeping `deferred` along with the
-    /// fork and token — what a confirmed `JournalResume` does: the
-    /// journaled obligations survive the restart, but any in-flight
-    /// ping/ack exchange died with the old incarnation (or was suppressed
-    /// while the edge was unsynced) and must be restarted from scratch.
-    pub fn reset_edge_handshake(&mut self, q: ProcessId) {
-        self.put(q, PINGED | ACK | REPLIED, false);
-    }
-
-    /// Clears a stuck `pinged` flag so the next internal-action pass
-    /// re-pings `q` (audit repair for a ping whose ack was destroyed by a
-    /// fault; Algorithm 1 would otherwise wait forever on a live peer).
-    pub fn reset_ping(&mut self, q: ProcessId) {
-        self.put(q, PINGED, false);
-    }
-
-    /// XORs `mask` (low six bits: `PINGED`, `ACK`, `REPLIED`, `DEFERRED`,
-    /// `FORK`, `TOKEN`) into the per-neighbor flags of the edge to `q` —
-    /// the transient-fault injection point.
-    pub fn corrupt_edge(&mut self, q: ProcessId, mask: u8) {
-        let j = self.slot(q);
-        let flags = alg1::flags(&self.vars, j) ^ mask;
-        alg1::store(&mut self.vars, j, flags);
-    }
-
     /// The raw per-neighbor flags of the edge to `q` (low six bits:
     /// `PINGED`, `ACK`, `REPLIED`, `DEFERRED`, `FORK`, `TOKEN`) — what the
     /// stable-storage journal snapshots on every commit.
@@ -282,17 +227,34 @@ impl DiningProcess {
         alg1::flags(&self.vars, self.slot(q))
     }
 
-    /// Overwrites the per-neighbor flags of the edge to `q` with `flags`
-    /// (low six bits) — journal replay on restart. The caller masks the
-    /// bits it trusts; session bits it does not restore are cleared.
-    pub fn restore_edge_flags(&mut self, q: ProcessId, flags: u8) {
-        let j = self.slot(q);
-        alg1::store(&mut self.vars, j, flags);
+    /// The S1 words, slot `j` being `neighbors()[j]`'s edge.
+    pub(crate) fn vars(&self) -> &[u64] {
+        &self.vars
     }
 
-    /// Local audit-and-repair: clears flag states unreachable under
-    /// Algorithm 1 (so only producible by corruption or a botched rejoin)
-    /// and discharges them safely. Returns whether anything was repaired.
+    /// The S1 words for the crash-recovery layer's surgery by slot (rejoin
+    /// handshake, journal replay, audit repairs, corruption) — never
+    /// written this way by Algorithm 1 itself.
+    pub(crate) fn vars_mut(&mut self) -> &mut [u64] {
+        &mut self.vars
+    }
+
+    /// Factory reset: thinking, outside the doorway, and every slot back at
+    /// §3.1's initial placement, `higher(j)` saying whether this side
+    /// outranks slot `j`'s neighbour.
+    pub(crate) fn reset(&mut self, higher: impl Fn(usize) -> bool) {
+        self.state = DinerState::Thinking;
+        self.inside = false;
+        self.vars.fill(0);
+        for j in 0..self.neighbors.len() {
+            alg1::place(&mut self.vars, j, higher(j));
+        }
+    }
+
+    /// Local audit-and-repair of slot `j`: clears flag states unreachable
+    /// under Algorithm 1 (so only producible by corruption or a botched
+    /// rejoin) and discharges them safely. Returns whether anything was
+    /// repaired.
     ///
     /// * `ack`/`replied` set while not hungry-outside-the-doorway — both are
     ///   cleared on doorway entry and only set while hungry, so this is
@@ -309,37 +271,33 @@ impl DiningProcess {
     ///   discharge it exactly as exit would — the fork travels to the
     ///   peer, the token stays.
     ///
-    /// Only edges accepted by `eligible` are audited. The crash-recovery
-    /// layer passes its synced-edge filter: an unsynced edge's state is
-    /// owned by the resume/rejoin protocol (a journaled mid-session
-    /// `token+fork` pair is *legitimate* there, and a discharge sent into
-    /// a suppressed edge would silently destroy the fork).
-    pub fn audit_local(
+    /// The crash-recovery layer calls it on synced edges to live members
+    /// only: an unsynced edge's state is owned by the resume/rejoin
+    /// protocol (a journaled mid-session `token+fork` pair is *legitimate*
+    /// there, and a discharge sent into a suppressed edge would silently
+    /// destroy the fork).
+    pub(crate) fn audit_local(
         &mut self,
-        eligible: impl Fn(ProcessId) -> bool,
+        j: usize,
         sends: &mut Vec<(ProcessId, DiningMsg)>,
     ) -> bool {
-        let mut repaired = false;
+        let q = self.neighbors[j];
+        let flags = alg1::flags(&self.vars, j);
         let hungry_outside = self.state == DinerState::Hungry && !self.inside;
-        for (j, &q) in self.neighbors.iter().enumerate() {
-            if !eligible(q) {
-                continue;
-            }
-            let flags = alg1::flags(&self.vars, j);
-            if !hungry_outside && flags & (ACK | REPLIED) != 0 {
-                alg1::set(&mut self.vars, j, ACK | REPLIED, false);
-                repaired = true;
-            }
-            if self.state == DinerState::Thinking && !self.inside && flags & DEFERRED != 0 {
-                sends.push((q, DiningMsg::Ack));
-                alg1::set(&mut self.vars, j, DEFERRED, false);
-                repaired = true;
-            }
-            if !self.inside && flags & (TOKEN | FORK) == TOKEN | FORK {
-                sends.push((q, DiningMsg::Fork));
-                alg1::set(&mut self.vars, j, FORK, false);
-                repaired = true;
-            }
+        let mut repaired = false;
+        if !hungry_outside && flags & (ACK | REPLIED) != 0 {
+            alg1::set(&mut self.vars, j, ACK | REPLIED, false);
+            repaired = true;
+        }
+        if self.state == DinerState::Thinking && !self.inside && flags & DEFERRED != 0 {
+            sends.push((q, DiningMsg::Ack));
+            alg1::set(&mut self.vars, j, DEFERRED, false);
+            repaired = true;
+        }
+        if !self.inside && flags & (TOKEN | FORK) == TOKEN | FORK {
+            sends.push((q, DiningMsg::Fork));
+            alg1::set(&mut self.vars, j, FORK, false);
+            repaired = true;
         }
         repaired
     }

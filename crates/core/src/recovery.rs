@@ -28,7 +28,7 @@
 //!    lost or crossed handshake (including simultaneous restarts of both
 //!    endpoints) always converges.
 //! 3. **Audit-and-repair.** Periodically each process repairs locally
-//!    impossible flag states ([`DiningProcess::audit_local`]), clears stuck
+//!    impossible flag states on its synced edges, clears stuck
 //!    pings with 2-strike hysteresis, and exchanges per-edge fork/token
 //!    snapshots ([`RecoveryMsg::Audit`]) with live synced peers. Duplicate
 //!    or missing forks/tokens (the corruption modes that break safety or
@@ -79,6 +79,7 @@ use ekbd_graph::coloring::Color;
 use ekbd_graph::random::splitmix64;
 use ekbd_graph::{ConflictGraph, ProcessId};
 use ekbd_journal::{BootPath, EdgeRecord, JournalHandle, JournalRecord, ResyncPath};
+use ekbd_sim::alg1::{self, ACK, DEFERRED, FORK, PINGED, REPLIED, TOKEN};
 
 /// Wire messages of the crash-recovery layer: Algorithm 1's messages
 /// wrapped with incarnation stamps, plus the rejoin handshake and the
@@ -183,11 +184,21 @@ pub const DEFAULT_STRIKES: u8 = 2;
 /// Per-edge flag bits a journal replay trusts: fork, token, and deferred
 /// acks survive a restart; the ping/ack/replied session bits belong to a
 /// hungry session that died with the crash and are cleared.
-const RESTORE_MASK: u8 = 0x38;
+const RESTORE_MASK: u8 = DEFERRED | FORK | TOKEN;
 
-/// Per-edge recovery bookkeeping.
+/// The ping/ack exchange of an edge: what a confirmed
+/// [`RecoveryMsg::JournalResume`] restarts, keeping the deferred ack and
+/// the fork and token.
+const HANDSHAKE: u8 = PINGED | ACK | REPLIED;
+
+/// Per-edge recovery bookkeeping. `edges[i]` belongs to the inner
+/// process's slot `i`, its `i`-th neighbour in id order.
 #[derive(Clone, Debug, Default)]
 struct EdgeState {
+    /// Whether this side's colour is the higher on the edge — all of the
+    /// neighbour's colour the protocol reads: §3.1 places the fork at the
+    /// higher colour, and the audit's repairs are split by it.
+    higher: bool,
     /// Highest incarnation of the peer seen on this edge.
     peer_inc: u64,
     /// Whether this side's state on the edge is authoritative. `false`
@@ -225,8 +236,9 @@ struct EdgeState {
 }
 
 impl EdgeState {
-    fn fresh(synced: bool) -> Self {
+    fn fresh(synced: bool, higher: bool) -> Self {
         EdgeState {
+            higher,
             synced,
             ..EdgeState::default()
         }
@@ -327,15 +339,13 @@ pub struct RestartEvent {
 ///
 /// Wraps Algorithm 1 unchanged — in fault-free runs the wrapper is an
 /// incarnation-0 pass-through and the inner machine behaves exactly as the
-/// paper specifies. See the [module docs](self) for the recovery protocol.
+/// paper specifies. `docs/RECOVERY.md` describes the recovery protocol.
 #[derive(Clone, Debug)]
 pub struct RecoverableDining {
+    /// Algorithm 1 itself. Its id, colour and sorted neighbours are the
+    /// configuration a rebooting process re-reads from its (conceptual)
+    /// program image; its slots index `edges`.
     inner: DiningProcess,
-    id: ProcessId,
-    color: Color,
-    /// Sorted `(neighbor, color)` pairs — the immutable configuration a
-    /// rebooting process re-reads from its (conceptual) program image.
-    peers: Vec<(ProcessId, Color)>,
     inc: u64,
     /// Monotone commit sequence number: incremented on every journal
     /// commit point — counted even when no journal is attached, so the
@@ -353,15 +363,16 @@ pub struct RecoverableDining {
     /// (0 when the last restart went blank) — echoed in
     /// [`RecoveryMsg::JournalResume`] for the staleness comparison.
     resume_seq: u64,
-    /// `edges[i]` is the recovery state of the edge to `peers[i].0`; one
-    /// binary search over `peers` ([`slot`](Self::slot)) reaches both.
+    /// `edges[i]` is the recovery state of the edge in the inner process's
+    /// slot `i`; one binary search over its neighbours
+    /// ([`DiningProcess::slot`]) reaches both.
     edges: Vec<EdgeState>,
     /// Neighbors that crash-stopped out of the system permanently (dynamic
     /// membership), sorted. Departed peers count as suspected in every
     /// inner guard and their edges are excluded from the audit exchange;
     /// the local audit pass remints a fork the dead peer took with it. The
     /// set is membership *configuration*, not volatile protocol state, so
-    /// — like `peers` — it survives [`DiningAlgorithm::restart`].
+    /// — like the neighbours — it survives [`DiningAlgorithm::restart`].
     departed: Vec<ProcessId>,
     stats: RecoveryStats,
     /// The current life began with [`DiningAlgorithm::join`] (runtime
@@ -417,14 +428,14 @@ impl RecoverableDining {
     ) -> Self {
         let mut peers: Vec<(ProcessId, Color)> = neighbors.into_iter().collect();
         peers.sort_unstable_by_key(|&(q, _)| q);
-        let mut inner = DiningProcess::new(id, color, peers.iter().copied());
+        let edges = peers
+            .iter()
+            .map(|&(_, qcolor)| EdgeState::fresh(true, color > qcolor))
+            .collect();
+        let mut inner = DiningProcess::new(id, color, peers);
         inner.harden();
-        let edges = vec![EdgeState::fresh(true); peers.len()];
         RecoverableDining {
             inner,
-            id,
-            color,
-            peers,
             inc: 0,
             commit_seq: 0,
             now: 0,
@@ -504,7 +515,7 @@ impl RecoverableDining {
     /// Whether the edge to `q` has an authoritative fork/token assignment
     /// (false only mid-rejoin after a restart of this process).
     pub fn edge_synced(&self, q: ProcessId) -> bool {
-        self.edges[self.slot(q)].synced
+        self.edges[self.inner.slot(q)].synced
     }
 
     /// Whether `q` is marked as permanently departed (crash-stop leave).
@@ -522,21 +533,30 @@ impl RecoverableDining {
         self.inner.holds_token(q)
     }
 
-    /// The index of neighbor `q` in `peers` and `edges`, if it is one.
+    /// Neighbor `q`'s slot in the inner process and in `edges`, if it is
+    /// one.
     fn find(&self, q: ProcessId) -> Option<usize> {
-        self.peers.binary_search_by_key(&q, |&(p, _)| p).ok()
+        self.inner.neighbors().binary_search(&q).ok()
     }
 
-    /// The index of neighbor `q` in `peers` and `edges`.
-    fn slot(&self, q: ProcessId) -> usize {
-        self.find(q)
-            .unwrap_or_else(|| panic!("{q} is not a neighbor of {}", self.id))
+    /// Whether this side holds slot `i`'s fork and its token.
+    fn holdings(&self, i: usize) -> (bool, bool) {
+        let flags = alg1::flags(self.inner.vars(), i);
+        (flags & FORK != 0, flags & TOKEN != 0)
     }
 
-    /// The initial-placement rule of §3.1, as `(my_fork, my_token)`:
-    /// fork at the higher color, token at the lower.
-    fn canonical(&self, qcolor: Color) -> (bool, bool) {
-        (self.color > qcolor, self.color < qcolor)
+    /// Re-canonicalizes slot `i` as a rejoin handshake does: the fork and
+    /// token as given, and no session flag.
+    fn hand_over(&mut self, i: usize, fork: bool, token: bool) {
+        let flags = if fork { FORK } else { 0 } | if token { TOKEN } else { 0 };
+        alg1::store(self.inner.vars_mut(), i, flags);
+    }
+
+    /// XORs `mask` into slot `i`'s six flags: the transient-fault
+    /// injection point.
+    fn flip(&mut self, i: usize, mask: u8) {
+        let flags = alg1::flags(self.inner.vars(), i) ^ mask;
+        alg1::store(self.inner.vars_mut(), i, flags);
     }
 
     /// Wraps raw Algorithm 1 sends with incarnation stamps; messages on
@@ -549,7 +569,7 @@ impl RecoverableDining {
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
         for (q, msg) in raw.drain(..) {
-            let i = self.slot(q);
+            let i = self.inner.slot(q);
             let e = &mut self.edges[i];
             if e.synced {
                 if matches!(msg, DiningMsg::Fork | DiningMsg::Request { .. }) {
@@ -626,52 +646,39 @@ impl RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        let i = self.slot(from);
+        let i = self.inner.slot(from);
         let known = self.edges[i].peer_inc;
         if rinc < known {
             self.stats.stale_dropped += 1;
             return;
         }
-        if rinc > known {
-            // First sight of this incarnation: re-canonicalize my side of
-            // the edge and hand the rejoiner the complement. An eating
-            // responder keeps its fork so re-admission cannot violate
-            // exclusion; otherwise the initial-placement rule applies.
-            let (my_fork, my_token) = if self.inner.state() == DinerState::Eating {
-                (true, false)
-            } else {
-                self.canonical(self.peers[i].1)
-            };
+        // First sight of this incarnation: re-canonicalize my side of the
+        // edge. An eating responder keeps its fork so re-admission cannot
+        // violate exclusion; otherwise the initial-placement rule applies
+        // (fork at the higher color, token at the lower). A duplicate
+        // rejoin (a retry) gets no state surgery. Either way the ack hands
+        // the rejoiner the complement of my holdings.
+        let fresh = rinc > known;
+        if fresh {
             let e = &mut self.edges[i];
             e.peer_inc = rinc;
             e.clear_strikes();
-            self.inner.reset_edge_session(from);
-            self.inner.set_fork(from, my_fork);
-            self.inner.set_token(from, my_token);
-            sends.push((
-                from,
-                RecoveryMsg::RejoinAck {
-                    inc: self.inc,
-                    rejoiner_inc: rinc,
-                    fork: !my_fork,
-                    token: !my_token,
-                    stale,
-                },
-            ));
+            let my_fork = e.higher || self.inner.state() == DinerState::Eating;
+            self.hand_over(i, my_fork, !my_fork);
+        }
+        let (my_fork, my_token) = self.holdings(i);
+        sends.push((
+            from,
+            RecoveryMsg::RejoinAck {
+                inc: self.inc,
+                rejoiner_inc: rinc,
+                fork: !my_fork,
+                token: !my_token,
+                stale,
+            },
+        ));
+        if fresh {
             self.poke(suspicion, sends);
-        } else {
-            // Duplicate rejoin (retry): answer idempotently with the
-            // complement of the current holdings — no state surgery.
-            sends.push((
-                from,
-                RecoveryMsg::RejoinAck {
-                    inc: self.inc,
-                    rejoiner_inc: rinc,
-                    fork: !self.inner.holds_fork(from),
-                    token: !self.inner.holds_token(from),
-                    stale,
-                },
-            ));
         }
     }
 
@@ -687,32 +694,27 @@ impl RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        let outcome;
-        {
-            let i = self.slot(from);
-            let e = &mut self.edges[i];
-            e.peer_inc = e.peer_inc.max(pinc);
-            if rinc != self.inc || e.synced {
-                self.stats.stale_dropped += 1;
-                return;
-            }
-            // The edge completed via the rejoin handshake; it counts as
-            // stale-refuted when either side's sequence comparison caught
-            // a stale snapshot first (the responder's verdict rides on
-            // the ack, the resumer's own was parked in `resync`).
-            outcome = if stale || e.resync == ResyncPath::StaleRefuted {
-                ResyncPath::StaleRefuted
-            } else {
-                ResyncPath::Rejoined
-            };
-            e.resync = outcome;
-            e.resume_inc = None;
-            e.synced = true;
-            e.clear_strikes();
+        let i = self.inner.slot(from);
+        let e = &mut self.edges[i];
+        e.peer_inc = e.peer_inc.max(pinc);
+        if rinc != self.inc || e.synced {
+            self.stats.stale_dropped += 1;
+            return;
         }
-        self.inner.reset_edge_session(from);
-        self.inner.set_fork(from, fork);
-        self.inner.set_token(from, token);
+        // The edge completed via the rejoin handshake; it counts as
+        // stale-refuted when either side's sequence comparison caught a
+        // stale snapshot first (the responder's verdict rides on the ack,
+        // the resumer's own was parked in `resync`).
+        let outcome = if stale || e.resync == ResyncPath::StaleRefuted {
+            ResyncPath::StaleRefuted
+        } else {
+            ResyncPath::Rejoined
+        };
+        e.resync = outcome;
+        e.resume_inc = None;
+        e.synced = true;
+        e.clear_strikes();
+        self.hand_over(i, fork, token);
         self.stats.resyncs += 1;
         self.note_restart_edge(outcome);
         self.poke(suspicion, sends);
@@ -729,14 +731,17 @@ impl RecoverableDining {
         let Some(journal) = &self.journal else { return };
         let mut edges = std::mem::take(&mut self.edge_records);
         edges.clear();
+        let vars = self.inner.vars();
         edges.extend(
-            self.peers
+            self.inner
+                .neighbors()
                 .iter()
                 .zip(&self.edges)
-                .map(|(&(q, _), e)| EdgeRecord {
+                .enumerate()
+                .map(|(i, (q, e))| EdgeRecord {
                     peer: q.index() as u32,
                     peer_inc: e.peer_inc,
-                    flags: self.inner.edge_flags(q),
+                    flags: alg1::flags(vars, i),
                     synced: e.synced,
                     resume_pending: e.resume_inc.is_some(),
                     resync: e.resync,
@@ -824,8 +829,8 @@ impl RecoverableDining {
             let e = &mut self.edges[i];
             e.peer_inc = er.peer_inc;
             if er.synced {
-                self.inner.restore_edge_flags(q, er.flags & RESTORE_MASK);
                 e.resume_inc = Some(record.incarnation);
+                alg1::store(self.inner.vars_mut(), i, er.flags & RESTORE_MASK);
             }
         }
         RestartPath::Journal {
@@ -867,39 +872,36 @@ impl RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        let i = self.slot(from);
+        let i = self.inner.slot(from);
         let known = self.edges[i].peer_inc;
         let last_seen = self.edges[i].peer_seq;
         if rinc < known {
             self.stats.stale_dropped += 1;
             return;
         }
-        if rinc == known {
-            // Retry of a resume this incarnation already registered (the
-            // first answer was lost, or the edge already degraded to the
-            // rejoin path): answer idempotently with current holdings —
-            // the resumer's consistency check decides what to do.
-            sends.push((
-                from,
-                RecoveryMsg::ResumeAck {
-                    inc: self.inc,
-                    resumer_inc: rinc,
-                    fork: self.inner.holds_fork(from),
-                    token: self.inner.holds_token(from),
-                    last_seen,
-                },
-            ));
-            return;
-        }
-        // Sequence refutation: a message stamped `s` is released only
-        // after record `s` reached the sender's stable storage, so having
-        // seen `s > seq` proves the replayed record is not the sender's
-        // last commit. Refute immediately — no need to wait for the
-        // fork/token consistency check (which a stale-but-complementary
-        // snapshot could even pass).
-        let stale = seq < last_seen;
-        let confirm = !stale && jinc == known && peer_view == self.inc && self.edges[i].synced;
-        if confirm {
+        // A retry of a resume this incarnation already registered (the
+        // first answer was lost, or the edge already degraded to the
+        // rejoin path) is answered idempotently with current holdings —
+        // the resumer's consistency check decides what to do.
+        let fresh = rinc > known;
+        if fresh {
+            // Sequence refutation: a message stamped `s` is released only
+            // after record `s` reached the sender's stable storage, so
+            // having seen `s > seq` proves the replayed record is not the
+            // sender's last commit. Refute immediately — no need to wait
+            // for the fork/token consistency check (which a
+            // stale-but-complementary snapshot could even pass).
+            let stale = seq < last_seen;
+            if stale || jinc != known || peer_view != self.inc || !self.edges[i].synced {
+                // Refuted: the snapshot is provably stale (`stale`), or
+                // the journal describes a pairing this side no longer
+                // recognizes (it restarted too, or never saw that life).
+                // Degrade to the rejoin handshake — the authoritative
+                // RejoinAck doubles as the negative answer, saving a
+                // round trip.
+                self.on_rejoin(from, rinc, stale, suspicion, sends);
+                return;
+            }
             // The journaled pairing matches this side exactly: register
             // the new incarnation and report holdings. Fork, token and
             // deferred obligations stay put — but any ping/ack handshake
@@ -909,25 +911,21 @@ impl RecoverableDining {
             let e = &mut self.edges[i];
             e.peer_inc = rinc;
             e.clear_strikes();
-            self.inner.reset_edge_handshake(from);
-            sends.push((
-                from,
-                RecoveryMsg::ResumeAck {
-                    inc: self.inc,
-                    resumer_inc: rinc,
-                    fork: self.inner.holds_fork(from),
-                    token: self.inner.holds_token(from),
-                    last_seen,
-                },
-            ));
+            alg1::set(self.inner.vars_mut(), i, HANDSHAKE, false);
+        }
+        let (fork, token) = self.holdings(i);
+        sends.push((
+            from,
+            RecoveryMsg::ResumeAck {
+                inc: self.inc,
+                resumer_inc: rinc,
+                fork,
+                token,
+                last_seen,
+            },
+        ));
+        if fresh {
             self.poke(suspicion, sends);
-        } else {
-            // Refuted: the snapshot is provably stale (`stale`), or the
-            // journal describes a pairing this side no longer recognizes
-            // (it restarted too, or never saw that life). Degrade to the
-            // rejoin handshake — the authoritative RejoinAck doubles as
-            // the negative answer, saving a round trip.
-            self.on_rejoin(from, rinc, stale, suspicion, sends);
         }
     }
 
@@ -949,31 +947,27 @@ impl RecoverableDining {
         // holdings cannot be trusted even if they happen to look
         // complementary.
         let stale = last_seen > self.resume_seq;
-        let consistent;
-        {
-            let i = self.slot(from);
-            let e = &mut self.edges[i];
-            e.peer_inc = e.peer_inc.max(pinc);
-            if rinc != self.inc || e.synced {
-                self.stats.stale_dropped += 1;
-                return;
-            }
-            // The Lemma 1 edge-consistency check: trust the replayed state
-            // only if it is exactly complementary to the responder's —
-            // one fork and one token on the edge, no more, no less.
-            consistent = !stale
-                && (self.inner.holds_fork(from) != fork)
-                && (self.inner.holds_token(from) != token);
-            e.resume_inc = None;
-            if consistent {
-                e.synced = true;
-                e.clear_strikes();
-                e.resync = ResyncPath::Resumed;
-            } else if stale {
-                // Park the verdict: the RejoinAck that completes this
-                // edge will bucket it as stale-refuted.
-                e.resync = ResyncPath::StaleRefuted;
-            }
+        let i = self.inner.slot(from);
+        let (my_fork, my_token) = self.holdings(i);
+        let e = &mut self.edges[i];
+        e.peer_inc = e.peer_inc.max(pinc);
+        if rinc != self.inc || e.synced {
+            self.stats.stale_dropped += 1;
+            return;
+        }
+        // The Lemma 1 edge-consistency check: trust the replayed state only
+        // if it is exactly complementary to the responder's — one fork and
+        // one token on the edge, no more, no less.
+        let consistent = !stale && my_fork != fork && my_token != token;
+        e.resume_inc = None;
+        if consistent {
+            e.synced = true;
+            e.clear_strikes();
+            e.resync = ResyncPath::Resumed;
+        } else if stale {
+            // Park the verdict: the RejoinAck that completes this edge will
+            // bucket it as stale-refuted.
+            e.resync = ResyncPath::StaleRefuted;
         }
         if consistent {
             // Keep the replayed fork/token/deferred bits, but drop any
@@ -981,7 +975,7 @@ impl RecoverableDining {
             // a doorway ping issued before this ack was suppressed, and
             // leaving `pinged` set would wait forever on an ack that was
             // never requested.
-            self.inner.reset_edge_handshake(from);
+            alg1::set(self.inner.vars_mut(), i, HANDSHAKE, false);
             self.stats.fast_resumes += 1;
             self.note_restart_edge(ResyncPath::Resumed);
             self.poke(suspicion, sends);
@@ -1005,7 +999,7 @@ impl RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        let i = self.slot(from);
+        let i = self.inner.slot(from);
         let e = &mut self.edges[i];
         // The watermark update precedes the incarnation gate: a seq stamp
         // proves a durable commit regardless of which life sent it (the
@@ -1015,79 +1009,53 @@ impl RecoverableDining {
             self.stats.stale_dropped += 1;
             return;
         }
-        let my_fork = self.inner.holds_fork(from);
-        let my_token = self.inner.holds_token(from);
-        let lower = self.color < self.peers[i].1;
+        let (my_fork, my_token) = self.holdings(i);
         let strikes = self.strikes;
-        let mut repaired = false;
-        {
-            let e = &mut self.edges[i];
-            // *Recreate*-type strikes (missing fork/token) only accumulate
-            // across quiet audit intervals: an in-flight transfer looks
-            // exactly like a missing fork (sender cleared, receiver not
-            // yet set), and under contention two consecutive audits can
-            // both catch traffic — hysteresis alone would then mint a
-            // second fork on a healthy edge and break ◇WX. Genuine loss
-            // leaves the edge quiet (nothing can move a fork that does not
-            // exist), so it still strikes out. *Drop*-type strikes (dup
-            // fork/token) stay on plain hysteresis: dropping can only
-            // destroy state, never violate exclusion, and a duplicate
-            // keeps traffic flowing so a quiet requirement could starve
-            // the repair indefinitely.
-            if e.activity != e.audit_activity {
-                e.audit_activity = e.activity;
-                e.missing_fork = 0;
-                e.missing_token = 0;
+        // Counts one observation of an anomaly (`bad`) and says whether
+        // this side repairs it now.
+        let strike = |count: &mut u8, bad: bool, acts: bool| {
+            if !bad {
+                *count = 0;
+                return false;
             }
-            // Antisymmetric repairs with strike hysteresis: exactly one
-            // endpoint acts on each anomaly, chosen by color.
-            if my_fork && fork {
-                e.dup_fork += 1;
-                if e.dup_fork >= strikes && lower {
-                    e.dup_fork = 0;
-                    repaired = true; // lower color drops the duplicate fork
-                }
-            } else {
-                e.dup_fork = 0;
+            *count += 1;
+            let fire = *count >= strikes && acts;
+            if fire {
+                *count = 0;
             }
-            if !my_fork && !fork {
-                e.missing_fork += 1;
-            } else {
-                e.missing_fork = 0;
-            }
-            if my_token && token {
-                e.dup_token += 1;
-            } else {
-                e.dup_token = 0;
-            }
-            if !my_token && !token {
-                e.missing_token += 1;
-            } else {
-                e.missing_token = 0;
-            }
-        }
-        let mut changed = false;
-        if repaired {
-            self.inner.set_fork(from, false);
-            changed = true;
-        }
+            fire
+        };
         let e = &mut self.edges[i];
-        if e.missing_fork >= strikes && !lower {
+        // *Recreate*-type strikes (missing fork/token) only accumulate
+        // across quiet audit intervals: an in-flight transfer looks
+        // exactly like a missing fork (sender cleared, receiver not yet
+        // set), and under contention two consecutive audits can both catch
+        // traffic — hysteresis alone would then mint a second fork on a
+        // healthy edge and break ◇WX. Genuine loss leaves the edge quiet
+        // (nothing can move a fork that does not exist), so it still
+        // strikes out. *Drop*-type strikes (dup fork/token) stay on plain
+        // hysteresis: dropping can only destroy state, never violate
+        // exclusion, and a duplicate keeps traffic flowing so a quiet
+        // requirement could starve the repair indefinitely.
+        if e.activity != e.audit_activity {
+            e.audit_activity = e.activity;
             e.missing_fork = 0;
-            self.inner.set_fork(from, true); // higher color recreates it
-            changed = true;
-        }
-        if e.dup_token >= strikes && !lower {
-            e.dup_token = 0;
-            self.inner.set_token(from, false); // higher color drops it
-            changed = true;
-        }
-        if e.missing_token >= strikes && lower {
             e.missing_token = 0;
-            self.inner.set_token(from, true); // lower color recreates it
-            changed = true;
         }
+        // Antisymmetric repairs with strike hysteresis: exactly one
+        // endpoint acts on each anomaly, chosen by color. The lower color
+        // drops a duplicate fork and recreates a missing token, the higher
+        // recreates a missing fork and drops a duplicate token; every
+        // repair flips the bit it mends.
+        let higher = e.higher;
+        let fork_fix = strike(&mut e.dup_fork, my_fork && fork, !higher)
+            | strike(&mut e.missing_fork, !my_fork && !fork, higher);
+        let token_fix = strike(&mut e.dup_token, my_token && token, higher)
+            | strike(&mut e.missing_token, !my_token && !token, !higher);
+        let changed = fork_fix || token_fix;
         if changed {
+            let mask = if fork_fix { FORK } else { 0 } | if token_fix { TOKEN } else { 0 };
+            self.flip(i, mask);
             self.stats.repairs += 1;
             self.poke(suspicion, sends);
         }
@@ -1214,7 +1182,7 @@ impl DiningAlgorithm for RecoverableDining {
     type Msg = RecoveryMsg;
 
     fn id(&self) -> ProcessId {
-        self.id
+        self.inner.id()
     }
 
     fn handle(
@@ -1246,7 +1214,7 @@ impl DiningAlgorithm for RecoverableDining {
     /// timer's hints (the clean bit and the wake count) are diagnostics or
     /// host scheduling, not protocol state, and are excluded.
     fn state_bits(&self) -> usize {
-        self.inner.state_bits() + 3 * 64 + self.peers.len() * (64 + 1 + 1 + 65 + 64 + 2 + 5 * 8)
+        self.inner.state_bits() + 3 * 64 + self.edges.len() * (64 + 1 + 1 + 65 + 64 + 2 + 5 * 8)
     }
 
     fn note_now(&mut self, now: u64) {
@@ -1272,25 +1240,10 @@ impl DiningAlgorithm for RecoverableDining {
         _suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        self.inc = incarnation;
         // A crash-recovery restart is an established member's life, even
         // if the previous life began with a join: the restart handshake
         // below re-greets every edge itself.
-        self.joined_this_life = false;
-        // Factory reset: volatile state is rebuilt from the program image;
-        // only the incarnation counter survived in stable storage. The
-        // commit-sequence counter deliberately survives too (and is
-        // re-floored from storage during replay): seq stamps must stay
-        // monotone across every restart, blank or not.
-        let mut inner = DiningProcess::new(self.id, self.color, self.peers.iter().copied());
-        inner.harden();
-        self.inner = inner;
-        for (e, &(q, _)) in self.edges.iter_mut().zip(&self.peers) {
-            // A departed peer will never answer a handshake; this side's
-            // view of the dead edge is authoritative from the start.
-            *e = EdgeState::fresh(self.departed.binary_search(&q).is_ok());
-        }
-        self.resume_seq = 0;
+        self.reboot(incarnation, false);
         // Journal replay happens before adversarial corruption: the
         // corruption models damage to the rebuilt *volatile* state, and
         // the ResumeAck consistency check (plus the audit) is what keeps
@@ -1311,21 +1264,7 @@ impl DiningAlgorithm for RecoverableDining {
         if let Some(entropy) = corruption {
             self.scramble(entropy);
         }
-        for (e, &(q, _)) in self.edges.iter().zip(&self.peers) {
-            if self.peer_is_departed(q) {
-                continue; // no handshake with the permanently departed
-            }
-            let msg = match e.resume_inc {
-                Some(journal_inc) => RecoveryMsg::JournalResume {
-                    inc: incarnation,
-                    journal_inc,
-                    peer_inc: e.peer_inc,
-                    seq: self.resume_seq,
-                },
-                None => RecoveryMsg::Rejoin { inc: incarnation },
-            };
-            sends.push((q, msg));
-        }
+        self.greet(sends);
         self.restarts.push(RestartEvent { incarnation, path });
         // No poke: every edge is unsynced, so dining traffic would be
         // suppressed anyway; the post-ResumeAck/RejoinAck poke does the
@@ -1348,8 +1287,8 @@ impl DiningAlgorithm for RecoverableDining {
 
     fn audit(&mut self, suspicion: &dyn SuspicionView, sends: &mut Vec<(ProcessId, RecoveryMsg)>) {
         let mut changed = false;
-        for i in 0..self.peers.len() {
-            let q = self.peers[i].0;
+        for i in 0..self.edges.len() {
+            let q = self.inner.neighbors()[i];
             if self.peer_is_departed(q) {
                 // Reclaim a fork the dead peer took with it. The exchange
                 // repair cannot run (a departed peer sends no Audit
@@ -1365,13 +1304,13 @@ impl DiningAlgorithm for RecoverableDining {
                 // co-located fork+token pair would be discharged into the
                 // void by the local audit (hence the eligibility filter
                 // below excludes departed edges).
-                if !self.inner.holds_fork(q) {
+                if !self.holdings(i).0 {
                     let strikes = self.strikes;
                     let e = &mut self.edges[i];
                     e.missing_fork += 1;
                     if e.missing_fork >= strikes {
                         e.missing_fork = 0;
-                        self.inner.set_fork(q, true);
+                        alg1::set(self.inner.vars_mut(), i, FORK, true);
                         self.stats.repairs += 1;
                         changed = true;
                     }
@@ -1384,16 +1323,7 @@ impl DiningAlgorithm for RecoverableDining {
                 // pending journal fast path keeps resuming — this is what
                 // carries a resume across a partition — and everything
                 // else re-rejoins.
-                let msg = match self.edges[i].resume_inc {
-                    Some(journal_inc) => RecoveryMsg::JournalResume {
-                        inc: self.inc,
-                        journal_inc,
-                        peer_inc: self.edges[i].peer_inc,
-                        seq: self.resume_seq,
-                    },
-                    None => RecoveryMsg::Rejoin { inc: self.inc },
-                };
-                sends.push((q, msg));
+                sends.push((q, self.greeting(i)));
                 continue;
             }
             if suspicion.suspects(q) {
@@ -1407,43 +1337,41 @@ impl DiningAlgorithm for RecoverableDining {
             // peer is live and unsuspected); clear so Action 2 re-pings.
             let stuck = self.inner.state() == DinerState::Hungry
                 && !self.inner.inside_doorway()
-                && self.inner.ping_pending(q)
-                && !self.inner.acked_by(q);
+                && alg1::flags(self.inner.vars(), i) & (PINGED | ACK) == PINGED;
             let strikes = self.strikes;
             let e = &mut self.edges[i];
             if stuck {
                 e.stuck_ping += 1;
                 if e.stuck_ping >= strikes {
                     e.stuck_ping = 0;
-                    self.inner.reset_ping(q);
+                    alg1::set(self.inner.vars_mut(), i, PINGED, false);
                     self.stats.local_repairs += 1;
                     changed = true;
                 }
             } else {
                 e.stuck_ping = 0;
             }
-            let dst_inc = self.edges[i].peer_inc;
+            let (fork, token) = self.holdings(i);
             sends.push((
                 q,
                 RecoveryMsg::Audit {
                     inc: self.inc,
-                    dst_inc,
+                    dst_inc: self.edges[i].peer_inc,
                     seq: self.commit_seq + 1,
-                    fork: self.inner.holds_fork(q),
-                    token: self.inner.holds_token(q),
+                    fork,
+                    token,
                 },
             ));
         }
         // Only synced edges to live members take part in the local repair.
         let mut raw = std::mem::take(&mut self.raw);
-        let (peers, edges, departed) = (&self.peers, &self.edges, &self.departed);
-        let eligible = |q: ProcessId| {
-            peers
-                .binary_search_by_key(&q, |&(p, _)| p)
-                .is_ok_and(|i| edges[i].synced)
-                && departed.binary_search(&q).is_err()
-        };
-        if self.inner.audit_local(eligible, &mut raw) {
+        let mut repaired = false;
+        for i in 0..self.edges.len() {
+            if self.edges[i].synced && !self.peer_is_departed(self.inner.neighbors()[i]) {
+                repaired |= self.inner.audit_local(i, &mut raw);
+            }
+        }
+        if repaired {
             self.stats.local_repairs += 1;
             changed = true;
         }
@@ -1466,10 +1394,6 @@ impl DiningAlgorithm for RecoverableDining {
         self.wakes
     }
 
-    fn supports_membership(&self) -> bool {
-        true
-    }
-
     /// Boots an initially-absent process into the system. Structurally a
     /// blank restart — every edge starts unsynced and announces the boot
     /// incarnation with the *same* rejoin handshake a recovery uses, so the
@@ -1483,18 +1407,8 @@ impl DiningAlgorithm for RecoverableDining {
         _suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        self.inc = incarnation;
-        self.joined_this_life = true;
-        let mut inner = DiningProcess::new(self.id, self.color, self.peers.iter().copied());
-        inner.harden();
-        self.inner = inner;
-        for (e, &(q, _)) in self.edges.iter_mut().zip(&self.peers) {
-            let departed = self.departed.binary_search(&q).is_ok();
-            *e = EdgeState::fresh(departed);
-            if !departed {
-                sends.push((q, RecoveryMsg::Rejoin { inc: incarnation }));
-            }
-        }
+        self.reboot(incarnation, true);
+        self.greet(sends);
         self.journal_commit();
     }
 
@@ -1506,18 +1420,19 @@ impl DiningAlgorithm for RecoverableDining {
     /// arrives.
     fn retire(&mut self, sends: &mut Vec<(ProcessId, RecoveryMsg)>) {
         let mut raw = std::mem::take(&mut self.raw);
-        for (e, &(q, _)) in self.edges.iter().zip(&self.peers) {
-            if !e.synced || self.peer_is_departed(q) {
+        for i in 0..self.edges.len() {
+            let q = self.inner.neighbors()[i];
+            if !self.edges[i].synced || self.peer_is_departed(q) {
                 continue; // nothing authoritative to discharge
             }
-            if self.inner.deferring_ack(q) {
+            let flags = alg1::flags(self.inner.vars(), i);
+            if flags & DEFERRED != 0 {
                 raw.push((q, DiningMsg::Ack));
             }
-            if self.inner.holds_fork(q) {
+            if flags & FORK != 0 {
                 raw.push((q, DiningMsg::Fork));
             }
-            self.inner.reset_edge_session(q);
-            self.inner.set_fork(q, false);
+            alg1::set(self.inner.vars_mut(), i, HANDSHAKE | DEFERRED | FORK, false);
         }
         self.forward(&mut raw, sends);
         self.raw = raw;
@@ -1538,11 +1453,13 @@ impl DiningAlgorithm for RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        let Err(i) = self.peers.binary_search_by_key(&q, |&(p, _)| p) else {
+        let Err(i) = self.inner.neighbors().binary_search(&q) else {
             return; // duplicate notice
         };
-        self.peers.insert(i, (q, color));
         self.inner.add_neighbor(q, color);
+        let higher = self.inner.color() > color;
+        self.edges
+            .insert(i, EdgeState::fresh(!self.joined_this_life, higher));
         if self.joined_this_life {
             // A joiner is the newcomer on every edge grown this life —
             // its own `join` greeted only the edges it booted with, so an
@@ -1551,10 +1468,7 @@ impl DiningAlgorithm for RecoverableDining {
             // unsynced and initiate the handshake. Crossed hellos between
             // two joiners answer each other idempotently and converge;
             // a lost hello is retried by the audit (unsynced edge).
-            self.edges.insert(i, EdgeState::fresh(false));
             sends.push((q, RecoveryMsg::Rejoin { inc: self.inc }));
-        } else {
-            self.edges.insert(i, EdgeState::fresh(true));
         }
         self.forget_departure(q);
         self.wakes += 1;
@@ -1571,10 +1485,9 @@ impl DiningAlgorithm for RecoverableDining {
         suspicion: &dyn SuspicionView,
         sends: &mut Vec<(ProcessId, RecoveryMsg)>,
     ) {
-        let Ok(i) = self.peers.binary_search_by_key(&q, |&(p, _)| p) else {
+        let Some(i) = self.find(q) else {
             return; // duplicate notice
         };
-        self.peers.remove(i);
         self.edges.remove(i);
         self.inner.remove_neighbor(q);
         self.forget_departure(q);
@@ -1611,6 +1524,53 @@ impl DiningAlgorithm for RecoverableDining {
 }
 
 impl RecoverableDining {
+    /// Factory reset for a new life as `incarnation`: volatile state is
+    /// rebuilt from the program image — the inner machine at §3.1's
+    /// placement and every edge unsynced — and only the incarnation
+    /// counter survived in stable storage. The commit-sequence counter
+    /// deliberately survives too (a restart re-floors it from storage
+    /// during replay): seq stamps must stay monotone across every restart,
+    /// blank or not. `joined` says whether the life began with a join.
+    fn reboot(&mut self, incarnation: u64, joined: bool) {
+        self.inc = incarnation;
+        self.joined_this_life = joined;
+        self.resume_seq = 0;
+        let departed = &self.departed;
+        for (e, q) in self.edges.iter_mut().zip(self.inner.neighbors()) {
+            // A departed peer will never answer a handshake; this side's
+            // view of the dead edge is authoritative from the start.
+            *e = EdgeState::fresh(departed.binary_search(q).is_ok(), e.higher);
+        }
+        let edges = &self.edges;
+        self.inner.reset(|j| edges[j].higher);
+    }
+
+    /// The handshake that reopens slot `i` for this life: a
+    /// [`RecoveryMsg::JournalResume`] while the journal fast path is
+    /// pending on it, else a [`RecoveryMsg::Rejoin`].
+    fn greeting(&self, i: usize) -> RecoveryMsg {
+        let e = &self.edges[i];
+        match e.resume_inc {
+            Some(journal_inc) => RecoveryMsg::JournalResume {
+                inc: self.inc,
+                journal_inc,
+                peer_inc: e.peer_inc,
+                seq: self.resume_seq,
+            },
+            None => RecoveryMsg::Rejoin { inc: self.inc },
+        }
+    }
+
+    /// Greets every edge but those to departed peers, which will never
+    /// answer.
+    fn greet(&self, sends: &mut Vec<(ProcessId, RecoveryMsg)>) {
+        for (i, &q) in self.inner.neighbors().iter().enumerate() {
+            if !self.peer_is_departed(q) {
+                sends.push((q, self.greeting(i)));
+            }
+        }
+    }
+
     /// Clears a departed mark on `q` (the edge was regrown or torn down).
     fn forget_departure(&mut self, q: ProcessId) {
         if let Ok(j) = self.departed.binary_search(&q) {
@@ -1625,23 +1585,20 @@ impl RecoverableDining {
     fn scramble(&mut self, entropy: u64) {
         let mut z = entropy;
         let mut any = false;
-        for i in 0..self.peers.len() {
-            let q = self.peers[i].0;
+        for i in 0..self.edges.len() {
             let r = splitmix64(&mut z);
             if r & 0b11 == 0 {
                 continue;
             }
             let mut mask = ((r >> 2) & 0x3F) as u8;
             if mask == 0 {
-                mask = 0x10; // FORK
+                mask = FORK;
             }
-            self.inner.corrupt_edge(q, mask);
+            self.flip(i, mask);
             any = true;
         }
-        if !any {
-            if let Some(&(q, _)) = self.peers.first() {
-                self.inner.corrupt_edge(q, 0x10);
-            }
+        if !any && !self.edges.is_empty() {
+            self.flip(0, FORK);
         }
     }
 }
@@ -1649,7 +1606,8 @@ impl RecoverableDining {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::btree_map::Entry;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::from(i)
@@ -1866,7 +1824,7 @@ mod tests {
         // Corruption forges a second fork at lo and destroys its token —
         // without the token the local co-location discharge cannot
         // shortcut the repair, so this exercises the exchange path.
-        lo.inner.corrupt_edge(p(0), 0x30);
+        lo.flip(lo.inner.slot(p(0)), 0x30);
         assert!(hi.holds_fork(p(1)) && lo.holds_fork(p(0)));
         audit_rounds(&mut hi, &mut lo, DEFAULT_STRIKES as usize + 1);
         assert_edge_canonical(&hi, &lo);
@@ -1885,7 +1843,7 @@ mod tests {
         // (exit discharges the pair), so the audit discharges it locally
         // and immediately: the fork travels to hi, which absorbs the
         // duplicate, and the token stays.
-        lo.inner.corrupt_edge(p(0), 0x10);
+        lo.flip(lo.inner.slot(p(0)), 0x10);
         assert!(lo.holds_fork(p(0)) && lo.holds_token(p(0)));
         audit_rounds(&mut hi, &mut lo, 1);
         assert_edge_canonical(&hi, &lo);
@@ -1896,7 +1854,7 @@ mod tests {
     #[test]
     fn audit_repairs_a_lost_token() {
         let (mut hi, mut lo) = pair();
-        lo.inner.corrupt_edge(p(0), 0x20); // token bit flips off
+        lo.flip(lo.inner.slot(p(0)), 0x20); // token bit flips off
         assert!(!hi.holds_token(p(1)) && !lo.holds_token(p(0)));
         audit_rounds(&mut hi, &mut lo, DEFAULT_STRIKES as usize + 1);
         assert_edge_canonical(&hi, &lo);
@@ -1909,7 +1867,7 @@ mod tests {
         // must not trigger an exchange repair. The token is destroyed
         // alongside so the local co-location discharge stays out of play.
         let (mut hi, mut lo) = pair();
-        lo.inner.corrupt_edge(p(0), 0x30);
+        lo.flip(lo.inner.slot(p(0)), 0x30);
         audit_rounds(&mut hi, &mut lo, 1);
         assert!(
             lo.holds_fork(p(0)) && hi.holds_fork(p(1)),
@@ -2665,5 +2623,133 @@ mod tests {
         deliver(&mut lo, p(0), &m, &none());
         assert_eq!(lo.state(), DinerState::Eating, "readmitted");
         assert!(m.is_empty() || lo.state() == DinerState::Eating);
+    }
+
+    /// One membership edit, restart or join on the process under test;
+    /// neighbours are named by index in [`EDIT_COLORS`].
+    #[derive(Clone, Copy, Debug)]
+    enum Edit {
+        Add(usize),
+        Remove(usize),
+        Depart(usize),
+        Restart { journaled: bool },
+        Join,
+    }
+
+    /// Colours of p0 (the process under test) and of its candidate
+    /// neighbours p1–p8: in id order they fall alternately below and above
+    /// p0's, so an edge read through the wrong slot shows the wrong
+    /// placement.
+    const EDIT_COLORS: [Color; 9] = [4, 0, 7, 1, 6, 2, 5, 3, 8];
+
+    fn edit() -> impl proptest::strategy::Strategy<Value = Edit> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (1usize..9).prop_map(Edit::Add),
+            (1usize..9).prop_map(Edit::Remove),
+            (1usize..9).prop_map(Edit::Depart),
+            (0u8..2).prop_map(|j| Edit::Restart { journaled: j == 1 }),
+            Just(Edit::Join),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Membership edits, blank and journaled restarts and joins, in any
+        /// order, keep `edges` aligned with Algorithm 1's slots. After every
+        /// step: each slot's recovery state is the one its neighbour's
+        /// history gives, its S1 flags are §3.1's placement for its
+        /// neighbour's colour (no message is delivered, so nothing moves
+        /// a fork), and the journal's last record lists the neighbours in
+        /// order, each with its own flags.
+        #[test]
+        fn the_edge_table_stays_aligned_with_the_slots(
+            edits in proptest::collection::vec(edit(), 1..48),
+        ) {
+            let journal = JournalHandle::in_memory();
+            let neighbours = [2, 3, 5].map(|q| (p(q), EDIT_COLORS[q]));
+            let mut d = RecoverableDining::new(p(0), EDIT_COLORS[0], neighbours)
+                .with_journal(journal.clone());
+            // Neighbour → (synced, journal resume pending), and the departed.
+            let mut expect: BTreeMap<usize, (bool, bool)> =
+                [2, 3, 5].into_iter().map(|q| (q, (true, false))).collect();
+            let mut departed = BTreeSet::new();
+            let (mut inc, mut joined) = (0, false);
+            let mut sends = Vec::new();
+            for edit in edits {
+                match edit {
+                    Edit::Add(q) => {
+                        d.add_peer(p(q), EDIT_COLORS[q], &none(), &mut sends);
+                        if let Entry::Vacant(e) = expect.entry(q) {
+                            e.insert((!joined, false));
+                            departed.remove(&q);
+                        }
+                    }
+                    Edit::Remove(q) => {
+                        d.remove_peer(p(q), &none(), &mut sends);
+                        expect.remove(&q);
+                        departed.remove(&q);
+                    }
+                    Edit::Depart(q) => {
+                        d.peer_departed(p(q), &none(), &mut sends);
+                        if let Some(e) = expect.get_mut(&q) {
+                            *e = (true, false);
+                            departed.insert(q);
+                        }
+                    }
+                    Edit::Restart { journaled } => {
+                        inc += 1;
+                        if !journaled {
+                            journal.commit(b"torn");
+                        }
+                        d.restart(inc, None, &none(), &mut sends);
+                        joined = false;
+                        for (q, e) in expect.iter_mut() {
+                            // A replay resumes every edge the last record
+                            // held synced; a departed one stays settled.
+                            *e = (departed.contains(q), journaled && e.0);
+                        }
+                        let path = d.restart_log().last().unwrap().path;
+                        assert_eq!(journaled, matches!(path, RestartPath::Journal { .. }));
+                        if !journaled {
+                            for q in expect.keys().filter(|q| !departed.contains(*q)) {
+                                let higher = EDIT_COLORS[0] > EDIT_COLORS[*q];
+                                assert_eq!(d.holds_fork(p(*q)), higher, "p{q}'s fork re-placed");
+                                assert_eq!(d.holds_token(p(*q)), !higher, "p{q}'s token re-placed");
+                            }
+                        }
+                    }
+                    Edit::Join => {
+                        inc += 1;
+                        d.join(inc, &none(), &mut sends);
+                        joined = true;
+                        for (q, e) in expect.iter_mut() {
+                            *e = (departed.contains(q), false);
+                        }
+                    }
+                }
+                let ids: Vec<ProcessId> = expect.keys().map(|&q| p(q)).collect();
+                assert_eq!(d.inner().neighbors(), &ids[..], "after {edit:?}");
+                assert_eq!(d.edges.len(), ids.len());
+                for (i, (&q, &(synced, resume))) in expect.iter().enumerate() {
+                    let (e, higher) = (&d.edges[i], EDIT_COLORS[0] > EDIT_COLORS[q]);
+                    assert_eq!(e.higher, higher, "p{q}'s colour after {edit:?}");
+                    assert_eq!((e.synced, e.resume_inc.is_some()), (synced, resume), "p{q} after {edit:?}");
+                    assert_eq!(d.peer_is_departed(p(q)), departed.contains(&q));
+                    let placed = if higher { FORK } else { TOKEN };
+                    assert_eq!(alg1::flags(d.inner().vars(), i), placed, "p{q}'s flags after {edit:?}");
+                }
+                let record = JournalRecord::decode(&journal.load().unwrap()).unwrap();
+                let listed: Vec<(ProcessId, u8)> = record
+                    .edges
+                    .iter()
+                    .map(|er| (ProcessId::from(er.peer as usize), er.flags))
+                    .collect();
+                let own: Vec<(ProcessId, u8)> =
+                    ids.iter().map(|&q| (q, d.inner().edge_flags(q))).collect();
+                assert_eq!(listed, own, "journal after {edit:?}");
+            }
+        }
     }
 }

@@ -120,9 +120,12 @@ pub trait DiningAlgorithm {
     // ----- crash-recovery extension (default: crash-stop, no-ops) -------
 
     /// Whether this algorithm implements the crash-recovery protocol
-    /// (rejoin handshake + periodic audit). Hosts only arm the audit timer,
-    /// check for [`wakes`](Self::wakes) and deliver restart/corruption
-    /// events when this returns `true`.
+    /// (rejoin handshake + periodic audit), and with it runtime membership
+    /// changes (joining the system mid-run, neighbor insertion/teardown),
+    /// whose joins reuse the rejoin handshake. Hosts only arm the audit
+    /// timer, check for [`wakes`](Self::wakes) and deliver
+    /// restart/corruption and join/leave/peer-change events when this
+    /// returns `true`.
     fn supports_recovery(&self) -> bool {
         false
     }
@@ -186,13 +189,6 @@ pub trait DiningAlgorithm {
     }
 
     // ----- dynamic-membership extension (default: fixed graph, no-ops) --
-
-    /// Whether this algorithm supports runtime membership changes (joining
-    /// the system mid-run, neighbor insertion/teardown). Hosts only deliver
-    /// join/leave and peer-change events when this returns `true`.
-    fn supports_membership(&self) -> bool {
-        false
-    }
 
     /// The (initially absent) process boots into the system at runtime
     /// with a fresh `incarnation` (≥ 1; shares the restart counter with

@@ -117,7 +117,7 @@ impl SuspicionView for BTreeSet<ProcessId> {
 /// A failure-detector module: a pure state machine hosted inside a process.
 ///
 /// The host forwards [`DetectorEvent`]s, applies the requested
-/// [`DetectorOutput`] effects, and consults [`DetectorModule::suspects`]
+/// [`DetectorOutput`] effects, and consults [`suspects`](SuspicionView::suspects)
 /// whenever the application layer evaluates an oracle-guarded action.
 pub trait DetectorModule: SuspicionView {
     /// Handles one event, accumulating effects into `out`.

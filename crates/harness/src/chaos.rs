@@ -188,7 +188,7 @@ pub fn reproduces(schedule: &FaultSchedule, class: RunClass) -> bool {
 }
 
 /// Shrink a schedule known to fail with `class` to a locally-minimal
-/// failing sub-schedule (see [`ekbd_chaos::shrink`]).
+/// failing sub-schedule (see [`ekbd_chaos::shrink()`]).
 pub fn shrink_failing(schedule: &FaultSchedule, class: RunClass) -> (FaultSchedule, ShrinkStats) {
     shrink(schedule, |candidate| reproduces(candidate, class))
 }

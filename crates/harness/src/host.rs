@@ -570,14 +570,14 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
             }
             NodeEvent::External(HostCmd::PeerJoined { peer, color }) => {
                 debug_assert!(
-                    self.alg.supports_membership(),
+                    self.alg.supports_recovery(),
                     "membership notice for a fixed-graph algorithm"
                 );
                 self.step_alg(ctx, |alg, det, sends| alg.add_peer(peer, color, det, sends));
             }
             NodeEvent::External(HostCmd::PeerLeft { peer, graceful }) => {
                 debug_assert!(
-                    self.alg.supports_membership(),
+                    self.alg.supports_recovery(),
                     "membership notice for a fixed-graph algorithm"
                 );
                 self.step_alg(ctx, |alg, det, sends| {
@@ -630,7 +630,7 @@ impl<A: DiningAlgorithm> Node for DinerHost<A> {
             }
             NodeEvent::Join { incarnation } => {
                 debug_assert!(
-                    self.alg.supports_membership(),
+                    self.alg.supports_recovery(),
                     "join scheduled for a fixed-graph algorithm"
                 );
                 // Same ordering as a crash-recovery restart: clean link

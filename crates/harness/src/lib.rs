@@ -5,7 +5,7 @@
 //! The moving parts:
 //!
 //! * [`DinerHost`] — a [`Node`](ekbd_sim::Node) hosting one
-//!   [`DiningAlgorithm`] next to one [`AnyDetector`], multiplexing their
+//!   [`DiningAlgorithm`](ekbd_dining::DiningAlgorithm) next to one [`AnyDetector`], multiplexing their
 //!   traffic, driving the workload (think → hungry → eat → think cycles),
 //!   and emitting observations for the metrics layer;
 //! * [`Scenario`] — topology + coloring + seed + delay model + oracle +

@@ -104,7 +104,7 @@ pub struct Scenario {
     pub audit_strikes: u8,
     /// Dynamic-membership schedule (default: inert — a fixed population).
     /// A non-inert plan requires a membership-capable algorithm
-    /// ([`supports_membership`](ekbd_dining::DiningAlgorithm::supports_membership)),
+    /// ([`supports_recovery`](ekbd_dining::DiningAlgorithm::supports_recovery)),
     /// i.e. [`run_recoverable`](Self::run_recoverable).
     pub membership: MembershipPlan,
 }
@@ -405,7 +405,7 @@ impl Scenario {
                 let view = self.construction_view(p);
                 let alg = factory(&view, p);
                 assert!(
-                    alg.supports_membership(),
+                    alg.supports_recovery(),
                     "a membership plan requires a membership-capable algorithm \
                      (e.g. RecoverableDining; use run_recoverable)"
                 );

@@ -4,7 +4,7 @@
 //! # Threading model
 //!
 //! No async runtime — a small readiness-based reactor over the vendored
-//! epoll shim ([`crate::poll`]):
+//! epoll shim (the crate's `poll` module):
 //!
 //! * an **acceptor** thread blocks on the (nonblocking) listener and a
 //!   shutdown eventfd, and hands accepted sockets to the reactors
@@ -110,7 +110,7 @@
 //!
 //! # Fail-stop
 //!
-//! A panic on any server thread stops the whole server ([`FailStop`]):
+//! A panic on any server thread stops the whole server (`FailStop`):
 //! every connection closes, which is `crash(p)` for every bound process,
 //! and nothing is served from state the panic may have left half-updated.
 

@@ -456,7 +456,7 @@ impl FrameReader {
     /// Reads once from `src` behind the undecoded bytes and returns what
     /// `read` returned (`Ok(0)` is end of stream). A read that fills all
     /// the room doubles it for the next, so a busy connection grows
-    /// towards [`MAX_ROOM`](Self::MAX_ROOM) and an idle one stays small.
+    /// towards `MAX_ROOM` and an idle one stays small.
     pub fn fill(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
         if self.at > 0 {
             self.buf.copy_within(self.at..self.end, 0);

@@ -11,7 +11,7 @@
 //!
 //! * [`LatencyHistogram`] stores a precise count per tick below
 //!   [`LatencyHistogram::EXACT_CAP`] and log₂ bins above, so nearest-rank
-//!   quantiles are *bit-equal* to the dense [`ekbd-metrics`] summary
+//!   quantiles are *bit-equal* to the dense `ekbd-metrics` summary
 //!   whenever every sample is below the cap (true for every small-graph
 //!   equivalence scenario), and within a factor-2 bracket beyond it.
 //! * [`Reservoir`] keeps a bounded, deterministically chosen sample of

@@ -1,6 +1,6 @@
 //! The bit-packed scale-tier dining kernel (S1 space bound, §7).
 //!
-//! The general [`Simulator`](crate::Simulator) runs arbitrary [`Node`]
+//! The general [`Simulator`](crate::Simulator) runs arbitrary [`Node`](crate::Node)
 //! state machines with boxed messages and dense per-edge structs — perfect
 //! for the fault machinery, too heavy for 10⁵–10⁶ processes. This module is
 //! a *specialized* kernel for fault-free Algorithm 1 at scale:
@@ -22,7 +22,7 @@
 //!   end of an edge has the lower colour, and that is the slot's bit.
 //! * **Events** are single `u64` words, each exactly its own sort key:
 //!   `(to, kind, slot)` packed into the graph's `⌈log₂ n⌉ + 3 + ⌈log₂ δ⌉`
-//!   bits, `to` highest ([`KeyShape`]). Their integer order *is* the
+//!   bits, `to` highest (`KeyShape`). Their integer order *is* the
 //!   canonical per-tick processing order, which is what makes runs
 //!   invariant in the shard count (see [`shard`](crate::shard)). No tick
 //!   holds two equal words, so a tick is put in that order by a radix sort
@@ -39,7 +39,7 @@
 //!
 //! Algorithm 1 itself is not the kernel's: its S1 words, its guard pass
 //! (internal guards in enabling order 2 → 5 → 6 → 9 after every event) and
-//! the effects of its actions are [`alg1`](crate::alg1)'s, which
+//! the effects of its actions are [`alg1`]'s, which
 //! `ekbd-dining`'s `DiningProcess` runs too. The kernel owns what is
 //! around them: scheduling (event words, the timer wheel, shards), the
 //! hashed delays, the exclusion check below, and the colour bit a request's
@@ -53,7 +53,7 @@
 //! checked by *reading* each new session's neighbours at the end of its
 //! tick. Every process has one word shared by all shards (`since`, by
 //! global id): the tick it became hungry or stopped eating, or, with
-//! [`EATING_BIT`] set, the tick its session started. A start is recorded
+//! `EATING_BIT` set, the tick its session started. A start is recorded
 //! there and in its shard's `started` list. Once every shard has processed
 //! the tick, and so no shard writes process state, `check_starts` reads
 //! the word of each neighbour `q` of each process `p` that started, and
@@ -416,7 +416,7 @@ pub(crate) struct ShardHandle {
     pub(crate) final_tick: u64,
 }
 
-/// The packed kernel: shared immutable topology plus one [`ShardState`]
+/// The packed kernel: shared immutable topology plus one `ShardState`
 /// per shard. Drive it with [`run_sequential`](Self::run_sequential) (one
 /// thread, any shard count) or [`shard::run_sharded`](crate::shard::run_sharded)
 /// (one worker thread per shard) — both produce identical results.
