@@ -8,9 +8,9 @@
 //! This crate supplies the substrate for composite adversaries:
 //!
 //! * [`FaultSchedule`] — one serializable schedule composing every fault
-//!   axis, compiled down to the per-axis plans the simulator consumes
-//!   ([`FaultSchedule::parts`]) and validated for cross-axis
-//!   contradictions ([`FaultSchedule::validate`]);
+//!   axis, checked against every legality rule and compiled down to the
+//!   per-axis plans the simulator consumes in one step
+//!   ([`FaultSchedule::compile`]);
 //! * [`codec`] — a line-oriented text format so failing schedules become
 //!   committed regression artifacts replayable via `ekbd chaos --replay`;
 //! * [`FaultSchedule::generate`] — a seeded generator with tunable

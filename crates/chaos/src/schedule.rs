@@ -5,13 +5,15 @@
 //! topology spec, a seed, and a horizon. Flatness is the point: the
 //! delta-debugging shrinker (see [`crate::shrink`]) works by *dropping
 //! events*, so every independently-removable disturbance must be its own
-//! event. The schedule compiles down to the per-axis plans the simulator
-//! already understands — [`FaultPlan`], a crash list,
-//! [`StorageFaultPlan`], and [`MembershipPlan`] — via [`FaultSchedule::parts`].
+//! event. [`FaultSchedule::compile`] checks every legality rule of the
+//! composition once, on that flat list, and compiles it down to the
+//! per-axis plans the simulator already understands — [`FaultPlan`], a
+//! crash list, [`StorageFaultPlan`], and [`MembershipPlan`].
 
 use ekbd_graph::{topology, ConflictGraph};
 use ekbd_journal::{StorageFault, StorageFaultPlan};
-use ekbd_sim::{FaultPlan, FaultPlanError, MembershipPlan, MembershipPlanError, ProcessId, Time};
+use ekbd_sim::{FaultPlan, MembershipPlan, ProcessId, Time};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Global channel-noise dial: sustained loss / duplication / reordering
@@ -230,27 +232,86 @@ impl fmt::Display for RunClass {
     }
 }
 
-/// Why a schedule is rejected before it ever runs.
+/// Why a schedule is rejected before it ever runs: one variant per
+/// legality rule of a composed schedule, each checked once by
+/// [`FaultSchedule::compile`], plus the ways reading one can fail.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScheduleError {
-    /// The compiled [`FaultPlan`] is self-contradictory.
-    Fault(FaultPlanError),
-    /// The compiled [`MembershipPlan`] is self-contradictory.
-    Membership(MembershipPlanError),
+    /// More than one global channel-noise dial.
+    DuplicateNoise,
+    /// A partition whose heal instant is not after its start.
+    PartitionNeverHeals {
+        /// Index of the partition among the schedule's partitions.
+        index: usize,
+    },
+    /// A channel-noise probability outside `[0, 1]`.
+    BadProbability {
+        /// Which dial is out of range (`loss`, `dup`, `reorder`).
+        what: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// An event targets a process outside `0..n`.
+    OutOfRange {
+        /// The axis of the offending event: [`Axis::Crash`],
+        /// [`Axis::Partition`] or [`Axis::Churn`].
+        axis: Axis,
+        /// The offending process.
+        process: ProcessId,
+        /// The population size.
+        n: usize,
+    },
+    /// A partition with an empty side cuts nothing.
+    EmptyPartitionSide {
+        /// Index of the partition among the schedule's partitions.
+        index: usize,
+    },
+    /// Two partitions are active at once and cut at least one common
+    /// edge: healing one cut would not restore the edge, so heal-time
+    /// reasoning per edge becomes ambiguous.
+    OverlappingPartitions {
+        /// Index of the earlier partition.
+        first: usize,
+        /// Index of the later, conflicting partition.
+        second: usize,
+    },
+    /// A recovery with no crash of the same process strictly before it
+    /// that an earlier recovery has not already used: the simulator would
+    /// drop it, since it never restarts a live process.
+    RecoverBeforeCrash {
+        /// The process whose recovery dangles.
+        process: ProcessId,
+        /// When the dangling recovery fires.
+        at: Time,
+    },
+    /// A process joins more than once.
+    DuplicateJoin {
+        /// The process.
+        process: ProcessId,
+    },
+    /// A process leaves more than once.
+    DuplicateLeave {
+        /// The process.
+        process: ProcessId,
+    },
+    /// A process leaves at or before its join, so it would rejoin under
+    /// the same id: that is the crash/recovery axis, not membership.
+    RejoinSameId {
+        /// The process.
+        process: ProcessId,
+    },
+    /// A crash/recover/corrupt event targets a process that joins late
+    /// or leaves, where the two axes' semantics collide.
+    FaultOnChurned {
+        /// The doubly-targeted process.
+        process: ProcessId,
+    },
     /// A storage fault targets a process that never restarts, so the
     /// damage could never be observed.
     StorageFaultWithoutRestart {
         /// The process with damaged storage.
         process: ProcessId,
     },
-    /// A crash/recover/corrupt event targets a process that joins late
-    /// or leaves, where the two schedules' semantics collide.
-    FaultOnChurned {
-        /// The doubly-targeted process.
-        process: ProcessId,
-    },
-    /// More than one global channel-noise dial.
-    DuplicateNoise,
     /// The topology spec does not name a known graph family.
     BadTopology {
         /// The offending spec string.
@@ -270,19 +331,50 @@ pub enum ScheduleError {
 impl fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ScheduleError::Fault(e) => write!(f, "fault plan: {e}"),
-            ScheduleError::Membership(e) => write!(f, "membership plan: {e}"),
-            ScheduleError::StorageFaultWithoutRestart { process } => write!(
+            ScheduleError::DuplicateNoise => {
+                write!(f, "more than one channel-noise dial in one schedule")
+            }
+            ScheduleError::PartitionNeverHeals { index } => {
+                write!(f, "partition #{index} does not heal after it starts")
+            }
+            ScheduleError::BadProbability { what, value } => {
+                write!(f, "{what} probability {value} is outside [0, 1]")
+            }
+            ScheduleError::OutOfRange { axis, process, n } => write!(
                 f,
-                "storage fault for process {process} which never restarts"
+                "{} event targets {process} in a population of {n}",
+                axis.name()
+            ),
+            ScheduleError::EmptyPartitionSide { index } => {
+                write!(f, "partition #{index} has an empty side and cuts nothing")
+            }
+            ScheduleError::OverlappingPartitions { first, second } => write!(
+                f,
+                "partitions #{first} and #{second} are active at once and cut a common edge"
+            ),
+            ScheduleError::RecoverBeforeCrash { process, at } => write!(
+                f,
+                "recovery of {process} at {at} has no crash before it to recover from"
+            ),
+            ScheduleError::DuplicateJoin { process } => {
+                write!(f, "{process} has more than one join")
+            }
+            ScheduleError::DuplicateLeave { process } => {
+                write!(f, "{process} has more than one leave")
+            }
+            ScheduleError::RejoinSameId { process } => write!(
+                f,
+                "{process} would rejoin under the same id; use the crash/recovery \
+                 fault stream for same-id rejoin, or join as a fresh id"
             ),
             ScheduleError::FaultOnChurned { process } => write!(
                 f,
                 "crash-axis event targets churned (joining/leaving) process {process}"
             ),
-            ScheduleError::DuplicateNoise => {
-                write!(f, "more than one channel-noise dial in one schedule")
-            }
+            ScheduleError::StorageFaultWithoutRestart { process } => write!(
+                f,
+                "storage fault for process {process} which never restarts"
+            ),
             ScheduleError::BadTopology { spec } => write!(f, "unknown topology spec `{spec}`"),
             ScheduleError::Parse { line, msg } => write!(f, "line {line}: {msg}"),
             ScheduleError::Io(msg) => write!(f, "io: {msg}"),
@@ -292,21 +384,11 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-impl From<FaultPlanError> for ScheduleError {
-    fn from(e: FaultPlanError) -> Self {
-        ScheduleError::Fault(e)
-    }
-}
-
-impl From<MembershipPlanError> for ScheduleError {
-    fn from(e: MembershipPlanError) -> Self {
-        ScheduleError::Membership(e)
-    }
-}
-
 /// The per-axis plans a schedule compiles down to, in exactly the form
-/// `ekbd-harness`'s `Scenario` consumes them.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// `ekbd-harness`'s `Scenario` consumes them. Only
+/// [`FaultSchedule::compile`] makes one, so a `ScheduleParts` always
+/// holds a legal composition.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScheduleParts {
     /// Channel faults, partitions, recoveries, corruptions.
     pub faults: FaultPlan,
@@ -373,12 +455,29 @@ impl FaultSchedule {
         build_topology(&self.topology)
     }
 
-    /// Compile the flat event list into per-axis plans.
+    /// Check every legality rule of the composition against a population
+    /// of `n`, then compile the flat event list into the per-axis plans.
     ///
-    /// This never fails: contradiction detection is [`Self::validate`]'s
-    /// job, and the shrinker relies on being able to build candidate
-    /// parts cheaply before deciding whether they are even well-formed.
-    pub fn parts(&self) -> ScheduleParts {
+    /// The rules are checked once, here, on the event list and before
+    /// anything is built, so the per-axis builders never see a schedule
+    /// they would panic on or run as something other than it says. The
+    /// first broken rule is returned, in this order:
+    ///
+    /// 1. at most one noise dial, and every partition heals after it
+    ///    starts (in event order);
+    /// 2. the noise probabilities lie in `[0, 1]`;
+    /// 3. crash, recovery and corruption targets lie in `0..n`;
+    /// 4. each partition's side is non-empty and lies in `0..n`;
+    /// 5. partitions active at once cut no common edge;
+    /// 6. the k-th recovery of a process, in time, comes strictly after
+    ///    its k-th crash (processes in id order);
+    /// 7. join and leave targets lie in `0..n`, with at most one join and
+    ///    one leave per process (in event order);
+    /// 8. a process that joins and leaves leaves after it joins;
+    /// 9. crash-axis events target processes that never join or leave,
+    ///    and storage damage a process that restarts (in event order).
+    pub fn compile(&self, n: usize) -> Result<ScheduleParts, ScheduleError> {
+        self.check(n)?;
         let mut faults = FaultPlan::new();
         let mut crashes = Vec::new();
         let mut storage = StorageFaultPlan::new().seed(self.seed);
@@ -428,63 +527,144 @@ impl FaultSchedule {
                 }
             }
         }
-        ScheduleParts {
+        Ok(ScheduleParts {
             faults,
             crashes,
             storage,
             membership,
-        }
+        })
     }
 
-    /// Reject contradictory schedules with a distinct error per
-    /// contradiction, instead of letting the simulator misbehave
-    /// silently. Checks the topology spec, both per-axis plan
-    /// validators, and the cross-axis rules that only the composed view
-    /// can see (storage faults without a restart, crash-axis events on
-    /// churned processes, duplicate noise dials).
-    pub fn validate(&self) -> Result<(), ScheduleError> {
-        let graph = self.build_topology()?;
-        self.validate_for(graph.len())
-    }
+    /// The legality rules of [`Self::compile`], in its order.
+    fn check(&self, n: usize) -> Result<(), ScheduleError> {
+        let in_range = |axis, process: ProcessId| {
+            if process.index() < n {
+                Ok(())
+            } else {
+                Err(ScheduleError::OutOfRange { axis, process, n })
+            }
+        };
 
-    /// [`Self::validate`] against an explicit population size, for
-    /// callers that already built the graph.
-    pub fn validate_for(&self, n: usize) -> Result<(), ScheduleError> {
-        let mut noise_seen = false;
-        let mut partitions = 0usize;
+        let mut noise = None;
+        let mut partitions: Vec<(&[ProcessId], Time, Time)> = Vec::new();
         for ev in &self.events {
             match ev {
-                ChaosEvent::Noise(_) => {
-                    if noise_seen {
-                        return Err(ScheduleError::DuplicateNoise);
-                    }
-                    noise_seen = true;
+                ChaosEvent::Noise(_) if noise.is_some() => {
+                    return Err(ScheduleError::DuplicateNoise);
                 }
-                // Checked up front because FaultPlan::partition asserts
-                // start < heal; parts() must not panic on codec input.
-                ChaosEvent::Partition { start, heal, .. } => {
-                    if *heal <= *start {
-                        return Err(ScheduleError::Fault(FaultPlanError::PartitionNeverHeals {
-                            index: partitions,
-                        }));
+                ChaosEvent::Noise(dial) => noise = Some(dial),
+                ChaosEvent::Partition { side, start, heal } => {
+                    if heal <= start {
+                        return Err(ScheduleError::PartitionNeverHeals {
+                            index: partitions.len(),
+                        });
                     }
-                    partitions += 1;
+                    partitions.push((side, *start, *heal));
                 }
                 _ => {}
             }
         }
+        if let Some(dial) = noise {
+            for (what, value) in [
+                ("loss", dial.loss),
+                ("dup", dial.dup),
+                ("reorder", dial.reorder),
+            ] {
+                if !(0.0..=1.0).contains(&value) {
+                    return Err(ScheduleError::BadProbability { what, value });
+                }
+            }
+        }
+        for ev in &self.events {
+            if let ChaosEvent::Crash { process, .. }
+            | ChaosEvent::Recover { process, .. }
+            | ChaosEvent::Corrupt { process, .. } = ev
+            {
+                in_range(Axis::Crash, *process)?;
+            }
+        }
+        for (index, (side, ..)) in partitions.iter().enumerate() {
+            if side.is_empty() {
+                return Err(ScheduleError::EmptyPartitionSide { index });
+            }
+            for &p in side.iter() {
+                in_range(Axis::Partition, p)?;
+            }
+        }
+        let cut = |side: &[ProcessId], x, y| side.contains(&x) != side.contains(&y);
+        for (first, &(a, a_start, a_heal)) in partitions.iter().enumerate() {
+            for (second, &(b, b_start, b_heal)) in partitions.iter().enumerate().skip(first + 1) {
+                let at_once = a_start < b_heal && b_start < a_heal;
+                if at_once
+                    && (0..n).any(|x| {
+                        (x + 1..n).any(|y| {
+                            let (x, y) = (ProcessId::from(x), ProcessId::from(y));
+                            cut(a, x, y) && cut(b, x, y)
+                        })
+                    })
+                {
+                    return Err(ScheduleError::OverlappingPartitions { first, second });
+                }
+            }
+        }
+        // Each recovery needs its own crash strictly before it: the k-th
+        // recovery of a process, in time, pairs with its k-th crash.
+        let mut lives: BTreeMap<ProcessId, (Vec<Time>, Vec<Time>)> = BTreeMap::new();
+        for ev in &self.events {
+            match ev {
+                ChaosEvent::Crash { process, at } => lives.entry(*process).or_default().0.push(*at),
+                ChaosEvent::Recover { process, at, .. } => {
+                    lives.entry(*process).or_default().1.push(*at);
+                }
+                _ => {}
+            }
+        }
+        for (process, (mut crashes, mut recoveries)) in lives {
+            crashes.sort_unstable();
+            recoveries.sort_unstable();
+            for (k, &at) in recoveries.iter().enumerate() {
+                if crashes.get(k).is_none_or(|&c| c >= at) {
+                    return Err(ScheduleError::RecoverBeforeCrash { process, at });
+                }
+            }
+        }
 
-        let parts = self.parts();
-        parts.faults.validate(n, &parts.crashes)?;
-        parts.membership.validate(n)?;
+        let (mut joins, mut leaves) = (vec![None; n], vec![None; n]);
+        for ev in &self.events {
+            let (process, at, seen, twice) = match ev {
+                ChaosEvent::Join { process, at } => (
+                    *process,
+                    *at,
+                    &mut joins,
+                    ScheduleError::DuplicateJoin { process: *process },
+                ),
+                ChaosEvent::Leave { process, at, .. } => (
+                    *process,
+                    *at,
+                    &mut leaves,
+                    ScheduleError::DuplicateLeave { process: *process },
+                ),
+                _ => continue,
+            };
+            in_range(Axis::Churn, process)?;
+            if seen[process.index()].replace(at).is_some() {
+                return Err(twice);
+            }
+        }
+        let rejoin = |i: usize| matches!((joins[i], leaves[i]), (Some(j), Some(l)) if l <= j);
+        if let Some(i) = (0..n).find(|&i| rejoin(i)) {
+            return Err(ScheduleError::RejoinSameId {
+                process: ProcessId::from(i),
+            });
+        }
 
-        let steady: Vec<ProcessId> = parts.membership.continuously_present(n);
+        let churned = |p: ProcessId| joins[p.index()].is_some() || leaves[p.index()].is_some();
         for ev in &self.events {
             match ev {
                 ChaosEvent::Crash { process, .. }
                 | ChaosEvent::Recover { process, .. }
                 | ChaosEvent::Corrupt { process, .. }
-                    if process.index() < n && !steady.contains(process) =>
+                    if churned(*process) =>
                 {
                     return Err(ScheduleError::FaultOnChurned { process: *process });
                 }
@@ -502,6 +682,14 @@ impl FaultSchedule {
             }
         }
         Ok(())
+    }
+
+    /// Reject contradictory schedules with a distinct error per
+    /// contradiction, instead of letting the simulator misbehave
+    /// silently: the topology spec, then every rule of [`Self::compile`]
+    /// on the graph it names.
+    pub fn validate(&self) -> Result<(), ScheduleError> {
+        self.compile(self.build_topology()?.len()).map(drop)
     }
 
     /// The last instant at which the schedule disturbs the run; the
@@ -568,6 +756,7 @@ pub(crate) fn build_topology(spec: &str) -> Result<ConflictGraph, ScheduleError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ekbd_sim::MembershipEvent;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::from(i)
@@ -624,8 +813,7 @@ mod tests {
                 at: Time(3_000),
                 graceful: true,
             });
-        s.validate().unwrap();
-        let parts = s.parts();
+        let parts = s.compile(8).unwrap();
         assert_eq!(parts.crashes, vec![(p(5), Time(700))]);
         assert_eq!(parts.faults.recoveries.len(), 1);
         assert_eq!(parts.faults.partitions.len(), 1);
@@ -677,10 +865,240 @@ mod tests {
             });
         assert!(matches!(
             dangling_recover.validate(),
-            Err(ScheduleError::Fault(
-                FaultPlanError::RecoverBeforeCrash { .. }
-            ))
+            Err(ScheduleError::RecoverBeforeCrash { .. })
         ));
+    }
+
+    fn ring(events: Vec<ChaosEvent>) -> FaultSchedule {
+        FaultSchedule::new("ring-8", 1, Time(10_000)).with_events(events)
+    }
+
+    fn crash(i: usize, at: u64) -> ChaosEvent {
+        ChaosEvent::Crash {
+            process: p(i),
+            at: Time(at),
+        }
+    }
+
+    fn recover(i: usize, at: u64) -> ChaosEvent {
+        ChaosEvent::Recover {
+            process: p(i),
+            at: Time(at),
+            corrupt: false,
+        }
+    }
+
+    fn partition(side: &[usize], start: u64, heal: u64) -> ChaosEvent {
+        ChaosEvent::Partition {
+            side: side.iter().map(|&i| p(i)).collect(),
+            start: Time(start),
+            heal: Time(heal),
+        }
+    }
+
+    fn noise(loss: f64, dup: f64, reorder: f64) -> ChaosEvent {
+        ChaosEvent::Noise(ChannelNoise {
+            loss,
+            dup,
+            reorder,
+            reorder_window: 8,
+        })
+    }
+
+    /// The membership events of `plan` as schedule events.
+    fn churn(plan: &MembershipPlan) -> Vec<ChaosEvent> {
+        plan.events()
+            .iter()
+            .map(|ev| match *ev {
+                MembershipEvent::Join { process, at } => ChaosEvent::Join { process, at },
+                MembershipEvent::Leave {
+                    process,
+                    at,
+                    graceful,
+                } => ChaosEvent::Leave {
+                    process,
+                    at,
+                    graceful,
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compile_accepts_sane_compositions() {
+        let sane = ring(vec![
+            noise(0.1, 0.05, 0.2),
+            partition(&[0], 100, 400),
+            partition(&[2], 600, 900),
+            crash(1, 200),
+            recover(1, 500),
+            ChaosEvent::Corrupt {
+                process: p(3),
+                at: Time(700),
+            },
+        ]);
+        let parts = sane.compile(5).unwrap();
+        assert_eq!(parts.crashes, vec![(p(1), Time(200))]);
+        assert_eq!(parts.faults.default_fault.dup, 0.05);
+        // Partitions active at once must not cut a common edge.
+        assert_eq!(
+            ring(vec![
+                partition(&[0, 1], 100, 400),
+                partition(&[0, 1], 200, 500)
+            ])
+            .compile(4),
+            Err(ScheduleError::OverlappingPartitions {
+                first: 0,
+                second: 1
+            })
+        );
+    }
+
+    #[test]
+    fn compile_rejects_recover_before_crash() {
+        assert_eq!(
+            ring(vec![recover(1, 500)]).compile(5),
+            Err(ScheduleError::RecoverBeforeCrash {
+                process: p(1),
+                at: Time(500)
+            })
+        );
+        // A recovery at the instant of the crash still dangles.
+        assert!(ring(vec![crash(1, 500), recover(1, 500)])
+            .compile(5)
+            .is_err());
+        // Two recoveries need two crashes.
+        assert!(ring(vec![crash(1, 100), recover(1, 500), recover(1, 900)])
+            .compile(5)
+            .is_err());
+        ring(vec![
+            crash(1, 100),
+            recover(1, 500),
+            crash(1, 700),
+            recover(1, 900),
+        ])
+        .compile(5)
+        .unwrap();
+    }
+
+    #[test]
+    fn compile_rejects_out_of_range_and_bad_dials() {
+        assert_eq!(
+            ring(vec![crash(9, 1), recover(9, 5)]).compile(4),
+            Err(ScheduleError::OutOfRange {
+                axis: Axis::Crash,
+                process: p(9),
+                n: 4
+            })
+        );
+        assert!(ring(vec![crash(7, 1)]).compile(4).is_err());
+        assert!(matches!(
+            ring(vec![noise(1.5, 0.0, 0.0)]).compile(4),
+            Err(ScheduleError::BadProbability { what: "loss", .. })
+        ));
+        assert_eq!(
+            ring(vec![partition(&[], 1, 2)]).compile(4),
+            Err(ScheduleError::EmptyPartitionSide { index: 0 })
+        );
+        assert_eq!(
+            ring(vec![partition(&[0], 9, 9)]).compile(4),
+            Err(ScheduleError::PartitionNeverHeals { index: 0 })
+        );
+    }
+
+    #[test]
+    fn compile_rejects_bad_membership_shapes() {
+        let plan = |plan: MembershipPlan| ring(churn(&plan)).compile(5);
+        assert_eq!(
+            plan(MembershipPlan::new().join(p(7), Time(1))),
+            Err(ScheduleError::OutOfRange {
+                axis: Axis::Churn,
+                process: p(7),
+                n: 5
+            })
+        );
+        assert_eq!(
+            plan(
+                MembershipPlan::new()
+                    .join(p(1), Time(1))
+                    .join(p(1), Time(9))
+            ),
+            Err(ScheduleError::DuplicateJoin { process: p(1) })
+        );
+        assert_eq!(
+            plan(
+                MembershipPlan::new()
+                    .leave(p(1), Time(1))
+                    .crash_leave(p(1), Time(9))
+            ),
+            Err(ScheduleError::DuplicateLeave { process: p(1) })
+        );
+        // Leave-then-join of one id is same-id rejoin: rejected.
+        assert_eq!(
+            plan(
+                MembershipPlan::new()
+                    .leave(p(2), Time(10))
+                    .join(p(2), Time(50))
+            ),
+            Err(ScheduleError::RejoinSameId { process: p(2) })
+        );
+        // Join-then-leave is fine: a process that visits and departs.
+        plan(
+            MembershipPlan::new()
+                .join(p(2), Time(10))
+                .leave(p(2), Time(50)),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn compile_accepts_the_membership_plans_the_builders_make() {
+        let compiles = |plan: MembershipPlan, n| ring(churn(&plan)).compile(n).unwrap();
+        let parts = compiles(MembershipPlan::new(), 5);
+        assert!(parts.membership.is_inert());
+        compiles(
+            MembershipPlan::new()
+                .join(p(5), Time(400))
+                .leave(p(1), Time(900))
+                .crash_leave(p(2), Time(1500)),
+            6,
+        );
+        compiles(
+            MembershipPlan::new()
+                .join(p(4), Time(100))
+                .leave(p(1), Time(300))
+                .crash_leave(p(2), Time(500)),
+            5,
+        );
+        compiles(MembershipPlan::new().replace(p(0), p(3), Time(200)), 4);
+        let seeded = MembershipPlan::seeded_churn(12, 50, Time(2_000), 42);
+        assert_eq!(compiles(seeded.clone(), 12).membership, seeded);
+    }
+
+    #[test]
+    fn schedule_errors_name_their_rule() {
+        let e = ScheduleError::OverlappingPartitions {
+            first: 0,
+            second: 2,
+        };
+        assert!(e.to_string().contains("common edge"));
+        assert!(ScheduleError::RecoverBeforeCrash {
+            process: p(1),
+            at: Time(9)
+        }
+        .to_string()
+        .contains("no crash"));
+        let out_of_range = |axis| ScheduleError::OutOfRange {
+            axis,
+            process: p(9),
+            n: 4,
+        };
+        assert!(out_of_range(Axis::Churn)
+            .to_string()
+            .starts_with("churn event"));
+        assert!(out_of_range(Axis::Crash)
+            .to_string()
+            .starts_with("crash event"));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 use crate::args::{ArgError, Parsed};
 use crate::spec::{parse_link, AlgorithmSpec, OracleArg, ProtocolSpec};
 use ekbd_baselines::{ChoySinghProcess, NaivePriorityProcess};
-use ekbd_chaos::{codec, FaultSchedule, ScheduleError};
+use ekbd_chaos::{codec, Axis, FaultSchedule, ScheduleError};
 use ekbd_dining::{BudgetedDiningProcess, DiningProcess, RestartPath};
 use ekbd_graph::{topology, ConflictGraph, ProcessId};
 use ekbd_harness::{Campaign, MembershipTag, RunReport, Scenario, Workload};
 use ekbd_metrics::{DetectorQualityReport, Timeline};
-use ekbd_sim::{FaultPlanError, Time};
+use ekbd_sim::Time;
 use ekbd_stabilize::{
     ColoringProtocol, LeaderProtocol, MisProtocol, Protocol, ScheduledRun, SpanningTreeProtocol,
     StabilizationConfig, TokenRingProtocol,
@@ -185,20 +185,22 @@ fn fault_schedule(
 }
 
 /// Names the flag behind a schedule that [`fault_schedule`] built but
-/// [`FaultSchedule::validate_for`] refused.
+/// [`FaultSchedule::compile`] refused.
 fn invalid_schedule(e: ScheduleError) -> ArgError {
     let flag = match &e {
-        ScheduleError::Fault(FaultPlanError::BadProbability { what, .. }) => format!("--{what}"),
-        ScheduleError::Fault(FaultPlanError::RecoverBeforeCrash { .. }) => "--recover".into(),
-        ScheduleError::Fault(
-            FaultPlanError::EmptyPartitionSide { .. }
-            | FaultPlanError::PartitionNeverHeals { .. }
-            | FaultPlanError::OverlappingPartitions { .. },
-        ) => "--partition".into(),
+        ScheduleError::BadProbability { what, .. } => format!("--{what}"),
+        ScheduleError::RecoverBeforeCrash { .. } => "--recover".into(),
+        ScheduleError::EmptyPartitionSide { .. }
+        | ScheduleError::PartitionNeverHeals { .. }
+        | ScheduleError::OverlappingPartitions { .. } => "--partition".into(),
         ScheduleError::StorageFaultWithoutRestart { .. } => "--storage-fault".into(),
-        ScheduleError::Membership(_) | ScheduleError::FaultOnChurned { .. } => {
-            "--churn-plan".into()
+        ScheduleError::OutOfRange {
+            axis: Axis::Churn, ..
         }
+        | ScheduleError::DuplicateJoin { .. }
+        | ScheduleError::DuplicateLeave { .. }
+        | ScheduleError::RejoinSameId { .. }
+        | ScheduleError::FaultOnChurned { .. } => "--churn-plan".into(),
         // A fault flag names a process the topology does not have.
         _ => "--topology".into(),
     };
@@ -217,9 +219,7 @@ fn scenario_from(parsed: &Parsed) -> Result<Scenario, ArgError> {
     let seed = parsed.get_parsed("seed", 0u64)?;
     let horizon = Time(parsed.get_parsed("horizon", 200_000u64)?);
     let schedule = fault_schedule(parsed, spec, seed, horizon)?;
-    schedule
-        .validate_for(graph.len())
-        .map_err(invalid_schedule)?;
+    let parts = schedule.compile(graph.len()).map_err(invalid_schedule)?;
     // Algorithm 1 assumes reliable FIFO channels: a lost, duplicated or
     // overtaken fork or request takes a run outside the paper's model (a
     // duplicated request trips Lemma 1's check in debug builds). Noise
@@ -255,7 +255,7 @@ fn scenario_from(parsed: &Parsed) -> Result<Scenario, ArgError> {
         OracleArg::Heartbeat(cfg) => s = s.heartbeat_oracle(cfg),
         OracleArg::Probe(cfg) => s = s.probe_oracle(cfg),
     }
-    s = s.fault_parts(schedule.parts());
+    s = s.fault_parts(parts);
     if let Some(spec) = parsed.get("journal") {
         s = match spec {
             "on" => s.journal(true),
@@ -1748,6 +1748,15 @@ mod tests {
             ("run --loss 1.5", "--loss"),
             ("run --topology ring:4 --crash 9:100", "--topology"),
             ("run --churn-plan join:2:500 --crash 2:900", "--churn-plan"),
+            ("run --dup 1.5", "--dup"),
+            ("run --reorder 2:4", "--reorder"),
+            ("run --churn-plan join:2:500,join:2:900", "--churn-plan"),
+            ("run --churn-plan leave:1:500,leave:1:900", "--churn-plan"),
+            ("run --churn-plan leave:2:500,join:2:900", "--churn-plan"),
+            (
+                "run --topology ring:4 --churn-plan join:9:500",
+                "--churn-plan",
+            ),
         ] {
             match scenario_from(&parsed(line)) {
                 Err(ArgError::BadValue { flag, .. }) => assert_eq!(flag, blamed, "{line}"),
@@ -1767,10 +1776,10 @@ mod tests {
         );
         let schedule = fault_schedule(&p, "grid:3x3", 7, Time(40_000)).unwrap();
         assert_eq!(schedule.events.len(), 13);
-        schedule.validate().unwrap();
+        let parts = schedule.compile(9).unwrap();
         let back = ekbd_chaos::codec::parse(&ekbd_chaos::codec::encode(&schedule)).unwrap();
         assert_eq!(back, schedule);
-        assert_eq!(back.parts(), schedule.parts());
+        assert_eq!(back.compile(9).unwrap(), parts);
     }
 
     #[test]

@@ -791,8 +791,9 @@ impl RecoverableDining {
     /// On a valid record, restores the trusted per-edge bits (fork, token,
     /// deferred) and marks each edge that was synced at commit time as
     /// pending a [`RecoveryMsg::JournalResume`]; edges journaled mid-rejoin
-    /// keep the full handshake. Any validation failure leaves the blank
-    /// factory-reset state untouched.
+    /// keep the full handshake, and an edge to a departed peer, which is
+    /// never greeted, owes no resume. Any validation failure leaves the
+    /// blank factory-reset state untouched.
     fn replay_journal(&mut self, incarnation: u64) -> RestartPath {
         if self.journal.is_none() {
             return RestartPath::Blank {
@@ -826,10 +827,13 @@ impl RecoverableDining {
             let Some(i) = self.find(q) else {
                 continue; // configuration mismatch: ignore unknown edges
             };
+            let departed = self.peer_is_departed(q);
             let e = &mut self.edges[i];
             e.peer_inc = er.peer_inc;
             if er.synced {
-                e.resume_inc = Some(record.incarnation);
+                if !departed {
+                    e.resume_inc = Some(record.incarnation);
+                }
                 alg1::store(self.inner.vars_mut(), i, er.flags & RESTORE_MASK);
             }
         }
@@ -2608,6 +2612,31 @@ mod tests {
     }
 
     #[test]
+    fn a_journaled_restart_owes_no_resume_to_a_departed_peer() {
+        let journal = JournalHandle::in_memory();
+        let mut d =
+            RecoverableDining::new(p(1), 1, [(p(0), 0), (p(2), 2)]).with_journal(journal.clone());
+        d.peer_departed(p(0), &none(), &mut Vec::new());
+        let mut greetings = Vec::new();
+        d.restart(1, None, &none(), &mut greetings);
+        assert!(matches!(
+            d.restart_log().last().unwrap().path,
+            RestartPath::Journal { .. }
+        ));
+        assert!(
+            greetings.iter().all(|&(q, _)| q == p(2)),
+            "only the live peer is greeted: {greetings:?}"
+        );
+        let record = JournalRecord::decode(&journal.load().unwrap()).unwrap();
+        let pending: Vec<(u32, bool)> = record
+            .edges
+            .iter()
+            .map(|er| (er.peer, er.resume_pending))
+            .collect();
+        assert_eq!(pending, vec![(0, false), (2, true)]);
+    }
+
+    #[test]
     fn recovered_process_can_eat_again() {
         let (mut hi, mut lo) = pair();
         // lo restarts, resyncs, goes hungry, and completes a full session.
@@ -2707,8 +2736,10 @@ mod tests {
                         joined = false;
                         for (q, e) in expect.iter_mut() {
                             // A replay resumes every edge the last record
-                            // held synced; a departed one stays settled.
-                            *e = (departed.contains(q), journaled && e.0);
+                            // held synced but a departed one, which stays
+                            // settled and owes no resume.
+                            let gone = departed.contains(q);
+                            *e = (gone, journaled && e.0 && !gone);
                         }
                         let path = d.restart_log().last().unwrap().path;
                         assert_eq!(journaled, matches!(path, RestartPath::Journal { .. }));

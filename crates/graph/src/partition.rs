@@ -28,11 +28,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// The shard of process `p`.
-    pub fn shard_of(&self, p: ProcessId) -> usize {
-        self.assignment[p.index()] as usize
-    }
-
     /// Process ids grouped by shard, each group sorted ascending.
     pub fn members(&self) -> Vec<Vec<ProcessId>> {
         let mut out = vec![Vec::new(); self.shards];

@@ -70,10 +70,9 @@ impl Scenario {
     /// Wire a schedule's per-axis plans into this scenario: channel faults,
     /// restarts and corruptions, crashes, storage damage and membership.
     /// Both [`Scenario::chaos`] and `ekbd run`'s fault flags come through
-    /// here. The fault, storage and (non-inert) membership plans replace
-    /// the scenario's; the crashes join its crash list. Validate the
-    /// schedule first ([`FaultSchedule::validate_for`]):
-    /// [`Scenario::membership`] panics on an invalid plan.
+    /// here, with parts that [`FaultSchedule::compile`] checked. The fault,
+    /// storage and (non-inert) membership plans replace the scenario's; the
+    /// crashes join its crash list.
     pub fn fault_parts(mut self, parts: ScheduleParts) -> Scenario {
         self = self.faults(parts.faults).storage_faults(parts.storage);
         for (p, t) in parts.crashes {
@@ -85,15 +84,14 @@ impl Scenario {
         self
     }
 
-    /// Compile a validated [`FaultSchedule`] into a runnable scenario:
+    /// Compile a [`FaultSchedule`] into a runnable scenario:
     /// perfect oracle, the canonical chaos workload, and every fault
     /// axis wired to its plan. The link layer is enabled exactly when
     /// the schedule injects channel faults (required for the theorems
     /// to survive them).
     pub fn chaos(schedule: &FaultSchedule) -> Result<Scenario, ScheduleError> {
-        schedule.validate()?;
         let graph = schedule.build_topology()?;
-        let parts = schedule.parts();
+        let parts = schedule.compile(graph.len())?;
         // The audit period is pinned to the historical constant rather
         // than the degree-derived scenario default: committed `.chaos`
         // artifacts record an expected class, and that classification

@@ -1,4 +1,5 @@
 use crate::detector::AnyDetector;
+use crate::scenario::Workload;
 use ekbd_detector::{DetectorEvent, DetectorModule, DetectorMsg, DetectorOutput};
 use ekbd_dining::{DinerState, DiningAlgorithm, DiningInput, DiningObs};
 use ekbd_graph::ProcessId;
@@ -78,33 +79,6 @@ pub enum HostObs {
         /// The destination.
         to: ProcessId,
     },
-}
-
-/// Automatic workload driven by the host itself.
-///
-/// With `sessions > 0` the host becomes hungry `sessions` times, thinking
-/// for a uniform `think` delay between sessions and eating for a uniform
-/// `eat` duration once scheduled (correct processes always eat finitely,
-/// §2). With `sessions == 0` the host only reacts to [`HostCmd`]s.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HostWorkload {
-    /// Number of auto-generated hungry sessions.
-    pub sessions: u32,
-    /// Uniform range (inclusive) of thinking delays before each session.
-    pub think: (u64, u64),
-    /// Uniform range (inclusive) of eating durations.
-    pub eat: (u64, u64),
-}
-
-impl HostWorkload {
-    /// A workload that never gets hungry by itself.
-    pub fn manual() -> Self {
-        HostWorkload {
-            sessions: 0,
-            think: (1, 1),
-            eat: (1, 1),
-        }
-    }
 }
 
 /// Detector timer tags live below this; host timer tags above. Link-layer
@@ -189,7 +163,7 @@ pub fn derived_audit_period(max_degree: usize) -> u64 {
 pub struct DinerHost<A: DiningAlgorithm> {
     alg: A,
     det: AnyDetector,
-    workload: HostWorkload,
+    workload: Workload,
     sessions_left: u32,
     /// Reliable link layer wrapping dining traffic; `None` sends bare
     /// [`Envelope::Dining`] frames (the seed behavior, correct over
@@ -218,7 +192,7 @@ pub struct DinerHost<A: DiningAlgorithm> {
 
 impl<A: DiningAlgorithm> DinerHost<A> {
     /// Creates a host around `alg` and `det`.
-    pub fn new(alg: A, det: AnyDetector, workload: HostWorkload) -> Self {
+    pub fn new(alg: A, det: AnyDetector, workload: Workload) -> Self {
         let sessions_left = workload.sessions;
         DinerHost {
             alg,
@@ -689,7 +663,11 @@ mod tests {
         let mut host = DinerHost::new(
             RecoverableDining::from_graph(&g, &colors, joiner),
             AnyDetector::Heartbeat(detector),
-            HostWorkload::manual(),
+            Workload {
+                sessions: 0,
+                think: (1, 1),
+                eat: (1, 1),
+            },
         );
         let mut rng = StdRng::seed_from_u64(0);
         let mut log: Vec<Observation<HostObs>> = Vec::new();

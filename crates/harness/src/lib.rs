@@ -55,7 +55,7 @@ pub use chaos::{
 };
 pub use detector::AnyDetector;
 pub use host::{
-    derived_audit_period, quiet_repair_bound, DinerHost, Envelope, HostCmd, HostObs, HostWorkload,
+    derived_audit_period, quiet_repair_bound, DinerHost, Envelope, HostCmd, HostObs,
     AUDIT_BACKOFF_CAP, AUDIT_PERIOD,
 };
 pub use live::LiveRun;

@@ -1,5 +1,5 @@
 use crate::detector::AnyDetector;
-use crate::host::{DinerHost, HostCmd, HostObs, HostWorkload};
+use crate::host::{DinerHost, HostCmd, HostObs};
 use crate::report::{ReportSink, RunReport};
 use ekbd_detector::{HeartbeatConfig, HeartbeatDetector, ScriptedOracle};
 use ekbd_dining::{DiningAlgorithm, DiningProcess, RecoverableDining};
@@ -35,16 +35,19 @@ pub enum OracleSpec {
     Probe(HeartbeatConfig),
 }
 
-/// The workload every process runs (see
-/// [`HostWorkload`](crate::HostWorkload); this is the same data at scenario
-/// scope).
+/// The workload every process runs, driven by its [`DinerHost`].
+///
+/// With `sessions > 0` the host becomes hungry `sessions` times, thinking
+/// for a uniform `think` delay between sessions and eating for a uniform
+/// `eat` duration once scheduled (correct processes always eat finitely,
+/// §2). With `sessions == 0` the host only reacts to [`HostCmd`]s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Workload {
-    /// Hungry sessions per process.
+    /// Number of auto-generated hungry sessions per process.
     pub sessions: u32,
-    /// Thinking-delay range.
+    /// Uniform range (inclusive) of thinking delays before each session.
     pub think: (u64, u64),
-    /// Eating-duration range.
+    /// Uniform range (inclusive) of eating durations.
     pub eat: (u64, u64),
 }
 
@@ -312,11 +315,13 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the plan does not validate against the graph's population
-    /// (see [`MembershipPlan::validate`]).
+    /// Panics, naming the contradiction, if the plan names a process
+    /// outside the graph, joins or leaves one process twice, or has a
+    /// process leave at or before its join (a same-id rejoin, which is the
+    /// crash/recovery axis). The recolouring finds these as it replays the
+    /// plan; a plan from [`FaultSchedule::compile`](ekbd_chaos::FaultSchedule::compile)
+    /// never has them.
     pub fn membership(mut self, plan: MembershipPlan) -> Self {
-        plan.validate(self.graph.len())
-            .expect("membership plan must fit the scenario population");
         self.colors = membership_colors(&self.graph, &plan);
         self.membership = plan;
         self
@@ -393,11 +398,6 @@ impl Scenario {
             .delay(self.delay.clone())
             .faults(self.faults.clone())
             .record_trace(self.record_trace);
-        let workload = HostWorkload {
-            sessions: self.workload.sessions,
-            think: self.workload.think,
-            eat: self.workload.eat,
-        };
         let mut sim = Simulator::with_sink(cfg, sink, |p, _| {
             let alg = if self.membership.is_inert() {
                 factory(self, p)
@@ -411,7 +411,7 @@ impl Scenario {
                 );
                 alg
             };
-            let host = DinerHost::new(alg, self.detector_for(p), workload)
+            let host = DinerHost::new(alg, self.detector_for(p), self.workload)
                 .with_audit_period(self.audit_period);
             match self.link {
                 Some(link_cfg) => host.with_link(link_cfg),
@@ -637,22 +637,42 @@ impl Scenario {
 /// itself — takes the least color absent among its co-present neighbors.
 /// Present nodes are never recolored, which is what keeps in-flight session
 /// priorities stable; the proptest suite in `ekbd-graph` checks that every
-/// such sequence stays proper on the co-present subgraph.
+/// such sequence stays proper on the co-present subgraph. Panics on a
+/// contradictory plan, as [`Scenario::membership`] says.
 fn membership_colors(graph: &ConflictGraph, plan: &MembershipPlan) -> Vec<Color> {
     let n = graph.len();
+    if let Some(ev) = plan.events().iter().find(|ev| ev.process().index() >= n) {
+        panic!(
+            "membership plan names {} in a population of {n}",
+            ev.process()
+        );
+    }
     let initial: Vec<bool> = plan.initially_absent(n).iter().map(|a| !a).collect();
     let mut m = Membership::new(graph.clone(), &initial);
+    let mut left = vec![false; n];
     let mut events: Vec<MembershipEvent> = plan.events().to_vec();
     // Stable: leaves before joins at the same instant.
     events.sort_by_key(|e| (e.at(), matches!(e, MembershipEvent::Join { .. })));
     for ev in events {
+        let p = ev.process();
         match ev {
-            MembershipEvent::Join { process, .. } => {
-                m.join(process).expect("validated plan cannot double-join");
-            }
-            MembershipEvent::Leave { process, .. } => {
-                m.leave(process)
-                    .expect("validated plan cannot double-leave");
+            // A joiner starts absent, so a join after its leave is its second.
+            MembershipEvent::Join { .. } => assert!(
+                !left[p.index()] && m.join(p).is_ok(),
+                "membership plan has {p} join twice"
+            ),
+            MembershipEvent::Leave { .. } => {
+                let again = left[p.index()];
+                assert!(
+                    m.leave(p).is_ok(),
+                    "membership plan has {p} leave {}",
+                    if again {
+                        "twice"
+                    } else {
+                        "at or before its join (a same-id rejoin)"
+                    }
+                );
+                left[p.index()] = true;
             }
         }
     }
@@ -707,6 +727,68 @@ mod tests {
     #[should_panic(expected = "proper")]
     fn rejects_improper_coloring() {
         let _ = Scenario::new(topology::ring(4)).colors(vec![0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn membership_refuses_contradictory_plans_by_name() {
+        let p = ProcessId;
+        for (plan, named) in [
+            (
+                MembershipPlan::new().join(p(7), Time(1)),
+                "names p7 in a population of 5",
+            ),
+            (
+                MembershipPlan::new()
+                    .join(p(1), Time(1))
+                    .join(p(1), Time(9)),
+                "has p1 join twice",
+            ),
+            (
+                MembershipPlan::new()
+                    .join(p(1), Time(1))
+                    .leave(p(1), Time(5))
+                    .join(p(1), Time(9)),
+                "has p1 join twice",
+            ),
+            (
+                MembershipPlan::new()
+                    .leave(p(1), Time(1))
+                    .crash_leave(p(1), Time(9)),
+                "has p1 leave twice",
+            ),
+            (
+                MembershipPlan::new()
+                    .leave(p(2), Time(10))
+                    .join(p(2), Time(50)),
+                "has p2 leave at or before its join",
+            ),
+            (
+                MembershipPlan::new()
+                    .join(p(2), Time(10))
+                    .leave(p(2), Time(10)),
+                "has p2 leave at or before its join",
+            ),
+        ] {
+            let panic = std::panic::catch_unwind(|| {
+                Scenario::new(topology::ring(5)).membership(plan.clone())
+            })
+            .expect_err("a contradictory plan is refused");
+            let text = panic
+                .downcast_ref::<String>()
+                .expect("the refusal names the contradiction");
+            assert!(text.contains(named), "{plan:?}: {text}");
+        }
+        // A visit (join, then a later leave) and a replacement are fine.
+        Scenario::new(topology::ring(5)).membership(
+            MembershipPlan::new()
+                .join(p(2), Time(10))
+                .leave(p(2), Time(50)),
+        );
+        Scenario::new(topology::ring(5)).membership(MembershipPlan::new().replace(
+            p(0),
+            p(3),
+            Time(200),
+        ));
     }
 
     #[test]

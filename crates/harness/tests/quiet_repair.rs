@@ -14,7 +14,7 @@ use ekbd_detector::ScriptedOracle;
 use ekbd_dining::{DiningAlgorithm, DiningObs, RecoverableDining, RecoveryMsg, DEFAULT_STRIKES};
 use ekbd_graph::{coloring, topology, ConflictGraph, ProcessId};
 use ekbd_harness::{
-    quiet_repair_bound, AnyDetector, DinerHost, Envelope, HostCmd, HostObs, HostWorkload,
+    quiet_repair_bound, AnyDetector, DinerHost, Envelope, HostCmd, HostObs, Workload,
     AUDIT_BACKOFF_CAP, AUDIT_PERIOD,
 };
 use ekbd_sim::{Context, DelayModel, Node, NodeEvent, SimConfig, Simulator, Time};
@@ -64,7 +64,7 @@ fn edges_whole(sim: &Simulator<Damageable>, g: &ConflictGraph) -> bool {
 fn quiet_ring() -> (Simulator<Damageable>, ConflictGraph) {
     let g = topology::ring(6);
     let colors = coloring::greedy(&g);
-    let workload = HostWorkload {
+    let workload = Workload {
         sessions: 3,
         think: (1, 25),
         eat: (1, 10),

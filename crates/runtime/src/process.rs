@@ -3,7 +3,7 @@ use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use ekbd_detector::HeartbeatDetector;
 use ekbd_dining::{DiningAlgorithm, DiningObs};
 use ekbd_graph::ProcessId;
-use ekbd_harness::{AnyDetector, DinerHost, Envelope, HostCmd, HostObs, HostWorkload};
+use ekbd_harness::{AnyDetector, DinerHost, Envelope, HostCmd, HostObs, Workload};
 use ekbd_metrics::{EventTail, LinkSummary, SchedEvent};
 use ekbd_sim::{Context, Node, NodeEvent, Observation, Time};
 use rand::rngs::StdRng;
@@ -174,9 +174,10 @@ impl<A: DiningAlgorithm> ProcessThread<A> {
     ) -> Self {
         let id = alg.id();
         let detector = HeartbeatDetector::new(config.heartbeat, neighbors.iter().copied());
-        let workload = HostWorkload {
+        let workload = Workload {
+            sessions: 0,
+            think: (1, 1),
             eat: (config.eat_ms, config.eat_ms),
-            ..HostWorkload::manual()
         };
         let mut host = DinerHost::new(alg, AnyDetector::Heartbeat(detector), workload)
             .with_audit_period(config.audit_ms);

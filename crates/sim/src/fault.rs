@@ -12,7 +12,6 @@
 use crate::time::{Duration, Time};
 use crate::ProcessId;
 use std::collections::HashMap;
-use std::fmt;
 
 /// Per-edge fault probabilities.
 ///
@@ -100,87 +99,6 @@ pub struct CorruptionSpec {
     /// When the corruption fires.
     pub at: Time,
 }
-
-/// Error returned by [`FaultPlan::validate`]: a contradictory or
-/// out-of-range composition of fault axes that the simulator would
-/// otherwise execute as a silent no-op (or a misleading half-effect).
-#[derive(Clone, Debug, PartialEq)]
-pub enum FaultPlanError {
-    /// An event targets a process outside `0..n`.
-    OutOfRange {
-        /// The offending process.
-        process: ProcessId,
-        /// The population size.
-        n: usize,
-    },
-    /// A recovery is scheduled with no unconsumed crash of the same
-    /// process strictly before it — the simulator would drop it as a
-    /// no-op ("never restarts a live process").
-    RecoverBeforeCrash {
-        /// The process whose recovery dangles.
-        process: ProcessId,
-        /// When the dangling recovery fires.
-        at: Time,
-    },
-    /// Two partitions are active at once and cut at least one common
-    /// edge: the overlap makes heal-time reasoning ambiguous (healing one
-    /// cut does not restore the edge), so composed schedules must keep
-    /// partition windows edge-disjoint.
-    OverlappingPartitions {
-        /// Index of the earlier partition in [`FaultPlan::partitions`].
-        first: usize,
-        /// Index of the later, conflicting partition.
-        second: usize,
-    },
-    /// A partition whose heal instant is not after its start (possible
-    /// only by building the `partitions` field directly; the
-    /// [`partition`](FaultPlan::partition) builder asserts this).
-    PartitionNeverHeals {
-        /// Index of the degenerate partition.
-        index: usize,
-    },
-    /// A partition with an empty side cuts nothing.
-    EmptyPartitionSide {
-        /// Index of the vacuous partition.
-        index: usize,
-    },
-    /// A probability outside `[0, 1]`.
-    BadProbability {
-        /// Which dial is out of range (`loss`, `dup`, `reorder`).
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-}
-
-impl fmt::Display for FaultPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultPlanError::OutOfRange { process, n } => {
-                write!(f, "fault event targets {process} in a population of {n}")
-            }
-            FaultPlanError::RecoverBeforeCrash { process, at } => write!(
-                f,
-                "recovery of {process} at {at} has no crash before it to recover from"
-            ),
-            FaultPlanError::OverlappingPartitions { first, second } => write!(
-                f,
-                "partitions #{first} and #{second} are active at once and cut a common edge"
-            ),
-            FaultPlanError::PartitionNeverHeals { index } => {
-                write!(f, "partition #{index} does not heal after it starts")
-            }
-            FaultPlanError::EmptyPartitionSide { index } => {
-                write!(f, "partition #{index} has an empty side and cuts nothing")
-            }
-            FaultPlanError::BadProbability { what, value } => {
-                write!(f, "{what} probability {value} is outside [0, 1]")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FaultPlanError {}
 
 /// A deterministic, seeded schedule of channel faults for one run.
 ///
@@ -314,104 +232,6 @@ impl FaultPlan {
         self.partitions.iter().map(|p| p.heal).max()
     }
 
-    /// Checks the plan against a population of `n` and a crash schedule.
-    ///
-    /// The crash schedule lives at scenario scope (the simulator's
-    /// `schedule_crash`), not in the plan, but recoveries only make sense
-    /// relative to it — so composition validation takes both.
-    ///
-    /// # Errors
-    ///
-    /// Rejects out-of-range targets, probabilities outside `[0, 1]`,
-    /// degenerate partitions, concurrently-active partitions that cut a
-    /// common edge, and recoveries with no unconsumed crash of the same
-    /// process strictly before them.
-    pub fn validate(&self, n: usize, crashes: &[(ProcessId, Time)]) -> Result<(), FaultPlanError> {
-        let check_prob = |what: &'static str, value: f64| {
-            if (0.0..=1.0).contains(&value) {
-                Ok(())
-            } else {
-                Err(FaultPlanError::BadProbability { what, value })
-            }
-        };
-        for f in std::iter::once(&self.default_fault).chain(self.overrides.values()) {
-            check_prob("loss", f.loss)?;
-            check_prob("dup", f.dup)?;
-            check_prob("reorder", f.reorder)?;
-        }
-        let check_range = |p: ProcessId| {
-            if p.index() < n {
-                Ok(())
-            } else {
-                Err(FaultPlanError::OutOfRange { process: p, n })
-            }
-        };
-        for &(p, _) in crashes {
-            check_range(p)?;
-        }
-        for r in &self.recoveries {
-            check_range(r.process)?;
-        }
-        for c in &self.corruptions {
-            check_range(c.process)?;
-        }
-        for (i, part) in self.partitions.iter().enumerate() {
-            if part.side.is_empty() {
-                return Err(FaultPlanError::EmptyPartitionSide { index: i });
-            }
-            if part.heal <= part.start {
-                return Err(FaultPlanError::PartitionNeverHeals { index: i });
-            }
-            for &p in &part.side {
-                check_range(p)?;
-            }
-        }
-        // Concurrently-active partitions must be edge-disjoint: healing
-        // one cut while the other still severs the same pair makes "the
-        // network is whole after last_heal" reasoning ambiguous per edge.
-        for i in 0..self.partitions.len() {
-            for j in i + 1..self.partitions.len() {
-                let (a, b) = (&self.partitions[i], &self.partitions[j]);
-                let windows_overlap = a.start < b.heal && b.start < a.heal;
-                if !windows_overlap {
-                    continue;
-                }
-                let common_edge = (0..n).any(|x| {
-                    (x + 1..n).any(|y| {
-                        let (x, y) = (ProcessId::from(x), ProcessId::from(y));
-                        let cut = |p: &Partition| p.side.contains(&x) != p.side.contains(&y);
-                        cut(a) && cut(b)
-                    })
-                });
-                if common_edge {
-                    return Err(FaultPlanError::OverlappingPartitions {
-                        first: i,
-                        second: j,
-                    });
-                }
-            }
-        }
-        // Each recovery needs its own crash strictly before it: pair the
-        // k-th recovery of a process (in time order) with the k-th crash.
-        let mut by_process: HashMap<ProcessId, (Vec<Time>, Vec<Time>)> = HashMap::new();
-        for &(p, t) in crashes {
-            by_process.entry(p).or_default().0.push(t);
-        }
-        for r in &self.recoveries {
-            by_process.entry(r.process).or_default().1.push(r.at);
-        }
-        for (p, (mut cr, mut rec)) in by_process {
-            cr.sort_unstable();
-            rec.sort_unstable();
-            for (k, &at) in rec.iter().enumerate() {
-                if cr.get(k).is_none_or(|&c| c >= at) {
-                    return Err(FaultPlanError::RecoverBeforeCrash { process: p, at });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The time of the last scheduled process fault (recovery or
     /// corruption), if any — after this instant process state is only
     /// touched by the algorithm itself.
@@ -484,110 +304,6 @@ mod tests {
         assert_eq!(plan.last_process_fault(), Some(Time(90)));
         assert!(plan.recoveries[0].corrupt);
         assert_eq!(FaultPlan::new().last_process_fault(), None);
-    }
-
-    #[test]
-    fn validate_accepts_sane_compositions() {
-        let plan = FaultPlan::new()
-            .loss(0.1)
-            .duplication(0.05)
-            .reorder(0.2, 8)
-            .partition(vec![p(0)], Time(100), Time(400))
-            .partition(vec![p(2)], Time(600), Time(900))
-            .recover(p(1), Time(500))
-            .corrupt_state(p(3), Time(700));
-        plan.validate(5, &[(p(1), Time(200))]).unwrap();
-        // Time-overlapping partitions are fine when edge-disjoint: {0} vs
-        // {1} both cut (0,1)… so use sides whose cut sets are disjoint.
-        let plan = FaultPlan::new()
-            .partition(vec![p(0), p(1)], Time(100), Time(400))
-            .partition(vec![p(0), p(1)], Time(200), Time(500));
-        assert!(matches!(
-            plan.validate(4, &[]),
-            Err(FaultPlanError::OverlappingPartitions {
-                first: 0,
-                second: 1
-            })
-        ));
-    }
-
-    #[test]
-    fn validate_rejects_recover_before_crash() {
-        let plan = FaultPlan::new().recover(p(1), Time(500));
-        assert_eq!(
-            plan.validate(5, &[]),
-            Err(FaultPlanError::RecoverBeforeCrash {
-                process: p(1),
-                at: Time(500)
-            })
-        );
-        // Recovery at the same instant as the crash is still dangling.
-        assert!(plan.validate(5, &[(p(1), Time(500))]).is_err());
-        // Two recoveries need two crashes.
-        let plan = FaultPlan::new()
-            .recover(p(1), Time(500))
-            .recover(p(1), Time(900));
-        assert!(plan.validate(5, &[(p(1), Time(100))]).is_err());
-        plan.validate(5, &[(p(1), Time(100)), (p(1), Time(700))])
-            .unwrap();
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_and_bad_dials() {
-        assert_eq!(
-            FaultPlan::new()
-                .recover(p(9), Time(5))
-                .validate(4, &[(p(9), Time(1))]),
-            Err(FaultPlanError::OutOfRange {
-                process: p(9),
-                n: 4
-            })
-        );
-        assert!(FaultPlan::new().validate(4, &[(p(7), Time(1))]).is_err());
-        assert!(matches!(
-            FaultPlan::new().loss(1.5).validate(4, &[]),
-            Err(FaultPlanError::BadProbability { what: "loss", .. })
-        ));
-        assert!(FaultPlan::new()
-            .edge_fault(p(0), p(1), LinkFault::lossy(-0.1))
-            .validate(4, &[])
-            .is_err());
-        // Degenerate partitions built by direct field manipulation.
-        let mut plan = FaultPlan::new();
-        plan.partitions.push(Partition {
-            side: vec![],
-            start: Time(1),
-            heal: Time(2),
-        });
-        assert_eq!(
-            plan.validate(4, &[]),
-            Err(FaultPlanError::EmptyPartitionSide { index: 0 })
-        );
-        let mut plan = FaultPlan::new();
-        plan.partitions.push(Partition {
-            side: vec![p(0)],
-            start: Time(9),
-            heal: Time(9),
-        });
-        assert_eq!(
-            plan.validate(4, &[]),
-            Err(FaultPlanError::PartitionNeverHeals { index: 0 })
-        );
-    }
-
-    #[test]
-    fn fault_plan_error_display() {
-        let e = FaultPlanError::OverlappingPartitions {
-            first: 0,
-            second: 2,
-        };
-        assert!(e.to_string().contains("common edge"));
-        assert!(FaultPlanError::RecoverBeforeCrash {
-            process: p(1),
-            at: Time(9)
-        }
-        .to_string()
-        .contains("no crash"));
     }
 
     #[test]

@@ -101,8 +101,8 @@ mod time;
 mod trace;
 
 pub use ekbd_graph::ProcessId;
-pub use fault::{CorruptionSpec, FaultPlan, FaultPlanError, LinkFault, Partition, RecoverySpec};
-pub use membership::{MembershipEvent, MembershipPlan, MembershipPlanError};
+pub use fault::{CorruptionSpec, FaultPlan, LinkFault, Partition, RecoverySpec};
+pub use membership::{MembershipEvent, MembershipPlan};
 pub use network::{ChannelStats, DelayModel};
 pub use node::{Context, Node, NodeEvent};
 pub use obs::{LatencyHistogram, Reservoir, StreamSink};

@@ -14,10 +14,12 @@
 //! same-id membership events: rejoining under the same identity is the
 //! crash/recovery fault stream ([`FaultPlan`](crate::FaultPlan), PR 3),
 //! while membership models rejoin-as-a-*new*-id — a leave of the old id
-//! plus a join of a fresh (initially absent) id. The plan validator
-//! enforces this: at most one join and one leave per process, with the join
-//! first. That restriction is what makes incremental recoloring inductively
-//! safe (see `ekbd_graph::membership`).
+//! plus a join of a fresh (initially absent) id. A plan therefore holds at
+//! most one join and one leave per process, with the join first: the chaos
+//! engine's `FaultSchedule::compile` refuses any other shape before a run,
+//! and so does the harness's online recolouring. That restriction is what
+//! makes incremental recoloring inductively safe (see
+//! `ekbd_graph::membership`).
 //!
 //! [`join`]: MembershipPlan::join
 //! [`leave`]: MembershipPlan::leave
@@ -25,7 +27,6 @@
 
 use crate::time::Time;
 use crate::ProcessId;
-use std::fmt;
 
 /// One scheduled membership change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,48 +70,6 @@ impl MembershipEvent {
     }
 }
 
-/// Error returned by [`MembershipPlan::validate`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MembershipPlanError {
-    /// An event targets a process outside `0..n`.
-    OutOfRange {
-        /// The offending process.
-        process: ProcessId,
-        /// The population size.
-        n: usize,
-    },
-    /// A process has more than one join scheduled.
-    DuplicateJoin(ProcessId),
-    /// A process has more than one leave scheduled.
-    DuplicateLeave(ProcessId),
-    /// A process is scheduled to rejoin under the same id (leave at or
-    /// before its join): same-id rejoin is the crash/recovery fault
-    /// stream, not membership.
-    RejoinSameId(ProcessId),
-}
-
-impl fmt::Display for MembershipPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MembershipPlanError::OutOfRange { process, n } => {
-                write!(
-                    f,
-                    "membership event targets {process} in a population of {n}"
-                )
-            }
-            MembershipPlanError::DuplicateJoin(p) => write!(f, "{p} has more than one join"),
-            MembershipPlanError::DuplicateLeave(p) => write!(f, "{p} has more than one leave"),
-            MembershipPlanError::RejoinSameId(p) => write!(
-                f,
-                "{p} would rejoin under the same id; use the crash/recovery \
-                 fault stream for same-id rejoin, or join as a fresh id"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MembershipPlanError {}
-
 /// A deterministic schedule of join/leave events for one run.
 ///
 /// Built with chained setters:
@@ -122,7 +81,6 @@ impl std::error::Error for MembershipPlanError {}
 ///     .leave(ProcessId(1), Time(900))
 ///     .crash_leave(ProcessId(2), Time(1500));
 /// assert!(!plan.is_inert());
-/// plan.validate(6).unwrap();
 /// assert_eq!(plan.initially_absent(6), vec![false, false, false, false, false, true]);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -231,8 +189,8 @@ impl MembershipPlan {
     }
 
     /// Presence flags at time zero for a population of `n`: a process is
-    /// initially absent iff it has a join scheduled (validation guarantees
-    /// a join precedes any leave of the same process).
+    /// initially absent iff it has a join scheduled (in a legal plan a join
+    /// precedes any leave of the same process).
     pub fn initially_absent(&self, n: usize) -> Vec<bool> {
         let mut absent = vec![false; n];
         for ev in &self.events {
@@ -261,57 +219,9 @@ impl MembershipPlan {
         })
     }
 
-    /// Processes (of a population of `n`) with no membership event at all —
-    /// present from time zero to the horizon. The E17 churn gate checks
-    /// post-convergence exclusion and wait-freedom for exactly this set.
-    pub fn continuously_present(&self, n: usize) -> Vec<ProcessId> {
-        (0..n)
-            .map(ProcessId::from)
-            .filter(|p| self.join_time(*p).is_none() && self.departure_time(*p).is_none())
-            .collect()
-    }
-
     /// The time of the last scheduled membership change, if any.
     pub fn last_change(&self) -> Option<Time> {
         self.events.iter().map(MembershipEvent::at).max()
-    }
-
-    /// Checks the plan against a population of `n`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects out-of-range targets, multiple joins or leaves of one
-    /// process, and same-id rejoin shapes (a leave at or before a join of
-    /// the same process).
-    pub fn validate(&self, n: usize) -> Result<(), MembershipPlanError> {
-        let mut joins: Vec<Option<Time>> = vec![None; n];
-        let mut leaves: Vec<Option<Time>> = vec![None; n];
-        for ev in &self.events {
-            let p = ev.process();
-            if p.index() >= n {
-                return Err(MembershipPlanError::OutOfRange { process: p, n });
-            }
-            match ev {
-                MembershipEvent::Join { at, .. } => {
-                    if joins[p.index()].replace(*at).is_some() {
-                        return Err(MembershipPlanError::DuplicateJoin(p));
-                    }
-                }
-                MembershipEvent::Leave { at, .. } => {
-                    if leaves[p.index()].replace(*at).is_some() {
-                        return Err(MembershipPlanError::DuplicateLeave(p));
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            if let (Some(j), Some(l)) = (joins[i], leaves[i]) {
-                if l <= j {
-                    return Err(MembershipPlanError::RejoinSameId(ProcessId::from(i)));
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -324,13 +234,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_plan_is_inert_and_valid() {
+    fn empty_plan_is_inert() {
         let plan = MembershipPlan::new();
         assert!(plan.is_inert());
-        plan.validate(5).unwrap();
         assert_eq!(plan.initially_absent(3), vec![false; 3]);
         assert_eq!(plan.last_change(), None);
-        assert_eq!(plan.continuously_present(3), vec![p(0), p(1), p(2)]);
     }
 
     #[test]
@@ -339,7 +247,6 @@ mod tests {
             .join(p(4), Time(100))
             .leave(p(1), Time(300))
             .crash_leave(p(2), Time(500));
-        plan.validate(5).unwrap();
         assert!(!plan.is_inert());
         assert_eq!(plan.join_time(p(4)), Some(Time(100)));
         assert_eq!(plan.departure_time(p(1)), Some(Time(300)));
@@ -349,7 +256,6 @@ mod tests {
             plan.initially_absent(5),
             vec![false, false, false, false, true]
         );
-        assert_eq!(plan.continuously_present(5), vec![p(0), p(3)]);
         let graceful: Vec<bool> = plan
             .events()
             .iter()
@@ -364,53 +270,13 @@ mod tests {
     #[test]
     fn replace_is_leave_plus_fresh_join() {
         let plan = MembershipPlan::new().replace(p(0), p(3), Time(200));
-        plan.validate(4).unwrap();
         assert_eq!(plan.departure_time(p(0)), Some(Time(200)));
         assert_eq!(plan.join_time(p(3)), Some(Time(200)));
         assert_eq!(plan.initially_absent(4), vec![false, false, false, true]);
     }
 
     #[test]
-    fn validation_rejects_bad_shapes() {
-        assert_eq!(
-            MembershipPlan::new().join(p(7), Time(1)).validate(5),
-            Err(MembershipPlanError::OutOfRange {
-                process: p(7),
-                n: 5
-            })
-        );
-        assert_eq!(
-            MembershipPlan::new()
-                .join(p(1), Time(1))
-                .join(p(1), Time(9))
-                .validate(5),
-            Err(MembershipPlanError::DuplicateJoin(p(1)))
-        );
-        assert_eq!(
-            MembershipPlan::new()
-                .leave(p(1), Time(1))
-                .crash_leave(p(1), Time(9))
-                .validate(5),
-            Err(MembershipPlanError::DuplicateLeave(p(1)))
-        );
-        // Leave-then-join of one id is same-id rejoin: rejected.
-        assert_eq!(
-            MembershipPlan::new()
-                .leave(p(2), Time(10))
-                .join(p(2), Time(50))
-                .validate(5),
-            Err(MembershipPlanError::RejoinSameId(p(2)))
-        );
-        // Join-then-leave is fine: a process that visits and departs.
-        MembershipPlan::new()
-            .join(p(2), Time(10))
-            .leave(p(2), Time(50))
-            .validate(5)
-            .unwrap();
-    }
-
-    #[test]
-    fn seeded_churn_is_deterministic_valid_and_paced() {
+    fn seeded_churn_is_deterministic_and_paced() {
         let a = MembershipPlan::seeded_churn(12, 50, Time(2_000), 42);
         let b = MembershipPlan::seeded_churn(12, 50, Time(2_000), 42);
         assert_eq!(a, b, "same seed, same plan");
@@ -419,7 +285,6 @@ mod tests {
             MembershipPlan::seeded_churn(12, 50, Time(2_000), 43),
             "different seeds should differ"
         );
-        a.validate(12).unwrap();
         assert!(!a.is_inert());
         // Both directions of churn are present.
         assert!(a
@@ -436,7 +301,10 @@ mod tests {
             assert!(w[1] - w[0] >= 50, "events too dense: {times:?}");
         }
         // A majority core never churns.
-        assert!(a.continuously_present(12).len() >= 6);
+        let steady = (0..12)
+            .filter(|&i| a.join_time(p(i)).is_none() && a.departure_time(p(i)).is_none())
+            .count();
+        assert!(steady >= 6);
     }
 
     #[test]

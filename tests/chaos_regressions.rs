@@ -6,7 +6,8 @@
 //! repros of fixed bugs tagged `expect wait-free` (they pin the fix).
 //! Either drifting is a regression. A known defect that is not yet fixed
 //! is committed with the class it has today and a comment saying so
-//! (`clique-6-seed505-mistake.chaos`, `clique-6-seed753-mistake.chaos`);
+//! (`clique-6-seed505-mistake.chaos`, `clique-6-seed753-mistake.chaos`,
+//! `grid-3x4-seed80-mistake.chaos`, `gnp-12-0.3-seed141-mistake.chaos`);
 //! its fix flips the artifact to `expect wait-free`.
 
 use ekbd_chaos::codec;
