@@ -123,12 +123,6 @@ impl EventTail {
         self.buf.is_empty()
     }
 
-    /// The kept events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &SchedEvent> {
-        let (newer, older) = self.buf.split_at(self.head);
-        older.iter().chain(newer)
-    }
-
     /// The kept events, oldest first, without copying them.
     pub fn into_vec(mut self) -> Vec<SchedEvent> {
         self.buf.rotate_left(self.head);
@@ -224,7 +218,7 @@ mod tests {
     fn event_tail_keeps_the_last_capacity_events_in_order() {
         const N: usize = EventTail::CAPACITY;
         let mut tail = EventTail::new();
-        assert!(tail.is_empty() && tail.iter().next().is_none());
+        assert!(tail.is_empty() && tail.clone().into_vec().is_empty());
         for pushed in 1..=2 * N + N / 3 {
             tail.push(nth(pushed - 1));
             assert_eq!(tail.total(), pushed as u64, "the total counts every push");
@@ -234,15 +228,14 @@ mod tests {
             // little past them, without an O(N²) test.
             if [N - 1, N, N + 1, 2 * N, 2 * N + 5].contains(&pushed) {
                 let first = pushed.saturating_sub(N);
-                let kept: Vec<SchedEvent> = tail.iter().copied().collect();
+                let kept = tail.clone().into_vec();
                 let want: Vec<SchedEvent> = (first..pushed).map(nth).collect();
                 assert!(kept == want, "after {pushed} pushes");
             }
         }
         let pushed = 2 * N + N / 3;
         let want: Vec<SchedEvent> = (pushed - N..pushed).map(nth).collect();
-        assert!(tail.clone().iter().copied().eq(want.iter().copied()));
-        assert!(tail.into_vec() == want, "into_vec is the same order");
+        assert!(tail.into_vec() == want, "the last wrap keeps the order");
     }
 
     #[test]

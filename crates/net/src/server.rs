@@ -389,10 +389,11 @@ impl Tally {
     }
 }
 
-/// The dining system behind the sessions.
+/// The dining system behind the sessions. The kernel is boxed: it is
+/// several times the size of the threaded system's handle.
 enum Backend {
     Threaded(ThreadedDining<RecoveryMsg>),
-    Scale(ScaleService),
+    Scale(Box<ScaleService>),
 }
 
 // ---------------------------------------------------------------------
@@ -1683,9 +1684,11 @@ impl DaemonServer {
                 let (restarts, tap) = (sys.restart_watch(), sys.tap_events());
                 (Backend::Threaded(sys), Some(restarts), Some(tap))
             }
-            BackendSpec::Scale { seed } => {
-                (Backend::Scale(ScaleService::new(&graph, seed)), None, None)
-            }
+            BackendSpec::Scale { seed } => (
+                Backend::Scale(Box::new(ScaleService::new(&graph, seed))),
+                None,
+                None,
+            ),
         };
         let n_reactors = cfg.reactor_threads.clamp(1, ConnRef::MAX_REACTORS);
         let inner = Arc::new(ServerInner {

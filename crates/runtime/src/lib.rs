@@ -3,7 +3,7 @@
 //! The dining layer ([`DiningAlgorithm`](ekbd_dining::DiningAlgorithm)) and
 //! the detector layer ([`DetectorModule`](ekbd_detector::DetectorModule))
 //! are pure state machines, and so is the host that wires them together
-//! with the link, recovery and membership layers
+//! with the link and recovery layers
 //! ([`DinerHost`](ekbd_harness::DinerHost), driven through an
 //! [`ekbd_sim::Context`]). Each process thread here runs that same host,
 //! the one the discrete-event simulator runs: one thread per process,
@@ -20,14 +20,14 @@
 //! sends nor receives — exactly the paper's crash-fault model. Under the
 //! crash-recovery variant ([`ThreadedDining::spawn_recoverable`]) the
 //! thread instead parks with all volatile state discarded, and can later
-//! be restarted — blank or with deterministically corrupted state — via
-//! [`ThreadedDining::recover`] / [`ThreadedDining::recover_corrupted`];
-//! live state faults are injected with [`ThreadedDining::corrupt_state`]
-//! and repaired by the periodic audit (`RuntimeConfig::audit_ms`).
+//! be restarted with blank state and a fresh incarnation via
+//! [`ThreadedDining::recover`]; the periodic audit
+//! (`RuntimeConfig::audit_ms`) runs as on the simulator.
 //!
-//! This crate exists to demonstrate runtime-independence and to host the
-//! wall-clock benchmarks; the measured experiments live on the simulator,
-//! where runs are deterministic and replayable.
+//! This crate exists to demonstrate runtime-independence and to back
+//! `ekbd serve`, where a disconnect is `crash(p)` and a reconnect is
+//! `recover(p)`. Membership churn and state faults, like channel faults,
+//! are modelled on the simulator only, where runs are replayable.
 //!
 //! # Example
 //!
@@ -39,7 +39,7 @@
 //! for i in 0..3 {
 //!     sys.make_hungry(ProcessId(i));
 //! }
-//! let events = sys.shutdown_after(std::time::Duration::from_millis(300));
+//! let events = sys.shutdown_complete(std::time::Duration::from_millis(300)).events;
 //! // Everyone ate at least once.
 //! let eaters: std::collections::BTreeSet<_> = events.iter()
 //!     .filter(|e| e.obs == ekbd_dining::DiningObs::StartedEating)

@@ -42,7 +42,7 @@ fn main() {
         std::thread::sleep(Duration::from_millis(40));
     }
 
-    let events = sys.shutdown_after(Duration::from_millis(300));
+    let events = sys.shutdown_complete(Duration::from_millis(300)).events;
     let mut eats = [0u32; 5];
     for e in &events {
         if e.obs == DiningObs::StartedEating {

@@ -44,7 +44,7 @@ fn threaded_clique_schedules_everyone_exclusively() {
         }
         std::thread::sleep(Duration::from_millis(30));
     }
-    let events = sys.shutdown_after(Duration::from_millis(200));
+    let events = sys.shutdown_complete(Duration::from_millis(200)).events;
     let eats = eats_per_process(&events, 4);
     assert!(
         eats.iter().all(|&e| e >= 2),
@@ -71,7 +71,7 @@ fn threaded_crash_mid_protocol_is_tolerated() {
         }
         std::thread::sleep(Duration::from_millis(30));
     }
-    let events = sys.shutdown_after(Duration::from_millis(400));
+    let events = sys.shutdown_complete(Duration::from_millis(400)).events;
     let eats = eats_per_process(&events, 4);
     // p1 and p3 are the crash's neighbors; both keep eating after the
     // detector (~100ms) kicks in.
@@ -89,7 +89,7 @@ fn threaded_events_are_well_formed() {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    let events = sys.shutdown_after(Duration::from_millis(150));
+    let events = sys.shutdown_complete(Duration::from_millis(150)).events;
     for p in 0..3 {
         let seq: Vec<DiningObs> = events
             .iter()
